@@ -25,6 +25,24 @@ shift stage sharpens the effective radius by one halving, each odometer
 stage (an isometry) leaves it unchanged.  Averaging the cylinder length
 over fair words turns every entropy series below into the closed form
 (t + (k-1)/2) * log 2 / k, with limit (log 2) / 2.
+
+Windows
+-------
+Counting Bowen balls over many points runs on uint64 windows instead of
+BinaryPoint objects: a window holds the low 64 bits of a point, next to
+its depth.  A stage key at radius 2**(-L) reads only the low L bits, the
+shift is `>> 1` (after s shifts the top s bits of the window are no
+longer the point's), and the odometer is `+ 1`, whose carry only moves
+upward.  Orbit windows are built straight from the starting point:
+after a shifts and carry c the orbit point is (x >> a) + c, so every
+orbit window holds 64 true bits however deep the orbit runs.
+Window functions return None, and the caller takes the exact
+BinaryPoint path, whenever a window cannot decide a point the way the
+exact path would: the key needs more than the bits left in the window
+(L + s > 64), a depth is too short for the shifts and the key, or a
+carry could reach the depth or the top of the window.  That path raises
+DepthExhausted and CarryOverflow exactly as before, and it gives the
+same keys in the rare cases where a deep point only looked risky.
 """
 
 from __future__ import annotations
@@ -198,6 +216,117 @@ def all_points(depth: int, pad: int = 0) -> list[BinaryPoint]:
     unchanged.
     """
     return [BinaryPoint(v, depth + pad) for v in range(1 << depth)]
+
+
+# ---------------------------------------------------------------------------
+# uint64 windows (see the module docstring)
+
+WINDOW_BITS = 64
+_WINDOW_MASK = (1 << WINDOW_BITS) - 1
+_ONE = np.uint64(1)
+
+
+@lru_cache(maxsize=1)
+def _low_masks() -> np.ndarray:
+    """_low_masks()[b] has the low b bits set, for b = 0..64."""
+    return np.array([(1 << b) - 1 for b in range(WINDOW_BITS + 1)], dtype=np.uint64)
+
+
+def to_windows(points) -> tuple[np.ndarray, np.ndarray]:
+    """Low 64 bits (uint64) and depth (int64) of every point."""
+    win = np.array([p.value & _WINDOW_MASK for p in points], dtype=np.uint64)
+    depth = np.array([p.depth for p in points], dtype=np.int64)
+    return win, depth
+
+
+def _carry_may_leave(win, width) -> bool:
+    """Whether +1 could carry out of the low `width` bits of some window."""
+    edge = _low_masks()[width]
+    return bool(np.any(win & edge == edge))
+
+
+def orbit_windows(x: BinaryPoint, words, n: int):
+    """Windows of the first n orbit points of x along each symbol word
+    (1 shift, 2 odometer; at least n - 1 symbols), one (win, depth)
+    pair of length-n arrays per word.
+
+    After a shifts the orbit point is (x >> a) + c, where the carry c
+    follows the word: a shift maps c to (bit a of x + c) >> 1, an
+    odometer to c + 1, so c only needs working out at the shifts and
+    grows by one per odometer in between.  Returns None when some orbit
+    would run out of depth or some odometer step could carry out of its
+    window.
+    """
+    words = [tuple(syms[: n - 1]) for syms in words]
+    most = max((syms.count(1) for syms in words), default=0)
+    if most > x.depth - 1:
+        return None
+    nbytes = (x.depth + 7) // 8 + WINDOW_BITS // 8
+    bits = np.unpackbits(
+        np.frombuffer(x.value.to_bytes(nbytes, "little"), dtype=np.uint8),
+        bitorder="little",
+    )
+    spans = np.lib.stride_tricks.sliding_window_view(bits, WINDOW_BITS)[: most + 1]
+    x_win = np.packbits(spans, axis=1, bitorder="little").view("<u8")[:, 0]
+    bit = bits.tolist()
+    out = []
+    for syms in words:
+        odometer = np.array(syms, dtype=np.int8) == 2
+        shifts = np.concatenate(([0], np.cumsum(~odometer)))
+        odometers = np.arange(n) - shifts
+        # odometer count at each shift; the carry only needs updating there
+        at_shift = np.concatenate(([0], odometers[1:][~odometer]))
+        c = 0
+        after_shift = [0]
+        for b, run in zip(bit, np.diff(at_shift).tolist()):
+            c = (b + c + run) >> 1
+            after_shift.append(c)
+        carry = np.array(after_shift)[shifts] + odometers - at_shift[shifts]
+        win = x_win[shifts] + carry.astype(np.uint64)
+        depth = x.depth - shifts
+        width = np.minimum(depth[:-1][odometer], WINDOW_BITS)
+        if _carry_may_leave(win[:-1][odometer], width):
+            return None
+        out.append((win, depth))
+    return out
+
+
+def window_keys(wins, symbols, eps: float):
+    """Bowen key rows of every window along the symbols (1 shift, 2
+    odometer): two points have equal columns exactly when their ball
+    keys agree at every stage.  Stage keys are packed side by side, as
+    many to a uint64 row as fit.  Returns None when a window cannot
+    decide (see the module docstring)."""
+    win, depth = wins
+    level = prefix_length_for(eps)
+    shifts = tuple(symbols).count(1)
+    if level + shifts > WINDOW_BITS:
+        return None
+    if len(depth) and int(depth.min()) < max(level + shifts, shifts + 1):
+        return None
+    key_mask = _low_masks()[level]
+    width = np.minimum(depth, WINDOW_BITS)  # bits a carry may run through
+    per_row = WINDOW_BITS // level if level else len(symbols) + 1
+    rows = []
+    row = win & key_mask
+    used = 1
+    for sym in symbols:
+        if sym == 1:
+            win = win >> _ONE
+            width = width - 1
+        else:
+            if _carry_may_leave(win, width):
+                return None
+            win = win + _ONE
+        key = win & key_mask
+        if used == per_row:
+            rows.append(row)
+            row, used = key, 0
+        else:
+            row = row | (key << np.uint64(used * level))
+        used += 1
+    rows.append(row)
+    return rows
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,14 @@ Conventions shared by everything here:
 * Every stochastic choice draws from a substream derived from
   (seed, stream kind, task index); results are bit-reproducible and
   independent of evaluation order.
+* Bowen-ball counting goes through one label call wherever the system
+  has ball keys: every point gets an integer label, equal for two
+  points exactly when they are Bowen-within eps along the word.  Pair
+  counts, ball counts, single ball measures and the greedy net are all
+  read off the labels.  On the binary backend the labels come from
+  uint64 windows, made once per point set and estimator call (the
+  sample, or each driving word's orbit); where a window cannot decide,
+  the exact stage keys of the points take over.
 * Both orbit estimators count Bowen-close pairs through one counter,
   which tallies ordered off-diagonal pairs outside a lag window by
   pairs of orbit-time blocks.  correlation_sum leaves out lags up to
@@ -27,8 +35,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -113,7 +121,45 @@ def _weighted_mean(values, weights) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Pairwise Bowen-proximity counting (three interchangeable paths)
+# Pairwise Bowen-proximity counting
+#
+# Three paths, chosen by the system's capabilities and agreeing exactly:
+# integer Bowen labels on ultrametric systems (from uint64 windows where
+# the system has window_ops, else from ball_key stage keys), dense
+# within-matrices from array_ops, and the generic pairwise loop, which
+# the tests keep as the oracle for the other two.
+
+
+class _PointSet:
+    """The points of one estimator call, plus their window form on
+    systems with window_ops: converted once and reused for every word.
+    `make` builds the points on first use, so orbits whose windows
+    decide every label call never exist as points."""
+
+    def __init__(self, wins, points=None, make=None):
+        self.wins = wins
+        self._points = points
+        self._make = make
+
+    @property
+    def points(self):
+        if self._points is None:
+            self._points = self._make()
+        return self._points
+
+    def __len__(self) -> int:
+        return len(self.points) if self.wins is None else len(self.wins[0])
+
+    def head(self, n: int) -> "_PointSet":
+        """The first n points."""
+        wins = None if self.wins is None else tuple(a[:n] for a in self.wins)
+        return _PointSet(wins, make=lambda: self.points[:n])
+
+
+def _as_point_set(sys: GeneratorSystem, points) -> _PointSet:
+    points = list(points)
+    ops = sys.window_ops
+    return _PointSet(None if ops is None else ops.to_windows(points), points)
 
 
 def _bowen_keys(sys: GeneratorSystem, omega, k, eps, points) -> list:
@@ -131,6 +177,31 @@ def _bowen_keys(sys: GeneratorSystem, omega, k, eps, points) -> list:
             kk.append(keyf(cur, eps))
         out.append(tuple(kk))
     return out
+
+
+def _bowen_labels(sys: GeneratorSystem, omega, k, eps, pset: _PointSet):
+    """Integer label per point, equal for two points exactly when they
+    are Bowen-within eps along omega; None on systems without ball keys.
+
+    Window key rows are folded with np.unique; when the windows cannot
+    decide, the ball_key stage keys of the points are used instead."""
+    if sys.ball_key is None:
+        return None
+    rows = None
+    if pset.wins is not None:
+        rows = sys.window_ops.keys(pset.wins, omega.symbols[: k - 1], eps)
+    if rows is None:
+        index: dict = {}
+        return np.array(
+            [index.setdefault(key, len(index))
+             for key in _bowen_keys(sys, omega, k, eps, pset.points)],
+            dtype=np.intp,
+        )
+    _, labels = np.unique(rows[0], return_inverse=True)
+    for row in rows[1:]:
+        _, part = np.unique(row, return_inverse=True)
+        _, labels = np.unique(labels * (part.max() + 1) + part, return_inverse=True)
+    return labels
 
 
 def _stage_arrays(sys: GeneratorSystem, omega, k, arr):
@@ -186,19 +257,16 @@ def _label_pair_counts(labels, block, n_blocks, w) -> np.ndarray:
 
 
 def _close_pair_counts(
-    sys: GeneratorSystem, omega, k, eps, points, block, n_blocks, w
+    sys: GeneratorSystem, omega, k, eps, pset, block, n_blocks, w
 ) -> np.ndarray:
     """Ordered pairs (i, j) of points with |i - j| > w whose Bowen
     distance along omega is <= eps, tallied by (block[i], block[j]);
     block[i] is the non-decreasing block index of point i."""
-    n = len(points)
-    if sys.ball_key is not None:
-        index: dict = {}
-        labels = np.array(
-            [index.setdefault(key, len(index))
-             for key in _bowen_keys(sys, omega, k, eps, points)]
-        )
+    labels = _bowen_labels(sys, omega, k, eps, pset)
+    if labels is not None:
         return _label_pair_counts(labels, block, n_blocks, w)
+    points = pset.points
+    n = len(points)
     if sys.array_ops is not None:
         mat = _within_matrix(sys, omega, k, eps, points)
         for d in range(-w, w + 1):
@@ -223,23 +291,23 @@ def _close_pair_counts(
     return counts
 
 
-def _pair_fraction(sys: GeneratorSystem, omega, k, eps, points) -> float:
+def _pair_fraction(sys: GeneratorSystem, omega, k, eps, pset) -> float:
     """Fraction of ordered pairs (diagonal included) whose Bowen
     distance along omega is <= eps."""
-    n = len(points)
+    n = len(pset)
     one_block = np.zeros(n, dtype=np.intp)
-    close = _close_pair_counts(sys, omega, k, eps, points, one_block, 1, 0)
+    close = _close_pair_counts(sys, omega, k, eps, pset, one_block, 1, 0)
     return (n + int(close[0, 0])) / (n * n)
 
 
-def _ball_counts(sys: GeneratorSystem, omega, k, eps, points) -> np.ndarray:
+def _ball_counts(sys: GeneratorSystem, omega, k, eps, pset) -> np.ndarray:
     """For each point, how many sample points (itself included) lie in
     its Bowen eps-ball."""
+    labels = _bowen_labels(sys, omega, k, eps, pset)
+    if labels is not None:
+        return np.bincount(labels)[labels].astype(float)
+    points = pset.points
     n = len(points)
-    if sys.ball_key is not None:
-        keys = _bowen_keys(sys, omega, k, eps, points)
-        counts = Counter(keys)
-        return np.array([counts[key] for key in keys], dtype=float)
     if sys.array_ops is not None:
         return _within_matrix(sys, omega, k, eps, points).sum(axis=1).astype(float)
     stages = _stage_lists(sys, omega, k, points)
@@ -286,22 +354,30 @@ class EmpiricalMeasure:
         rng = substream(seed, MU)
         return cls(tuple(sys.mu_sampler(rng) for _ in range(n_points)))
 
+    def _point_set(self, sys) -> _PointSet:
+        """The sample as a point set of sys, converted once per measure
+        and kind of window_ops."""
+        memo = self.__dict__.setdefault("_point_sets", {})
+        if sys.window_ops not in memo:
+            memo[sys.window_ops] = _as_point_set(sys, self.points)
+        return memo[sys.window_ops]
+
     def ball_measures(self, sys, omega, k, eps) -> np.ndarray:
         """Empirical Bowen-ball measure centered at every sample point."""
         _check_eps(eps)
         _check_word(omega, k)
-        return _ball_counts(sys, omega, k, eps, self.points) / self.n
+        return _ball_counts(sys, omega, k, eps, self._point_set(sys)) / self.n
 
     def ball_measure(self, sys, omega, k, center, eps) -> float:
         """Empirical Bowen-ball measure at one center from the sample."""
         _check_eps(eps)
         _check_word(omega, k)
-        if not any(p == center for p in self.points):
+        at = next((i for i, p in enumerate(self.points) if p == center), None)
+        if at is None:
             raise CenterNotInSample("center must be one of the sample points")
-        if sys.ball_key is not None:
-            keys = _bowen_keys(sys, omega, k, eps, self.points)
-            ckey = _bowen_keys(sys, omega, k, eps, [center])[0]
-            return sum(1 for key in keys if key == ckey) / self.n
+        labels = _bowen_labels(sys, omega, k, eps, self._point_set(sys))
+        if labels is not None:
+            return int(np.count_nonzero(labels == labels[at])) / self.n
         if sys.array_ops is not None:
             ops = sys.array_ops
             stages_all = _stage_arrays(sys, omega, k, ops.to_array(self.points))
@@ -344,21 +420,37 @@ class CorrSumEstimate:
     per_upsilon: tuple[float, ...] = field(repr=False, default=())
 
 
-def _upsilon_orbits(sys, x, n, m_upsilon, seed, weights):
-    """Orbits of x along m_upsilon independently sampled driving words."""
+def _upsilon_orbits(sys, x, n, m_upsilon, seed, weights) -> list[_PointSet]:
+    """Orbits of x along m_upsilon independently sampled driving words.
+
+    On systems with window_ops the orbits are windows, built as points
+    only if a label call needs them; when the windows cannot be built
+    the points are built at once, raising where the maps raise."""
     if weights is None:
         weights = uniform_spec(sys.m)
-    orbits = []
+    words = [
+        sample_word(weights, n - 1, substream(seed, UPSILON, j)).symbols
+        for j in range(m_upsilon)
+    ]
     maps = sys.maps
-    for j in range(m_upsilon):
-        ups = sample_word(weights, n - 1, substream(seed, UPSILON, j))
-        pts = [x]
-        cur = x
-        for s in ups.symbols:
-            cur = maps[s - 1](cur)
-            pts.append(cur)
-        orbits.append(pts)
-    return orbits
+
+    def orbit_points():
+        orbits = []
+        for syms in words:
+            pts = [x]
+            cur = x
+            for s in syms:
+                cur = maps[s - 1](cur)
+                pts.append(cur)
+            orbits.append(pts)
+        return orbits
+
+    ops = sys.window_ops
+    wins = None if ops is None else ops.orbit_windows(x, words, n)
+    if wins is None:
+        return [_PointSet(None, pts) for pts in orbit_points()]
+    built = cache(orbit_points)
+    return [_PointSet(w, make=lambda j=j: built()[j]) for j, w in enumerate(wins)]
 
 
 def correlation_sum(
@@ -402,8 +494,8 @@ def correlation_sum(
         np.zeros(n, dtype=np.intp), block, n_blocks, THEILER_WINDOW
     )
     close = np.array([
-        _close_pair_counts(sys, omega, k, eps, pts, block, n_blocks, THEILER_WINDOW)
-        for pts in _upsilon_orbits(sys, x, n, m_upsilon, seed, weights)
+        _close_pair_counts(sys, omega, k, eps, orbit, block, n_blocks, THEILER_WINDOW)
+        for orbit in _upsilon_orbits(sys, x, n, m_upsilon, seed, weights)
     ])
     values = _floored_fraction(close.sum(axis=(1, 2)), pairs.sum(), n).tolist()
     value = math.fsum(values) / m_upsilon
@@ -567,7 +659,7 @@ def local_corr_entropy_series(
         raise ValueError("n must be >= 1")
     orbits = _upsilon_orbits(sys, x, n, m_upsilon, seed, weights)
     n_half = max(1, n // 2)
-    half_orbits = [pts[:n_half] for pts in orbits]
+    half_orbits = [orbit.head(n_half) for orbit in orbits]
     out = []
     for eps in eps_list:
         rows = []
@@ -626,16 +718,12 @@ def _greedy_net(sample, sys, omega, k, eps):
     kept one, so the same set is also an eps-cover."""
     _check_eps(eps)
     _check_word(omega, k)
-    sample = list(sample)
-    if sys.ball_key is not None:
-        keys = _bowen_keys(sys, omega, k, eps, sample)
-        seen = set()
-        kept = []
-        for p, key in zip(sample, keys):
-            if key not in seen:
-                seen.add(key)
-                kept.append(p)
-        return kept
+    pset = sample if isinstance(sample, _PointSet) else _as_point_set(sys, sample)
+    sample = pset.points
+    labels = _bowen_labels(sys, omega, k, eps, pset)
+    if labels is not None:
+        _, first = np.unique(labels, return_index=True)
+        return [sample[i] for i in np.sort(first).tolist()]
     if sys.array_ops is not None and len(sample) > 64:
         mat = _within_matrix(sys, omega, k, eps, sample)
         kept_idx: list[int] = []
@@ -687,6 +775,7 @@ def top_entropy_series(
             raise ValueError("n_sample must be >= 1")
         rng = substream(seed, MU)
         sample = [sys.mu_sampler(rng) for _ in range(n_sample)]
+    pset = _as_point_set(sys, sample)
     out = []
     for eps in eps_list:
         rows = []
@@ -694,7 +783,7 @@ def top_entropy_series(
         for k in k_list:
             pairs = omega_words(sys.m, k, weights, m_omega, seed)
             logs = [
-                math.log(len(_greedy_net(sample, sys, w, k, eps))) for w, _ in pairs
+                math.log(len(_greedy_net(pset, sys, w, k, eps))) for w, _ in pairs
             ]
             wts = [wt for _, wt in pairs]
             rows.append((k, _weighted_mean(logs, wts) / k))

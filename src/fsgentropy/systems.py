@@ -6,17 +6,22 @@ measure, so every estimator stays system-agnostic.  Words index
 compositions: along omega = (i_1, i_2, ...) the n-step map applies
 f_{i_1} first and f_{i_n} last, with n = 0 the identity.
 
-Systems may advertise two optional fast-path capabilities:
+Systems may advertise three optional fast-path capabilities:
 
 * ball_key(point, eps): a hashable key with d(x, y) <= eps exactly when
   the keys are equal.  Valid for ultrametric systems whose eps-balls
-  partition the space (the binary backend); lets pair counting run in
-  linear time.
+  partition the space (the binary backend and its power systems); the
+  estimators fold the stage keys along a word into one integer Bowen
+  label per point, so pair and ball counting run in linear time.
+* window_ops: the same stage keys computed for a whole point set at
+  once on uint64 windows (the binary backend).  A window call returns
+  None when it cannot decide every point, and the estimators then use
+  ball_key, which raises exactly where the point maps raise.
 * array_ops: vectorised point array conversion, generator application
   and pairwise threshold tests, for scalar systems (the circle family).
 
-Estimators fall back to the generic pairwise path when neither is
-present; all three paths agree exactly and the tests check that.
+Estimators fall back to the generic pairwise path when none is present;
+all paths agree exactly and the tests check that.
 """
 
 from __future__ import annotations
@@ -57,6 +62,17 @@ class ArrayOps:
 
 
 @dataclass(frozen=True)
+class WindowOps:
+    """Bowen stage keys over a whole point set on uint64 windows."""
+
+    to_windows: Callable[[Sequence[Point]], Any]
+    # (x, driving words, n) -> one window form per orbit, or None
+    orbit_windows: Callable[[Point, Sequence[Sequence[int]], int], Optional[list]]
+    # (window form, first k-1 symbols, eps) -> uint64 key rows, or None
+    keys: Callable[[Any, Sequence[int], float], Optional[list]]
+
+
+@dataclass(frozen=True)
 class GeneratorSystem:
     name: str
     maps: tuple[Callable[[Point], Point], ...]
@@ -65,6 +81,7 @@ class GeneratorSystem:
     mu_sampler: Callable[[np.random.Generator], Point]
     ball_key: Optional[Callable[[Point, float], Hashable]] = None
     array_ops: Optional[ArrayOps] = None
+    window_ops: Optional[WindowOps] = None
 
     @property
     def m(self) -> int:
@@ -188,8 +205,9 @@ def build_power_system(sys: GeneratorSystem, t: int) -> GeneratorSystem:
     """System generated by all t-fold compositions of the base maps.
 
     Generator j applies the digit maps of j in order: first digit first.
-    Points, metric, diameter, sampler and fast-path capabilities carry
-    over unchanged (same space, same measure).
+    Points, metric, diameter, sampler, ball_key and array_ops carry
+    over unchanged (same space, same measure); window_ops does not, so
+    power systems of the binary backend count through ball_key.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -251,6 +269,7 @@ def binary_shift_odometer(depth: int = 64) -> GeneratorSystem:
         diameter=1.0,
         mu_sampler=lambda rng: binary.random_point(depth, rng),
         ball_key=binary.ball_key,
+        window_ops=WindowOps(binary.to_windows, binary.orbit_windows, binary.window_keys),
     )
 
 

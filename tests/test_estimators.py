@@ -3,12 +3,12 @@ their own fallback code paths."""
 
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from fsgentropy import binary
+from fsgentropy import binary, estimators
 from fsgentropy.binary import ExactCylinderMeasure, all_points, s_count
 from fsgentropy.errors import (
     CenterNotInSample,
@@ -40,6 +40,22 @@ from fsgentropy.words import word
 LOG2 = math.log(2.0)
 BIN = binary_shift_odometer(depth=60)
 CIRCLE = circle_double_rotate()
+
+
+def _generic(sys_):
+    """The generic pairwise oracle: sys_ with every optional fast-path
+    capability (ball_key, window_ops, array_ops, ...) stripped."""
+    return replace(sys_, **{f.name: None for f in fields(sys_) if f.default is None})
+
+
+@pytest.fixture
+def windows_only(monkeypatch):
+    """Fails the test if a label call leaves the uint64 window path."""
+
+    def exact_path(*args):
+        raise AssertionError("the window path fell back to BinaryPoint keys")
+
+    monkeypatch.setattr(estimators, "_bowen_keys", exact_path)
 
 
 def _rand_binary_points(n, depth, seed):
@@ -86,8 +102,8 @@ def test_correlation_sum_errors():
         correlation_sum(BIN, x, 0.5, word((1,), 2), 3, 10, 2, seed=0)
 
 
-def test_correlation_sum_key_path_equals_generic():
-    generic = replace(BIN, ball_key=None)
+def test_correlation_sum_key_path_equals_generic(windows_only):
+    generic = _generic(BIN)
     x = binary.random_point(60, substream(7))
     for eps in (0.5, 3 * 2.0**-5):
         fast = correlation_sum(BIN, x, eps, word((1, 2), 2), 3, 30, 4, seed=8)
@@ -98,7 +114,7 @@ def test_correlation_sum_key_path_equals_generic():
 
 
 def test_correlation_sum_array_path_equals_generic():
-    generic = replace(CIRCLE, array_ops=None)
+    generic = _generic(CIRCLE)
     for eps in (0.21, 0.05):
         fast = correlation_sum(CIRCLE, 0.3, eps, word((1, 2), 2), 3, 30, 4, seed=9)
         slow = correlation_sum(generic, 0.3, eps, word((1, 2), 2), 3, 30, 4, seed=9)
@@ -139,6 +155,17 @@ def test_ball_measure_center_not_in_sample():
         ball_measure(em, BIN, word((1,), 2), 2, outsider, 0.25)
 
 
+def test_ball_measure_window_path_equals_generic(windows_only):
+    em = EmpiricalMeasure(_rand_binary_points(96, 60, 31))
+    generic = _generic(BIN)
+    omega = word((1, 2, 2), 2)
+    for eps in (0.5, 0.125):
+        for center in em.points[:8]:
+            assert ball_measure(em, BIN, omega, 4, center, eps) == ball_measure(
+                em, generic, omega, 4, center, eps
+            )
+
+
 def test_ball_measure_binomial_band():
     # dyadic radius: the true ball is a cylinder of measure 2**-(t+s);
     # the empirical count is 1 + Binomial(N-1, p), so allow 3 sigma
@@ -154,10 +181,10 @@ def test_ball_measure_binomial_band():
         assert abs(got - p) <= tol
 
 
-def test_ball_measures_paths_agree():
+def test_ball_measures_paths_agree(windows_only):
     pts = _rand_binary_points(64, 60, 5)
     em = EmpiricalMeasure(pts)
-    generic = replace(BIN, ball_key=None)
+    generic = _generic(BIN)
     omega = word((2, 1, 2), 2)
     a = em.ball_measures(BIN, omega, 3, 0.25)
     b = em.ball_measures(generic, omega, 3, 0.25)
@@ -165,7 +192,7 @@ def test_ball_measures_paths_agree():
     rng = substream(6)
     cpts = tuple(float(rng.random()) for _ in range(48))
     cem = EmpiricalMeasure(cpts)
-    nogen = replace(CIRCLE, array_ops=None)
+    nogen = _generic(CIRCLE)
     a = cem.ball_measures(CIRCLE, omega, 3, 0.07)
     b = cem.ball_measures(nogen, omega, 3, 0.07)
     assert np.array_equal(a, b)
@@ -300,16 +327,16 @@ def test_separated_cardinality_full_prefix_sample():
         assert len(spanning_set(sample, BIN, omega, k, 2.0**-t)) == len(kept)
 
 
-def test_greedy_net_paths_agree():
+def test_greedy_net_paths_agree(windows_only):
     pts = list(_rand_binary_points(48, 60, 18))
-    generic = replace(BIN, ball_key=None)
+    generic = _generic(BIN)
     omega = word((1, 2), 2)
     assert separated_set(pts, BIN, omega, 3, 0.25) == separated_set(
         pts, generic, omega, 3, 0.25
     )
     rng = substream(19)
     cpts = [float(rng.random()) for _ in range(80)]
-    nogen = replace(CIRCLE, array_ops=None)
+    nogen = _generic(CIRCLE)
     assert separated_set(cpts, CIRCLE, omega, 3, 0.04) == separated_set(
         cpts, nogen, omega, 3, 0.04
     )

@@ -1,0 +1,217 @@
+"""uint64 window path of the binary backend against its exact
+BinaryPoint path: equal results, and the same exception wherever the
+exact path raises."""
+
+from dataclasses import replace
+
+import pytest
+
+from fsgentropy import binary, estimators
+from fsgentropy.binary import all_points, orbit_windows, to_windows, window_keys
+from fsgentropy.errors import CarryOverflow, DepthExhausted
+from fsgentropy.estimators import EmpiricalMeasure, correlation_sum, separated_set
+from fsgentropy.seeding import substream
+from fsgentropy.systems import binary_shift_odometer, build_power_system
+from fsgentropy.words import word
+
+M64 = (1 << 64) - 1
+
+
+def _points(n, depth, seed):
+    rng = substream(seed)
+    return [binary.random_point(depth, rng) for _ in range(n)]
+
+
+def _outcome(fn, sys_):
+    try:
+        result = fn(sys_)
+    except Exception as exc:  # compared by type and message
+        return ("raised", type(exc), str(exc))
+    return ("ok", result)
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Counts the label calls that took the exact BinaryPoint path."""
+    calls = []
+    original = estimators._bowen_keys
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(estimators, "_bowen_keys", counting)
+    return calls
+
+
+def _consumers(points, omega, k, eps):
+    """Every label consumer on one point set, as functions of the system."""
+    em = EmpiricalMeasure(tuple(points))
+    return {
+        "greedy net": lambda s: separated_set(points, s, omega, k, eps),
+        "ball counts": lambda s: em.ball_measures(s, omega, k, eps).tolist(),
+        "ball measure": lambda s: em.ball_measure(s, omega, k, points[3], eps),
+    }
+
+
+def _assert_parity(points, omega, k, eps, exact_calls, window_ran=True):
+    sys_ = binary_shift_odometer(depth=points[0].depth)
+    scalar = replace(sys_, window_ops=None)
+    for name, fn in _consumers(points, omega, k, eps).items():
+        del exact_calls[:]
+        fast = _outcome(fn, sys_)
+        assert (not exact_calls) == window_ran, name
+        assert fast == _outcome(fn, scalar), name
+
+
+@pytest.mark.parametrize("depth", [12, 49, 63, 64, 65, 200])
+def test_window_path_matches_exact_path_at_every_depth(depth, exact_calls):
+    points = _points(300, depth, depth)
+    omega = word((2, 1, 2, 2, 1, 2, 1), 2)
+    for eps in (1.0, 0.25, 3 * 2.0**-5):
+        for k in (1, 3, 8):
+            _assert_parity(points, omega, k, eps, exact_calls)
+
+
+def test_keys_spread_over_several_rows_fold_like_the_exact_path(exact_calls):
+    # wide keys fit one (L = 40) or three (L = 20) stages to a uint64 row;
+    # points share their low 40 bits in groups and differ just above, so
+    # the later stages split the groups
+    rng = substream(11)
+    low = rng.integers(0, 1 << 40, size=6).tolist()
+    high = rng.integers(0, 16, size=120).tolist()
+    points = [
+        binary.BinaryPoint(low[i % 6] | (h << 40) | (1 << 90), 100)
+        for i, h in enumerate(high)
+    ]
+    omega = word((1, 2, 1, 1, 2, 1, 2), 2)
+    for eps in (2.0**-40, 2.0**-20):
+        for k in (2, 4, 8):
+            _assert_parity(points, omega, k, eps, exact_calls)
+
+
+def test_deep_key_beyond_the_window_falls_back(exact_calls):
+    # L = 60 plus 5 shifts needs 65 bits: the whole call takes the exact path
+    points = _points(64, 200, 1)
+    omega = word((1, 1, 2, 1, 1, 2, 1), 2)
+    assert window_keys(to_windows(points), omega.symbols, 2.0**-60) is None
+    _assert_parity(points, omega, 8, 2.0**-60, exact_calls, window_ran=False)
+
+
+def test_all_ones_prefix_raises_carry_overflow_on_both_paths(exact_calls):
+    points = all_points(4)
+    omega = word((2, 1), 2)
+    _assert_parity(points, omega, 2, 0.5, exact_calls, window_ran=False)
+    sys_ = binary_shift_odometer(depth=4)
+    with pytest.raises(CarryOverflow):
+        separated_set(points, sys_, omega, 2, 0.5)
+
+
+def test_short_depth_raises_depth_exhausted_on_both_paths(exact_calls):
+    points = _points(16, 6, 2)
+    # L = 4 plus 3 shifts needs 7 coordinates, the points have 6
+    for omega in (word((1, 1, 1), 2), word((1, 2, 1, 1), 2)):
+        k = len(omega) + 1
+        _assert_parity(points, omega, k, 2.0**-4, exact_calls, window_ran=False)
+        with pytest.raises(DepthExhausted):
+            separated_set(points, binary_shift_odometer(depth=6), omega, k, 2.0**-4)
+
+
+def test_window_carry_into_unknown_bits_falls_back_with_equal_results(exact_calls):
+    # low 64 bits all ones on a deep point: the window cannot see where
+    # the carry stops, the exact path can and does not raise
+    points = _points(40, 100, 3)
+    points[5] = binary.BinaryPoint(M64 | (1 << 80), 100)
+    _assert_parity(points, word((2, 1), 2), 2, 0.25, exact_calls, window_ran=False)
+
+
+def test_power_system_counts_through_ball_keys():
+    power = build_power_system(binary_shift_odometer(depth=80), 2)
+    assert power.window_ops is None
+    oracle = replace(power, ball_key=None)
+    points = _points(48, 80, 4)
+    omega = word((3, 2, 4, 1), 4)
+    for name, fn in _consumers(points, omega, 4, 0.25).items():
+        assert _outcome(fn, power) == _outcome(fn, oracle), name
+
+
+# ---------------------------------------------------------------------------
+# orbits
+
+
+def _corr_sum(x, eps, omega, k, n, m):
+    return lambda s: correlation_sum(s, x, eps, omega, k, n, m, seed=9)
+
+
+def test_orbit_windows_match_exact_orbits():
+    x = binary.random_point(300, substream(5))
+    words = [tuple(substream(6, j).integers(1, 3, size=199).tolist()) for j in range(3)]
+    wins = orbit_windows(x, words, 200)
+    for (win, depth), syms in zip(wins, words):
+        cur = x
+        orbit = [x]
+        for s in syms:
+            cur = binary.drop_head(cur) if s == 1 else binary.add_one(cur)
+            orbit.append(cur)
+        assert win.tolist() == [p.value & M64 for p in orbit]
+        assert depth.tolist() == [p.depth for p in orbit]
+
+
+def test_deep_orbits_match_exact_path(exact_calls):
+    # orbit points deeper than 4000 coordinates
+    sys_ = binary_shift_odometer(depth=4300)
+    x = sys_.mu_sampler(substream(7))
+    omega = word((1, 2, 2, 1, 2), 2)
+    for eps, k in ((0.25, 1), (3 * 2.0**-5, 6)):
+        fn = _corr_sum(x, eps, omega, k, 250, 4)
+        del exact_calls[:]
+        fast = _outcome(fn, sys_)
+        assert not exact_calls
+        assert fast == _outcome(fn, replace(sys_, window_ops=None))
+
+
+def test_orbit_key_beyond_the_window_falls_back(exact_calls):
+    sys_ = binary_shift_odometer(depth=200)
+    x = sys_.mu_sampler(substream(8))
+    omega = word((1, 1, 2, 1, 1, 2, 1), 2)
+    fn = _corr_sum(x, 2.0**-60, omega, 8, 60, 3)
+    fast = _outcome(fn, sys_)
+    assert exact_calls and fast[0] == "ok"
+    assert fast == _outcome(fn, replace(sys_, window_ops=None))
+
+
+def test_orbit_failures_match_exact_path():
+    omega = word((2, 1), 2)
+    cases = [
+        # all-ones start: the first odometer step overflows
+        (binary.BinaryPoint((1 << 70) - 1, 70), 40, CarryOverflow),
+        # 60 orbit steps from a depth-12 point run out of coordinates
+        (binary.random_point(12, substream(9)), 60, DepthExhausted),
+        # low 64 bits all ones on a deep start: no failure, exact path
+        (binary.BinaryPoint(M64 | (1 << 150), 160), 40, None),
+    ]
+    for x, n, error in cases:
+        sys_ = binary_shift_odometer(depth=x.depth)
+        # k = 1 applies no stage map, so only the orbit windows can fail
+        for k in (1, 2):
+            fn = _corr_sum(x, 0.25, omega, k, n, 4)
+            fast = _outcome(fn, sys_)
+            assert fast == _outcome(fn, replace(sys_, window_ops=None))
+            assert fast[0] == ("ok" if error is None else "raised")
+            if error is not None:
+                assert fast[1] is error
+
+
+def test_local_corr_entropy_window_path_matches_exact_path(exact_calls):
+    sys_ = binary_shift_odometer(depth=300)
+    x = sys_.mu_sampler(substream(10))
+
+    def fn(s):
+        series = estimators.local_corr_entropy_series(
+            s, x, [0.25, 0.125], [1, 2, 3], 120, 4, 4, seed=10
+        )
+        return [(r.rows, r.stderrs, r.flags) for r in series]
+
+    fast = _outcome(fn, sys_)
+    assert not exact_calls
+    assert fast == _outcome(fn, replace(sys_, window_ops=None))
