@@ -1,9 +1,12 @@
 """Behaviour gate: each config in tests/golden must make `entcli run`
 emit the CSV stored next to it, byte for byte.
 
-The CSVs were produced before the Bowen-label counting was moved onto
-uint64 windows.  A change that means to alter output regenerates them
-and says which rows changed and why.
+Each CSV was produced before the fast path it gates existed: the
+binary ones before the Bowen-label counting moved onto uint64 windows,
+the circle corr-sum, doubling and power-test and the torus
+local-corr-entropy ones before the circle family counted Bowen pairs
+from sparse pair lists.  A change that means to alter output regenerates
+them and says which rows changed and why.
 """
 
 from pathlib import Path
