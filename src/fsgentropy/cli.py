@@ -408,11 +408,12 @@ def _run_power_test(cfg, sys_):
         # Matched base-letter horizons: a power-system horizon kp spans
         # power*(kp-1)+1 base letters, so the base series is fit out to
         # that horizon.  Horizons stay shallow enough that typical cell
-        # measures remain well above the 1/N sample floor.
+        # measures remain well above the 1/N sample floor; kp runs to at
+        # least 4, so the slope fit over 2..kp_max has the 3 rows it needs.
         measure = _measure(cfg, sys_)
         power_sys = systems.build_power_system(sys_, cfg.power)
         ks_base = [k for k in cfg.ks if k >= 2] or [2, 3, 4]
-        kp_max = max(3, (max(ks_base) - 1) // cfg.power + 1)
+        kp_max = max(4, (max(ks_base) - 1) // cfg.power + 1)
         ks_power = list(range(2, kp_max + 1))
         ks_base = list(range(2, cfg.power * (kp_max - 1) + 2))
         base_weights = _weights(cfg, sys_)

@@ -22,6 +22,13 @@ Conventions shared by everything here:
   uint64 windows, made once per point set and estimator call (the
   sample, or each driving word's orbit); where a window cannot decide,
   the exact stage keys of the points take over.
+* On the circle family (systems with pair_ops) Bowen-ball counting
+  goes through one sparse pair kernel instead: the pairs within eps at
+  stage 0 are found once per point set and eps by a sort-sweep, and
+  each word filters them stage by stage with the metric's own float
+  expression, in chunks of systems.PAIR_CHUNK pairs.  Pair counts, ball
+  counts and the greedy net are read off the surviving pairs; no N x N
+  matrix is built.
 * Both orbit estimators count Bowen-close pairs through one counter,
   which tallies ordered off-diagonal pairs outside a lag window by
   pairs of orbit-time blocks.  correlation_sum leaves out lags up to
@@ -40,6 +47,7 @@ from functools import cache
 
 import numpy as np
 
+from . import systems
 from .errors import (
     CenterNotInSample,
     InvalidEpsilon,
@@ -125,21 +133,25 @@ def _weighted_mean(values, weights) -> float:
 #
 # Three paths, chosen by the system's capabilities and agreeing exactly:
 # integer Bowen labels on ultrametric systems (from uint64 windows where
-# the system has window_ops, else from ball_key stage keys), dense
-# within-matrices from array_ops, and the generic pairwise loop, which
-# the tests keep as the oracle for the other two.
+# the system has window_ops, else from ball_key stage keys), sparse pair
+# lists on systems with pair_ops and array_ops, and the generic pairwise
+# loop, which the tests keep as the oracle for the other two.
 
 
 class _PointSet:
     """The points of one estimator call, plus their window form on
     systems with window_ops: converted once and reused for every word.
     `make` builds the points on first use, so orbits whose windows
-    decide every label call never exist as points."""
+    decide every label call never exist as points.  On systems with
+    pair_ops the point set also keeps its array form and the stage-0
+    pairs of its two latest radii."""
 
     def __init__(self, wins, points=None, make=None):
         self.wins = wins
         self._points = points
         self._make = make
+        self._array = None
+        self._stage0 = {}
 
     @property
     def points(self):
@@ -154,6 +166,26 @@ class _PointSet:
         """The first n points."""
         wins = None if self.wins is None else tuple(a[:n] for a in self.wins)
         return _PointSet(wins, make=lambda: self.points[:n])
+
+    def array(self, sys: GeneratorSystem) -> np.ndarray:
+        if self._array is None:
+            self._array = sys.array_ops.to_array(self.points)
+        return self._array
+
+    def stage0_pairs(self, sys: GeneratorSystem, eps: float):
+        """The pairs i < j within eps (before any map), kept for the two
+        latest radii: enough for an eps loop and for doubling's
+        eps / 2 eps alternation, at a bounded memory."""
+        if eps not in self._stage0:
+            if len(self._stage0) == 2:
+                del self._stage0[next(iter(self._stage0))]
+            self._stage0[eps] = sys.pair_ops.stage0(self.array(sys), eps)
+        return self._stage0[eps]
+
+    def release(self) -> None:
+        """Forget the cached stage-0 pairs, once no further word needs
+        them: callers that walk many orbits keep one orbit's alive."""
+        self._stage0 = {}
 
 
 def _as_point_set(sys: GeneratorSystem, points) -> _PointSet:
@@ -213,13 +245,26 @@ def _stage_arrays(sys: GeneratorSystem, omega, k, arr):
     return stages
 
 
-def _within_matrix(sys: GeneratorSystem, omega, k, eps, points) -> np.ndarray:
-    ops = sys.array_ops
-    stages = _stage_arrays(sys, omega, k, ops.to_array(points))
-    mat = ops.within(stages[0], stages[0], eps)
-    for a in stages[1:]:
-        mat &= ops.within(a, a, eps)
-    return mat
+def _has_pairs(sys: GeneratorSystem) -> bool:
+    return sys.pair_ops is not None and sys.array_ops is not None
+
+
+def _close_pairs(sys: GeneratorSystem, omega, k, eps, pset: _PointSet):
+    """Chunks (i, j) of the pairs i < j of pset that are Bowen-within
+    eps along omega, on systems with pair_ops: the stage-0 pairs are
+    filtered through stages 1..k-1 with pair_ops.close, PAIR_CHUNK
+    pairs at a time."""
+    close = sys.pair_ops.close
+    stages = _stage_arrays(sys, omega, k, pset.array(sys))[1:]
+    i0, j0 = pset.stage0_pairs(sys, eps)
+    chunk = systems.PAIR_CHUNK
+    for lo in range(0, len(i0), chunk):
+        # int32 in the cache, intp here: every gather below takes it as is
+        i, j = i0[lo:lo + chunk].astype(np.intp), j0[lo:lo + chunk].astype(np.intp)
+        for a in stages:
+            keep = np.flatnonzero(close(a.take(i), a.take(j), eps))
+            i, j = i.take(keep), j.take(keep)
+        yield i, j
 
 
 def _stage_lists(sys: GeneratorSystem, omega, k, points):
@@ -265,17 +310,17 @@ def _close_pair_counts(
     labels = _bowen_labels(sys, omega, k, eps, pset)
     if labels is not None:
         return _label_pair_counts(labels, block, n_blocks, w)
+    if _has_pairs(sys):
+        counts = np.zeros(n_blocks * n_blocks, dtype=np.int64)
+        for i, j in _close_pairs(sys, omega, k, eps, pset):
+            far = j - i > w
+            counts += np.bincount(
+                block[i[far]] * n_blocks + block[j[far]], minlength=n_blocks * n_blocks
+            )
+        counts = counts.reshape(n_blocks, n_blocks)
+        return counts + counts.T
     points = pset.points
     n = len(points)
-    if sys.array_ops is not None:
-        mat = _within_matrix(sys, omega, k, eps, points)
-        for d in range(-w, w + 1):
-            i = np.arange(max(0, -d), min(n, n - d))
-            mat[i, i + d] = False
-        starts = np.searchsorted(block, np.arange(n_blocks))
-        ends = np.append(starts[1:], n)
-        rows = np.array([mat[a:b].sum(axis=0) for a, b in zip(starts, ends)])
-        return np.add.reduceat(rows, starts, axis=1)
     stages = _stage_lists(sys, omega, k, points)
     metric = sys.metric
     bl = block.tolist()
@@ -306,10 +351,13 @@ def _ball_counts(sys: GeneratorSystem, omega, k, eps, pset) -> np.ndarray:
     labels = _bowen_labels(sys, omega, k, eps, pset)
     if labels is not None:
         return np.bincount(labels)[labels].astype(float)
+    n = len(pset)
+    if _has_pairs(sys):
+        out = np.ones(n, dtype=np.int64)
+        for i, j in _close_pairs(sys, omega, k, eps, pset):
+            out += np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+        return out.astype(float)
     points = pset.points
-    n = len(points)
-    if sys.array_ops is not None:
-        return _within_matrix(sys, omega, k, eps, points).sum(axis=1).astype(float)
     stages = _stage_lists(sys, omega, k, points)
     metric = sys.metric
     out = np.ones(n)
@@ -356,11 +404,12 @@ class EmpiricalMeasure:
 
     def _point_set(self, sys) -> _PointSet:
         """The sample as a point set of sys, converted once per measure
-        and kind of window_ops."""
+        and kind of window_ops and pair_ops."""
         memo = self.__dict__.setdefault("_point_sets", {})
-        if sys.window_ops not in memo:
-            memo[sys.window_ops] = _as_point_set(sys, self.points)
-        return memo[sys.window_ops]
+        kind = (sys.window_ops, sys.pair_ops)
+        if kind not in memo:
+            memo[kind] = _as_point_set(sys, self.points)
+        return memo[kind]
 
     def ball_measures(self, sys, omega, k, eps) -> np.ndarray:
         """Empirical Bowen-ball measure centered at every sample point."""
@@ -493,10 +542,13 @@ def correlation_sum(
     pairs = _label_pair_counts(
         np.zeros(n, dtype=np.intp), block, n_blocks, THEILER_WINDOW
     )
-    close = np.array([
-        _close_pair_counts(sys, omega, k, eps, orbit, block, n_blocks, THEILER_WINDOW)
-        for orbit in _upsilon_orbits(sys, x, n, m_upsilon, seed, weights)
-    ])
+    close = []
+    for orbit in _upsilon_orbits(sys, x, n, m_upsilon, seed, weights):
+        close.append(
+            _close_pair_counts(sys, omega, k, eps, orbit, block, n_blocks, THEILER_WINDOW)
+        )
+        orbit.release()
+    close = np.array(close)
     values = _floored_fraction(close.sum(axis=(1, 2)), pairs.sum(), n).tolist()
     value = math.fsum(values) / m_upsilon
     stderr = 0.0
@@ -635,6 +687,20 @@ def _check_grids(eps_list, k_list):
         raise ValueError("k values must be strictly increasing")
 
 
+def _orbit_fractions(sys, eps, k_list, word_sets, orbits) -> list:
+    """_pair_fraction of every orbit for every horizon k_list[s] and
+    word of word_sets[s], as out[s][t] = [one value per orbit].  The
+    orbits are walked one at a time, so only one orbit's stage-0 pairs
+    are ever alive."""
+    out = [[[] for _ in words] for words in word_sets]
+    for orbit in orbits:
+        for k, words, cells in zip(k_list, word_sets, out):
+            for (w, _), cell in zip(words, cells):
+                cell.append(_pair_fraction(sys, w, k, eps, orbit))
+        orbit.release()
+    return out
+
+
 def local_corr_entropy_series(
     sys: GeneratorSystem,
     x,
@@ -665,15 +731,15 @@ def local_corr_entropy_series(
         rows = []
         ses = []
         flags = []
-        for k in k_list:
-            pairs = omega_words(sys.m, k, weights, m_omega, seed)
+        word_sets = [omega_words(sys.m, k, weights, m_omega, seed) for k in k_list]
+        full = _orbit_fractions(sys, eps, k_list, word_sets, orbits)
+        half = _orbit_fractions(sys, eps, k_list, word_sets, half_orbits)
+        for k, pairs, full_k, half_k in zip(k_list, word_sets, full, half):
             logs_full = []
             logs_half = []
             se_full = []
             se_half = []
-            for w, _ in pairs:
-                vals = [_pair_fraction(sys, w, k, eps, pts) for pts in orbits]
-                hvals = [_pair_fraction(sys, w, k, eps, pts) for pts in half_orbits]
+            for vals, hvals in zip(full_k, half_k):
                 cf = math.fsum(vals) / len(vals)
                 ch = math.fsum(hvals) / len(hvals)
                 logs_full.append(math.log(cf))
@@ -724,13 +790,17 @@ def _greedy_net(sample, sys, omega, k, eps):
     if labels is not None:
         _, first = np.unique(labels, return_index=True)
         return [sample[i] for i in np.sort(first).tolist()]
-    if sys.array_ops is not None and len(sample) > 64:
-        mat = _within_matrix(sys, omega, k, eps, sample)
-        kept_idx: list[int] = []
-        for i in range(len(sample)):
-            if not kept_idx or not mat[i, kept_idx].any():
-                kept_idx.append(i)
-        return [sample[i] for i in kept_idx]
+    if _has_pairs(sys):
+        pairs = list(_close_pairs(sys, omega, k, eps, pset))
+        i = np.concatenate([np.empty(0, np.intp)] + [c[0] for c in pairs])
+        j = np.concatenate([np.empty(0, np.intp)] + [c[1] for c in pairs])
+        lower = i[np.argsort(j)]  # each point's lower-index neighbours, in point order
+        kept_mask = np.zeros(len(sample), dtype=bool)
+        start = 0
+        for p, end in enumerate(np.cumsum(np.bincount(j, minlength=len(sample))).tolist()):
+            kept_mask[p] = not kept_mask[lower[start:end]].any()
+            start = end
+        return [sample[p] for p in np.flatnonzero(kept_mask).tolist()]
     kept = []
     for p in sample:
         if all(not bowen_within(sys, omega, k, p, q_, eps) for q_ in kept):

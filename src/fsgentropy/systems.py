@@ -6,7 +6,7 @@ measure, so every estimator stays system-agnostic.  Words index
 compositions: along omega = (i_1, i_2, ...) the n-step map applies
 f_{i_1} first and f_{i_n} last, with n = 0 the identity.
 
-Systems may advertise three optional fast-path capabilities:
+Systems may advertise four optional fast-path capabilities:
 
 * ball_key(point, eps): a hashable key with d(x, y) <= eps exactly when
   the keys are equal.  Valid for ultrametric systems whose eps-balls
@@ -18,7 +18,15 @@ Systems may advertise three optional fast-path capabilities:
   None when it cannot decide every point, and the estimators then use
   ball_key, which raises exactly where the point maps raise.
 * array_ops: vectorised point array conversion, generator application
-  and pairwise threshold tests, for scalar systems (the circle family).
+  and a center-by-sample threshold test, for scalar systems (the circle
+  family).
+* pair_ops: sparse Bowen pair lists on the arc metric of R/Z (the circle
+  family and its power systems).  stage0 finds every pair of a point
+  array within eps by sorting it once and sweeping a band of eps plus a
+  small margin, wrap-around band included, and close keeps a pair
+  exactly when the metric would; the estimators filter the stage-0
+  pairs stage by stage along a word with close, so no N x N matrix is
+  ever built.  pair_ops needs array_ops for the stage arrays.
 
 Estimators fall back to the generic pairwise path when none is present;
 all paths agree exactly and the tests check that.
@@ -73,6 +81,15 @@ class WindowOps:
 
 
 @dataclass(frozen=True)
+class PairOps:
+    """Sparse pair lists over a point array of a scalar metric space."""
+
+    # (array, eps) -> int32 arrays (i, j), i < j, of every pair within eps
+    stage0: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]]
+    close: Callable[[np.ndarray, np.ndarray, float], np.ndarray]  # elementwise bool
+
+
+@dataclass(frozen=True)
 class GeneratorSystem:
     name: str
     maps: tuple[Callable[[Point], Point], ...]
@@ -82,6 +99,7 @@ class GeneratorSystem:
     ball_key: Optional[Callable[[Point, float], Hashable]] = None
     array_ops: Optional[ArrayOps] = None
     window_ops: Optional[WindowOps] = None
+    pair_ops: Optional[PairOps] = None
 
     @property
     def m(self) -> int:
@@ -205,8 +223,8 @@ def build_power_system(sys: GeneratorSystem, t: int) -> GeneratorSystem:
     """System generated by all t-fold compositions of the base maps.
 
     Generator j applies the digit maps of j in order: first digit first.
-    Points, metric, diameter, sampler, ball_key and array_ops carry
-    over unchanged (same space, same measure); window_ops does not, so
+    Points, metric, diameter, sampler, ball_key, array_ops and pair_ops
+    carry over unchanged (same space, same measure); window_ops does not, so
     power systems of the binary backend count through ball_key.
     """
     if t < 1:
@@ -247,6 +265,7 @@ def build_power_system(sys: GeneratorSystem, t: int) -> GeneratorSystem:
         mu_sampler=sys.mu_sampler,
         ball_key=sys.ball_key,
         array_ops=array_ops,
+        pair_ops=sys.pair_ops,
     )
 
 
@@ -279,8 +298,65 @@ def _circle_metric(x: float, y: float) -> float:
 
 
 def _circle_within(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
-    d = np.abs(a[:, None] - b[None, :])
+    return _circle_close(a[:, None], b[None, :], eps)
+
+
+def _circle_close(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
+    d = np.abs(a - b)
     return np.minimum(d, 1.0 - d) <= eps
+
+
+# Pairs of stage0 candidates handled at once, in stage0 and in the
+# estimators' stage filter; bounds every pair-list temporary.
+PAIR_CHUNK = 1 << 14
+
+# Slack of the stage0 sweep band per unit of the largest |point|: far
+# above the rounding of the metric's float expression, so the candidates
+# hold every pair that _circle_close accepts.
+PAIR_MARGIN = 1e-9
+
+
+def _circle_stage0(arr: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair i < j of arr with _circle_close(arr[i], arr[j], eps).
+
+    min(d, 1 - d) <= eps holds exactly when d <= eps or d >= 1 - eps, so
+    after one sort the candidates of sorted row a are a near band (a, near)
+    and a wrap-around band [wrap, n); both are widened by the margin and
+    the exact test decides.  Candidates are enumerated in PAIR_CHUNK
+    slices of their concatenation, so no temporary outgrows the chunk.
+    """
+    n = len(arr)
+    order = np.argsort(arr, kind="stable")
+    v = arr[order]
+    margin = PAIR_MARGIN * max(1.0, float(np.abs(v).max(initial=0.0)))
+    if eps + margin < 0.5:
+        near = np.searchsorted(v, v + (eps + margin), side="right")
+        wrap = np.maximum(np.searchsorted(v, v + (1.0 - eps - margin)), near)
+    else:  # the bands meet: every pair is a candidate
+        near = wrap = np.full(n, n)
+    n_near = near - np.arange(n) - 1
+    counts = n_near + (n - wrap)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    total = int(ends[-1]) if n else 0
+    out_i = np.empty(total, dtype=np.int32)
+    out_j = np.empty(total, dtype=np.int32)
+    kept = 0
+    for lo in range(0, total, PAIR_CHUNK):
+        pos = np.arange(lo, min(lo + PAIR_CHUNK, total))
+        a = np.searchsorted(ends, pos, side="right")
+        r = pos - starts[a]
+        b = np.where(r < n_near[a], a + 1 + r, wrap[a] + (r - n_near[a]))
+        hit = _circle_close(v[a], v[b], eps)
+        a, b = order[a[hit]], order[b[hit]]
+        m = len(a)
+        out_i[kept:kept + m] = np.minimum(a, b)
+        out_j[kept:kept + m] = np.maximum(a, b)
+        kept += m
+    return out_i[:kept], out_j[:kept]
+
+
+_CIRCLE_PAIRS = PairOps(stage0=_circle_stage0, close=_circle_close)
 
 
 def circle_double_rotate(alpha: float = GOLDEN_ROTATION) -> GeneratorSystem:
@@ -302,6 +378,7 @@ def circle_double_rotate(alpha: float = GOLDEN_ROTATION) -> GeneratorSystem:
             apply=apply_arr,
             within=_circle_within,
         ),
+        pair_ops=_CIRCLE_PAIRS,
     )
 
 
@@ -330,6 +407,7 @@ def torus_affine(constants: tuple[float, ...] = (0.0, GOLDEN_ROTATION)) -> Gener
             apply=apply_arr,
             within=_circle_within,
         ),
+        pair_ops=_CIRCLE_PAIRS,
     )
 
 

@@ -31,9 +31,10 @@ class SymbolWord:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"alphabet size must be >= 1, got {self.m}")
-        for s in self.symbols:
-            if not 1 <= s <= self.m:
-                raise ValueError(f"symbol {s} outside alphabet 1..{self.m}")
+        syms = self.symbols
+        if syms and not (1 <= min(syms) and max(syms) <= self.m):
+            bad = next(s for s in syms if not 1 <= s <= self.m)
+            raise ValueError(f"symbol {bad} outside alphabet 1..{self.m}")
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -87,7 +88,7 @@ def sample_word(spec: BernoulliSpec, length: int, rng: np.random.Generator) -> S
     if spec.m == 1:
         return SymbolWord((1,) * length, 1)
     draws = rng.choice(spec.m, size=length, p=spec.weights)
-    return SymbolWord(tuple(int(d) + 1 for d in draws), spec.m)
+    return SymbolWord(tuple((draws + 1).tolist()), spec.m)
 
 
 def shift(w: SymbolWord, steps: int) -> SymbolWord:

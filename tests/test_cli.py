@@ -109,6 +109,27 @@ def test_power_test_exact_ratio_is_two():
     assert row.value == pytest.approx(2.0, abs=1e-9)
 
 
+def test_power_test_monte_carlo_short_horizons_exit_zero(tmp_path, capsys):
+    """ks up to 5 at power 2 still gives the power series the three
+    horizons its slope fit needs."""
+    cfg = tmp_path / "power.cfg"
+    cfg.write_text(
+        "system = binary-shift-odometer\n"
+        "estimator = power-test\n"
+        "epsilons = 0.25\n"
+        "ks = 2,3,4,5\n"
+        "n_points = 256\n"
+        "m_omega = 8\n"
+        "power = 2\n"
+        "seed = 23\n"
+    )
+    out = tmp_path / "rows.csv"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    (row,) = parse_rows(out.read_text())
+    assert row.estimator == "power-test" and math.isfinite(row.value)
+    capsys.readouterr()
+
+
 def test_emit_header_only_for_empty_rows(tmp_path):
     cfg = ExperimentConfig()
     from fsgentropy.cli import ExperimentResult

@@ -32,6 +32,19 @@ def test_word_validates_alphabet():
     assert len(word((), 5)) == 0
 
 
+def test_word_error_names_the_first_offending_symbol():
+    with pytest.raises(ValueError, match=r"symbol 5 outside alphabet 1\.\.3"):
+        word((1, 5, 0, 2), 3)
+    with pytest.raises(ValueError, match=r"symbol 0 outside alphabet 1\.\.3"):
+        word((2, 0, 7), 3)
+
+
+def test_sample_word_symbols_are_python_ints_in_range():
+    w = sample_word(BernoulliSpec((0.2, 0.3, 0.5)), 500, np.random.default_rng(4))
+    assert len(w) == 500 and w.m == 3
+    assert all(type(s) is int and 1 <= s <= 3 for s in w.symbols)
+
+
 def test_bernoulli_spec_validation():
     with pytest.raises(ValueError):
         BernoulliSpec((0.5, 0.5000001))
