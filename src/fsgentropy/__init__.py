@@ -21,7 +21,6 @@ from .binary import (
 from .estimators import (
     CorrSumEstimate,
     EmpiricalMeasure,
-    ball_measure,
     corr_entropy_series,
     corr_integral,
     correlation_sum,
@@ -29,24 +28,19 @@ from .estimators import (
     local_corr_entropy_series,
     local_entropy_series,
     separated_set,
-    spanning_set,
     top_entropy_series,
 )
 from .limits import LimitEstimate, TrendReport, epsilon_trend, k_limit
 from .series import EntropySeries
 from .systems import (
     GeneratorSystem,
-    OrbitTable,
     apply_word,
     binary_shift_odometer,
     bowen_distance,
     bowen_within,
     build_power_system,
     circle_double_rotate,
-    ergodic_average,
     make_system,
-    orbit_table,
-    skew_step,
     torus_affine,
 )
 from .words import (
@@ -54,7 +48,6 @@ from .words import (
     SymbolWord,
     power_weights,
     power_word_map,
-    power_word_unmap,
     sample_word,
     shift,
     uniform_spec,

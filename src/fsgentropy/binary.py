@@ -134,18 +134,6 @@ def add_one(x: BinaryPoint) -> BinaryPoint:
     return BinaryPoint(w, x.depth)
 
 
-GENERATORS = {"shift": drop_head, "odometer": add_one}
-
-
-def exact_apply(gen: str, x: BinaryPoint) -> BinaryPoint:
-    """Apply a named generator ('shift' or 'odometer')."""
-    try:
-        fn = GENERATORS[gen]
-    except KeyError:
-        raise ValueError(f"unknown generator {gen!r}") from None
-    return fn(x)
-
-
 def distance(x: BinaryPoint, y: BinaryPoint) -> float:
     """2**(-number of leading coordinates on which x and y agree).
 

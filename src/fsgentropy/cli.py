@@ -33,7 +33,7 @@ import argparse
 import json
 import math
 import sys as _sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from . import binary, estimators, limits, systems
 from .errors import (
@@ -89,16 +89,7 @@ class ExperimentConfig:
             raise EstimatorUnknown(
                 f"unknown estimator {self.estimator!r} (known: {', '.join(ESTIMATORS)})"
             )
-        if not self.epsilons:
-            raise ConfigInvalid("epsilons", "need at least one value")
-        if any(e <= 0 for e in self.epsilons):
-            raise ConfigInvalid("epsilons", "must be strictly positive")
-        if any(b >= a for a, b in zip(self.epsilons, self.epsilons[1:])):
-            raise ConfigInvalid("epsilons", "must be strictly decreasing")
-        if not self.ks or any(k < 1 for k in self.ks):
-            raise ConfigInvalid("ks", "must all be >= 1")
-        if any(b <= a for a, b in zip(self.ks, self.ks[1:])):
-            raise ConfigInvalid("ks", "must be strictly increasing")
+        estimators._check_grids(self.epsilons, self.ks)
         for name in ("n", "m_upsilon", "m_omega", "n_points", "power"):
             if getattr(self, name) < 1:
                 raise ConfigInvalid(name, "must be >= 1")
@@ -251,150 +242,107 @@ def _sample_omega(cfg: ExperimentConfig, sys_, length: int):
 
 
 # ---------------------------------------------------------------------------
-# Estimator dispatch
-
-
-def _series_to_rows(cfg, series_list, kind):
-    rows = []
-    for s in series_list:
-        for i, (k, v) in enumerate(s.rows):
-            se = s.stderrs[i] if s.stderrs is not None else 0.0
-            fl = s.flags[i] if s.flags is not None else ""
-            rows.append(ResultRow(kind, s.epsilon, k, s.q, v, se, cfg.seed, fl))
-    return rows
+# Estimator dispatch: every runner returns its EntropySeries
 
 
 def _run_corr_sum(cfg, sys_):
     x = sys_.mu_sampler(substream(cfg.seed, POINT))
     omega = _sample_omega(cfg, sys_, max(cfg.ks) - 1)
+    weights = _weights(cfg, sys_)
     series_list = []
-    rows = []
     for eps in cfg.epsilons:
-        per_k = []
-        for k in cfg.ks:
-            est = estimators.correlation_sum(
-                sys_, x, eps, omega, k, cfg.n, cfg.m_upsilon, cfg.seed,
-                weights=_weights(cfg, sys_),
+        ests = [
+            estimators.correlation_sum(
+                sys_, x, eps, omega, k, cfg.n, cfg.m_upsilon, cfg.seed, weights=weights
             )
-            rows.append(
-                ResultRow("corr-sum", eps, k, None, est.value, est.stderr, cfg.seed)
+            for k in cfg.ks
+        ]
+        series_list.append(
+            EntropySeries(
+                eps,
+                [(k, est.value) for k, est in zip(cfg.ks, ests)],
+                kind="corr-sum",
+                stderrs=[est.stderr for est in ests],
             )
-            per_k.append((k, est.value))
-        series_list.append(EntropySeries(eps, per_k, kind="corr-sum"))
-    summary, trend = _maybe_summary(series_list)
-    return rows, summary, trend
-
-
-def _maybe_summary(series_list, method=None):
-    try:
-        per_eps = [(s.epsilon, limits.k_limit(s, method=method)) for s in series_list]
-    except FsgError:
-        return [], None
-    trend = None
-    if len(per_eps) >= 2:
-        trend = limits.epsilon_trend(per_eps)
-    return per_eps, trend
+        )
+    return series_list
 
 
 def _run_corr_entropy(cfg, sys_):
-    measure = _measure(cfg, sys_)
-    series_list = estimators.corr_entropy_series(
-        measure, sys_, cfg.epsilons, cfg.ks, cfg.q, cfg.m_omega, cfg.seed,
+    return estimators.corr_entropy_series(
+        _measure(cfg, sys_), sys_, cfg.epsilons, cfg.ks, cfg.q, cfg.m_omega, cfg.seed,
         weights=_weights(cfg, sys_),
     )
-    method = "slope-fit" if cfg.exact else None
-    summary, trend = _maybe_summary(series_list, method)
-    return _series_to_rows(cfg, series_list, "corr-entropy"), summary, trend
 
 
 def _run_local_corr_entropy(cfg, sys_):
     x = sys_.mu_sampler(substream(cfg.seed, POINT))
-    series_list = estimators.local_corr_entropy_series(
+    return estimators.local_corr_entropy_series(
         sys_, x, cfg.epsilons, cfg.ks, cfg.n, cfg.m_upsilon, cfg.m_omega, cfg.seed,
         weights=_weights(cfg, sys_),
     )
-    summary, trend = _maybe_summary(series_list)
-    return _series_to_rows(cfg, series_list, "local-corr-entropy"), summary, trend
+
+
+def _closed_form_series(cfg, flavour: str) -> list[EntropySeries]:
+    """The closed-form binary series of one flavour (top | corr |
+    measure), cut to the rows at cfg.ks."""
+    kmax = max(cfg.ks)
+    if flavour == "measure":
+        full = [binary.exact_measure_entropy_series(kmax)]
+    elif flavour == "top":
+        full = [
+            binary.exact_top_entropy_series(_dyadic_exponent(eps), kmax)
+            for eps in cfg.epsilons
+        ]
+    else:
+        full = [
+            binary.exact_corr_integral_series(_dyadic_exponent(eps), kmax, cfg.q)
+            for eps in cfg.epsilons
+        ]
+    wanted = set(cfg.ks)
+    return [replace(s, rows=[(k, v) for k, v in s.rows if k in wanted]) for s in full]
 
 
 def _run_top_entropy(cfg, sys_):
     if cfg.exact:
-        series_list = []
-        for eps in cfg.epsilons:
-            t = _dyadic_exponent(eps)
-            full = binary.exact_top_entropy_series(t, max(cfg.ks))
-            picked = [(k, v) for k, v in full.rows if k in set(cfg.ks)]
-            series_list.append(
-                EntropySeries(eps, picked, kind=full.kind, meta=full.meta)
-            )
-        method = "slope-fit"
-    else:
-        series_list = estimators.top_entropy_series(
-            sys_, cfg.epsilons, cfg.ks, cfg.m_omega, cfg.n_points, cfg.seed,
-            weights=_weights(cfg, sys_),
-        )
-        method = None
-    summary, trend = _maybe_summary(series_list, method)
-    return _series_to_rows(cfg, series_list, "top-entropy"), summary, trend
+        return _closed_form_series(cfg, "top")
+    return estimators.top_entropy_series(
+        sys_, cfg.epsilons, cfg.ks, cfg.m_omega, cfg.n_points, cfg.seed,
+        weights=_weights(cfg, sys_),
+    )
 
 
 def _run_local_entropy(cfg, sys_):
     measure = _measure(cfg, sys_)
     omega = _sample_omega(cfg, sys_, max(cfg.ks) - 1)
-    x = measure.points[0]
-    series_list = estimators.local_entropy_series(
-        measure, sys_, omega, x, cfg.epsilons, cfg.ks
+    return estimators.local_entropy_series(
+        measure, sys_, omega, measure.points[0], cfg.epsilons, cfg.ks
     )
-    summary, trend = _maybe_summary(series_list)
-    return _series_to_rows(cfg, series_list, "local-entropy"), summary, trend
 
 
 def _run_doubling(cfg, sys_):
     measure = _measure(cfg, sys_)
     omega = _sample_omega(cfg, sys_, max(cfg.ks) - 1)
-    series_list = []
-    rows = []
-    for eps in cfg.epsilons:
-        per_k = []
-        for k in cfg.ks:
-            v = estimators.doubling_ratio(measure, sys_, omega, k, eps)
-            rows.append(ResultRow("doubling", eps, k, None, v, 0.0, cfg.seed))
-            per_k.append((k, v))
-        series_list.append(EntropySeries(eps, per_k, kind="doubling"))
-    summary, trend = _maybe_summary(series_list)
-    return rows, summary, trend
+    return [
+        EntropySeries(
+            eps,
+            [(k, estimators.doubling_ratio(measure, sys_, omega, k, eps)) for k in cfg.ks],
+            kind="doubling",
+        )
+        for eps in cfg.epsilons
+    ]
 
 
 def _run_exact_series(cfg, sys_):
     if cfg.system != "binary-shift-odometer":
         raise ConfigInvalid("estimator", "exact-series needs the binary backend")
-    kmax = max(cfg.ks)
-    wanted = set(cfg.ks)
-    series_list = []
-    if cfg.series == "measure":
-        full = binary.exact_measure_entropy_series(kmax)
-        picked = [(k, v) for k, v in full.rows if k in wanted]
-        series_list.append(
-            EntropySeries(0.0, picked, kind=full.kind, meta=full.meta)
-        )
-    else:
-        for eps in cfg.epsilons:
-            t = _dyadic_exponent(eps)
-            if cfg.series == "top":
-                full = binary.exact_top_entropy_series(t, kmax)
-            else:
-                full = binary.exact_corr_integral_series(t, kmax, cfg.q)
-            picked = [(k, v) for k, v in full.rows if k in wanted]
-            series_list.append(
-                EntropySeries(eps, picked, kind=full.kind, q=full.q, meta=full.meta)
-            )
-    summary, trend = _maybe_summary(series_list, "slope-fit")
-    return _series_to_rows(cfg, series_list, "exact-series"), summary, trend
+    return _closed_form_series(cfg, cfg.series)
 
 
 def _run_power_test(cfg, sys_):
-    """Ratio of the power-system entropy to the base entropy; the
-    composition-depth scaling law predicts exactly the power."""
+    """One row (0, ratio): the power-system entropy over the base
+    entropy, which the composition-depth scaling law predicts to be
+    exactly the power."""
     eps = cfg.epsilons[0]
     if cfg.exact:
         t = _dyadic_exponent(eps)
@@ -403,7 +351,6 @@ def _run_power_test(cfg, sys_):
         powr = limits.k_limit(
             binary.exact_corr_integral_series(t, kmax, cfg.q, power=cfg.power)
         )
-        ratio = powr.value / base.value
     else:
         # Matched base-letter horizons: a power-system horizon kp spans
         # power*(kp-1)+1 base letters, so the base series is fit out to
@@ -437,9 +384,10 @@ def _run_power_test(cfg, sys_):
         powr = limits.k_limit(
             power_series, window=(ks_power[0], ks_power[-1]), method="slope-fit"
         )
-        ratio = powr.value / base.value
-    row = ResultRow("power-test", eps, 0, cfg.q, ratio, 0.0, cfg.seed)
-    return [row], [], None
+    ratio = powr.value / base.value
+    if not math.isfinite(ratio):
+        raise FsgError(f"non-finite power-test ratio {ratio!r}")
+    return [EntropySeries(eps, [(0, ratio)], kind="power-test", q=cfg.q)]
 
 
 _RUNNERS = {
@@ -455,15 +403,31 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Construct the system, dispatch the estimator, collect rows and
-    per-radius limit summaries.  Identical (config, seed) give
-    identical results."""
+    """Construct the system, run the estimator, and turn its series
+    into rows and per-radius limit summaries.  Identical (config, seed)
+    give identical results."""
     cfg.validate()
     sys_ = _build_system(cfg)
-    rows, summary, trend = _RUNNERS[cfg.estimator](cfg, sys_)
+    series_list = _RUNNERS[cfg.estimator](cfg, sys_)
+    rows = [
+        ResultRow(
+            cfg.estimator, s.epsilon, k, s.q, v,
+            0.0 if s.stderrs is None else s.stderrs[i], cfg.seed,
+            "" if s.flags is None else s.flags[i],
+        )
+        for s in series_list
+        for i, (k, v) in enumerate(s.rows)
+    ]
     for row in rows:
         if not math.isfinite(row.value) or not math.isfinite(row.stderr):
             raise FsgError(f"non-finite result row: {row}")
+    # Closed-form series carry meta["exact"] and get a slope-fit by
+    # default; exact ball measures make corr-entropy rows affine in 1/k too.
+    method = "slope-fit" if cfg.exact and cfg.estimator == "corr-entropy" else None
+    try:
+        summary, trend = limits.series_limit_summary(series_list, method=method)
+    except FsgError:  # too few rows for a limit: no summary
+        summary, trend = [], None
     return ExperimentResult(cfg, rows, summary, trend)
 
 
@@ -589,7 +553,6 @@ def _cmd_run(args) -> int:
         cfg.format = args.format
     if args.exact:
         cfg.exact = True
-    cfg.validate()
     result = run_experiment(cfg)
     text = emit_results(result, cfg.out, cfg.format)
     if cfg.out is None:

@@ -30,10 +30,6 @@ class KZero(FsgError):
     """Bowen horizon k must be at least 1."""
 
 
-class EmptyWord(FsgError):
-    """Operation needs at least one symbol."""
-
-
 class DepthExhausted(FsgError):
     """A truncated binary point was asked for a coordinate beyond its depth."""
 

@@ -1,6 +1,6 @@
 """Monte Carlo estimators for the entropy quantities of a free
 semigroup action: correlation sums, q-order correlation integrals,
-local correlation entropy, separated/spanning-set topological entropy,
+local correlation entropy, separated-set topological entropy,
 ball-measure doubling diagnostics and local entropy along a word.
 
 Conventions shared by everything here:
@@ -50,6 +50,7 @@ import numpy as np
 from . import systems
 from .errors import (
     CenterNotInSample,
+    ConfigInvalid,
     InvalidEpsilon,
     KZero,
     WordTooShort,
@@ -441,11 +442,6 @@ class EmpiricalMeasure:
         return cnt / self.n
 
 
-def ball_measure(em, sys, omega, k, center, eps) -> float:
-    """Module-level alias of the empirical (or exact) ball measure."""
-    return em.ball_measure(sys, omega, k, center, eps)
-
-
 # ---------------------------------------------------------------------------
 # Correlation sum
 
@@ -585,18 +581,21 @@ def _floored_fraction(close, pairs, n: int) -> np.ndarray:
 def _q_log_mean(logs: np.ndarray, q: float) -> float:
     """log of the q-mean of ball measures, given their logs.
 
-    Computed in the log domain (log-sum-exp) so negative orders cannot
-    overflow; a constant input short-circuits to that constant, which
-    is the exact value for every q.
+    Computed in the log domain (log-sum-exp) around the extreme log,
+    the largest for q > 1 and the smallest for q < 1, so every exponent
+    (q - 1) * (log - extreme) is <= 0 and no finite q can overflow; a
+    constant input short-circuits to that constant, which is the exact
+    value for every q.
     """
     first = float(logs[0])
     if np.all(logs == logs[0]):
         return first
     if q == 1.0:
         return math.fsum(logs) / len(logs)
-    a = (q - 1.0) * logs
-    mx = float(a.max())
-    return (mx + math.log(math.fsum(np.exp(a - mx)) / len(a))) / (q - 1.0)
+    ext = float(logs.max() if q > 1.0 else logs.min())
+    with np.errstate(over="ignore"):  # an exponent of -inf adds exactly 0
+        a = (q - 1.0) * (logs - ext)
+    return ext + math.log(math.fsum(np.exp(a)) / len(a)) / (q - 1.0)
 
 
 def _corr_integral_detail(measure, sys, eps, k, q, m_omega, seed, weights):
@@ -675,16 +674,19 @@ def corr_entropy_series(
 
 
 def _check_grids(eps_list, k_list):
+    """Radii strictly positive and decreasing, horizons >= 1 and
+    strictly increasing; the experiment config checks its grids here
+    too, hence ConfigInvalid (a ValueError) named after its fields."""
     if not eps_list:
-        raise ValueError("need at least one epsilon")
+        raise ConfigInvalid("epsilons", "need at least one value")
     if any(e <= 0 for e in eps_list):
-        raise InvalidEpsilon("epsilons must be > 0")
+        raise ConfigInvalid("epsilons", "must be strictly positive")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("epsilons must be strictly decreasing")
+        raise ConfigInvalid("epsilons", "must be strictly decreasing")
     if not k_list or any(k < 1 for k in k_list):
-        raise ValueError("k values must be >= 1")
+        raise ConfigInvalid("ks", "must all be >= 1")
     if any(b <= a for a, b in zip(k_list, k_list[1:])):
-        raise ValueError("k values must be strictly increasing")
+        raise ConfigInvalid("ks", "must be strictly increasing")
 
 
 def _orbit_fractions(sys, eps, k_list, word_sets, orbits) -> list:
@@ -774,7 +776,7 @@ def local_corr_entropy_series(
 
 
 # ---------------------------------------------------------------------------
-# Separated / spanning sets and topological entropy
+# Separated sets and topological entropy
 
 
 def _greedy_net(sample, sys, omega, k, eps):
@@ -811,14 +813,8 @@ def _greedy_net(sample, sys, omega, k, eps):
 def separated_set(sample, sys: GeneratorSystem, omega, k, eps) -> list:
     """Greedy maximal Bowen eps-separated subset of the sample (kept
     points are pairwise more than eps apart; a lower bound on the
-    maximum packing)."""
-    return _greedy_net(sample, sys, omega, k, eps)
-
-
-def spanning_set(sample, sys: GeneratorSystem, omega, k, eps) -> list:
-    """Greedy Bowen eps-cover of the sample (every sample point is
-    within eps of a returned one); never larger than the greedy
-    separated set at the same radius."""
+    maximum packing).  By maximality it is also a Bowen eps-cover of
+    the sample: every sample point is within eps of a returned one."""
     return _greedy_net(sample, sys, omega, k, eps)
 
 

@@ -41,14 +41,8 @@ from typing import Any, Callable, Hashable, Optional, Sequence
 import numpy as np
 
 from . import binary
-from .errors import (
-    AlphabetOverflow,
-    EmptyWord,
-    KZero,
-    SystemUnknown,
-    WordTooShort,
-)
-from .words import SymbolWord, shift, symbol_digits
+from .errors import AlphabetOverflow, KZero, SystemUnknown, WordTooShort
+from .words import SymbolWord, symbol_digits
 
 Point = Any
 
@@ -105,18 +99,6 @@ class GeneratorSystem:
     def m(self) -> int:
         return len(self.maps)
 
-    def map_for(self, symbol: int) -> Callable[[Point], Point]:
-        return self.maps[symbol - 1]
-
-
-@dataclass(frozen=True)
-class OrbitTable:
-    """Memoised orbit prefix: points[i] is the i-step image of the base."""
-
-    base: Point
-    word: SymbolWord
-    points: tuple[Point, ...]
-
 
 def apply_word(sys: GeneratorSystem, w: SymbolWord, n: int, x: Point) -> Point:
     """n-step composition along w applied to x; n = 0 returns x."""
@@ -128,20 +110,6 @@ def apply_word(sys: GeneratorSystem, w: SymbolWord, n: int, x: Point) -> Point:
     for i in range(n):
         x = maps[w.symbols[i] - 1](x)
     return x
-
-
-def orbit_table(sys: GeneratorSystem, w: SymbolWord, n: int, x: Point) -> OrbitTable:
-    """First n orbit points (n - 1 map applications)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > len(w) + 1:
-        raise WordTooShort(f"need {n - 1} symbols, have {len(w)}")
-    pts = [x]
-    maps = sys.maps
-    for i in range(n - 1):
-        x = maps[w.symbols[i] - 1](x)
-        pts.append(x)
-    return OrbitTable(pts[0], w, tuple(pts))
 
 
 def bowen_distance(
@@ -188,35 +156,6 @@ def bowen_within(
         if metric(x, y) > eps:
             return False
     return True
-
-
-def skew_step(
-    sys: GeneratorSystem, omega: SymbolWord, x: Point
-) -> tuple[SymbolWord, Point]:
-    """One step of the skew product: shift the word, apply its first map."""
-    if len(omega) == 0:
-        raise EmptyWord("skew step needs at least one symbol")
-    return shift(omega, 1), sys.maps[omega.symbols[0] - 1](x)
-
-
-def ergodic_average(
-    sys: GeneratorSystem,
-    phi: Callable[[Point], float],
-    omega: SymbolWord,
-    x: Point,
-    n: int,
-) -> float:
-    """Arithmetic mean of phi over the first n orbit points along omega."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if len(omega) < n - 1:
-        raise WordTooShort(f"need {n - 1} symbols, have {len(omega)}")
-    maps = sys.maps
-    total = phi(x)
-    for i in range(n - 1):
-        x = maps[omega.symbols[i] - 1](x)
-        total += phi(x)
-    return total / n
 
 
 def build_power_system(sys: GeneratorSystem, t: int) -> GeneratorSystem:

@@ -1,15 +1,15 @@
 """Symbol-space primitives: finite words, Bernoulli sampling, shift,
-and the digit re-encoding between alphabets {1..m} and {1..m**t}.
+and the digit expansion of alphabet {1..m**t} into {1..m}.
 
 Symbols are 1-based throughout.  A word stores a finite prefix of an
 infinite symbol sequence; the empty word denotes the identity
-composition.  The re-encoding between a symbol j in {1..m**t} and its
-t digits (i_1..i_t) over {1..m} is fixed as little-endian base m:
+composition.  A symbol j in {1..m**t} of a power system stands for the
+t digits (i_1..i_t) over {1..m}, little-endian base m:
 
     j - 1 = sum_{s=1..t} (i_s - 1) * m**(s-1)
 
-The digit order is frozen by round-trip tests; serialisation is
-comma-separated 1-based integers, e.g. "1,2,1".
+The power system applies the digit maps in that order, first digit
+first; the word and power-system tests pin the digit order.
 """
 
 from __future__ import annotations
@@ -112,20 +112,10 @@ def symbol_digits(j: int, m: int, t: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def digits_symbol(digits, m: int) -> int:
-    """Inverse of symbol_digits: pack digits over {1..m} into one symbol."""
-    v = 0
-    for s, d in enumerate(digits):
-        if not 1 <= d <= m:
-            raise AlphabetMismatch(f"digit {d} outside alphabet 1..{m}")
-        v += (d - 1) * m ** s
-    return v + 1
-
-
 def power_word_map(w: SymbolWord, m: int, t: int) -> SymbolWord:
     """Expand a word over {1..m**t} into its digit word over {1..m}.
 
-    Output length is t * len(w); bijective with power_word_unmap.
+    Output length is t * len(w).
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -135,19 +125,6 @@ def power_word_map(w: SymbolWord, m: int, t: int) -> SymbolWord:
     for j in w:
         out.extend(symbol_digits(j, m, t))
     return SymbolWord(tuple(out), m)
-
-
-def power_word_unmap(w: SymbolWord, t: int) -> SymbolWord:
-    """Group a word over {1..m} into blocks of t digits, one symbol each."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if len(w) % t != 0:
-        raise AlphabetMismatch(f"length {len(w)} is not a multiple of t={t}")
-    m = w.m
-    packed = tuple(
-        digits_symbol(w.symbols[i : i + t], m) for i in range(0, len(w), t)
-    )
-    return SymbolWord(packed, m ** t)
 
 
 def power_weights(spec: BernoulliSpec, t: int) -> BernoulliSpec:
@@ -162,14 +139,3 @@ def power_weights(spec: BernoulliSpec, t: int) -> BernoulliSpec:
             p *= spec.weights[d - 1]
         out.append(p)
     return BernoulliSpec(tuple(out))
-
-
-def to_text(w: SymbolWord) -> str:
-    return ",".join(str(s) for s in w)
-
-
-def from_text(text: str, m: int) -> SymbolWord:
-    text = text.strip()
-    if not text:
-        return SymbolWord((), m)
-    return word((int(p) for p in text.split(",")), m)

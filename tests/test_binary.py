@@ -17,7 +17,6 @@ from fsgentropy.binary import (
     ball_key,
     distance,
     drop_head,
-    exact_apply,
     exact_bowen_ball,
     exact_corr_integral_series,
     exact_correlation_integral,
@@ -75,14 +74,6 @@ def test_shift_drops_head():
     assert drop_head(bp(1, 0, 1)).bits == (0, 1)
     with pytest.raises(DepthExhausted):
         drop_head(bp(1))
-
-
-def test_exact_apply_dispatch():
-    x = bp(0, 1, 0)
-    assert exact_apply("shift", x) == drop_head(x)
-    assert exact_apply("odometer", x) == add_one(x)
-    with pytest.raises(ValueError):
-        exact_apply("rotate", x)
 
 
 def test_distance_convention():

@@ -130,6 +130,37 @@ def test_power_test_monte_carlo_short_horizons_exit_zero(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_power_test_non_finite_ratio_exits_3(tmp_path, monkeypatch, capsys):
+    from fsgentropy import limits
+
+    cfg = tmp_path / "power.cfg"
+    cfg.write_text("estimator = power-test\nexact = true\nepsilons = 0.25\nks = 1,2,3,4\n")
+    monkeypatch.setattr(
+        limits, "k_limit", lambda *a, **kw: limits.LimitEstimate(math.nan, (1, 4), "slope-fit")
+    )
+    assert main(["run", str(cfg)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_extreme_finite_q_exits_zero(tmp_path, capsys):
+    """q = 1e308 overflowed the log-sum-exp of the q-mean to nan."""
+    for q in ("1e308", "-1e308"):
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text(
+            "system = circle-double-rotate\n"
+            "estimator = corr-entropy\n"
+            "epsilons = 0.125\n"
+            "ks = 1,2,3\n"
+            "n_points = 64\n"
+            f"q = {q}\n"
+        )
+        out = tmp_path / "rows.csv"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0, q
+        rows = parse_rows(out.read_text())
+        assert len(rows) == 3 and all(math.isfinite(r.value) for r in rows)
+    capsys.readouterr()
+
+
 def test_emit_header_only_for_empty_rows(tmp_path):
     cfg = ExperimentConfig()
     from fsgentropy.cli import ExperimentResult

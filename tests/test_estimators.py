@@ -12,12 +12,12 @@ from fsgentropy import binary, estimators
 from fsgentropy.binary import ExactCylinderMeasure, all_points, s_count
 from fsgentropy.errors import (
     CenterNotInSample,
+    ConfigInvalid,
     InvalidEpsilon,
     WordTooShort,
 )
 from fsgentropy.estimators import (
     EmpiricalMeasure,
-    ball_measure,
     corr_entropy_series,
     corr_integral,
     correlation_sum,
@@ -26,7 +26,6 @@ from fsgentropy.estimators import (
     local_entropy_series,
     omega_words,
     separated_set,
-    spanning_set,
     top_entropy_series,
 )
 from fsgentropy.seeding import substream
@@ -140,19 +139,19 @@ def test_correlation_sum_converges_to_exact_ball_measure():
 
 def test_ball_measure_single_sample_point():
     em = EmpiricalMeasure(_rand_binary_points(1, 60, 1))
-    assert ball_measure(em, BIN, word((1,), 2), 2, em.points[0], 0.25) == 1.0
+    assert em.ball_measure(BIN, word((1,), 2), 2, em.points[0], 0.25) == 1.0
 
 
 def test_ball_measure_diameter():
     em = EmpiricalMeasure(_rand_binary_points(32, 60, 2))
-    assert ball_measure(em, BIN, word((1,), 2), 2, em.points[3], 1.0) == 1.0
+    assert em.ball_measure(BIN, word((1,), 2), 2, em.points[3], 1.0) == 1.0
 
 
 def test_ball_measure_center_not_in_sample():
     em = EmpiricalMeasure(_rand_binary_points(8, 60, 3))
     outsider = binary.random_point(59, substream(99))
     with pytest.raises(CenterNotInSample):
-        ball_measure(em, BIN, word((1,), 2), 2, outsider, 0.25)
+        em.ball_measure(BIN, word((1,), 2), 2, outsider, 0.25)
 
 
 def test_ball_measure_window_path_equals_generic(windows_only):
@@ -161,8 +160,8 @@ def test_ball_measure_window_path_equals_generic(windows_only):
     omega = word((1, 2, 2), 2)
     for eps in (0.5, 0.125):
         for center in em.points[:8]:
-            assert ball_measure(em, BIN, omega, 4, center, eps) == ball_measure(
-                em, generic, omega, 4, center, eps
+            assert em.ball_measure(BIN, omega, 4, center, eps) == em.ball_measure(
+                generic, omega, 4, center, eps
             )
 
 
@@ -176,7 +175,7 @@ def test_ball_measure_binomial_band():
     for syms in itertools.product((1, 2), repeat=k - 1):
         omega = word(syms, 2)
         p = 2.0 ** -(t + s_count(omega, k))
-        got = ball_measure(em, BIN, omega, k, em.points[0], 2.0**-t)
+        got = em.ball_measure(BIN, omega, k, em.points[0], 2.0**-t)
         tol = 3 * math.sqrt(p * (1 - p) / n_pts) + 1.0 / n_pts
         assert abs(got - p) <= tol
 
@@ -250,6 +249,28 @@ def test_corr_entropy_series_q_ordering_exact_mode():
     assert all(a >= b - 1e-12 for a, b in zip(s0.values, s2.values))
 
 
+def test_q_log_mean_extreme_orders_are_finite():
+    # (q - 1) * log overflowed to nan at q = 1e308; the q-mean tends to
+    # the largest ball measure as q -> inf and to the smallest as q -> -inf
+    logs = np.log(np.array([0.5, 0.125, 0.25, 1 / 64]))
+    assert estimators._q_log_mean(logs, 1e308) == pytest.approx(logs.max(), abs=1e-12)
+    assert estimators._q_log_mean(logs, -1e308) == pytest.approx(logs.min(), abs=1e-12)
+
+
+def test_series_reject_bad_grids():
+    em = EmpiricalMeasure(_rand_binary_points(8, 60, 15))
+    for eps_list, k_list in (
+        ([], [1]),
+        ([0.25, 0.0], [1]),
+        ([0.125, 0.25], [1]),
+        ([0.25], []),
+        ([0.25], [0, 1]),
+        ([0.25], [2, 2]),
+    ):
+        with pytest.raises(ConfigInvalid):
+            corr_entropy_series(em, BIN, eps_list, k_list, 2.0, 4, seed=0)
+
+
 def test_omega_words_exhaustive_weights():
     pairs = omega_words(2, 3, None, 64, seed=0)
     assert len(pairs) == 4
@@ -306,14 +327,13 @@ def test_local_corr_entropy_degenerate_alphabet():
 
 
 # ---------------------------------------------------------------------------
-# separated and spanning sets
+# separated sets
 
 
 def test_separated_singleton_and_diameter():
     pts = _rand_binary_points(16, 60, 17)
     assert separated_set([pts[0]], BIN, word((1,), 2), 2, 0.25) == [pts[0]]
     assert len(separated_set(pts, BIN, word((1,), 2), 2, 1.0)) == 1
-    assert len(spanning_set(pts, BIN, word((1,), 2), 2, 1.0)) == 1
 
 
 def test_separated_cardinality_full_prefix_sample():
@@ -324,7 +344,6 @@ def test_separated_cardinality_full_prefix_sample():
         omega = word(syms, 2)
         kept = separated_set(sample, BIN, omega, k, 2.0**-t)
         assert len(kept) == 2 ** (t + s_count(omega, k))
-        assert len(spanning_set(sample, BIN, omega, k, 2.0**-t)) == len(kept)
 
 
 def test_greedy_net_paths_agree(windows_only):
@@ -343,9 +362,9 @@ def test_greedy_net_paths_agree(windows_only):
 
 
 def test_spanning_vs_separated_sandwich():
-    # points more than 2 eps apart in the Bowen metric cannot share an
-    # eps cover center, so the cover is at least as large as any
-    # 2 eps-separated set
+    # the greedy eps-net is an eps-cover, and points more than 2 eps
+    # apart in the Bowen metric cannot share an eps cover center, so the
+    # net is at least as large as any 2 eps-separated set
     rng = substream(20)
     for trial in range(25):
         sys_, pts = (
@@ -356,9 +375,9 @@ def test_spanning_vs_separated_sandwich():
         k = int(rng.integers(1, 4))
         omega = word(tuple(rng.integers(1, 3, size=max(0, k - 1))), 2)
         eps = float(rng.uniform(0.02, 0.2))
-        spanning = spanning_set(pts, sys_, omega, k, eps)
+        cover = separated_set(pts, sys_, omega, k, eps)
         separated2 = separated_set(pts, sys_, omega, k, 2 * eps)
-        assert len(spanning) >= len(separated2)
+        assert len(cover) >= len(separated2)
 
 
 def test_separated_kept_points_are_pairwise_far():

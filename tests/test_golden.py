@@ -1,12 +1,20 @@
 """Behaviour gate: each config in tests/golden must make `entcli run`
-emit the CSV stored next to it, byte for byte.
+emit the output stored next to it, byte for byte.
 
-Each CSV was produced before the fast path it gates existed: the
-binary ones before the Bowen-label counting moved onto uint64 windows,
-the circle corr-sum, doubling and power-test and the torus
-local-corr-entropy ones before the circle family counted Bowen pairs
-from sparse pair lists.  A change that means to alter output regenerates
-them and says which rows changed and why.
+A CSV config writes its rows through `--out`, and the result is compared
+with `<stem>.csv`.  A `format = json` config writes to stdout, and the
+result is compared with `<stem>.json`; the JSON echoes `out`, so these
+configs must run without `--out`.  The JSON twins pin the per-radius
+limit summaries and the epsilon trend as well as the rows.
+
+Each output was produced before the code it gates was last changed:
+the binary CSVs before the Bowen-label counting moved onto uint64
+windows, the circle corr-sum, doubling and power-test and the torus
+local-corr-entropy CSVs before the circle family counted Bowen pairs
+from sparse pair lists, and the exact-mode configs and the JSON twins
+before the command line built every result through one series path.
+A change that means to alter output regenerates them and says which
+rows changed and why.
 """
 
 from pathlib import Path
@@ -18,12 +26,19 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def test_golden_csvs_byte_identical(tmp_path, capsys):
     configs = sorted(GOLDEN.glob("*.cfg"))
-    assert len(configs) >= 10
+    assert len(configs) >= 28
     changed = []
     for cfg in configs:
-        out = tmp_path / f"{cfg.stem}.csv"
-        assert main(["run", str(cfg), "--out", str(out)]) == 0, cfg.name
-        if out.read_bytes() != cfg.with_suffix(".csv").read_bytes():
+        expected = cfg.with_suffix(".json")
+        if expected.exists():
+            assert main(["run", str(cfg)]) == 0, cfg.name
+            got = capsys.readouterr().out.encode()
+        else:
+            expected = cfg.with_suffix(".csv")
+            out = tmp_path / f"{cfg.stem}.csv"
+            assert main(["run", str(cfg), "--out", str(out)]) == 0, cfg.name
+            got = out.read_bytes()
+        if got != expected.read_bytes():
             changed.append(cfg.name)
     capsys.readouterr()
     assert changed == []

@@ -15,7 +15,6 @@ from fsgentropy import binary
 from fsgentropy.binary import ExactCylinderMeasure
 from fsgentropy.estimators import (
     EmpiricalMeasure,
-    ball_measure,
     corr_integral,
     correlation_sum,
     doubling_ratio,
@@ -124,8 +123,8 @@ def check_word_prefix_invariance():
         if a.per_upsilon != b.per_upsilon:
             bad.append(seed)
         em = EmpiricalMeasure.draw(sys_, 16, seed)
-        ma = ball_measure(em, sys_, omega, k, em.points[0], eps)
-        mb = ball_measure(em, sys_, other, k, em.points[0], eps)
+        ma = em.ball_measure(sys_, omega, k, em.points[0], eps)
+        mb = em.ball_measure(sys_, other, k, em.points[0], eps)
         if ma != mb:
             bad.append(seed)
         if doubling_ratio(em, sys_, omega, k, eps) != doubling_ratio(

@@ -1,4 +1,4 @@
-"""Word-indexed orbits, the Bowen metric, skew product and power systems."""
+"""Word-indexed orbits, the Bowen metric and power systems."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from fsgentropy import binary
 from fsgentropy.errors import (
     AlphabetOverflow,
-    EmptyWord,
     KZero,
     SystemUnknown,
     WordTooShort,
@@ -19,10 +18,7 @@ from fsgentropy.systems import (
     bowen_within,
     build_power_system,
     circle_double_rotate,
-    ergodic_average,
     make_system,
-    orbit_table,
-    skew_step,
     torus_affine,
 )
 from fsgentropy.words import (
@@ -61,34 +57,6 @@ def test_apply_word_circle_doubling_twice():
 def test_apply_word_too_short():
     with pytest.raises(WordTooShort):
         apply_word(BIN, word((1,), 2), 2, bp((1, 0, 1)))
-
-
-def test_orbit_table_single_point():
-    x = bp((0, 1))
-    t = orbit_table(BIN, word((), 2), 1, x)
-    assert t.points == (x,)
-
-
-def test_orbit_table_matches_apply_word():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        n = int(rng.integers(1, 8))
-        w = sample_word(uniform_spec(2), n, substream(int(rng.integers(2**31))))
-        x = binary.random_point(24, rng)
-        table = orbit_table(BIN, w, n, x)
-        for i, p in enumerate(table.points):
-            assert p == apply_word(BIN, w, i, x)
-        assert table.points[0] == x
-
-
-def test_orbit_table_shift_word():
-    x = bp((0, 1, 1, 0, 1, 0))
-    t = orbit_table(BIN, word((1, 1), 2), 3, x)
-    assert [p.bits for p in t.points] == [
-        (0, 1, 1, 0, 1, 0),
-        (1, 1, 0, 1, 0),
-        (1, 0, 1, 0),
-    ]
 
 
 def test_bowen_distance_k1_is_metric():
@@ -148,63 +116,6 @@ def test_apply_word_composition_identity():
         lhs = apply_word(BIN, w, a + b, x)
         rhs = apply_word(BIN, shift(w, a), b, apply_word(BIN, w, a, x))
         assert lhs == rhs
-
-
-def test_skew_step_example():
-    omega = word((2, 1), 2)
-    x = bp((1, 0, 1, 1))
-    rest, y = skew_step(BIN, omega, x)
-    assert rest.symbols == (1,)
-    assert y.bits == (0, 1, 1, 1)
-    with pytest.raises(EmptyWord):
-        skew_step(BIN, word((), 2), x)
-
-
-def test_skew_step_iterates_to_apply_word():
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        n = int(rng.integers(1, 6))
-        omega = sample_word(uniform_spec(2), n + 2, substream(int(rng.integers(2**31))))
-        x = binary.random_point(24, rng)
-        w, y = omega, x
-        for _ in range(n):
-            w, y = skew_step(BIN, w, y)
-        assert w == shift(omega, n)
-        assert y == apply_word(BIN, omega, n, x)
-
-
-def test_skew_step_degenerate_alphabet():
-    sys1 = circle_double_rotate()
-    one_map = sys1.maps[0]
-    from fsgentropy.systems import GeneratorSystem
-
-    degenerate = GeneratorSystem(
-        "one", (one_map,), sys1.metric, sys1.diameter, sys1.mu_sampler
-    )
-    omega = word((1,) * 5, 1)
-    x = 0.3
-    w, y = skew_step(degenerate, omega, x)
-    assert y == pytest.approx(one_map(x))
-
-
-def test_ergodic_average_constant_and_single_step():
-    omega = word((1, 2, 1), 2)
-    x = bp((1, 0, 1, 1, 0))
-    assert ergodic_average(BIN, lambda _: 2.5, omega, x, 3) == pytest.approx(2.5)
-    assert ergodic_average(BIN, lambda p: float(p.bits[0]), omega, x, 1) == 1.0
-
-
-def test_ergodic_average_first_coordinate_frequency():
-    # phi = indicator of the first-coordinate-1 cylinder has mean 1/2
-    # under the fair measure; a length-5000 orbit average lands within
-    # 0.03 (3-sigma i.i.d. band would be ~0.021)
-    n = 5000
-    sys_ = binary_shift_odometer(depth=n + 40)
-    rng = substream(21)
-    omega = sample_word(uniform_spec(2), n - 1, substream(22))
-    x = sys_.mu_sampler(rng)
-    avg = ergodic_average(sys_, lambda p: float(p.value & 1), omega, x, n)
-    assert abs(avg - 0.5) <= 0.03
 
 
 def test_build_power_system_t1_is_same_system():

@@ -1,6 +1,4 @@
-"""Symbol words, Bernoulli sampling and the power-alphabet re-encoding."""
-
-import itertools
+"""Symbol words, Bernoulli sampling and the power-alphabet digit expansion."""
 
 import numpy as np
 import pytest
@@ -10,13 +8,10 @@ from fsgentropy.seeding import substream
 from fsgentropy.words import (
     BernoulliSpec,
     SymbolWord,
-    from_text,
     power_weights,
     power_word_map,
-    power_word_unmap,
     sample_word,
     shift,
-    to_text,
     uniform_spec,
     word,
 )
@@ -105,26 +100,6 @@ def test_power_word_map_examples():
 def test_power_word_map_alphabet_mismatch():
     with pytest.raises(AlphabetMismatch):
         power_word_map(word((1, 2), 3), 2, 2)
-    with pytest.raises(AlphabetMismatch):
-        power_word_unmap(word((1, 2, 1), 2), 2)
-
-
-def test_power_word_round_trip_all_two_symbol_words():
-    # all 16 two-symbol words over the 4-letter power alphabet
-    for a, b in itertools.product(range(1, 5), repeat=2):
-        w = word((a, b), 4)
-        assert power_word_unmap(power_word_map(w, 2, 2), 2) == w
-
-
-def test_power_word_round_trip_random():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        m = int(rng.integers(2, 4))
-        t = int(rng.integers(1, 4))
-        length = int(rng.integers(0, 6))
-        syms = tuple(int(s) for s in rng.integers(1, m**t + 1, size=length))
-        w = SymbolWord(syms, m**t)
-        assert power_word_unmap(power_word_map(w, m, t), t) == w
 
 
 def test_power_weights_identity_and_uniform():
@@ -156,10 +131,3 @@ def test_power_weights_sum_to_one():
                 continue
             total = sum(power_weights(spec, t).weights)
             assert abs(total - 1.0) <= 1e-12
-
-
-def test_text_round_trip():
-    w = word((1, 2, 1), 2)
-    assert to_text(w) == "1,2,1"
-    assert from_text("1,2,1", 2) == w
-    assert from_text("", 3).symbols == ()
