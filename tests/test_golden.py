@@ -12,7 +12,10 @@ the binary CSVs before the Bowen-label counting moved onto uint64
 windows, the circle corr-sum, doubling and power-test and the torus
 local-corr-entropy CSVs before the circle family counted Bowen pairs
 from sparse pair lists, and the exact-mode configs and the JSON twins
-before the command line built every result through one series path.
+before the command line built every result through one series path,
+and the Monte Carlo circle corr-entropy and local-corr-entropy, the
+three-constant torus top-entropy and the Monte Carlo binary top-entropy
+CSVs before the word-averaged series counted over a prefix trie.
 A change that means to alter output regenerates them and says which
 rows changed and why.
 """
@@ -26,7 +29,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def test_golden_csvs_byte_identical(tmp_path, capsys):
     configs = sorted(GOLDEN.glob("*.cfg"))
-    assert len(configs) >= 28
+    assert len(configs) >= 32
     changed = []
     for cfg in configs:
         expected = cfg.with_suffix(".json")
