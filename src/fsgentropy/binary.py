@@ -37,12 +37,13 @@ upward.  Orbit windows are built straight from the starting point:
 after a shifts and carry c the orbit point is (x >> a) + c, so every
 orbit window holds 64 true bits however deep the orbit runs.
 Window functions return None, and the caller takes the exact
-BinaryPoint path, whenever a window cannot decide a point the way the
-exact path would: the key needs more than the bits left in the window
-(L + s > 64), a depth is too short for the shifts and the key, or a
-carry could reach the depth or the top of the window.  That path raises
-DepthExhausted and CarryOverflow exactly as before, and it gives the
-same keys in the rare cases where a deep point only looked risky.
+BinaryPoint path from that stage on, whenever a window cannot decide a
+point the way the exact path would: the key needs more than the bits
+left in the window (L + s > 64), a depth is too short for the shifts
+and the key, or a carry could reach the depth or the top of the window.
+That path raises DepthExhausted and CarryOverflow exactly as before,
+and it gives the same keys in the rare cases where a deep point only
+looked risky.
 """
 
 from __future__ import annotations
@@ -114,11 +115,19 @@ class BinaryPoint:
         return f"BinaryPoint(({','.join(map(str, shown))}{tail}), depth={self.depth})"
 
 
+# drop_head and add_one build their result without BinaryPoint.__init__:
+# their own checks already give depth >= 1 and 0 <= value < 2**depth.
+_new_point = object.__new__
+
+
 def drop_head(x: BinaryPoint) -> BinaryPoint:
     """Shift: forget the first coordinate.  Depth decreases by one."""
     if x.depth < 2:
         raise DepthExhausted("cannot shift a depth-1 point")
-    return BinaryPoint(x.value >> 1, x.depth - 1)
+    p = _new_point(BinaryPoint)
+    p.value = x.value >> 1
+    p.depth = x.depth - 1
+    return p
 
 
 def add_one(x: BinaryPoint) -> BinaryPoint:
@@ -131,7 +140,10 @@ def add_one(x: BinaryPoint) -> BinaryPoint:
     w = x.value + 1
     if w.bit_length() > x.depth:
         raise CarryOverflow(f"all-ones prefix of depth {x.depth}")
-    return BinaryPoint(w, x.depth)
+    p = _new_point(BinaryPoint)
+    p.value = w
+    p.depth = x.depth
+    return p
 
 
 def distance(x: BinaryPoint, y: BinaryPoint) -> float:
@@ -147,7 +159,7 @@ def distance(x: BinaryPoint, y: BinaryPoint) -> float:
             raise DepthExhausted("points agree on the shorter prefix")
         return 0.0
     common = (w & -w).bit_length() - 1
-    if common >= min(x.depth, y.depth):
+    if common >= x.depth or common >= y.depth:
         raise DepthExhausted("first difference lies beyond the shorter prefix")
     return 2.0 ** (-common)
 
@@ -279,42 +291,31 @@ def orbit_windows(x: BinaryPoint, words, n: int):
     return out
 
 
-def window_keys(wins, symbols, eps: float):
-    """Bowen key rows of every window along the symbols (1 shift, 2
-    odometer): two points have equal columns exactly when their ball
-    keys agree at every stage.  Stage keys are packed side by side, as
-    many to a uint64 row as fit.  Returns None when a window cannot
-    decide (see the module docstring)."""
+def window_stage(wins, eps: float, state=None, sym: int = 1):
+    """One Bowen stage of a window form at a time: the stage-0 state and
+    ball keys (uint64, one per window) when state is None, else those of
+    the stage after state along sym (1 shift, 2 odometer).  Two points are
+    within eps at a stage exactly when their keys agree.  Returns None
+    when some window cannot decide this stage (see the module
+    docstring); a stage after one that returned None is never asked for.
+    """
     win, depth = wins
-    level = prefix_length_for(eps)
-    shifts = tuple(symbols).count(1)
-    if level + shifts > WINDOW_BITS:
-        return None
-    if len(depth) and int(depth.min()) < max(level + shifts, shifts + 1):
-        return None
-    key_mask = _low_masks()[level]
-    width = np.minimum(depth, WINDOW_BITS)  # bits a carry may run through
-    per_row = WINDOW_BITS // level if level else len(symbols) + 1
-    rows = []
-    row = win & key_mask
-    used = 1
-    for sym in symbols:
+    if state is None:
+        state = (win, 0, int(depth.min()) if len(depth) else WINDOW_BITS + 1)
+    else:
+        win, shifts, lowest = state
         if sym == 1:
-            win = win >> _ONE
-            width = width - 1
+            state = (win >> _ONE, shifts + 1, lowest)
+        # the bits a carry may run through: the window, less the shifted-in top
+        elif _carry_may_leave(win, np.minimum(depth, WINDOW_BITS) - shifts):
+            return None
         else:
-            if _carry_may_leave(win, width):
-                return None
-            win = win + _ONE
-        key = win & key_mask
-        if used == per_row:
-            rows.append(row)
-            row, used = key, 0
-        else:
-            row = row | (key << np.uint64(used * level))
-        used += 1
-    rows.append(row)
-    return rows
+            state = (win + _ONE, shifts, lowest)
+    level = prefix_length_for(eps)
+    _, shifts, lowest = state
+    if level + shifts > WINDOW_BITS or lowest < max(level + shifts, shifts + 1):
+        return None
+    return state, state[0] & _low_masks()[level]
 
 
 @dataclass(frozen=True)

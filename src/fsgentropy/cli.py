@@ -33,7 +33,7 @@ import argparse
 import json
 import math
 import sys as _sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import binary, estimators, limits, systems
 from .errors import (
@@ -208,10 +208,15 @@ def _build_system(cfg: ExperimentConfig) -> systems.GeneratorSystem:
     return systems.make_system(cfg.system, **params)
 
 
+def _check_closed_form(cfg: ExperimentConfig) -> None:
+    """exact = true and exact-series read the binary backend's closed forms."""
+    if cfg.system != "binary-shift-odometer":
+        raise ConfigInvalid("system", "closed forms exist only for binary-shift-odometer")
+
+
 def _measure(cfg: ExperimentConfig, sys_: systems.GeneratorSystem):
     if cfg.exact:
-        if cfg.system != "binary-shift-odometer":
-            raise ConfigInvalid("exact", "closed-form measures exist only for binary-shift-odometer")
+        _check_closed_form(cfg)
         depth = cfg.depth or (_resolution(cfg.epsilons) + max(cfg.ks) + DEPTH_HEADROOM)
         return binary.ExactCylinderMeasure.draw(
             depth, min(cfg.n_points, 64), substream(cfg.seed, 0)
@@ -305,6 +310,7 @@ def _closed_form_series(cfg, flavour: str) -> list[EntropySeries]:
 
 def _run_top_entropy(cfg, sys_):
     if cfg.exact:
+        _check_closed_form(cfg)
         return _closed_form_series(cfg, "top")
     return estimators.top_entropy_series(
         sys_, cfg.epsilons, cfg.ks, cfg.m_omega, cfg.n_points, cfg.seed,
@@ -334,8 +340,7 @@ def _run_doubling(cfg, sys_):
 
 
 def _run_exact_series(cfg, sys_):
-    if cfg.system != "binary-shift-odometer":
-        raise ConfigInvalid("estimator", "exact-series needs the binary backend")
+    _check_closed_form(cfg)
     return _closed_form_series(cfg, cfg.series)
 
 
@@ -345,8 +350,11 @@ def _run_power_test(cfg, sys_):
     exactly the power."""
     eps = cfg.epsilons[0]
     if cfg.exact:
+        _check_closed_form(cfg)
         t = _dyadic_exponent(eps)
-        kmax = max(cfg.ks)
+        # horizons run to at least 5, so the default window (the upper
+        # half) holds the 3 rows a slope fit needs, as in the branch below
+        kmax = max(5, max(cfg.ks))
         base = limits.k_limit(binary.exact_corr_integral_series(t, kmax, cfg.q))
         powr = limits.k_limit(
             binary.exact_corr_integral_series(t, kmax, cfg.q, power=cfg.power)
@@ -364,25 +372,18 @@ def _run_power_test(cfg, sys_):
         ks_power = list(range(2, kp_max + 1))
         ks_base = list(range(2, cfg.power * (kp_max - 1) + 2))
         base_weights = _weights(cfg, sys_)
-        base_series = estimators.corr_entropy_series(
-            measure, sys_, [eps], ks_base, cfg.q, cfg.m_omega, cfg.seed,
-            weights=base_weights,
-        )[0]
-        power_series = estimators.corr_entropy_series(
-            measure,
-            power_sys,
-            [eps],
-            ks_power,
-            cfg.q,
-            cfg.m_omega,
-            cfg.seed,
-            weights=power_weights(base_weights, cfg.power),
-        )[0]
-        base = limits.k_limit(
-            base_series, window=(ks_base[0], ks_base[-1]), method="slope-fit"
-        )
-        powr = limits.k_limit(
-            power_series, window=(ks_power[0], ks_power[-1]), method="slope-fit"
+        base, powr = (
+            limits.k_limit(
+                estimators.corr_entropy_series(
+                    measure, s, [eps], ks, cfg.q, cfg.m_omega, cfg.seed, weights=w
+                )[0],
+                window=(ks[0], ks[-1]),
+                method="slope-fit",
+            )
+            for s, ks, w in (
+                (sys_, ks_base, base_weights),
+                (power_sys, ks_power, power_weights(base_weights, cfg.power)),
+            )
         )
     ratio = powr.value / base.value
     if not math.isfinite(ratio):
@@ -482,38 +483,11 @@ def parse_rows(text: str) -> list[ResultRow]:
 
 
 def _result_json(result: ExperimentResult) -> str:
-    cfg = result.config
     payload = {
-        "config": {f.name: getattr(cfg, f.name) for f in fields(cfg)},
-        "rows": [
-            {
-                "estimator": r.estimator,
-                "epsilon": r.epsilon,
-                "k": r.k,
-                "q": r.q,
-                "value": r.value,
-                "stderr": r.stderr,
-                "seed": r.seed,
-                "flags": r.flags,
-            }
-            for r in result.rows
-        ],
-        "summary": [
-            {
-                "epsilon": eps,
-                "value": est.value,
-                "window": list(est.window),
-                "method": est.method,
-            }
-            for eps, est in result.summary
-        ],
-        "trend": None
-        if result.trend is None
-        else {
-            "per_epsilon": [list(p) for p in result.trend.per_epsilon],
-            "headline": result.trend.headline,
-            "flag": result.trend.flag,
-        },
+        "config": asdict(result.config),
+        "rows": [asdict(r) for r in result.rows],
+        "summary": [{"epsilon": eps, **asdict(est)} for eps, est in result.summary],
+        "trend": None if result.trend is None else asdict(result.trend),
     }
     return json.dumps(payload, indent=2) + "\n"
 

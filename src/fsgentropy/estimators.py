@@ -14,21 +14,22 @@ Conventions shared by everything here:
 * Every stochastic choice draws from a substream derived from
   (seed, stream kind, task index); results are bit-reproducible and
   independent of evaluation order.
-* Bowen-ball counting goes through one label call wherever the system
-  has ball keys: every point gets an integer label, equal for two
-  points exactly when they are Bowen-within eps along the word.  Pair
-  counts, ball counts, single ball measures and the greedy net are all
-  read off the labels.  On the binary backend the labels come from
-  uint64 windows, made once per point set and estimator call (the
-  sample, or each driving word's orbit); where a window cannot decide,
+* Bowen-ball counting takes all the (k, word) cells of a series at one
+  point set and radius and walks the prefix trie of their words' first
+  k-1 symbols, so each distinct prefix is paid for once; ball counts,
+  pair counts and greedy nets are read off where cells end.  A single
+  ball count, correlation sum or separated set is the one-cell case.
+* With ball keys, a trie node folds its stage keys into its parent's
+  integer labels, equal for two points exactly when they are
+  Bowen-within eps along the prefix.  On the binary backend the keys
+  come from uint64 windows, made once per point set (the sample, or
+  each driving word's orbit); below a node whose windows cannot decide,
   the exact stage keys of the points take over.
-* On the circle family (systems with pair_ops) Bowen-ball counting
-  goes through one sparse pair kernel instead: the pairs within eps at
-  stage 0 are found once per point set and eps by a sort-sweep, and
-  each word filters them stage by stage with the metric's own float
-  expression, in chunks of systems.PAIR_CHUNK pairs.  Pair counts, ball
-  counts and the greedy net are read off the surviving pairs; no N x N
-  matrix is built.
+* On the circle family (pair_ops) a sort-sweep finds the pairs within
+  eps at stage 0 once per point set and eps, and every node filters its
+  parent's surviving pairs through its own stage with the metric's own
+  float expression, systems.PAIR_CHUNK stage-0 pairs at a time; no
+  N x N matrix is built.
 * Both orbit estimators count Bowen-close pairs through one counter,
   which tallies ordered off-diagonal pairs outside a lag window by
   pairs of orbit-time blocks.  correlation_sum leaves out lags up to
@@ -57,7 +58,7 @@ from .errors import (
 )
 from .seeding import MU, OMEGA, UPSILON, substream
 from .series import EntropySeries
-from .systems import GeneratorSystem, bowen_within
+from .systems import GeneratorSystem
 from .words import BernoulliSpec, SymbolWord, sample_word, uniform_spec
 
 # Above this many word prefixes the outer symbol average switches from
@@ -112,13 +113,10 @@ def omega_words(
     if m_omega < 1:
         raise ValueError("m_omega must be >= 1")
     if exhaustive_omega(m, k, m_omega):
-        out = []
-        for syms in itertools.product(range(1, m + 1), repeat=k - 1):
-            wt = 1.0
-            for s in syms:
-                wt *= weights.weights[s - 1]
-            out.append((SymbolWord(syms, m), wt))
-        return out
+        return [
+            (SymbolWord(syms, m), math.prod((weights.weights[s - 1] for s in syms), start=1.0))
+            for syms in itertools.product(range(1, m + 1), repeat=k - 1)
+        ]
     return [
         (sample_word(weights, k - 1, substream(seed, OMEGA, k, j)), 1.0 / m_omega)
         for j in range(m_omega)
@@ -133,19 +131,19 @@ def _weighted_mean(values, weights) -> float:
 # Pairwise Bowen-proximity counting
 #
 # Three paths, chosen by the system's capabilities and agreeing exactly:
-# integer Bowen labels on ultrametric systems (from uint64 windows where
-# the system has window_ops, else from ball_key stage keys), sparse pair
-# lists on systems with pair_ops and array_ops, and the generic pairwise
-# loop, which the tests keep as the oracle for the other two.
+# a trie walk over integer Bowen labels (ball keys, from uint64 windows
+# where the system has window_ops), a trie walk over sparse pair lists
+# (pair_ops and array_ops), and the generic pairwise loop, one cell at a
+# time, which the tests keep as the oracle for the other two.
 
 
 class _PointSet:
     """The points of one estimator call, plus their window form on
     systems with window_ops: converted once and reused for every word.
     `make` builds the points on first use, so orbits whose windows
-    decide every label call never exist as points.  On systems with
-    pair_ops the point set also keeps its array form and the stage-0
-    pairs of its two latest radii."""
+    decide every stage never exist as points.  On systems with pair_ops
+    the point set also keeps its array form and the stage-0 pairs of its
+    two latest radii."""
 
     def __init__(self, wins, points=None, make=None):
         self.wins = wins
@@ -195,87 +193,244 @@ def _as_point_set(sys: GeneratorSystem, points) -> _PointSet:
     return _PointSet(None if ops is None else ops.to_windows(points), points)
 
 
-def _bowen_keys(sys: GeneratorSystem, omega, k, eps, points) -> list:
-    """Per-point tuple of stage ball keys; two points are within Bowen
-    distance eps exactly when their tuples agree."""
-    keyf = sys.ball_key
-    maps = sys.maps
-    syms = omega.symbols
-    out = []
-    for p in points:
-        cur = p
-        kk = [keyf(cur, eps)]
-        for i in range(k - 1):
-            cur = maps[syms[i] - 1](cur)
-            kk.append(keyf(cur, eps))
-        out.append(tuple(kk))
-    return out
-
-
-def _bowen_labels(sys: GeneratorSystem, omega, k, eps, pset: _PointSet):
-    """Integer label per point, equal for two points exactly when they
-    are Bowen-within eps along omega; None on systems without ball keys.
-
-    Window key rows are folded with np.unique; when the windows cannot
-    decide, the ball_key stage keys of the points are used instead."""
-    if sys.ball_key is None:
-        return None
-    rows = None
-    if pset.wins is not None:
-        rows = sys.window_ops.keys(pset.wins, omega.symbols[: k - 1], eps)
-    if rows is None:
-        index: dict = {}
-        return np.array(
-            [index.setdefault(key, len(index))
-             for key in _bowen_keys(sys, omega, k, eps, pset.points)],
-            dtype=np.intp,
-        )
-    _, labels = np.unique(rows[0], return_inverse=True)
-    for row in rows[1:]:
-        _, part = np.unique(row, return_inverse=True)
-        _, labels = np.unique(labels * (part.max() + 1) + part, return_inverse=True)
-    return labels
-
-
-def _stage_arrays(sys: GeneratorSystem, omega, k, arr):
-    ops = sys.array_ops
-    stages = [arr]
-    for i in range(k - 1):
-        arr = ops.apply(omega.symbols[i], arr)
-        stages.append(arr)
-    return stages
-
-
 def _has_pairs(sys: GeneratorSystem) -> bool:
     return sys.pair_ops is not None and sys.array_ops is not None
 
 
-def _close_pairs(sys: GeneratorSystem, omega, k, eps, pset: _PointSet):
-    """Chunks (i, j) of the pairs i < j of pset that are Bowen-within
-    eps along omega, on systems with pair_ops: the stage-0 pairs are
-    filtered through stages 1..k-1 with pair_ops.close, PAIR_CHUNK
-    pairs at a time."""
-    close = sys.pair_ops.close
-    stages = _stage_arrays(sys, omega, k, pset.array(sys))[1:]
+def _trie(cells):
+    """Prefix trie of cells (k, word): a node is [symbol, children by
+    symbol, indices of the cells ending there], and a cell ends at the
+    node of its word's first k-1 symbols.  Also returns, per cell, the
+    first cell ending at its node, which names the node's result."""
+    root = [None, {}, []]
+    first = []
+    for c, (k, omega) in enumerate(cells):
+        node = root
+        for s in omega.symbols[: k - 1]:
+            kid = node[1].get(s)
+            if kid is None:
+                kid = node[1][s] = [s, {}, []]
+            node = kid
+        node[2].append(c)
+        first.append(node[2][0])
+    return root, first
+
+
+def _bowen_keys(sys: GeneratorSystem, points, syms, eps):
+    """The points moved along syms, and their ball keys there; raises
+    where the maps or ball_key raise."""
+    maps = sys.maps
+    for s in syms:
+        f = maps[s - 1]
+        points = [f(p) for p in points]
+    keyf = sys.ball_key
+    return points, [keyf(p, eps) for p in points]
+
+
+def _fold(labels, row, bits: int) -> np.ndarray:
+    """labels (None: one class) refined by row, uint64 values that use
+    their low `bits` bits."""
+    top = 0 if labels is None else int(labels.max(initial=0)).bit_length()
+    if top and top + bits <= 64:
+        row = (labels.astype(np.uint64) << np.uint64(bits)) | row
+    elif top:
+        _, part = np.unique(row, return_inverse=True)
+        row = labels * (int(part.max()) + 1) + part
+    _, labels = np.unique(row, return_inverse=True)
+    return labels
+
+
+def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, read) -> dict:
+    """read(labels) at every trie node where cells end, keyed by its
+    first cell; labels are equal for two points exactly when their ball
+    keys agree at every stage of the node's prefix.  A node moves its
+    parent's windows one stage on and packs its keys into a pending
+    uint64 row, folded into the labels only where cells end or the row
+    is full; below a node whose windows cannot decide, exact stage keys
+    take over.  A node whose stage raises, and its subtree, get the
+    exception instead, for the caller to raise at the first cell."""
+    out = {}
+    stack = [(root, (), (None, None, None, 0, 0), None)]
+    while stack:
+        node, path, carried, failed = stack.pop()
+        if failed is None:
+            try:
+                carried = _label_stage(sys, pset, eps, node, path, *carried)
+            except Exception as exc:
+                failed = exc
+        if node[2]:
+            out[node[2][0]] = read(carried[2]) if failed is None else failed
+        stack.extend((kid, path + (kid[0],), carried, failed) for kid in node[1].values())
+    return out
+
+
+def _label_stage(sys, pset, eps, node, path, state, points, labels, row, bits):
+    """One node of the label walk: its window state (or exact points),
+    labels and pending row, from its parent's."""
+    got = None
+    if points is None and pset.wins is not None:
+        got = sys.window_ops.stage(pset.wins, eps, state, node[0])
+    if got is None:  # exact stage keys from here on, numbered first-come
+        start, syms = (pset.points, path) if points is None else (points, path[-1:])
+        points, keys = _bowen_keys(sys, start, syms, eps)
+        index: dict = {}
+        key = np.array([index.setdefault(v, len(index)) for v in keys], dtype=np.uint64)
+    else:
+        state, key = got
+    width = int(key.max(initial=0)).bit_length()
+    if bits + width > 64:
+        labels, row, bits = _fold(labels, row, bits), 0, 0
+    row, bits = row | (key << np.uint64(bits)), bits + width
+    if node[2]:
+        labels, row, bits = _fold(labels, row, bits), 0, 0
+    return state, points, labels, row, bits
+
+
+def _pair_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, positions=False):
+    """Yield (first cell, cols) at every trie node where cells end, for
+    every PAIR_CHUNK chunk of the stage-0 pairs: cols = (i, j) of the
+    chunk's pairs that are Bowen-within eps along the node's prefix,
+    plus their positions in the stage-0 list if `positions` is set.
+    Each node makes its stage array once and, per chunk, keeps those of
+    its parent's surviving pairs that pair_ops.close keeps there."""
+    apply, close = sys.array_ops.apply, sys.pair_ops.close
+    arrays = {}  # stage array per node, freed with the walk
+    todo = [(root, pset.array(sys))]
+    while todo:
+        node, arr = todo.pop()
+        arrays[id(node)] = arr
+        todo.extend((kid, apply(kid[0], arr)) for kid in node[1].values())
     i0, j0 = pset.stage0_pairs(sys, eps)
     chunk = systems.PAIR_CHUNK
     for lo in range(0, len(i0), chunk):
-        # int32 in the cache, intp here: every gather below takes it as is
-        i, j = i0[lo:lo + chunk].astype(np.intp), j0[lo:lo + chunk].astype(np.intp)
-        for a in stages:
-            keep = np.flatnonzero(close(a.take(i), a.take(j), eps))
-            i, j = i.take(keep), j.take(keep)
-        yield i, j
+        cols = (i0[lo:lo + chunk], j0[lo:lo + chunk])
+        if positions:
+            cols += (np.arange(lo, lo + len(cols[0])),)
+        stack = [(root, cols)]
+        while stack:
+            node, cols = stack.pop()
+            sym, kids, ends = node
+            if sym is not None:  # the root is stage 0, which every pair passes
+                arr = arrays[id(node)]
+                keep = close(arr.take(cols[0]), arr.take(cols[1]), eps)
+                if not keep.all():  # an isometry keeps them all
+                    cols = tuple(c[keep] for c in cols)
+            if ends:
+                yield ends[0], cols
+            if len(cols[0]):  # no survivors: skip the subtree
+                stack.extend((kid, cols) for kid in kids.values())
 
 
-def _stage_lists(sys: GeneratorSystem, omega, k, points):
+def _tally(acc, kind, i, j, block, n_blocks, w) -> None:
+    """Add close pairs i < j to acc: neighbour counts per point for
+    "balls", pairs with j - i > w per (block[i], block[j]) for "pairs"."""
+    if kind == "balls":
+        acc += np.bincount(i, minlength=len(acc))
+        acc += np.bincount(j, minlength=len(acc))
+    else:
+        far = j - i > w
+        acc += np.bincount(block[i[far]] * n_blocks + block[j[far]], minlength=len(acc))
+
+
+def _tallied(kind, acc, n_blocks):
+    if kind == "balls":
+        return (acc + 1).astype(float)  # the center itself
+    counts = acc.reshape(n_blocks, n_blocks)
+    return counts + counts.T
+
+
+def _net_from_pairs(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """First-come greedy net of n points given their close pairs i < j:
+    a point is kept unless a lower-index neighbour was kept."""
+    lower = i[np.argsort(j)]  # each point's lower-index neighbours, in point order
+    kept = np.zeros(n, dtype=bool)
+    start = 0
+    for p, end in enumerate(np.cumsum(np.bincount(j, minlength=n)).tolist()):
+        kept[p] = not kept[lower[start:end]].any()
+        start = end
+    return np.flatnonzero(kept)
+
+
+def _pair_results(sys, pset, eps, root, nodes, kind, reduce, block, n_blocks, w) -> dict:
+    """The reduced result of the kind at every trie node where cells
+    end, keyed by its first cell (listed in nodes), from one pair walk;
+    results are made and reduced one node at a time."""
+    n = len(pset)
+    i0, j0 = pset.stage0_pairs(sys, eps)  # before the walk's own arrays
+    if kind != "net":
+        size, dtype = (n, np.int32) if kind == "balls" else (n_blocks * n_blocks, np.int64)
+        acc = {c: np.zeros(size, dtype=dtype) for c in nodes}
+        for c, (i, j) in _pair_walk(sys, pset, eps, root):
+            _tally(acc[c], kind, i, j, block, n_blocks, w)
+        return {c: reduce(_tallied(kind, acc.pop(c), n_blocks)) for c in nodes}
+    # a net needs all of a node's pairs at once: one bit per stage-0 pair
+    # and node during the walk, then one node's pairs at a time
+    acc = {c: np.zeros((len(i0) + 7) // 8, dtype=np.uint8) for c in nodes}
+    for c, (_, _, pos) in _pair_walk(sys, pset, eps, root, positions=True):
+        if len(pos):
+            byte = pos >> 3
+            starts = np.flatnonzero(np.diff(byte, prepend=-1))
+            acc[c][byte[starts]] |= np.add.reduceat(1 << (pos & 7), starts).astype(np.uint8)
+    out = {}
+    for c in nodes:
+        hit = np.unpackbits(acc.pop(c), count=len(i0), bitorder="little").view(bool)
+        out[c] = reduce(_net_from_pairs(n, i0[hit], j0[hit]))
+    return out
+
+
+def _generic_result(sys, points, eps, k, omega, kind, block, n_blocks, w):
+    """The kind's result of one cell by the generic pairwise loop."""
     maps = sys.maps
-    syms = omega.symbols
     stages = [list(points)]
-    for i in range(k - 1):
-        f = maps[syms[i] - 1]
-        stages.append([f(p) for p in stages[-1]])
-    return stages
+    for s in omega.symbols[: k - 1]:
+        stages.append([maps[s - 1](p) for p in stages[-1]])
+    metric = sys.metric
+    n = len(points)
+    gap = w if kind == "pairs" else 0
+    close = [
+        (i, j) for i in range(n) for j in range(i + gap + 1, n)
+        if not any(metric(st[i], st[j]) > eps for st in stages)
+    ]
+    i, j = np.array(close, dtype=np.intp).reshape(len(close), 2).T
+    if kind == "net":
+        return _net_from_pairs(n, i, j)
+    acc = np.zeros(n if kind == "balls" else n_blocks * n_blocks, dtype=np.int64)
+    _tally(acc, kind, i, j, block, n_blocks, w)
+    return _tallied(kind, acc, n_blocks)
+
+
+def _count_cells(
+    sys: GeneratorSystem, pset: _PointSet, eps, cells, kind, reduce=None,
+    block=None, n_blocks=1, w=0,
+) -> list:
+    """One result per cell (k, word) of one point set and radius,
+    passed through reduce if given.  kind "balls": per point, the points
+    in its Bowen eps-ball, itself included, as floats; "pairs": ordered
+    pairs (i, j) with |i - j| > w that are Bowen-within eps, tallied by
+    (block[i], block[j]) for a non-decreasing block index; "net": the
+    indices of the first-come greedy net.  Where a stage raises, the
+    first cell that needs it raises, as cell by cell."""
+    reduce = reduce or (lambda v: v)
+    if sys.ball_key is None and not _has_pairs(sys):
+        return [
+            reduce(_generic_result(sys, pset.points, eps, k, omega, kind, block, n_blocks, w))
+            for k, omega in cells
+        ]
+    root, first = _trie(cells)
+    if sys.ball_key is not None:
+        read = {
+            "balls": lambda labels: np.bincount(labels)[labels].astype(float),
+            "pairs": lambda labels: _label_pair_counts(labels, block, n_blocks, w),
+            "net": lambda labels: np.sort(np.unique(labels, return_index=True)[1]),
+        }[kind]
+        got = _label_walk(sys, pset, eps, root, lambda labels: reduce(read(labels)))
+    else:
+        got = _pair_results(sys, pset, eps, root, set(first), kind, reduce, block, n_blocks, w)
+    out = [got[c] for c in first]
+    for v in out:
+        if isinstance(v, Exception):
+            raise v
+    return out
 
 
 def _label_pair_counts(labels, block, n_blocks, w) -> np.ndarray:
@@ -302,75 +457,10 @@ def _label_pair_counts(labels, block, n_blocks, w) -> np.ndarray:
     return counts
 
 
-def _close_pair_counts(
-    sys: GeneratorSystem, omega, k, eps, pset, block, n_blocks, w
-) -> np.ndarray:
-    """Ordered pairs (i, j) of points with |i - j| > w whose Bowen
-    distance along omega is <= eps, tallied by (block[i], block[j]);
-    block[i] is the non-decreasing block index of point i."""
-    labels = _bowen_labels(sys, omega, k, eps, pset)
-    if labels is not None:
-        return _label_pair_counts(labels, block, n_blocks, w)
-    if _has_pairs(sys):
-        counts = np.zeros(n_blocks * n_blocks, dtype=np.int64)
-        for i, j in _close_pairs(sys, omega, k, eps, pset):
-            far = j - i > w
-            counts += np.bincount(
-                block[i[far]] * n_blocks + block[j[far]], minlength=n_blocks * n_blocks
-            )
-        counts = counts.reshape(n_blocks, n_blocks)
-        return counts + counts.T
-    points = pset.points
-    n = len(points)
-    stages = _stage_lists(sys, omega, k, points)
-    metric = sys.metric
-    bl = block.tolist()
-    counts = np.zeros((n_blocks, n_blocks), dtype=np.int64)
-    for i in range(n):
-        for j in range(i + w + 1, n):
-            for s in range(k):
-                if metric(stages[s][i], stages[s][j]) > eps:
-                    break
-            else:
-                counts[bl[i], bl[j]] += 1
-                counts[bl[j], bl[i]] += 1
-    return counts
-
-
-def _pair_fraction(sys: GeneratorSystem, omega, k, eps, pset) -> float:
-    """Fraction of ordered pairs (diagonal included) whose Bowen
-    distance along omega is <= eps."""
-    n = len(pset)
-    one_block = np.zeros(n, dtype=np.intp)
-    close = _close_pair_counts(sys, omega, k, eps, pset, one_block, 1, 0)
-    return (n + int(close[0, 0])) / (n * n)
-
-
 def _ball_counts(sys: GeneratorSystem, omega, k, eps, pset) -> np.ndarray:
     """For each point, how many sample points (itself included) lie in
     its Bowen eps-ball."""
-    labels = _bowen_labels(sys, omega, k, eps, pset)
-    if labels is not None:
-        return np.bincount(labels)[labels].astype(float)
-    n = len(pset)
-    if _has_pairs(sys):
-        out = np.ones(n, dtype=np.int64)
-        for i, j in _close_pairs(sys, omega, k, eps, pset):
-            out += np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
-        return out.astype(float)
-    points = pset.points
-    stages = _stage_lists(sys, omega, k, points)
-    metric = sys.metric
-    out = np.ones(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for s in range(k):
-                if metric(stages[s][i], stages[s][j]) > eps:
-                    break
-            else:
-                out[i] += 1.0
-                out[j] += 1.0
-    return out
+    return _count_cells(sys, pset, eps, [(k, omega)], "balls")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -425,21 +515,7 @@ class EmpiricalMeasure:
         at = next((i for i, p in enumerate(self.points) if p == center), None)
         if at is None:
             raise CenterNotInSample("center must be one of the sample points")
-        labels = _bowen_labels(sys, omega, k, eps, self._point_set(sys))
-        if labels is not None:
-            return int(np.count_nonzero(labels == labels[at])) / self.n
-        if sys.array_ops is not None:
-            ops = sys.array_ops
-            stages_all = _stage_arrays(sys, omega, k, ops.to_array(self.points))
-            stages_c = _stage_arrays(sys, omega, k, ops.to_array([center]))
-            row = ops.within(stages_c[0], stages_all[0], eps)
-            for sc, sa in zip(stages_c[1:], stages_all[1:]):
-                row &= ops.within(sc, sa, eps)
-            return float(row.sum()) / self.n
-        cnt = sum(
-            1 for p in self.points if bowen_within(sys, omega, k, center, p, eps)
-        )
-        return cnt / self.n
+        return float(self.ball_measures(sys, omega, k, eps)[at])
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +545,7 @@ def _upsilon_orbits(sys, x, n, m_upsilon, seed, weights) -> list[_PointSet]:
     """Orbits of x along m_upsilon independently sampled driving words.
 
     On systems with window_ops the orbits are windows, built as points
-    only if a label call needs them; when the windows cannot be built
+    only if a stage needs exact keys; when the windows cannot be built
     the points are built at once, raising where the maps raise."""
     if weights is None:
         weights = uniform_spec(sys.m)
@@ -480,15 +556,10 @@ def _upsilon_orbits(sys, x, n, m_upsilon, seed, weights) -> list[_PointSet]:
     maps = sys.maps
 
     def orbit_points():
-        orbits = []
-        for syms in words:
-            pts = [x]
-            cur = x
-            for s in syms:
-                cur = maps[s - 1](cur)
-                pts.append(cur)
-            orbits.append(pts)
-        return orbits
+        return [
+            list(itertools.accumulate(syms, lambda p, s: maps[s - 1](p), initial=x))
+            for syms in words
+        ]
 
     ops = sys.window_ops
     wins = None if ops is None else ops.orbit_windows(x, words, n)
@@ -535,13 +606,12 @@ def correlation_sum(
         raise ValueError("m_upsilon must be >= 1")
     n_blocks = min(JACKKNIFE_BLOCKS, n)
     block = np.arange(n) * n_blocks // n
-    pairs = _label_pair_counts(
-        np.zeros(n, dtype=np.intp), block, n_blocks, THEILER_WINDOW
-    )
+    pairs = _label_pair_counts(np.zeros(n, dtype=np.intp), block, n_blocks, THEILER_WINDOW)
     close = []
     for orbit in _upsilon_orbits(sys, x, n, m_upsilon, seed, weights):
-        close.append(
-            _close_pair_counts(sys, omega, k, eps, orbit, block, n_blocks, THEILER_WINDOW)
+        close += _count_cells(
+            sys, orbit, eps, [(k, omega)], "pairs",
+            block=block, n_blocks=n_blocks, w=THEILER_WINDOW,
         )
         orbit.release()
     close = np.array(close)
@@ -598,20 +668,59 @@ def _q_log_mean(logs: np.ndarray, q: float) -> float:
     return ext + math.log(math.fsum(np.exp(a)) / len(a)) / (q - 1.0)
 
 
-def _corr_integral_detail(measure, sys, eps, k, q, m_omega, seed, weights):
-    _check_eps(eps)
-    pairs = omega_words(sys.m, k, weights, m_omega, seed)
-    inners = []
-    for w, _ in pairs:
-        ms = np.asarray(measure.ball_measures(sys, w, k, eps), dtype=float)
-        inners.append(_q_log_mean(np.log(ms), q))
-    wts = [wt for _, wt in pairs]
-    c = _weighted_mean(inners, wts)
-    if exhaustive_omega(sys.m, k, m_omega) or len(inners) < 2:
-        se = 0.0
-    else:
-        se = float(np.std(inners, ddof=1)) / math.sqrt(len(inners))
-    return c, se
+def _series_cells(m, k_list, weights, m_omega, seed):
+    """The weighted words of every horizon of k_list, one omega_words
+    call each, and the flat list of their (k, word) cells."""
+    word_sets = [omega_words(m, k, weights, m_omega, seed) for k in k_list]
+    return word_sets, [(k, w) for k, words in zip(k_list, word_sets) for w, _ in words]
+
+
+def _by_horizon(values, word_sets) -> list:
+    """Values of the flat cell list, split back into one list per horizon."""
+    it = iter(values)
+    return [[next(it) for _ in words] for words in word_sets]
+
+
+def _word_mean(values, words, exhaustive) -> tuple[float, float]:
+    """Weighted word average of one horizon's values, and its standard
+    error: 0.0 for an exhaustive average, else the spread of the draws."""
+    mean = _weighted_mean(values, [wt for _, wt in words])
+    if exhaustive or len(values) < 2:
+        return mean, 0.0
+    return mean, float(np.std(values, ddof=1)) / math.sqrt(len(values))
+
+
+def _word_averaged(sys, eps_list, k_list, m_omega, seed, weights, values, **series):
+    """One series per radius with rows (k, a / k): a is the word average
+    of values(eps, cells) over the horizon's (k, word) cells, and its
+    standard error over k is the row's."""
+    out = []
+    for eps in eps_list:
+        word_sets, cells = _series_cells(sys.m, k_list, weights, m_omega, seed)
+        per_k = _by_horizon(values(eps, cells), word_sets)
+        found = [
+            _word_mean(vals, words, exhaustive_omega(sys.m, k, m_omega))
+            for k, words, vals in zip(k_list, word_sets, per_k)
+        ]
+        rows = [(k, a / k) for k, (a, _) in zip(k_list, found)]
+        ses = [se / k for k, (_, se) in zip(k_list, found)]
+        out.append(EntropySeries(eps, rows, stderrs=ses, **series))
+    return out
+
+
+def _log_q_means(measure, sys, eps, cells, q) -> list:
+    """Log q-mean of the Bowen-ball measures of every (k, word) cell; an
+    empirical measure counts all the cells in one walk."""
+    if not isinstance(measure, EmpiricalMeasure):
+        return [
+            _q_log_mean(np.log(np.asarray(measure.ball_measures(sys, w, k, eps), float)), q)
+            for k, w in cells
+        ]
+    n = measure.n
+    return _count_cells(
+        sys, measure._point_set(sys), eps, cells, "balls",
+        lambda counts: _q_log_mean(np.log(counts / n), q),
+    )
 
 
 def corr_integral(
@@ -634,8 +743,9 @@ def corr_integral(
     """
     if not math.isfinite(q):
         raise ValueError("q must be finite")
-    c, _ = _corr_integral_detail(measure, sys, eps, k, q, m_omega, seed, weights)
-    return c
+    _check_eps(eps)
+    (words,), cells = _series_cells(sys.m, [k], weights, m_omega, seed)
+    return _weighted_mean(_log_q_means(measure, sys, eps, cells, q), [wt for _, wt in words])
 
 
 def corr_entropy_series(
@@ -648,29 +758,16 @@ def corr_entropy_series(
     seed: int,
     weights: BernoulliSpec | None = None,
 ) -> list[EntropySeries]:
-    """One series per epsilon with rows (k, -c/k); the limit extraction
-    over k and the epsilon trend are left to the limits module."""
+    """One series per epsilon with rows (k, -c/k), c the correlation
+    integral; the limit extraction over k and the epsilon trend are left
+    to the limits module."""
     _check_grids(eps_list, k_list)
-    out = []
-    for eps in eps_list:
-        rows = []
-        ses = []
-        for k in k_list:
-            c, se = _corr_integral_detail(measure, sys, eps, k, q, m_omega, seed, weights)
-            rows.append((k, -c / k))
-            ses.append(se / k)
-        out.append(
-            EntropySeries(
-                epsilon=eps,
-                rows=rows,
-                kind="corr-entropy",
-                q=q,
-                stderrs=ses,
-                meta={"m_omega": m_omega, "seed": seed,
-                      "n_points": len(measure.points)},
-            )
-        )
-    return out
+    return _word_averaged(
+        sys, eps_list, k_list, m_omega, seed, weights,
+        lambda eps, cells: [-c for c in _log_q_means(measure, sys, eps, cells, q)],
+        kind="corr-entropy", q=q,
+        meta={"m_omega": m_omega, "seed": seed, "n_points": len(measure.points)},
+    )
 
 
 def _check_grids(eps_list, k_list):
@@ -689,18 +786,33 @@ def _check_grids(eps_list, k_list):
         raise ConfigInvalid("ks", "must be strictly increasing")
 
 
-def _orbit_fractions(sys, eps, k_list, word_sets, orbits) -> list:
-    """_pair_fraction of every orbit for every horizon k_list[s] and
-    word of word_sets[s], as out[s][t] = [one value per orbit].  The
-    orbits are walked one at a time, so only one orbit's stage-0 pairs
-    are ever alive."""
-    out = [[[] for _ in words] for words in word_sets]
+def _orbit_fractions(sys, eps, cells, orbits) -> list:
+    """Fraction of ordered pairs (diagonal included) that are
+    Bowen-within eps, of every orbit for every (k, word) cell, as
+    out[cell] = [one value per orbit].  The orbits are walked one at a
+    time, so only one orbit's stage-0 pairs are ever alive."""
+    per_orbit = []
     for orbit in orbits:
-        for k, words, cells in zip(k_list, word_sets, out):
-            for (w, _), cell in zip(words, cells):
-                cell.append(_pair_fraction(sys, w, k, eps, orbit))
+        n = len(orbit)
+        per_orbit.append(_count_cells(
+            sys, orbit, eps, cells, "pairs", lambda close: (n + int(close[0, 0])) / (n * n),
+            block=np.zeros(n, dtype=np.intp),
+        ))
         orbit.release()
-    return out
+    return [list(values) for values in zip(*per_orbit)]
+
+
+def _log_word_mean(fractions, words) -> tuple[float, float]:
+    """Weighted word mean of the log orbit-averaged pair fraction, and
+    its variance from the spread of each word's fractions over orbits."""
+    wts = [wt for _, wt in words]
+    logs, rel = [], []
+    for vals in fractions:
+        c = math.fsum(vals) / len(vals)
+        s = np.std(vals, ddof=1) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
+        logs.append(math.log(c))
+        rel.append(float(s) / c)
+    return _weighted_mean(logs, wts), math.fsum((w * s) ** 2 for w, s in zip(wts, rel))
 
 
 def local_corr_entropy_series(
@@ -730,47 +842,22 @@ def local_corr_entropy_series(
     half_orbits = [orbit.head(n_half) for orbit in orbits]
     out = []
     for eps in eps_list:
-        rows = []
-        ses = []
-        flags = []
-        word_sets = [omega_words(sys.m, k, weights, m_omega, seed) for k in k_list]
-        full = _orbit_fractions(sys, eps, k_list, word_sets, orbits)
-        half = _orbit_fractions(sys, eps, k_list, word_sets, half_orbits)
-        for k, pairs, full_k, half_k in zip(k_list, word_sets, full, half):
-            logs_full = []
-            logs_half = []
-            se_full = []
-            se_half = []
-            for vals, hvals in zip(full_k, half_k):
-                cf = math.fsum(vals) / len(vals)
-                ch = math.fsum(hvals) / len(hvals)
-                logs_full.append(math.log(cf))
-                logs_half.append(math.log(ch))
-                sf = np.std(vals, ddof=1) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
-                sh = np.std(hvals, ddof=1) / math.sqrt(len(hvals)) if len(hvals) > 1 else 0.0
-                se_full.append(float(sf) / cf)
-                se_half.append(float(sh) / ch)
-            wts = [wt for _, wt in pairs]
-            mean_full = _weighted_mean(logs_full, wts)
-            mean_half = _weighted_mean(logs_half, wts)
-            var_full = math.fsum((w * s) ** 2 for w, s in zip(wts, se_full))
-            var_half = math.fsum((w * s) ** 2 for w, s in zip(wts, se_half))
-            gap = abs(mean_full - mean_half)
+        word_sets, cells = _series_cells(sys.m, k_list, weights, m_omega, seed)
+        full, half = (
+            _by_horizon(_orbit_fractions(sys, eps, cells, o), word_sets)
+            for o in (orbits, half_orbits)
+        )
+        rows, ses, flags = [], [], []
+        for k, words, full_k, half_k in zip(k_list, word_sets, full, half):
+            mean_full, var_full = _log_word_mean(full_k, words)
+            mean_half, var_half = _log_word_mean(half_k, words)
             tol = 2.0 * math.sqrt(var_full + var_half)
             rows.append((k, -mean_full / k))
             ses.append(math.sqrt(var_full) / k)
-            flags.append("" if gap <= tol or tol == 0.0 else "unstable")
+            flags.append("" if abs(mean_full - mean_half) <= tol or tol == 0.0 else "unstable")
+        meta = {"n": n, "m_upsilon": m_upsilon, "m_omega": m_omega, "seed": seed}
         out.append(
-            EntropySeries(
-                epsilon=eps,
-                rows=rows,
-                kind="local-corr-entropy",
-                q=None,
-                stderrs=ses,
-                flags=flags,
-                meta={"n": n, "m_upsilon": m_upsilon, "m_omega": m_omega,
-                      "seed": seed},
-            )
+            EntropySeries(eps, rows, "local-corr-entropy", stderrs=ses, flags=flags, meta=meta)
         )
     return out
 
@@ -779,43 +866,16 @@ def local_corr_entropy_series(
 # Separated sets and topological entropy
 
 
-def _greedy_net(sample, sys, omega, k, eps):
-    """First-come greedy net: keep a point unless it is Bowen-within
-    eps of an already kept one.  The result is a maximal eps-separated
-    subset, and by maximality every sample point is within eps of a
-    kept one, so the same set is also an eps-cover."""
+def separated_set(sample, sys: GeneratorSystem, omega, k, eps) -> list:
+    """First-come greedy net of the sample: a point is kept unless it is
+    Bowen-within eps of an already kept one.  The kept points are
+    pairwise more than eps apart, a maximal separated subset (a lower
+    bound on the maximum packing); by maximality the set is also a Bowen
+    eps-cover of the sample: every sample point is within eps of one."""
     _check_eps(eps)
     _check_word(omega, k)
-    pset = sample if isinstance(sample, _PointSet) else _as_point_set(sys, sample)
-    sample = pset.points
-    labels = _bowen_labels(sys, omega, k, eps, pset)
-    if labels is not None:
-        _, first = np.unique(labels, return_index=True)
-        return [sample[i] for i in np.sort(first).tolist()]
-    if _has_pairs(sys):
-        pairs = list(_close_pairs(sys, omega, k, eps, pset))
-        i = np.concatenate([np.empty(0, np.intp)] + [c[0] for c in pairs])
-        j = np.concatenate([np.empty(0, np.intp)] + [c[1] for c in pairs])
-        lower = i[np.argsort(j)]  # each point's lower-index neighbours, in point order
-        kept_mask = np.zeros(len(sample), dtype=bool)
-        start = 0
-        for p, end in enumerate(np.cumsum(np.bincount(j, minlength=len(sample))).tolist()):
-            kept_mask[p] = not kept_mask[lower[start:end]].any()
-            start = end
-        return [sample[p] for p in np.flatnonzero(kept_mask).tolist()]
-    kept = []
-    for p in sample:
-        if all(not bowen_within(sys, omega, k, p, q_, eps) for q_ in kept):
-            kept.append(p)
-    return kept
-
-
-def separated_set(sample, sys: GeneratorSystem, omega, k, eps) -> list:
-    """Greedy maximal Bowen eps-separated subset of the sample (kept
-    points are pairwise more than eps apart; a lower bound on the
-    maximum packing).  By maximality it is also a Bowen eps-cover of
-    the sample: every sample point is within eps of a returned one."""
-    return _greedy_net(sample, sys, omega, k, eps)
+    pset = _as_point_set(sys, sample)
+    return [pset.points[i] for i in _count_cells(sys, pset, eps, [(k, omega)], "net")[0]]
 
 
 def top_entropy_series(
@@ -842,31 +902,14 @@ def top_entropy_series(
         rng = substream(seed, MU)
         sample = [sys.mu_sampler(rng) for _ in range(n_sample)]
     pset = _as_point_set(sys, sample)
-    out = []
-    for eps in eps_list:
-        rows = []
-        ses = []
-        for k in k_list:
-            pairs = omega_words(sys.m, k, weights, m_omega, seed)
-            logs = [
-                math.log(len(_greedy_net(pset, sys, w, k, eps))) for w, _ in pairs
-            ]
-            wts = [wt for _, wt in pairs]
-            rows.append((k, _weighted_mean(logs, wts) / k))
-            if exhaustive_omega(sys.m, k, m_omega) or len(logs) < 2:
-                ses.append(0.0)
-            else:
-                ses.append(float(np.std(logs, ddof=1)) / math.sqrt(len(logs)) / k)
-        out.append(
-            EntropySeries(
-                epsilon=eps,
-                rows=rows,
-                kind="top-entropy",
-                stderrs=ses,
-                meta={"n_sample": len(sample), "m_omega": m_omega, "seed": seed},
-            )
-        )
-    return out
+    return _word_averaged(
+        sys, eps_list, k_list, m_omega, seed, weights,
+        lambda eps, cells: _count_cells(
+            sys, pset, eps, cells, "net", lambda kept: math.log(len(kept))
+        ),
+        kind="top-entropy",
+        meta={"n_sample": len(sample), "m_omega": m_omega, "seed": seed},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -894,18 +937,12 @@ def local_entropy_series(
     _check_grids(eps_list, k_list)
     if not any(p == x for p in measure.points):
         raise CenterNotInSample("x must be one of the sample points")
-    out = []
-    for eps in eps_list:
-        rows = []
-        for k in k_list:
-            mu = measure.ball_measure(sys, omega, k, x, eps)
-            rows.append((k, -math.log(mu) / k))
-        out.append(
-            EntropySeries(
-                epsilon=eps,
-                rows=rows,
-                kind="local-entropy",
-                meta={"n_points": len(measure.points)},
-            )
+    return [
+        EntropySeries(
+            eps,
+            [(k, -math.log(measure.ball_measure(sys, omega, k, x, eps)) / k) for k in k_list],
+            kind="local-entropy",
+            meta={"n_points": len(measure.points)},
         )
-    return out
+        for eps in eps_list
+    ]

@@ -14,9 +14,10 @@ Systems may advertise four optional fast-path capabilities:
   estimators fold the stage keys along a word into one integer Bowen
   label per point, so pair and ball counting run in linear time.
 * window_ops: the same stage keys computed for a whole point set at
-  once on uint64 windows (the binary backend).  A window call returns
-  None when it cannot decide every point, and the estimators then use
-  ball_key, which raises exactly where the point maps raise.
+  once on uint64 windows (the binary backend), one stage at a time.  A
+  stage returns None when it cannot decide every point, and the
+  estimators then use ball_key from that stage on, which raises exactly
+  where the point maps raise.
 * array_ops: vectorised point array conversion, generator application
   and a center-by-sample threshold test, for scalar systems (the circle
   family).
@@ -25,8 +26,9 @@ Systems may advertise four optional fast-path capabilities:
   array within eps by sorting it once and sweeping a band of eps plus a
   small margin, wrap-around band included, and close keeps a pair
   exactly when the metric would; the estimators filter the stage-0
-  pairs stage by stage along a word with close, so no N x N matrix is
-  ever built.  pair_ops needs array_ops for the stage arrays.
+  pairs stage by stage down the prefix trie of a series' words with
+  close, so no N x N matrix is ever built.  pair_ops needs array_ops
+  for the stage arrays.
 
 Estimators fall back to the generic pairwise path when none is present;
 all paths agree exactly and the tests check that.
@@ -35,7 +37,7 @@ all paths agree exactly and the tests check that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Hashable, Optional, Sequence
 
 import numpy as np
@@ -70,8 +72,9 @@ class WindowOps:
     to_windows: Callable[[Sequence[Point]], Any]
     # (x, driving words, n) -> one window form per orbit, or None
     orbit_windows: Callable[[Point, Sequence[Sequence[int]], int], Optional[list]]
-    # (window form, first k-1 symbols, eps) -> uint64 key rows, or None
-    keys: Callable[[Any, Sequence[int], float], Optional[list]]
+    # (window form, eps, state of the previous stage or None, symbol)
+    # -> (state, uint64 ball keys) of the next stage, or None
+    stage: Callable[[Any, float, Any, int], Optional[tuple]]
 
 
 @dataclass(frozen=True)
@@ -116,17 +119,22 @@ def bowen_distance(
     sys: GeneratorSystem, omega: SymbolWord, k: int, x: Point, y: Point
 ) -> float:
     """Max over the first k stages of the distance between the orbits of
-    x and y along omega; k = 1 reduces to the plain metric."""
+    x and y along omega; k = 1 reduces to the plain metric.  The stages
+    stop once the distance reaches the declared diameter, which no later
+    stage can exceed, so maps past that stage are never applied and
+    cannot raise."""
     if k < 1:
         raise KZero(f"k must be >= 1, got {k}")
-    if len(omega) < k - 1:
+    if len(omega.symbols) < k - 1:
         raise WordTooShort(f"need {k - 1} symbols, have {len(omega)}")
     maps = sys.maps
     metric = sys.metric
-    symbols = omega.symbols
+    top = sys.diameter
     best = metric(x, y)
-    for i in range(k - 1):
-        f = maps[symbols[i] - 1]
+    for s in omega.symbols[: k - 1]:
+        if best >= top:
+            break
+        f = maps[s - 1]
         x = f(x)
         y = f(y)
         d = metric(x, y)
@@ -138,24 +146,8 @@ def bowen_distance(
 def bowen_within(
     sys: GeneratorSystem, omega: SymbolWord, k: int, x: Point, y: Point, eps: float
 ) -> bool:
-    """Whether the Bowen distance is <= eps, bailing out at the first
-    stage that exceeds it (the pair-counting workhorse)."""
-    if k < 1:
-        raise KZero(f"k must be >= 1, got {k}")
-    if len(omega) < k - 1:
-        raise WordTooShort(f"need {k - 1} symbols, have {len(omega)}")
-    maps = sys.maps
-    metric = sys.metric
-    symbols = omega.symbols
-    if metric(x, y) > eps:
-        return False
-    for i in range(k - 1):
-        f = maps[symbols[i] - 1]
-        x = f(x)
-        y = f(y)
-        if metric(x, y) > eps:
-            return False
-    return True
+    """Whether the Bowen distance is <= eps."""
+    return bowen_distance(sys, omega, k, x, y) <= eps
 
 
 def build_power_system(sys: GeneratorSystem, t: int) -> GeneratorSystem:
@@ -196,15 +188,8 @@ def build_power_system(sys: GeneratorSystem, t: int) -> GeneratorSystem:
             return arr
 
         array_ops = ArrayOps(base_ops.to_array, apply_arr, base_ops.within)
-    return GeneratorSystem(
-        name=f"{sys.name}-power{t}",
-        maps=power_maps,
-        metric=sys.metric,
-        diameter=sys.diameter,
-        mu_sampler=sys.mu_sampler,
-        ball_key=sys.ball_key,
-        array_ops=array_ops,
-        pair_ops=sys.pair_ops,
+    return replace(
+        sys, name=f"{sys.name}-power{t}", maps=power_maps, array_ops=array_ops, window_ops=None
     )
 
 
@@ -227,7 +212,7 @@ def binary_shift_odometer(depth: int = 64) -> GeneratorSystem:
         diameter=1.0,
         mu_sampler=lambda rng: binary.random_point(depth, rng),
         ball_key=binary.ball_key,
-        window_ops=WindowOps(binary.to_windows, binary.orbit_windows, binary.window_keys),
+        window_ops=WindowOps(binary.to_windows, binary.orbit_windows, binary.window_stage),
     )
 
 
@@ -241,8 +226,9 @@ def _circle_within(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
 
 
 def _circle_close(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
-    d = np.abs(a - b)
-    return np.minimum(d, 1.0 - d) <= eps
+    d = a - b
+    np.abs(d, out=d)
+    return np.minimum(d, 1.0 - d, out=d) <= eps
 
 
 # Pairs of stage0 candidates handled at once, in stage0 and in the

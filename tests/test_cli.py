@@ -130,6 +130,35 @@ def test_power_test_monte_carlo_short_horizons_exit_zero(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("estimator", ["top-entropy", "power-test"])
+def test_exact_on_a_non_binary_system_is_a_config_error(tmp_path, capsys, estimator):
+    """The closed forms belong to the binary backend: reading them for
+    the circle would print the binary entropy as the circle's."""
+    cfg = tmp_path / "exact.cfg"
+    cfg.write_text(
+        "system = circle-double-rotate\n"
+        f"estimator = {estimator}\n"
+        "exact = true\n"
+        "epsilons = 0.25\n"
+        "ks = 1,2,3,4\n"
+    )
+    assert main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "config error" in captured.err
+
+
+def test_power_test_exact_short_horizons_exit_zero(tmp_path, capsys):
+    """ks up to 4 still gives the closed-form fits the three rows they
+    need, as in the Monte Carlo branch."""
+    cfg = tmp_path / "power.cfg"
+    cfg.write_text("estimator = power-test\nexact = true\nepsilons = 0.25\nks = 1,2,3,4\n")
+    out = tmp_path / "rows.csv"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    (row,) = parse_rows(out.read_text())
+    assert row.value == pytest.approx(2.0, abs=1e-9)
+    capsys.readouterr()
+
+
 def test_power_test_non_finite_ratio_exits_3(tmp_path, monkeypatch, capsys):
     from fsgentropy import limits
 

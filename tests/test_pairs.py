@@ -14,11 +14,15 @@ import pytest
 
 from fsgentropy import estimators, systems
 from fsgentropy.estimators import (
+    EmpiricalMeasure,
     _as_point_set,
     _ball_counts,
+    _count_cells,
+    corr_entropy_series,
     correlation_sum,
     local_corr_entropy_series,
     separated_set,
+    top_entropy_series,
 )
 from fsgentropy.seeding import substream
 from fsgentropy.systems import (
@@ -188,3 +192,105 @@ def test_point_set_keeps_two_latest_radii():
     assert len(calls) == 4
     assert estimators._has_pairs(fast)
     assert not estimators._has_pairs(replace(fast, array_ops=None))
+
+
+# ---------------------------------------------------------------------------
+# the prefix-trie walk over all the cells of a series
+
+
+def _cells(sys_):
+    """(k, word) cells with shared prefixes, duplicate words, a node
+    reached by two different words and k = 1 cells, in no trie order."""
+    m = sys_.m
+
+    def w(*syms):
+        return word(syms, m)
+
+    return [
+        (3, w(1, m, 1)), (1, w()), (2, w(m)), (3, w(1, m)), (1, w(1, 1)),
+        (4, w(1, m, 1)), (3, w(1, m, 2)), (2, w(m, 1)), (4, w(m, m, 1)), (3, w(1, m)),
+    ]
+
+
+def _kind_options(kind, n):
+    if kind != "pairs":
+        return {}
+    return {"block": np.arange(n) * 3 // n, "n_blocks": 3, "w": 2}
+
+
+@pytest.mark.parametrize("kind", ["balls", "pairs", "net"])
+@pytest.mark.parametrize("eps", EPS)
+def test_walk_matches_per_cell_oracle(pair_systems, chunk, kind, eps):
+    fast, oracle, calls = pair_systems
+    pts = _points(30, 6)
+    cells = _cells(fast)
+    opts = _kind_options(kind, len(pts))
+    got = _count_cells(fast, _as_point_set(fast, pts), eps, cells, kind, **opts)
+    want = [
+        _count_cells(oracle, _as_point_set(oracle, pts), eps, [cell], kind, **opts)[0]
+        for cell in cells
+    ]
+    assert len(got) == len(cells)
+    for g, v, cell in zip(got, want, cells):
+        assert np.array_equal(g, v), cell
+    assert calls
+
+
+def test_series_over_shared_prefixes_match_oracle(pair_systems, chunk):
+    """Exhaustive horizons and Monte Carlo ones whose draws share trie
+    nodes and repeat, through the three word-averaged series."""
+    fast, oracle, calls = pair_systems
+    pts = _points(30, 8)
+    em = EmpiricalMeasure(tuple(pts))
+    eps_list, ks = [0.25, 0.125], [1, 2, 3, 4, 5]
+
+    def series(s):
+        return [
+            [(r.rows, r.stderrs, r.flags) for r in found]
+            for found in (
+                corr_entropy_series(em, s, eps_list, ks, 2.0, 4, seed=3),
+                top_entropy_series(s, eps_list, [1, 2, 4, 5], 4, 0, seed=3, sample=pts),
+                local_corr_entropy_series(s, 0.3, eps_list, ks, 30, 2, 4, seed=3),
+            )
+        ]
+
+    assert series(fast) == series(oracle)
+    assert calls
+
+
+@pytest.mark.parametrize("chunk_size", [None, 7])
+def test_each_trie_node_filters_once_per_chunk(monkeypatch, chunk_size):
+    """Every trie node but the root makes its stage array once and runs
+    its stage filter once per stage-0 chunk; a walk that re-filtered
+    each cell from stage 0 would run it sum(k - 1) times per chunk."""
+    if chunk_size is not None:
+        monkeypatch.setattr(systems, "PAIR_CHUNK", chunk_size)
+    base = SYSTEMS["circle"]
+    count = {"apply": 0, "close": 0}
+
+    def apply(j, arr):
+        count["apply"] += 1
+        return base.array_ops.apply(j, arr)
+
+    def close(a, b, eps):
+        count["close"] += 1
+        return systems._circle_close(a, b, eps)
+
+    ops = base.array_ops
+    fast = replace(
+        base,
+        array_ops=ArrayOps(ops.to_array, apply, ops.within),
+        pair_ops=PairOps(systems._circle_stage0, close),
+    )
+    pts = _points(20, 9)
+    cells = _cells(fast)
+    nodes = {w.symbols[:d] for k, w in cells for d in range(k)}
+    # at eps = 1/2 every pair is close at every stage, so no subtree is skipped
+    pset = _as_point_set(fast, pts)
+    n_pairs = len(pset.stage0_pairs(fast, 0.5)[0])
+    assert n_pairs == len(pts) * (len(pts) - 1) // 2
+    chunks = -(-n_pairs // systems.PAIR_CHUNK)
+    _count_cells(fast, pset, 0.5, cells, "balls")
+    assert count["apply"] == len(nodes) - 1
+    assert count["close"] == (len(nodes) - 1) * chunks
+    assert sum(k - 1 for k, _ in cells) > len(nodes) - 1

@@ -2,14 +2,23 @@
 BinaryPoint path: equal results, and the same exception wherever the
 exact path raises."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from fsgentropy import binary, estimators
-from fsgentropy.binary import all_points, orbit_windows, to_windows, window_keys
+from fsgentropy.binary import all_points, orbit_windows, to_windows, window_stage
 from fsgentropy.errors import CarryOverflow, DepthExhausted
-from fsgentropy.estimators import EmpiricalMeasure, correlation_sum, separated_set
+from fsgentropy.estimators import (
+    EmpiricalMeasure,
+    _as_point_set,
+    _count_cells,
+    _label_walk,
+    _trie,
+    correlation_sum,
+    separated_set,
+)
 from fsgentropy.seeding import substream
 from fsgentropy.systems import binary_shift_odometer, build_power_system
 from fsgentropy.words import word
@@ -91,10 +100,14 @@ def test_keys_spread_over_several_rows_fold_like_the_exact_path(exact_calls):
 
 
 def test_deep_key_beyond_the_window_falls_back(exact_calls):
-    # L = 60 plus 5 shifts needs 65 bits: the whole call takes the exact path
+    # L = 60 plus 5 shifts needs 65 bits: the windows decide the first
+    # seven stages, and the exact path takes over at the fifth shift
     points = _points(64, 200, 1)
     omega = word((1, 1, 2, 1, 1, 2, 1), 2)
-    assert window_keys(to_windows(points), omega.symbols, 2.0**-60) is None
+    wins, state = to_windows(points), None
+    for sym in (None,) + omega.symbols[:-1]:
+        state, _ = window_stage(wins, 2.0**-60, state, sym)
+    assert window_stage(wins, 2.0**-60, state, omega.symbols[-1]) is None
     _assert_parity(points, omega, 8, 2.0**-60, exact_calls, window_ran=False)
 
 
@@ -215,3 +228,78 @@ def test_local_corr_entropy_window_path_matches_exact_path(exact_calls):
     fast = _outcome(fn, sys_)
     assert not exact_calls
     assert fast == _outcome(fn, replace(sys_, window_ops=None))
+
+
+# ---------------------------------------------------------------------------
+# the prefix-trie walk over all the cells of a series
+
+
+def _generic(sys_):
+    """The generic pairwise oracle: every optional fast path stripped."""
+    return replace(sys_, **{f.name: None for f in fields(sys_) if f.default is None})
+
+
+def _first_come(labels):
+    index = {}
+    return [index.setdefault(v, len(index)) for v in labels.tolist()]
+
+
+def _kind_options(kind, n):
+    if kind != "pairs":
+        return {}
+    return {"block": np.arange(n) * 4 // n, "n_blocks": 4, "w": 3}
+
+
+def test_trie_falls_back_below_a_deciding_parent(exact_calls):
+    # L = 60: the windows decide every node with up to four shifts, and
+    # the exact keys take over at the node of the fifth, a leaf
+    points = _points(64, 200, 12)
+    sys_ = binary_shift_odometer(depth=200)
+    decided = []
+    ops = sys_.window_ops
+
+    def stage(*args):
+        got = ops.stage(*args)
+        decided.append(got is not None)
+        return got
+
+    fast = replace(sys_, window_ops=replace(ops, stage=stage))
+    cells = [
+        (k, word(syms, 2))
+        for k, syms in [
+            (1, ()), (5, (1, 1, 2, 1)), (8, (1, 1, 2, 1, 1, 2, 1)), (7, (1, 1, 2, 1, 1, 2)),
+            (8, (1, 1, 2, 1, 1, 2, 2)), (3, (2, 2)), (8, (1, 1, 2, 1, 1, 2, 1, 2)),
+        ]
+    ]
+    eps = 2.0**-60
+    root, _ = _trie(cells)
+    labels = _label_walk(fast, _as_point_set(fast, points), eps, root, _first_come)
+    assert decided.count(False) == 1 and len(exact_calls) == 1
+    exact = replace(sys_, window_ops=None)
+    assert labels == _label_walk(exact, _as_point_set(exact, points), eps, root, _first_come)
+    oracle = _generic(sys_)
+    for kind in ("balls", "pairs", "net"):
+        opts = _kind_options(kind, len(points))
+        got = _count_cells(fast, _as_point_set(fast, points), eps, cells, kind, **opts)
+        for g, cell in zip(got, cells):
+            want = _count_cells(oracle, _as_point_set(oracle, points), eps, [cell], kind, **opts)
+            assert np.array_equal(g, want[0]), (kind, cell)
+
+
+@pytest.mark.parametrize("kind", ["balls", "pairs", "net"])
+def test_trie_raises_at_the_first_failing_cell_like_the_oracle(kind):
+    # depth-3 points: the odometer overflows on 0b111 at stage 1, and the
+    # third shift finds depth-1 points; duplicates make the generic
+    # greedy net reach both stages too
+    points = [binary.BinaryPoint(v, 3) for v in (5, 2, 7, 0, 3, 5, 7)]
+    sys_ = binary_shift_odometer(depth=3)
+    carry, depth = (2, word((2,), 2)), (4, word((1, 1, 1), 2))
+    opts = _kind_options(kind, len(points))
+    systems_ = (sys_, replace(sys_, window_ops=None), _generic(sys_))
+    # in the trie, the carry node is walked first either way
+    for failing, error in (([carry, depth], CarryOverflow), ([depth, carry], DepthExhausted)):
+        cells = [(1, word((), 2)), (2, word((1,), 2))] + failing
+        for s in systems_:
+            with pytest.raises(error):
+                _count_cells(s, _as_point_set(s, points), 0.5, cells, kind, **opts)
+        assert _count_cells(sys_, _as_point_set(sys_, points), 0.5, cells[:2], kind, **opts)
