@@ -292,12 +292,13 @@ def orbit_windows(x: BinaryPoint, words, n: int):
 
 
 def window_stage(wins, eps: float, state=None, sym: int = 1):
-    """One Bowen stage of a window form at a time: the stage-0 state and
-    ball keys (uint64, one per window) when state is None, else those of
-    the stage after state along sym (1 shift, 2 odometer).  Two points are
-    within eps at a stage exactly when their keys agree.  Returns None
-    when some window cannot decide this stage (see the module
-    docstring); a stage after one that returned None is never asked for.
+    """One Bowen stage of a window form at a time: the stage-0 state,
+    ball keys (uint64, one per window) and their bit width when state is
+    None, else those of the stage after state along sym (1 shift, 2
+    odometer).  Two points are within eps at a stage exactly when their
+    keys agree.  Returns None when some window cannot decide this stage
+    (see the module docstring); a stage after one that returned None is
+    never asked for.
     """
     win, depth = wins
     if state is None:
@@ -315,7 +316,7 @@ def window_stage(wins, eps: float, state=None, sym: int = 1):
     _, shifts, lowest = state
     if level + shifts > WINDOW_BITS or lowest < max(level + shifts, shifts + 1):
         return None
-    return state, state[0] & _low_masks()[level]
+    return state, state[0] & _low_masks()[level], level
 
 
 @dataclass(frozen=True)

@@ -355,9 +355,9 @@ def _run_power_test(cfg, sys_):
         # horizons run to at least 5, so the default window (the upper
         # half) holds the 3 rows a slope fit needs, as in the branch below
         kmax = max(5, max(cfg.ks))
-        base = limits.k_limit(binary.exact_corr_integral_series(t, kmax, cfg.q))
-        powr = limits.k_limit(
-            binary.exact_corr_integral_series(t, kmax, cfg.q, power=cfg.power)
+        base, powr = (
+            limits.k_limit(binary.exact_corr_integral_series(t, kmax, cfg.q, power=p))
+            for p in (1, cfg.power)
         )
     else:
         # Matched base-letter horizons: a power-system horizon kp spans

@@ -52,6 +52,7 @@ from . import systems
 from .errors import (
     CenterNotInSample,
     ConfigInvalid,
+    FsgError,
     InvalidEpsilon,
     KZero,
     WordTooShort,
@@ -207,24 +208,23 @@ def _trie(cells):
     for c, (k, omega) in enumerate(cells):
         node = root
         for s in omega.symbols[: k - 1]:
-            kid = node[1].get(s)
-            if kid is None:
-                kid = node[1][s] = [s, {}, []]
-            node = kid
+            node = node[1].setdefault(s, [s, {}, []])
         node[2].append(c)
         first.append(node[2][0])
     return root, first
 
 
 def _bowen_keys(sys: GeneratorSystem, points, syms, eps):
-    """The points moved along syms, and their ball keys there; raises
-    where the maps or ball_key raise."""
+    """The points moved along syms, their ball keys there numbered in
+    order of first appearance (uint64), and the bit width of those
+    numbers; raises where the maps or ball_key raise."""
     maps = sys.maps
     for s in syms:
         f = maps[s - 1]
         points = [f(p) for p in points]
-    keyf = sys.ball_key
-    return points, [keyf(p, eps) for p in points]
+    keyf, index = sys.ball_key, {}
+    keys = [index.setdefault(keyf(p, eps), len(index)) for p in points]
+    return points, np.array(keys, dtype=np.uint64), (len(index) - 1).bit_length()
 
 
 def _fold(labels, row, bits: int) -> np.ndarray:
@@ -242,13 +242,12 @@ def _fold(labels, row, bits: int) -> np.ndarray:
 
 def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, read) -> dict:
     """read(labels) at every trie node where cells end, keyed by its
-    first cell; labels are equal for two points exactly when their ball
-    keys agree at every stage of the node's prefix.  A node moves its
-    parent's windows one stage on and packs its keys into a pending
-    uint64 row, folded into the labels only where cells end or the row
-    is full; below a node whose windows cannot decide, exact stage keys
-    take over.  A node whose stage raises, and its subtree, get the
-    exception instead, for the caller to raise at the first cell."""
+    first cell; labels agree for two points exactly when their ball keys
+    agree at every stage of the node's prefix.  A node moves its parent's
+    windows one stage on and packs its keys into a pending uint64 row,
+    folded into the labels only where cells end or the row is full; from
+    a node whose windows cannot decide, exact stage keys take over.  A
+    stage that raises leaves its exception at every cell below it."""
     out = {}
     stack = [(root, (), (None, None, None, 0, 0), None)]
     while stack:
@@ -256,7 +255,7 @@ def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, read) -> dict:
         if failed is None:
             try:
                 carried = _label_stage(sys, pset, eps, node, path, *carried)
-            except Exception as exc:
+            except FsgError as exc:  # DepthExhausted, CarryOverflow
                 failed = exc
         if node[2]:
             out[node[2][0]] = read(carried[2]) if failed is None else failed
@@ -267,17 +266,13 @@ def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, read) -> dict:
 def _label_stage(sys, pset, eps, node, path, state, points, labels, row, bits):
     """One node of the label walk: its window state (or exact points),
     labels and pending row, from its parent's."""
-    got = None
-    if points is None and pset.wins is not None:
-        got = sys.window_ops.stage(pset.wins, eps, state, node[0])
-    if got is None:  # exact stage keys from here on, numbered first-come
+    windows = points is None and pset.wins is not None
+    got = sys.window_ops.stage(pset.wins, eps, state, node[0]) if windows else None
+    if got is None:  # exact stage keys from here on
         start, syms = (pset.points, path) if points is None else (points, path[-1:])
-        points, keys = _bowen_keys(sys, start, syms, eps)
-        index: dict = {}
-        key = np.array([index.setdefault(v, len(index)) for v in keys], dtype=np.uint64)
+        points, key, width = _bowen_keys(sys, start, syms, eps)
     else:
-        state, key = got
-    width = int(key.max(initial=0)).bit_length()
+        state, key, width = got
     if bits + width > 64:
         labels, row, bits = _fold(labels, row, bits), 0, 0
     row, bits = row | (key << np.uint64(bits)), bits + width
@@ -287,12 +282,12 @@ def _label_stage(sys, pset, eps, node, path, state, points, labels, row, bits):
 
 
 def _pair_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, positions=False):
-    """Yield (first cell, cols) at every trie node where cells end, for
-    every PAIR_CHUNK chunk of the stage-0 pairs: cols = (i, j) of the
-    chunk's pairs that are Bowen-within eps along the node's prefix,
-    plus their positions in the stage-0 list if `positions` is set.
-    Each node makes its stage array once and, per chunk, keeps those of
-    its parent's surviving pairs that pair_ops.close keeps there."""
+    """Yield (first cell, cols) at every trie node where cells end, per
+    PAIR_CHUNK chunk of the stage-0 pairs: cols = (i, j) of the chunk's
+    pairs Bowen-within eps along the node's prefix (plus their stage-0
+    positions if asked).  Each node makes its stage array once and, per
+    chunk, keeps those of its parent's surviving pairs that
+    pair_ops.close keeps there."""
     apply, close = sys.array_ops.apply, sys.pair_ops.close
     arrays = {}  # stage array per node, freed with the walk
     todo = [(root, pset.array(sys))]
@@ -403,13 +398,12 @@ def _count_cells(
     sys: GeneratorSystem, pset: _PointSet, eps, cells, kind, reduce=None,
     block=None, n_blocks=1, w=0,
 ) -> list:
-    """One result per cell (k, word) of one point set and radius,
-    passed through reduce if given.  kind "balls": per point, the points
-    in its Bowen eps-ball, itself included, as floats; "pairs": ordered
-    pairs (i, j) with |i - j| > w that are Bowen-within eps, tallied by
-    (block[i], block[j]) for a non-decreasing block index; "net": the
-    indices of the first-come greedy net.  Where a stage raises, the
-    first cell that needs it raises, as cell by cell."""
+    """One result per cell (k, word) of one point set and radius, passed
+    through reduce if given.  kind "balls": per point, the points in its
+    Bowen eps-ball, itself included, as floats; "pairs": ordered pairs
+    (i, j), |i - j| > w, Bowen-within eps, tallied by (block[i],
+    block[j]); "net": the first-come greedy net's indices.  Where a stage
+    raises, the first cell that needs it raises, as cell by cell."""
     reduce = reduce or (lambda v: v)
     if sys.ball_key is None and not _has_pairs(sys):
         return [
@@ -515,7 +509,16 @@ class EmpiricalMeasure:
         at = next((i for i, p in enumerate(self.points) if p == center), None)
         if at is None:
             raise CenterNotInSample("center must be one of the sample points")
-        return float(self.ball_measures(sys, omega, k, eps)[at])
+        if sys.array_ops is None or sys.ball_key is not None:
+            return float(self.ball_measures(sys, omega, k, eps)[at])
+        # one center against the sample, stage by stage: no pair lists
+        ops = sys.array_ops
+        arr, c = ops.to_array(self.points), ops.to_array([center])
+        row = ops.within(c, arr, eps)
+        for s in omega.symbols[: k - 1]:
+            arr, c = ops.apply(s, arr), ops.apply(s, c)
+            row &= ops.within(c, arr, eps)
+        return float(row.sum()) / self.n
 
 
 # ---------------------------------------------------------------------------
@@ -838,8 +841,7 @@ def local_corr_entropy_series(
     if n < 1:
         raise ValueError("n must be >= 1")
     orbits = _upsilon_orbits(sys, x, n, m_upsilon, seed, weights)
-    n_half = max(1, n // 2)
-    half_orbits = [orbit.head(n_half) for orbit in orbits]
+    half_orbits = [orbit.head(max(1, n // 2)) for orbit in orbits]
     out = []
     for eps in eps_list:
         word_sets, cells = _series_cells(sys.m, k_list, weights, m_omega, seed)
@@ -899,8 +901,7 @@ def top_entropy_series(
     if sample is None:
         if n_sample < 1:
             raise ValueError("n_sample must be >= 1")
-        rng = substream(seed, MU)
-        sample = [sys.mu_sampler(rng) for _ in range(n_sample)]
+        sample = EmpiricalMeasure.draw(sys, n_sample, seed).points
     pset = _as_point_set(sys, sample)
     return _word_averaged(
         sys, eps_list, k_list, m_omega, seed, weights,

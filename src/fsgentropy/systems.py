@@ -73,7 +73,7 @@ class WindowOps:
     # (x, driving words, n) -> one window form per orbit, or None
     orbit_windows: Callable[[Point, Sequence[Sequence[int]], int], Optional[list]]
     # (window form, eps, state of the previous stage or None, symbol)
-    # -> (state, uint64 ball keys) of the next stage, or None
+    # -> (state, uint64 ball keys, their bit width) of the next stage, or None
     stage: Callable[[Any, float, Any, int], Optional[tuple]]
 
 
