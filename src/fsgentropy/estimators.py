@@ -287,7 +287,8 @@ def _pair_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, positions=False
     pairs Bowen-within eps along the node's prefix (plus their stage-0
     positions if asked).  Each node makes its stage array once and, per
     chunk, keeps those of its parent's surviving pairs that
-    pair_ops.close keeps there."""
+    pair_ops.close keeps there.  Gathers reuse two arrays per walk, as fresh
+    ones get faulted in anew, more often for some words than for others."""
     apply, close = sys.array_ops.apply, sys.pair_ops.close
     arrays = {}  # stage array per node, freed with the walk
     todo = [(root, pset.array(sys))]
@@ -297,6 +298,7 @@ def _pair_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, positions=False
         todo.extend((kid, apply(kid[0], arr)) for kid in node[1].values())
     i0, j0 = pset.stage0_pairs(sys, eps)
     chunk = systems.PAIR_CHUNK
+    ta, tb = np.empty((2, min(chunk, len(i0))), dtype=arrays[id(root)].dtype)
     for lo in range(0, len(i0), chunk):
         cols = (i0[lo:lo + chunk], j0[lo:lo + chunk])
         if positions:
@@ -306,8 +308,9 @@ def _pair_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, positions=False
             node, cols = stack.pop()
             sym, kids, ends = node
             if sym is not None:  # the root is stage 0, which every pair passes
-                arr = arrays[id(node)]
-                keep = close(arr.take(cols[0]), arr.take(cols[1]), eps)
+                arr, n = arrays[id(node)], len(cols[0])
+                a = arr.take(cols[0], out=ta[:n], mode="clip")  # "raise" would buffer out
+                keep = close(a, arr.take(cols[1], out=tb[:n], mode="clip"), eps)
                 if not keep.all():  # an isometry keeps them all
                     cols = tuple(c[keep] for c in cols)
             if ends:
