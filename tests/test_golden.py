@@ -15,7 +15,10 @@ from sparse pair lists, and the exact-mode configs and the JSON twins
 before the command line built every result through one series path,
 and the Monte Carlo circle corr-entropy and local-corr-entropy, the
 three-constant torus top-entropy and the Monte Carlo binary top-entropy
-CSVs before the word-averaged series counted over a prefix trie.
+CSVs before the word-averaged series counted over a prefix trie, and the
+weighted binary corr-sum, the torus corr-sum and the depth-70 binary
+top-entropy CSVs before a corr-sum run built its driving orbits once and
+the reference sample was drawn in one call.
 A change that means to alter output regenerates them and says which
 rows changed and why.
 """
@@ -29,7 +32,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def test_golden_csvs_byte_identical(tmp_path, capsys):
     configs = sorted(GOLDEN.glob("*.cfg"))
-    assert len(configs) >= 32
+    assert len(configs) >= 35
     changed = []
     for cfg in configs:
         expected = cfg.with_suffix(".json")
