@@ -200,11 +200,19 @@ def ball_key(x: BinaryPoint, eps: float):
 
 def random_point(depth: int, rng: np.random.Generator) -> BinaryPoint:
     """Draw a point with i.i.d. fair coordinates (the reference measure)."""
+    return random_points(depth, 1, rng)[0]
+
+
+def random_points(depth: int, n: int, rng: np.random.Generator) -> list[BinaryPoint]:
+    """n random_point draws from one generator call: each point takes the
+    ceil(depth / 32) little-endian uint32 words that rng.bytes would."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    nbytes = (depth + 7) // 8
-    v = int.from_bytes(rng.bytes(nbytes), "little") & ((1 << depth) - 1)
-    return BinaryPoint(v, depth)
+    step = 4 * ((depth + 31) // 32)
+    raw = rng.integers(0, 2**32, size=n * step // 4, dtype=np.uint32).astype("<u4").tobytes()
+    mask = (1 << depth) - 1
+    return [BinaryPoint(int.from_bytes(raw[i:i + step], "little") & mask, depth)
+            for i in range(0, len(raw), step)]
 
 
 def all_points(depth: int, pad: int = 0) -> list[BinaryPoint]:
@@ -481,7 +489,7 @@ class ExactCylinderMeasure:
 
     @classmethod
     def draw(cls, depth: int, n_points: int, rng: np.random.Generator):
-        return cls(tuple(random_point(depth, rng) for _ in range(n_points)))
+        return cls(tuple(random_points(depth, n_points, rng)))
 
     def _measure(self, omega: SymbolWord, k: int, eps: float) -> float:
         level = prefix_length_for(eps)

@@ -251,7 +251,7 @@ def _sample_omega(cfg: ExperimentConfig, sys_, length: int):
 
 
 def _run_corr_sum(cfg, sys_):
-    x = sys_.mu_sampler(substream(cfg.seed, POINT))
+    x = sys_.mu_sampler(substream(cfg.seed, POINT), 1)[0]
     omega = _sample_omega(cfg, sys_, max(cfg.ks) - 1)
     weights = _weights(cfg, sys_)
     series_list = []
@@ -281,7 +281,7 @@ def _run_corr_entropy(cfg, sys_):
 
 
 def _run_local_corr_entropy(cfg, sys_):
-    x = sys_.mu_sampler(substream(cfg.seed, POINT))
+    x = sys_.mu_sampler(substream(cfg.seed, POINT), 1)[0]
     return estimators.local_corr_entropy_series(
         sys_, x, cfg.epsilons, cfg.ks, cfg.n, cfg.m_upsilon, cfg.m_omega, cfg.seed,
         weights=_weights(cfg, sys_),

@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -488,7 +488,7 @@ class EmpiricalMeasure:
         if n_points < 1:
             raise ValueError("n_points must be >= 1")
         rng = substream(seed, MU)
-        return cls(tuple(sys.mu_sampler(rng) for _ in range(n_points)))
+        return cls(tuple(sys.mu_sampler(rng, n_points)))
 
     def _point_set(self, sys) -> _PointSet:
         """The sample as a point set of sys, converted once per measure
@@ -547,12 +547,15 @@ class CorrSumEstimate:
     per_upsilon: tuple[float, ...] = field(repr=False, default=())
 
 
-def _upsilon_orbits(sys, x, n, m_upsilon, seed, weights) -> list[_PointSet]:
+@lru_cache(maxsize=1)
+def _upsilon_orbits(sys, x, n, m_upsilon, seed, weights) -> tuple[_PointSet, ...]:
     """Orbits of x along m_upsilon independently sampled driving words.
 
     On systems with window_ops the orbits are windows, built as points
     only if a stage needs exact keys; when the windows cannot be built
-    the points are built at once, raising where the maps raise."""
+    the points are built at once, raising where the maps raise.  Equal
+    arguments share the orbit set of the latest call, so the (eps, k)
+    calls of one run build it once; a call that raised is not kept."""
     if weights is None:
         weights = uniform_spec(sys.m)
     words = [
@@ -570,9 +573,9 @@ def _upsilon_orbits(sys, x, n, m_upsilon, seed, weights) -> list[_PointSet]:
     ops = sys.window_ops
     wins = None if ops is None else ops.orbit_windows(x, words, n)
     if wins is None:
-        return [_PointSet(None, pts) for pts in orbit_points()]
+        return tuple(_PointSet(None, pts) for pts in orbit_points())
     built = cache(orbit_points)
-    return [_PointSet(w, make=lambda j=j: built()[j]) for j, w in enumerate(wins)]
+    return tuple(_PointSet(w, make=lambda j=j: built()[j]) for j, w in enumerate(wins))
 
 
 def correlation_sum(
@@ -602,7 +605,8 @@ def correlation_sum(
     words start at x, so the spread across them would not measure the
     error in the orbit limit; time blocks do.  With fewer than two
     blocks (n = 1) the standard error is 0.0.  Only the first k-1
-    symbols of omega enter.
+    symbols of omega enter.  Calls with equal (sys, x, n, m_upsilon,
+    seed, weights) share one orbit set, built by the first of them.
     """
     _check_eps(eps)
     _check_word(omega, k)

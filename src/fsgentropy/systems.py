@@ -92,7 +92,7 @@ class GeneratorSystem:
     maps: tuple[Callable[[Point], Point], ...]
     metric: Callable[[Point, Point], float]
     diameter: float
-    mu_sampler: Callable[[np.random.Generator], Point]
+    mu_sampler: Callable[[np.random.Generator, int], list]  # (rng, n) -> n points
     ball_key: Optional[Callable[[Point, float], Hashable]] = None
     array_ops: Optional[ArrayOps] = None
     window_ops: Optional[WindowOps] = None
@@ -210,7 +210,7 @@ def binary_shift_odometer(depth: int = 64) -> GeneratorSystem:
         maps=(binary.drop_head, binary.add_one),
         metric=binary.distance,
         diameter=1.0,
-        mu_sampler=lambda rng: binary.random_point(depth, rng),
+        mu_sampler=lambda rng, n: binary.random_points(depth, n, rng),
         ball_key=binary.ball_key,
         window_ops=WindowOps(binary.to_windows, binary.orbit_windows, binary.window_stage),
     )
@@ -297,7 +297,7 @@ def circle_double_rotate(alpha: float = GOLDEN_ROTATION) -> GeneratorSystem:
         maps=maps,
         metric=_circle_metric,
         diameter=0.5,
-        mu_sampler=lambda rng: float(rng.random()),
+        mu_sampler=lambda rng, n: rng.random(n).tolist(),
         array_ops=ArrayOps(
             to_array=lambda pts: np.asarray(pts, dtype=float),
             apply=apply_arr,
@@ -326,7 +326,7 @@ def torus_affine(constants: tuple[float, ...] = (0.0, GOLDEN_ROTATION)) -> Gener
         maps=maps,
         metric=_circle_metric,
         diameter=0.5,
-        mu_sampler=lambda rng: float(rng.random()),
+        mu_sampler=lambda rng, n: rng.random(n).tolist(),
         array_ops=ArrayOps(
             to_array=lambda pts: np.asarray(pts, dtype=float),
             apply=apply_arr,

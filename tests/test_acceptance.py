@@ -180,7 +180,7 @@ def corr_sum_trials():
     trials = []
     for seed in range(N_TRIALS):
         omega = sample_word(spec, TRIAL_K - 1, substream(seed, OMEGA))
-        x = sys_.mu_sampler(substream(seed, POINT))
+        x = sys_.mu_sampler(substream(seed, POINT), 1)[0]
         target = 2.0 ** -(4 + s_count(omega, TRIAL_K))
         est = correlation_sum(
             sys_, x, TRIAL_EPS, omega, TRIAL_K, TRIAL_N, 64, seed=seed

@@ -24,6 +24,7 @@ from fsgentropy.binary import (
     exact_top_entropy_series,
     prefix_length_for,
     random_point,
+    random_points,
     s_count,
 )
 from fsgentropy.errors import (
@@ -271,3 +272,19 @@ def test_random_point_depth_and_determinism():
     a = random_point(100, substream(3))
     b = random_point(100, substream(3))
     assert a == b and a.depth == 100
+
+
+def _bytes_point(depth, rng):
+    """A point drawn through Generator.bytes, one point at a time."""
+    v = int.from_bytes(rng.bytes((depth + 7) // 8), "little") & ((1 << depth) - 1)
+    return BinaryPoint(v, depth)
+
+
+@pytest.mark.parametrize("depth", [1, 7, 8, 31, 32, 33, 49, 64, 65, 100, 4000, 4019])
+def test_random_points_equal_one_draw_at_a_time(depth):
+    for n in (1, 2, 3, 4096):
+        a, b, c = (substream(50, depth, n) for _ in range(3))
+        batch = random_points(depth, n, a)
+        assert batch == [random_point(depth, b) for _ in range(n)]
+        assert batch == [_bytes_point(depth, c) for _ in range(n)]
+        assert a.bit_generator.state == b.bit_generator.state == c.bit_generator.state

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from fsgentropy import binary, cli, estimators, words
 from fsgentropy.cli import (
     CSV_HEADER,
     ExperimentConfig,
@@ -75,6 +76,29 @@ def test_corr_sum_degenerate_orbit_rows_are_one():
     )
     result = run_experiment(cfg)
     assert all(row.value == 1.0 for row in result.rows)
+
+
+def test_corr_sum_run_builds_its_driving_orbits_once(monkeypatch):
+    # every (eps, k) call of the run drives the same orbits: one window
+    # build, and one sampled word per driving word plus omega's
+    calls = {"orbit_windows": 0, "sample_word": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(binary, "orbit_windows", counted("orbit_windows", binary.orbit_windows))
+    sample = counted("sample_word", words.sample_word)
+    monkeypatch.setattr(cli, "sample_word", sample)
+    monkeypatch.setattr(estimators, "sample_word", sample)
+    cfg = ExperimentConfig(
+        estimator="corr-sum", epsilons=[0.25, 0.125], ks=[1, 3, 6], n=200, m_upsilon=5
+    )
+    assert len(run_experiment(cfg).rows) == 6
+    assert calls == {"orbit_windows": 1, "sample_word": 5 + 1}
 
 
 def test_exact_series_summary_hits_half_log2():

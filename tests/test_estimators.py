@@ -34,7 +34,7 @@ from fsgentropy.systems import (
     binary_shift_odometer,
     circle_double_rotate,
 )
-from fsgentropy.words import word
+from fsgentropy.words import BernoulliSpec, word
 
 LOG2 = math.log(2.0)
 BIN = binary_shift_odometer(depth=60)
@@ -122,13 +122,47 @@ def test_correlation_sum_array_path_equals_generic():
         assert fast.stderr == slow.stderr
 
 
+@pytest.mark.parametrize("path", ["binary", "circle"])
+def test_correlation_sum_orbit_memo_keys_on_every_argument(path):
+    # a call that differs from the memo's in one argument gives what a
+    # cold call gives, and that differs from the memo's own estimate
+    if path == "binary":
+        sys_ = binary_shift_odometer(depth=200)
+        base = {"sys": sys_, "x": binary.random_point(200, substream(40))}
+        other = {
+            "sys": replace(sys_, maps=sys_.maps[::-1], window_ops=None),
+            "x": binary.random_point(200, substream(41)),
+        }
+    else:
+        base = {"sys": CIRCLE, "x": 0.3}
+        other = {"sys": circle_double_rotate(alpha=0.3), "x": 0.7}
+    base.update(n=60, m_upsilon=4, seed=42, weights=None)
+    other.update(n=61, m_upsilon=5, seed=43, weights=BernoulliSpec((0.3, 0.7)))
+    omega = word((1, 2, 1), 2)
+
+    def est(a):
+        return correlation_sum(
+            a["sys"], a["x"], 0.125, omega, 3, a["n"], a["m_upsilon"], a["seed"], a["weights"]
+        )
+
+    reference = est(base)
+    for name, value in other.items():
+        varied = {**base, name: value}
+        assert est(base) == reference
+        warm = est(varied)
+        estimators._upsilon_orbits.cache_clear()
+        cold = est(varied)
+        assert warm == cold, name
+        assert cold != reference, name
+
+
 def test_correlation_sum_converges_to_exact_ball_measure():
     # single-seed spot check of the orbit-limit identity; the 100-seed
     # envelope version lives in the acceptance suite
     sys_ = binary_shift_odometer(depth=2000 + 4 + 40)
     omega = word((1, 2), 2)
     target = 2.0 ** -(4 + s_count(omega, 3))
-    x = sys_.mu_sampler(substream(30))
+    x = sys_.mu_sampler(substream(30), 1)[0]
     est = correlation_sum(sys_, x, 3 * 2.0**-5, omega, 3, 2000, 32, seed=30)
     assert abs(est.value - target) <= 2.0 / 2000 + 3 * est.stderr
 
@@ -295,7 +329,7 @@ def test_local_corr_entropy_matches_exact_series():
     # at most ~2**(t+s)/n, so rows match within 0.01
     n = 2000
     sys_ = binary_shift_odometer(depth=n + 5 + 40)
-    x = sys_.mu_sampler(substream(16))
+    x = sys_.mu_sampler(substream(16), 1)[0]
     series = local_corr_entropy_series(
         sys_, x, [0.25], [1, 2, 3], n, 16, 16, seed=16
     )[0]

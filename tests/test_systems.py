@@ -167,7 +167,7 @@ def test_build_power_system_overflow():
 def test_metric_sanity_builtin_systems():
     rng = np.random.default_rng(10)
     for sys_ in (BIN, CIRCLE, torus_affine()):
-        pts = [sys_.mu_sampler(rng) for _ in range(30)]
+        pts = [sys_.mu_sampler(rng, 1)[0] for _ in range(30)]
         for p in pts:
             assert sys_.metric(p, p) == 0.0
         for a, b in zip(pts, pts[1:]):
@@ -193,11 +193,22 @@ def test_bowen_distance_triangle_on_circle():
         )
 
 
+def test_mu_sampler_draws_n_points_as_n_single_draws():
+    for sys_ in (BIN, CIRCLE, torus_affine()):
+        a, b = np.random.default_rng(12), np.random.default_rng(12)
+        pts = sys_.mu_sampler(a, 5)
+        assert type(pts) is list and len(pts) == 5
+        assert pts == [sys_.mu_sampler(b, 1)[0] for _ in range(5)]
+        assert a.bit_generator.state == b.bit_generator.state
+    c = np.random.default_rng(12)
+    assert CIRCLE.mu_sampler(np.random.default_rng(12), 5) == [float(c.random()) for _ in range(5)]
+
+
 def test_make_system_registry():
     assert make_system("circle-double-rotate").name == "circle-double-rotate"
     assert make_system("binary-shift-odometer", depth=10).mu_sampler(
-        substream(0)
-    ).depth == 10
+        substream(0), 1
+    )[0].depth == 10
     assert make_system("torus-affine", constants=(0.1, 0.2, 0.3)).m == 3
     with pytest.raises(SystemUnknown):
         make_system("no-such-system")

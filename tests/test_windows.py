@@ -173,7 +173,7 @@ def test_orbit_windows_match_exact_orbits():
 def test_deep_orbits_match_exact_path(exact_calls):
     # orbit points deeper than 4000 coordinates
     sys_ = binary_shift_odometer(depth=4300)
-    x = sys_.mu_sampler(substream(7))
+    x = sys_.mu_sampler(substream(7), 1)[0]
     omega = word((1, 2, 2, 1, 2), 2)
     for eps, k in ((0.25, 1), (3 * 2.0**-5, 6)):
         fn = _corr_sum(x, eps, omega, k, 250, 4)
@@ -185,12 +185,36 @@ def test_deep_orbits_match_exact_path(exact_calls):
 
 def test_orbit_key_beyond_the_window_falls_back(exact_calls):
     sys_ = binary_shift_odometer(depth=200)
-    x = sys_.mu_sampler(substream(8))
+    x = sys_.mu_sampler(substream(8), 1)[0]
     omega = word((1, 1, 2, 1, 1, 2, 1), 2)
     fn = _corr_sum(x, 2.0**-60, omega, 8, 60, 3)
     fast = _outcome(fn, sys_)
     assert exact_calls and fast[0] == "ok"
     assert fast == _outcome(fn, replace(sys_, window_ops=None))
+
+
+def test_repeated_calls_share_lazily_built_orbit_points(exact_calls):
+    # the exact keys below the windows build the orbit points on first
+    # use; the second call takes the same orbits, points included
+    sys_ = binary_shift_odometer(depth=200)
+    x = sys_.mu_sampler(substream(8), 1)[0]
+    fn = _corr_sum(x, 2.0**-60, word((1, 1, 2, 1, 1, 2, 1), 2), 8, 60, 3)
+    estimators._upsilon_orbits.cache_clear()
+    first, second = fn(sys_), fn(sys_)
+    assert exact_calls
+    assert estimators._upsilon_orbits.cache_info().hits == 1
+    orbits = estimators._upsilon_orbits(sys_, x, 60, 3, 9, None)
+    assert all(o.wins is not None and o._points is not None for o in orbits)
+    assert first == second == fn(_generic(sys_))
+
+
+def test_orbit_failures_raise_on_every_call():
+    x = binary.BinaryPoint((1 << 70) - 1, 70)
+    sys_ = binary_shift_odometer(depth=70)
+    for s in (sys_, _generic(sys_)):
+        for _ in range(3):
+            with pytest.raises(CarryOverflow):
+                _corr_sum(x, 0.25, word((2, 1), 2), 1, 40, 4)(s)
 
 
 def test_orbit_failures_match_exact_path():
@@ -217,7 +241,7 @@ def test_orbit_failures_match_exact_path():
 
 def test_local_corr_entropy_window_path_matches_exact_path(exact_calls):
     sys_ = binary_shift_odometer(depth=300)
-    x = sys_.mu_sampler(substream(10))
+    x = sys_.mu_sampler(substream(10), 1)[0]
 
     def fn(s):
         series = estimators.local_corr_entropy_series(
