@@ -21,7 +21,10 @@ Conventions shared by everything here:
   ball count, correlation sum or separated set is the one-cell case.
 * With ball keys, a trie node folds its stage keys into its parent's
   integer labels, equal for two points exactly when they are
-  Bowen-within eps along the prefix.  On the binary backend the keys
+  Bowen-within eps along the prefix.  Labels are the dense ranks of the
+  packed stage keys, made with no sort while the key space is small
+  (RANK_TABLE_RATIO), and greedy nets and pair counts read them in
+  linear time.  On the binary backend the keys
   come from uint64 windows, made once per point set (the sample, or
   each driving word's orbit); below a node whose windows cannot decide,
   the exact stage keys of the points take over.
@@ -75,6 +78,12 @@ THEILER_WINDOW = 4
 # standard error.  Blocks must stay longer than the orbit's dependence:
 # 40 blocks of a 4000-point orbit already understate the error.
 JACKKNIFE_BLOCKS = 20
+
+# A label fold ranks its packed keys through a table of 2**width flags,
+# and sorts them instead once the table would hold more than this many
+# flags per point: filling and summing the table then costs more than
+# sorting the keys (about 4 flags per point breaks even for 4000 points).
+RANK_TABLE_RATIO = 4
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +238,34 @@ def _bowen_keys(sys: GeneratorSystem, points, syms, eps):
 
 def _fold(labels, row, bits: int) -> np.ndarray:
     """labels (None: one class) refined by row, uint64 values that use
-    their low `bits` bits."""
+    their low `bits` bits: the dense ranks 0, 1, ... of the packed keys
+    (labels above, row below), as np.unique(..., return_inverse=True)
+    gives them.  While the packed keys fit in a table of at most
+    RANK_TABLE_RATIO flags per point, the ranks are a cumulative count of
+    the keys seen, with no sort; wider keys are sorted."""
     top = 0 if labels is None else int(labels.max(initial=0)).bit_length()
-    if top and top + bits <= 64:
-        row = (labels.astype(np.uint64) << np.uint64(bits)) | row
-    elif top:
+    if top + bits > 64:
         _, part = np.unique(row, return_inverse=True)
         row = labels * (int(part.max()) + 1) + part
+    else:
+        if top:
+            row = (labels.astype(np.uint64) << np.uint64(bits)) | row
+        if 1 << (top + bits) <= RANK_TABLE_RATIO * len(row):
+            seen = np.zeros(1 << (top + bits), dtype=bool)
+            seen[row] = True
+            return np.cumsum(seen)[row] - 1
     _, labels = np.unique(row, return_inverse=True)
     return labels
+
+
+def _first_indices(labels) -> np.ndarray:
+    """The index at which each label of a dense-rank labelling first
+    appears, in increasing order (np.sort(np.unique(labels,
+    return_index=True)[1])), in one pass."""
+    at = np.arange(len(labels))
+    first = np.full(int(labels.max()) + 1, len(labels))
+    np.minimum.at(first, labels, at)
+    return np.flatnonzero(first[labels] == at)
 
 
 def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, read) -> dict:
@@ -418,7 +446,7 @@ def _count_cells(
         read = {
             "balls": lambda labels: np.bincount(labels)[labels].astype(float),
             "pairs": lambda labels: _label_pair_counts(labels, block, n_blocks, w),
-            "net": lambda labels: np.sort(np.unique(labels, return_index=True)[1]),
+            "net": _first_indices,
         }[kind]
         got = _label_walk(sys, pset, eps, root, lambda labels: reduce(read(labels)))
     else:
@@ -436,13 +464,18 @@ def _label_pair_counts(labels, block, n_blocks, w) -> np.ndarray:
 
     Linear in the number of points: per-block label histograms give
     every equal-label pair, and the diagonal and the lags 1..w are
-    subtracted back out.
+    subtracted back out.  The histogram product runs in float64, through
+    BLAS, and is exact: its terms are nonnegative integers and every
+    partial sum is at most n**2, which float64 holds exactly while
+    n**2 < 2**53; longer rows multiply in int64.
     """
     n_labels = int(labels.max()) + 1
     hist = np.bincount(
         block * n_labels + labels, minlength=n_blocks * n_labels
     ).reshape(n_blocks, n_labels)
-    counts = hist @ hist.T
+    if len(labels) ** 2 < 2**53:
+        hist = hist.astype(float)
+    counts = (hist @ hist.T).astype(np.int64)
     counts -= np.diag(np.bincount(block, minlength=n_blocks))
     for d in range(1, w + 1):
         same = labels[d:] == labels[:-d]

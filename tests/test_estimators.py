@@ -57,6 +57,23 @@ def windows_only(monkeypatch):
     monkeypatch.setattr(estimators, "_bowen_keys", exact_path)
 
 
+class _NumpyWithoutUnique:
+    """numpy as estimators sees it, with np.unique failing the test."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def unique(*args, **kwargs):
+        raise AssertionError("estimators sorted with np.unique")
+
+
+@pytest.fixture
+def no_unique(monkeypatch):
+    """Fails the test if estimators calls np.unique (a label sort)."""
+    monkeypatch.setattr(estimators, "np", _NumpyWithoutUnique())
+
+
 def _rand_binary_points(n, depth, seed):
     rng = substream(seed)
     return tuple(binary.random_point(depth, rng) for _ in range(n))
@@ -494,3 +511,130 @@ def test_local_entropy_series_tracks_cylinder_measure():
         sigma_log = math.sqrt((1 - p) / (n_pts * p))
         tol = (3 * sigma_log + 1.0 / (n_pts * p)) / k
         assert abs(v - (t + s_count(omega, k)) * LOG2 / k) <= tol
+
+
+# ---------------------------------------------------------------------------
+# label kernel: folds, first indices and block-pair counts
+
+
+def _dense(values) -> np.ndarray:
+    """values as the dense ranks 0, 1, ... that a fold hands on."""
+    return np.unique(values, return_inverse=True)[1]
+
+
+def _repeating_row(rng, n, bits) -> np.ndarray:
+    """n uint64 values below 2**bits, drawn from about n / 4 distinct
+    ones so that equal keys occur."""
+    pool = rng.integers(0, 1 << bits, size=max(1, n // 4), dtype=np.uint64)
+    return pool[rng.integers(0, len(pool), size=n)]
+
+
+def _fold_reference(labels, row) -> np.ndarray:
+    """Dense ranks of the pairs (label, row value) in lexicographic
+    order, by sorting them."""
+    if labels is None:
+        labels = np.zeros(len(row), dtype=np.uint64)
+    pairs = np.column_stack([labels.astype(np.uint64), row])
+    return np.unique(pairs, axis=0, return_inverse=True)[1].ravel()
+
+
+@pytest.mark.parametrize("bits", [0, 1, 5, 12, 40])
+@pytest.mark.parametrize("classes", [None, 1, 8, 256], ids=["none", "one", "8", "256"])
+@pytest.mark.parametrize("n", [1, 2, 7, 256])
+def test_fold_equals_sorted_ranks(n, classes, bits):
+    rng = substream(40, n, bits)
+    labels = None if classes is None else _dense(rng.integers(0, classes, size=n))
+    row = _repeating_row(rng, n, bits)
+    got = estimators._fold(labels, row, bits)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, _fold_reference(labels, row))
+
+
+@pytest.mark.parametrize("top", [0, 4])
+def test_fold_ranks_without_sort_up_to_the_table_cap(top, no_unique, monkeypatch):
+    n = 256
+    width = (estimators.RANK_TABLE_RATIO * n).bit_length() - 1
+    assert 1 << width == estimators.RANK_TABLE_RATIO * n
+    rng = substream(41, top)
+    labels = rng.permutation(np.arange(n) % (1 << top))  # max label 2**top - 1
+    at_cap, over = (_repeating_row(rng, n, b) for b in (width - top, width - top + 1))
+    got = estimators._fold(labels, at_cap, width - top)
+    assert np.array_equal(got, _fold_reference(labels, at_cap))
+    with pytest.raises(AssertionError, match="np.unique"):
+        estimators._fold(labels, over, width - top + 1)
+    monkeypatch.undo()
+    assert np.array_equal(
+        estimators._fold(labels, over, width - top + 1), _fold_reference(labels, over)
+    )
+
+
+def test_fold_of_keys_wider_than_64_bits_ranks_their_pairs():
+    rng = substream(42)
+    n = 300
+    labels = _dense(rng.integers(0, 256, size=n))
+    assert int(labels.max()).bit_length() + 60 > 64
+    row = _repeating_row(rng, n, 60)
+    assert np.array_equal(estimators._fold(labels, row, 60), _fold_reference(labels, row))
+
+
+@pytest.mark.parametrize("n, classes", [(1, 1), (2, 1), (2, 2), (50, 7), (1000, 1000), (4096, 300)])
+def test_first_indices_equal_sorted_unique_index(n, classes):
+    labels = _dense(substream(43, n).integers(0, classes, size=n))
+    want = np.sort(np.unique(labels, return_index=True)[1])
+    assert np.array_equal(estimators._first_indices(labels), want)
+
+
+@pytest.mark.parametrize("classes", [1, 5, 60])
+@pytest.mark.parametrize("n_blocks", [1, 3, 20])
+@pytest.mark.parametrize("w", range(5))
+def test_label_pair_counts_equal_brute_force(w, n_blocks, classes):
+    n = 60
+    labels = _dense(substream(44, classes).integers(0, classes, size=n))
+    block = np.arange(n) * n_blocks // n
+    want = np.zeros((n_blocks, n_blocks), dtype=np.int64)
+    lab = labels.tolist()
+    for i in range(n):
+        for j in range(n):
+            if abs(i - j) > w and lab[i] == lab[j]:
+                want[block[i], block[j]] += 1
+    got = estimators._label_pair_counts(labels, block, n_blocks, w)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+def test_shallow_binary_runs_label_without_sorting(request):
+    eps_list, ks = [0.25, 0.125], [1, 2, 3, 4, 5]
+    orbit_sys = binary_shift_odometer(depth=600)
+    x = binary.random_point(600, substream(45))
+    omega = word((1, 2, 2, 1), 2)
+
+    def top():
+        return [s.rows for s in top_entropy_series(BIN, eps_list, ks, 16, 256, seed=46)]
+
+    def corr(eps, k):
+        return correlation_sum(orbit_sys, x, eps, omega, k, 256, 4, seed=47)
+
+    cells = [(eps, k) for eps in eps_list for k in ks]
+    want_top, want_corr = top(), [corr(*c) for c in cells]
+    request.getfixturevalue("no_unique")
+    assert top() == want_top
+    # one cell's orbit keys pack 3 bits per stage at eps = 1/8: 12 and 15
+    # bits at k = 4 and 5 exceed the table cap of 256 points (10 bits),
+    # so those two folds sort
+    wide = [(0.125, 4), (0.125, 5)]
+    for c, want in zip(cells, want_corr):
+        if c in wide:
+            with pytest.raises(AssertionError, match="np.unique"):
+                corr(*c)
+        else:
+            assert corr(*c) == want
+
+
+def test_label_pair_counts_stay_exact_past_float32():
+    # two blocks of 4097 equal labels: 4097**2 pairs across them, an odd
+    # count above 2**24 that float32 cannot hold but float64 does
+    n = 2 * 4097
+    counts = estimators._label_pair_counts(
+        np.zeros(n, dtype=np.intp), np.arange(n) * 2 // n, 2, 0
+    )
+    assert counts.tolist() == [[4097 * 4096, 4097**2], [4097**2, 4097 * 4096]]
