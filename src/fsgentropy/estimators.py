@@ -27,7 +27,12 @@ Conventions shared by everything here:
   linear time.  On the binary backend the keys
   come from uint64 windows, made once per point set (the sample, or
   each driving word's orbit); below a node whose windows cannot decide,
-  the exact stage keys of the points take over.
+  the exact stage keys of the points take over.  A point set keeps the
+  window state and labels where its latest walk ended, for its two
+  latest radii, and a walk down a longer prefix of the same word
+  resumes there: the nested horizons of a corr-sum run or a doubling
+  series label one more stage each, not all of them again.  Labels from
+  exact keys, or from a walk that raised, are never kept.
 * On the circle family (pair_ops) a sort-sweep finds the pairs within
   eps at stage 0 once per point set and eps, and every node filters its
   parent's surviving pairs through its own stage with the metric's own
@@ -48,6 +53,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,7 +159,11 @@ class _PointSet:
     `make` builds the points on first use, so orbits whose windows
     decide every stage never exist as points.  On systems with pair_ops
     the point set also keeps its array form and the stage-0 pairs of its
-    two latest radii."""
+    two latest radii.  On systems with window_ops, `labelled` maps each
+    of its two latest radii to the end of its latest label walk there:
+    (path, carried) of the walk's last node where cells end, its window
+    state and folded labels, for the next walk to resume from (see
+    _label_walk); labels made from exact points are never kept."""
 
     def __init__(self, wins, points=None, make=None):
         self.wins = wins
@@ -161,6 +171,7 @@ class _PointSet:
         self._make = make
         self._array = None
         self._stage0 = {}
+        self.labelled = {}
 
     @property
     def points(self):
@@ -186,15 +197,21 @@ class _PointSet:
         latest radii: enough for an eps loop and for doubling's
         eps / 2 eps alternation, at a bounded memory."""
         if eps not in self._stage0:
-            if len(self._stage0) == 2:
-                del self._stage0[next(iter(self._stage0))]
-            self._stage0[eps] = sys.pair_ops.stage0(self.array(sys), eps)
+            _keep_latest_two(self._stage0, eps, sys.pair_ops.stage0(self.array(sys), eps))
         return self._stage0[eps]
 
     def release(self) -> None:
         """Forget the cached stage-0 pairs, once no further word needs
-        them: callers that walk many orbits keep one orbit's alive."""
+        them: callers that walk many orbits keep one orbit's alive.  The
+        labels of the latest walks stay, for the next horizon."""
         self._stage0 = {}
+
+
+def _keep_latest_two(memo: dict, key, value) -> None:
+    """memo[key] = value, forgetting the oldest other key once two are kept."""
+    if key not in memo and len(memo) == 2:
+        del memo[next(iter(memo))]
+    memo[key] = value
 
 
 def _as_point_set(sys: GeneratorSystem, points) -> _PointSet:
@@ -275,9 +292,27 @@ def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, read) -> dict:
     windows one stage on and packs its keys into a pending uint64 row,
     folded into the labels only where cells end or the row is full; from
     a node whose windows cannot decide, exact stage keys take over.  A
-    stage that raises leaves its exception at every cell below it."""
+    stage that raises leaves its exception at every cell below it.
+
+    The walk resumes where the point set's latest walk at eps ended
+    (pset.labelled) when the trie runs down that node's prefix from the
+    root without branching and without a cell ending above it, as the
+    nested horizons of one word do; otherwise it starts at stage 0.  Its
+    own last node where cells end is kept for the next walk, unless that
+    node's labels came from exact points or its stage raised.  Folding
+    stage by stage makes the same partition as one wide fold, and the
+    readers see only the partition, so no result depends on where a walk
+    started."""
     out = {}
-    stack = [(root, (), (None, None, None, 0, 0), None)]
+    resumed = _resume_node(root, pset.labelled.get(eps))
+    if resumed is None:
+        stack = [(root, (), (None, None, None, 0, 0), None)]
+    else:
+        node, path, carried = resumed
+        if node[2]:
+            out[node[2][0]] = read(carried[2])
+        stack = [(kid, path + (kid[0],), carried, None) for kid in node[1].values()]
+    last = None
     while stack:
         node, path, carried, failed = stack.pop()
         if failed is None:
@@ -287,8 +322,26 @@ def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, read) -> dict:
                 failed = exc
         if node[2]:
             out[node[2][0]] = read(carried[2]) if failed is None else failed
+            last = path, carried, failed
         stack.extend((kid, path + (kid[0],), carried, failed) for kid in node[1].values())
+    if last is not None and last[2] is None and last[1][1] is None:  # window labels
+        _keep_latest_two(pset.labelled, eps, last[:2])
     return out
+
+
+def _resume_node(root, labelled):
+    """(node, path, carried) for labelled = (path, carried): the trie
+    node at path, if every node above it has one child and no cell
+    ending there; else None."""
+    if labelled is None:
+        return None
+    path, carried = labelled
+    node = root
+    for s in path:
+        if node[2] or len(node[1]) != 1 or s not in node[1]:
+            return None
+        node = node[1][s]
+    return node, path, carried
 
 
 def _label_stage(sys, pset, eps, node, path, state, points, labels, row, bits):
@@ -347,21 +400,38 @@ def _pair_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, positions=False
                 stack.extend((kid, cols) for kid in kids.values())
 
 
-def _tally(acc, kind, i, j, block, n_blocks, w) -> None:
+class _Blocks(NamedTuple):
+    """How a pair count tallies the ordered pairs (i, j) with |i - j| > w:
+    by (block[i], block[j]) of n_blocks blocks.  lags[d - 1] holds the
+    keys block[i] * n_blocks + block[i + d] of the pairs at lag d = 1..w;
+    _blocks makes them."""
+
+    block: np.ndarray
+    n_blocks: int
+    w: int
+    lags: tuple
+
+
+def _blocks(block, n_blocks: int = 1, w: int = 0) -> _Blocks:
+    lags = tuple(block[:-d] * n_blocks + block[d:] for d in range(1, w + 1))
+    return _Blocks(block, n_blocks, w, lags)
+
+
+def _tally(acc, kind, i, j, blocks) -> None:
     """Add close pairs i < j to acc: neighbour counts per point for
     "balls", pairs with j - i > w per (block[i], block[j]) for "pairs"."""
     if kind == "balls":
         acc += np.bincount(i, minlength=len(acc))
         acc += np.bincount(j, minlength=len(acc))
     else:
-        far = j - i > w
-        acc += np.bincount(block[i[far]] * n_blocks + block[j[far]], minlength=len(acc))
+        block, far = blocks.block, j - i > blocks.w
+        acc += np.bincount(block[i[far]] * blocks.n_blocks + block[j[far]], minlength=len(acc))
 
 
-def _tallied(kind, acc, n_blocks):
+def _tallied(kind, acc, blocks):
     if kind == "balls":
         return (acc + 1).astype(float)  # the center itself
-    counts = acc.reshape(n_blocks, n_blocks)
+    counts = acc.reshape(blocks.n_blocks, blocks.n_blocks)
     return counts + counts.T
 
 
@@ -377,18 +447,18 @@ def _net_from_pairs(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return np.flatnonzero(kept)
 
 
-def _pair_results(sys, pset, eps, root, nodes, kind, reduce, block, n_blocks, w) -> dict:
+def _pair_results(sys, pset, eps, root, nodes, kind, reduce, blocks) -> dict:
     """The reduced result of the kind at every trie node where cells
     end, keyed by its first cell (listed in nodes), from one pair walk;
     results are made and reduced one node at a time."""
     n = len(pset)
     i0, j0 = pset.stage0_pairs(sys, eps)  # before the walk's own arrays
     if kind != "net":
-        size, dtype = (n, np.int32) if kind == "balls" else (n_blocks * n_blocks, np.int64)
+        size, dtype = (n, np.int32) if kind == "balls" else (blocks.n_blocks**2, np.int64)
         acc = {c: np.zeros(size, dtype=dtype) for c in nodes}
         for c, (i, j) in _pair_walk(sys, pset, eps, root):
-            _tally(acc[c], kind, i, j, block, n_blocks, w)
-        return {c: reduce(_tallied(kind, acc.pop(c), n_blocks)) for c in nodes}
+            _tally(acc[c], kind, i, j, blocks)
+        return {c: reduce(_tallied(kind, acc.pop(c), blocks)) for c in nodes}
     # a net needs all of a node's pairs at once: one bit per stage-0 pair
     # and node during the walk, then one node's pairs at a time
     acc = {c: np.zeros((len(i0) + 7) // 8, dtype=np.uint8) for c in nodes}
@@ -404,7 +474,7 @@ def _pair_results(sys, pset, eps, root, nodes, kind, reduce, block, n_blocks, w)
     return out
 
 
-def _generic_result(sys, points, eps, k, omega, kind, block, n_blocks, w):
+def _generic_result(sys, points, eps, k, omega, kind, blocks):
     """The kind's result of one cell by the generic pairwise loop."""
     maps = sys.maps
     stages = [list(points)]
@@ -412,7 +482,7 @@ def _generic_result(sys, points, eps, k, omega, kind, block, n_blocks, w):
         stages.append([maps[s - 1](p) for p in stages[-1]])
     metric = sys.metric
     n = len(points)
-    gap = w if kind == "pairs" else 0
+    gap = blocks.w if kind == "pairs" else 0
     close = [
         (i, j) for i in range(n) for j in range(i + gap + 1, n)
         if not any(metric(st[i], st[j]) > eps for st in stages)
@@ -420,37 +490,37 @@ def _generic_result(sys, points, eps, k, omega, kind, block, n_blocks, w):
     i, j = np.array(close, dtype=np.intp).reshape(len(close), 2).T
     if kind == "net":
         return _net_from_pairs(n, i, j)
-    acc = np.zeros(n if kind == "balls" else n_blocks * n_blocks, dtype=np.int64)
-    _tally(acc, kind, i, j, block, n_blocks, w)
-    return _tallied(kind, acc, n_blocks)
+    acc = np.zeros(n if kind == "balls" else blocks.n_blocks**2, dtype=np.int64)
+    _tally(acc, kind, i, j, blocks)
+    return _tallied(kind, acc, blocks)
 
 
 def _count_cells(
-    sys: GeneratorSystem, pset: _PointSet, eps, cells, kind, reduce=None,
-    block=None, n_blocks=1, w=0,
+    sys: GeneratorSystem, pset: _PointSet, eps, cells, kind, reduce=None, blocks=None
 ) -> list:
     """One result per cell (k, word) of one point set and radius, passed
     through reduce if given.  kind "balls": per point, the points in its
     Bowen eps-ball, itself included, as floats; "pairs": ordered pairs
     (i, j), |i - j| > w, Bowen-within eps, tallied by (block[i],
-    block[j]); "net": the first-come greedy net's indices.  Where a stage
-    raises, the first cell that needs it raises, as cell by cell."""
+    block[j]) of blocks; "net": the first-come greedy net's indices.
+    Where a stage raises, the first cell that needs it raises, as cell
+    by cell."""
     reduce = reduce or (lambda v: v)
     if sys.ball_key is None and not _has_pairs(sys):
         return [
-            reduce(_generic_result(sys, pset.points, eps, k, omega, kind, block, n_blocks, w))
+            reduce(_generic_result(sys, pset.points, eps, k, omega, kind, blocks))
             for k, omega in cells
         ]
     root, first = _trie(cells)
     if sys.ball_key is not None:
         read = {
             "balls": lambda labels: np.bincount(labels)[labels].astype(float),
-            "pairs": lambda labels: _label_pair_counts(labels, block, n_blocks, w),
+            "pairs": lambda labels: _label_pair_counts(labels, blocks),
             "net": _first_indices,
         }[kind]
         got = _label_walk(sys, pset, eps, root, lambda labels: reduce(read(labels)))
     else:
-        got = _pair_results(sys, pset, eps, root, set(first), kind, reduce, block, n_blocks, w)
+        got = _pair_results(sys, pset, eps, root, set(first), kind, reduce, blocks)
     out = [got[c] for c in first]
     for v in out:
         if isinstance(v, Exception):
@@ -458,17 +528,19 @@ def _count_cells(
     return out
 
 
-def _label_pair_counts(labels, block, n_blocks, w) -> np.ndarray:
+def _label_pair_counts(labels, blocks: _Blocks) -> np.ndarray:
     """Ordered pairs (i, j) with equal integer labels and |i - j| > w,
-    tallied by (block[i], block[j]).
+    tallied by (block[i], block[j]) of blocks.
 
     Linear in the number of points: per-block label histograms give
     every equal-label pair, and the diagonal and the lags 1..w are
-    subtracted back out.  The histogram product runs in float64, through
+    subtracted back out, all lags in one count over their block-pair
+    keys.  The histogram product runs in float64, through
     BLAS, and is exact: its terms are nonnegative integers and every
     partial sum is at most n**2, which float64 holds exactly while
     n**2 < 2**53; longer rows multiply in int64.
     """
+    block, n_blocks = blocks.block, blocks.n_blocks
     n_labels = int(labels.max()) + 1
     hist = np.bincount(
         block * n_labels + labels, minlength=n_blocks * n_labels
@@ -477,10 +549,11 @@ def _label_pair_counts(labels, block, n_blocks, w) -> np.ndarray:
         hist = hist.astype(float)
     counts = (hist @ hist.T).astype(np.int64)
     counts -= np.diag(np.bincount(block, minlength=n_blocks))
-    for d in range(1, w + 1):
-        same = labels[d:] == labels[:-d]
+    if blocks.lags:
         near = np.bincount(
-            block[:-d][same] * n_blocks + block[d:][same],
+            np.concatenate([
+                keys[labels[d:] == labels[:-d]] for d, keys in enumerate(blocks.lags, 1)
+            ]),
             minlength=n_blocks * n_blocks,
         ).reshape(n_blocks, n_blocks)
         counts -= near + near.T
@@ -611,6 +684,20 @@ def _upsilon_orbits(sys, x, n, m_upsilon, seed, weights) -> tuple[_PointSet, ...
     return tuple(_PointSet(w, make=lambda j=j: built()[j]) for j, w in enumerate(wins))
 
 
+@lru_cache(maxsize=1)
+def _time_blocks(n: int) -> tuple[_Blocks, np.ndarray]:
+    """correlation_sum's layout for orbits of n points: min(JACKKNIFE_BLOCKS,
+    n) contiguous time blocks and a THEILER_WINDOW lag window, with the
+    count of all its pairs per block pair (the normaliser); made once per
+    n and read-only, as every call shares them."""
+    n_blocks = min(JACKKNIFE_BLOCKS, n)
+    blocks = _blocks(np.arange(n) * n_blocks // n, n_blocks, THEILER_WINDOW)
+    pairs = _label_pair_counts(np.zeros(n, dtype=np.intp), blocks)
+    for a in (blocks.block, *blocks.lags, pairs):
+        a.setflags(write=False)
+    return blocks, pairs
+
+
 def correlation_sum(
     sys: GeneratorSystem,
     x,
@@ -639,7 +726,10 @@ def correlation_sum(
     error in the orbit limit; time blocks do.  With fewer than two
     blocks (n = 1) the standard error is 0.0.  Only the first k-1
     symbols of omega enter.  Calls with equal (sys, x, n, m_upsilon,
-    seed, weights) share one orbit set, built by the first of them.
+    seed, weights) share one orbit set, built by the first of them, and
+    with it the labels where each orbit's latest walk at each of the two
+    latest radii ended: a call at a longer prefix of the same omega
+    labels only the stages past it (see _label_walk).
     """
     _check_eps(eps)
     _check_word(omega, k)
@@ -647,15 +737,11 @@ def correlation_sum(
         raise ValueError("n must be >= 1")
     if m_upsilon < 1:
         raise ValueError("m_upsilon must be >= 1")
-    n_blocks = min(JACKKNIFE_BLOCKS, n)
-    block = np.arange(n) * n_blocks // n
-    pairs = _label_pair_counts(np.zeros(n, dtype=np.intp), block, n_blocks, THEILER_WINDOW)
+    blocks, pairs = _time_blocks(n)
+    n_blocks = blocks.n_blocks
     close = []
     for orbit in _upsilon_orbits(sys, x, n, m_upsilon, seed, weights):
-        close += _count_cells(
-            sys, orbit, eps, [(k, omega)], "pairs",
-            block=block, n_blocks=n_blocks, w=THEILER_WINDOW,
-        )
+        close += _count_cells(sys, orbit, eps, [(k, omega)], "pairs", blocks=blocks)
         orbit.release()
     close = np.array(close)
     values = _floored_fraction(close.sum(axis=(1, 2)), pairs.sum(), n).tolist()
@@ -839,7 +925,7 @@ def _orbit_fractions(sys, eps, cells, orbits) -> list:
         n = len(orbit)
         per_orbit.append(_count_cells(
             sys, orbit, eps, cells, "pairs", lambda close: (n + int(close[0, 0])) / (n * n),
-            block=np.zeros(n, dtype=np.intp),
+            blocks=_blocks(np.zeros(n, dtype=np.intp)),
         ))
         orbit.release()
     return [list(values) for values in zip(*per_orbit)]

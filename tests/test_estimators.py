@@ -590,16 +590,17 @@ def test_first_indices_equal_sorted_unique_index(n, classes):
 def test_label_pair_counts_equal_brute_force(w, n_blocks, classes):
     n = 60
     labels = _dense(substream(44, classes).integers(0, classes, size=n))
-    block = np.arange(n) * n_blocks // n
-    want = np.zeros((n_blocks, n_blocks), dtype=np.int64)
     lab = labels.tolist()
-    for i in range(n):
-        for j in range(n):
-            if abs(i - j) > w and lab[i] == lab[j]:
-                want[block[i], block[j]] += 1
-    got = estimators._label_pair_counts(labels, block, n_blocks, w)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, want)
+    # contiguous time blocks, and blocks scattered over the points
+    for block in (np.arange(n) * n_blocks // n, substream(48, w).integers(0, n_blocks, size=n)):
+        want = np.zeros((n_blocks, n_blocks), dtype=np.int64)
+        for i in range(n):
+            for j in range(n):
+                if abs(i - j) > w and lab[i] == lab[j]:
+                    want[block[i], block[j]] += 1
+        got = estimators._label_pair_counts(labels, estimators._blocks(block, n_blocks, w))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
 
 
 def test_shallow_binary_runs_label_without_sorting(request):
@@ -616,18 +617,17 @@ def test_shallow_binary_runs_label_without_sorting(request):
 
     cells = [(eps, k) for eps in eps_list for k in ks]
     want_top, want_corr = top(), [corr(*c) for c in cells]
+    estimators._upsilon_orbits.cache_clear()
     request.getfixturevalue("no_unique")
     assert top() == want_top
-    # one cell's orbit keys pack 3 bits per stage at eps = 1/8: 12 and 15
-    # bits at k = 4 and 5 exceed the table cap of 256 points (10 bits),
-    # so those two folds sort
-    wide = [(0.125, 4), (0.125, 5)]
-    for c, want in zip(cells, want_corr):
-        if c in wide:
-            with pytest.raises(AssertionError, match="np.unique"):
-                corr(*c)
-        else:
-            assert corr(*c) == want
+    # in k order each orbit's walk resumes where the one before ended, so
+    # every fold takes one stage key (3 bits at eps = 1/8)
+    assert [corr(*c) for c in cells] == want_corr
+    # a lone walk from stage 0 packs 15 bits at eps = 1/8, k = 5 into one
+    # row, over the table cap of 256 points (10 bits): that fold sorts
+    estimators._upsilon_orbits.cache_clear()
+    with pytest.raises(AssertionError, match="np.unique"):
+        corr(0.125, 5)
 
 
 def test_label_pair_counts_stay_exact_past_float32():
@@ -635,6 +635,6 @@ def test_label_pair_counts_stay_exact_past_float32():
     # count above 2**24 that float32 cannot hold but float64 does
     n = 2 * 4097
     counts = estimators._label_pair_counts(
-        np.zeros(n, dtype=np.intp), np.arange(n) * 2 // n, 2, 0
+        np.zeros(n, dtype=np.intp), estimators._blocks(np.arange(n) * 2 // n, 2)
     )
     assert counts.tolist() == [[4097 * 4096, 4097**2], [4097**2, 4097 * 4096]]

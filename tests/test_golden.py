@@ -18,7 +18,10 @@ three-constant torus top-entropy and the Monte Carlo binary top-entropy
 CSVs before the word-averaged series counted over a prefix trie, and the
 weighted binary corr-sum, the torus corr-sum and the depth-70 binary
 top-entropy CSVs before a corr-sum run built its driving orbits once and
-the reference sample was drawn in one call.
+the reference sample was drawn in one call, and the gapped two-radius
+binary corr-sum, the shift-heavy binary corr-sum whose windows stop
+deciding past the short horizons and the binary doubling out to k = 6
+before a label walk resumed where the point set's previous walk ended.
 A change that means to alter output regenerates them and says which
 rows changed and why.
 """
@@ -32,7 +35,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def test_golden_csvs_byte_identical(tmp_path, capsys):
     configs = sorted(GOLDEN.glob("*.cfg"))
-    assert len(configs) >= 35
+    assert len(configs) >= 38
     changed = []
     for cfg in configs:
         expected = cfg.with_suffix(".json")

@@ -17,6 +17,7 @@ from fsgentropy.estimators import (
     EmpiricalMeasure,
     _as_point_set,
     _ball_counts,
+    _blocks,
     _count_cells,
     corr_entropy_series,
     correlation_sum,
@@ -215,7 +216,7 @@ def _cells(sys_):
 def _kind_options(kind, n):
     if kind != "pairs":
         return {}
-    return {"block": np.arange(n) * 3 // n, "n_blocks": 3, "w": 2}
+    return {"blocks": _blocks(np.arange(n) * 3 // n, 3, 2)}
 
 
 @pytest.mark.parametrize("kind", ["balls", "pairs", "net"])

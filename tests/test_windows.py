@@ -2,6 +2,7 @@
 BinaryPoint path: equal results, and the same exception wherever the
 exact path raises."""
 
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -13,10 +14,12 @@ from fsgentropy.errors import CarryOverflow, DepthExhausted
 from fsgentropy.estimators import (
     EmpiricalMeasure,
     _as_point_set,
+    _blocks,
     _count_cells,
     _label_walk,
     _trie,
     correlation_sum,
+    doubling_ratio,
     separated_set,
 )
 from fsgentropy.seeding import substream
@@ -271,7 +274,7 @@ def _first_come(labels):
 def _kind_options(kind, n):
     if kind != "pairs":
         return {}
-    return {"block": np.arange(n) * 4 // n, "n_blocks": 4, "w": 3}
+    return {"blocks": _blocks(np.arange(n) * 4 // n, 4, 3)}
 
 
 def test_trie_falls_back_below_a_deciding_parent(exact_calls):
@@ -327,3 +330,131 @@ def test_trie_raises_at_the_first_failing_cell_like_the_oracle(kind):
             with pytest.raises(error):
                 _count_cells(s, _as_point_set(s, points), 0.5, cells, kind, **opts)
         assert _count_cells(sys_, _as_point_set(sys_, points), 0.5, cells[:2], kind, **opts)
+
+
+# ---------------------------------------------------------------------------
+# label walks resumed across the horizons of one word
+
+
+def _counting_stages(sys_):
+    """sys_ with its window stages counted per radius, and the counter."""
+    counts = Counter()
+    ops = sys_.window_ops
+
+    def stage(wins, eps, *rest):
+        counts[eps] += 1
+        return ops.stage(wins, eps, *rest)
+
+    return replace(sys_, window_ops=replace(ops, stage=stage)), counts
+
+
+def test_corr_sum_horizons_take_one_stage_per_orbit_and_k(exact_calls):
+    sys_, stages = _counting_stages(binary_shift_odometer(depth=300))
+    x = sys_.mu_sampler(substream(13), 1)[0]
+    omega = word((1, 2, 2, 1, 2, 1, 1), 2)
+    m = 3
+    for eps in (0.25, 3 * 2.0**-5):
+        for k in range(1, 9):
+            correlation_sum(sys_, x, eps, omega, k, 80, m, seed=9)
+    # from stage 0 every horizon k would take k stages: 36 per orbit
+    assert stages == {0.25: 8 * m, 3 * 2.0**-5: 8 * m}
+    assert not exact_calls
+
+
+def test_doubling_resumes_at_both_of_its_radii():
+    base = binary_shift_odometer(depth=64)
+    sys_, stages = _counting_stages(base)
+    em = EmpiricalMeasure(tuple(_points(100, 64, 14)))
+    omega = word((1, 2, 1), 2)
+    got = [doubling_ratio(em, sys_, omega, k, 0.125) for k in range(1, 5)]
+    # eps and 2 eps alternate, and both stay kept: 4 stages each, not 10
+    assert stages == {0.125: 4, 0.25: 4}
+    for k, value in enumerate(got, 1):
+        fresh = EmpiricalMeasure(em.points)
+        assert value == doubling_ratio(fresh, base, omega, k, 0.125)
+        assert value == doubling_ratio(fresh, _generic(base), omega, k, 0.125)
+
+
+def test_corr_sum_resumed_in_any_call_order_equals_fresh_walks(exact_calls):
+    base = binary_shift_odometer(depth=300)
+    sys_, stages = _counting_stages(base)
+    x = base.mu_sampler(substream(15), 1)[0]
+    omega = word((1, 2, 2, 1, 2, 1, 1), 2)
+    a, b, c = 0.25, 0.125, 0.0625
+    # (eps, k, stages per orbit): gapped ks, a repeated k, a decreasing k,
+    # an eps switch, eps / 2 eps alternation, and a third radius, which
+    # drops the labels kept for the oldest
+    calls = [
+        (a, 1, 1), (a, 3, 2), (a, 8, 5), (a, 8, 0), (a, 5, 5), (b, 5, 5),
+        (a, 6, 1), (b, 6, 1), (a, 7, 1), (b, 7, 1), (c, 7, 7), (a, 8, 8),
+    ]
+    m = 3
+
+    def corr(s, eps, k):
+        return correlation_sum(s, x, eps, omega, k, 60, m, seed=9)
+
+    estimators._upsilon_orbits.cache_clear()
+    got = []
+    for eps, k, cost in calls:
+        before = stages[eps]
+        got.append(corr(sys_, eps, k))
+        assert stages[eps] - before == cost * m, (eps, k)
+    assert not exact_calls
+    for (eps, k, _), value in zip(calls, got):
+        estimators._upsilon_orbits.cache_clear()
+        assert value == corr(base, eps, k), (eps, k)
+        assert value == corr(_generic(base), eps, k), (eps, k)
+
+
+@pytest.mark.parametrize(
+    "points, eps, omega, ks, raising, error",
+    [
+        # L = 4 plus 3 shifts needs 7 coordinates, the points have 6
+        (_points(16, 6, 2), 2.0**-4, (1, 1, 1, 1), (1, 2, 3, 4, 3, 4, 2, 5), {4, 5},
+         DepthExhausted),
+        # the odometer after a shift overflows on 0b111
+        (all_points(4), 0.5, (1, 2, 2), (1, 2, 3, 2, 3, 1, 4), {3, 4}, CarryOverflow),
+    ],
+    ids=["depth", "carry"],
+)
+def test_resumed_walks_raise_exactly_where_fresh_walks_raise(
+    points, eps, omega, ks, raising, error
+):
+    sys_ = binary_shift_odometer(depth=points[0].depth)
+    em = EmpiricalMeasure(tuple(points))
+    pset = em._point_set(sys_)
+    omega = word(omega, 2)
+    for k in ks:
+        kept = pset.labelled.get(eps)
+        got = _outcome(lambda s: em.ball_measures(s, omega, k, eps).tolist(), sys_)
+
+        def fresh(s):
+            return EmpiricalMeasure(em.points).ball_measures(s, omega, k, eps).tolist()
+
+        assert got == _outcome(fresh, sys_) == _outcome(fresh, replace(sys_, window_ops=None))
+        assert (got[0] == "raised") == (k in raising), k
+        if k in raising:
+            assert got[1] is error
+            # a failed walk keeps nothing: the next one resumes from the
+            # labels an earlier walk kept, or from stage 0
+            assert pset.labelled.get(eps) is kept
+
+
+def test_exact_fallback_mid_series_keeps_only_window_labels(exact_calls):
+    # L = 60: the windows decide every stage up to k = 7 (four shifts),
+    # and the exact keys take over at k = 8 (the fifth shift)
+    sys_ = binary_shift_odometer(depth=200)
+    x = sys_.mu_sampler(substream(8), 1)[0]
+    omega = word((1, 1, 2, 1, 1, 2, 1), 2)
+    exact = replace(sys_, window_ops=None)
+
+    def corr(s, k):
+        return correlation_sum(s, x, 2.0**-60, omega, k, 60, 3, seed=9)
+
+    estimators._upsilon_orbits.cache_clear()
+    got = [corr(sys_, k) for k in range(1, 9)]
+    assert len(exact_calls) == 3  # once per orbit, at k = 8
+    for orbit in estimators._upsilon_orbits(sys_, x, 60, 3, 9, None):
+        ((path, carried),) = orbit.labelled.values()
+        assert path == omega.symbols[:6] and carried[1] is None
+    assert got == [corr(exact, k) for k in range(1, 9)]
