@@ -21,7 +21,11 @@ top-entropy CSVs before a corr-sum run built its driving orbits once and
 the reference sample was drawn in one call, and the gapped two-radius
 binary corr-sum, the shift-heavy binary corr-sum whose windows stop
 deciding past the short horizons and the binary doubling out to k = 6
-before a label walk resumed where the point set's previous walk ended.
+before a label walk resumed where the point set's previous walk ended,
+and the circle doubling over halving radii, the three-radius binary
+doubling, the exact-measure binary doubling and the circle local
+entropy before a doubling series counted every horizon of its word in
+one walk per radius.
 A change that means to alter output regenerates them and says which
 rows changed and why.
 """
@@ -35,7 +39,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def test_golden_csvs_byte_identical(tmp_path, capsys):
     configs = sorted(GOLDEN.glob("*.cfg"))
-    assert len(configs) >= 38
+    assert len(configs) >= 42
     changed = []
     for cfg in configs:
         expected = cfg.with_suffix(".json")
