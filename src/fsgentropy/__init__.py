@@ -25,6 +25,7 @@ from .estimators import (
     corr_integral,
     correlation_sum,
     doubling_ratio,
+    doubling_series,
     local_corr_entropy_series,
     local_entropy_series,
     separated_set,

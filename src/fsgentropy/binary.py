@@ -346,10 +346,6 @@ class Cylinder:
         """Exact fair-coin measure 2**(-length); length 0 is the whole space."""
         return Fraction(1, 2 ** self.length)
 
-    @property
-    def log_measure(self) -> float:
-        return -self.length * LOG2
-
     def contains(self, x: BinaryPoint) -> bool:
         if x.depth < self.length:
             raise DepthExhausted(

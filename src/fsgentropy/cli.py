@@ -16,6 +16,7 @@ comma-separated, `#` comments allowed.  Keys:
     seed        master seed (default 42, recorded in every row)
     weights     symbol probabilities, e.g. 0.3,0.7 (default uniform)
     exact       true to use the closed-form binary backend measures
+                (not with corr-sum or local-corr-entropy)
     series      exact-series flavour: top | corr | measure (default top)
     power       composition depth for power-test (default 2)
     depth       binary truncation depth override
@@ -106,6 +107,11 @@ class ExperimentConfig:
                 BernoulliSpec(tuple(self.weights))
             except ValueError as exc:
                 raise ConfigInvalid("weights", str(exc)) from None
+        if self.exact and self.estimator in ("corr-sum", "local-corr-entropy"):
+            raise ConfigInvalid("exact", f"{self.estimator} has no closed form")
+        closed_form = self.exact or self.estimator == "exact-series"
+        if closed_form and self.system != "binary-shift-odometer":
+            raise ConfigInvalid("system", "closed forms exist only for binary-shift-odometer")
 
 
 _BOOL_KEYS = {"exact"}
@@ -208,15 +214,8 @@ def _build_system(cfg: ExperimentConfig) -> systems.GeneratorSystem:
     return systems.make_system(cfg.system, **params)
 
 
-def _check_closed_form(cfg: ExperimentConfig) -> None:
-    """exact = true and exact-series read the binary backend's closed forms."""
-    if cfg.system != "binary-shift-odometer":
-        raise ConfigInvalid("system", "closed forms exist only for binary-shift-odometer")
-
-
 def _measure(cfg: ExperimentConfig, sys_: systems.GeneratorSystem):
     if cfg.exact:
-        _check_closed_form(cfg)
         depth = cfg.depth or (_resolution(cfg.epsilons) + max(cfg.ks) + DEPTH_HEADROOM)
         return binary.ExactCylinderMeasure.draw(
             depth, min(cfg.n_points, 64), substream(cfg.seed, 0)
@@ -310,7 +309,6 @@ def _closed_form_series(cfg, flavour: str) -> list[EntropySeries]:
 
 def _run_top_entropy(cfg, sys_):
     if cfg.exact:
-        _check_closed_form(cfg)
         return _closed_form_series(cfg, "top")
     return estimators.top_entropy_series(
         sys_, cfg.epsilons, cfg.ks, cfg.m_omega, cfg.n_points, cfg.seed,
@@ -327,20 +325,11 @@ def _run_local_entropy(cfg, sys_):
 
 
 def _run_doubling(cfg, sys_):
-    measure = _measure(cfg, sys_)
     omega = _sample_omega(cfg, sys_, max(cfg.ks) - 1)
-    return [
-        EntropySeries(
-            eps,
-            [(k, estimators.doubling_ratio(measure, sys_, omega, k, eps)) for k in cfg.ks],
-            kind="doubling",
-        )
-        for eps in cfg.epsilons
-    ]
+    return estimators.doubling_series(_measure(cfg, sys_), sys_, omega, cfg.epsilons, cfg.ks)
 
 
 def _run_exact_series(cfg, sys_):
-    _check_closed_form(cfg)
     return _closed_form_series(cfg, cfg.series)
 
 
@@ -350,7 +339,6 @@ def _run_power_test(cfg, sys_):
     exactly the power."""
     eps = cfg.epsilons[0]
     if cfg.exact:
-        _check_closed_form(cfg)
         t = _dyadic_exponent(eps)
         # horizons run to at least 5, so the default window (the upper
         # half) holds the 3 rows a slope fit needs, as in the branch below

@@ -28,16 +28,16 @@ Conventions shared by everything here:
   come from uint64 windows, made once per point set (the sample, or
   each driving word's orbit); below a node whose windows cannot decide,
   the exact stage keys of the points take over.  A point set keeps the
-  window state and labels where its latest walk ended, for its two
-  latest radii, and a walk down a longer prefix of the same word
-  resumes there: the nested horizons of a corr-sum run or a doubling
-  series label one more stage each, not all of them again.  Labels from
-  exact keys, or from a walk that raised, are never kept.
+  window state and labels where its latest walk ended, for one radius,
+  and a walk at that radius down a longer prefix of the same word
+  resumes there: the nested horizons of a corr-sum run label one more
+  stage each, not all of them again.  Labels from exact keys, or from a
+  walk that raised, are never kept.
 * On the circle family (pair_ops) a sort-sweep finds the pairs within
-  eps at stage 0 once per point set and eps, and every node filters its
-  parent's surviving pairs through its own stage with the metric's own
-  float expression, systems.PAIR_CHUNK stage-0 pairs at a time; no
-  N x N matrix is built.
+  eps at stage 0 once per count, and every node filters its parent's
+  surviving pairs through its own stage with the metric's own float
+  expression, systems.PAIR_CHUNK stage-0 pairs at a time; no N x N
+  matrix is built.
 * Both orbit estimators count Bowen-close pairs through one counter,
   which tallies ordered off-diagonal pairs outside a lag window by
   pairs of orbit-time blocks.  correlation_sum leaves out lags up to
@@ -157,21 +157,18 @@ class _PointSet:
     """The points of one estimator call, plus their window form on
     systems with window_ops: converted once and reused for every word.
     `make` builds the points on first use, so orbits whose windows
-    decide every stage never exist as points.  On systems with pair_ops
-    the point set also keeps its array form and the stage-0 pairs of its
-    two latest radii.  On systems with window_ops, `labelled` maps each
-    of its two latest radii to the end of its latest label walk there:
-    (path, carried) of the walk's last node where cells end, its window
-    state and folded labels, for the next walk to resume from (see
-    _label_walk); labels made from exact points are never kept."""
+    decide every stage never exist as points.  On systems with
+    window_ops, `labelled` is the end of the latest label walk that kept
+    its labels: (eps, path, carried) of the walk's radius and last node
+    where cells end, its window state and folded labels, for the next
+    walk at that radius to resume from (see _label_walk), or None;
+    labels made from exact points are never kept."""
 
     def __init__(self, wins, points=None, make=None):
         self.wins = wins
         self._points = points
         self._make = make
-        self._array = None
-        self._stage0 = {}
-        self.labelled = {}
+        self.labelled = None
 
     @property
     def points(self):
@@ -186,32 +183,6 @@ class _PointSet:
         """The first n points."""
         wins = None if self.wins is None else tuple(a[:n] for a in self.wins)
         return _PointSet(wins, make=lambda: self.points[:n])
-
-    def array(self, sys: GeneratorSystem) -> np.ndarray:
-        if self._array is None:
-            self._array = sys.array_ops.to_array(self.points)
-        return self._array
-
-    def stage0_pairs(self, sys: GeneratorSystem, eps: float):
-        """The pairs i < j within eps (before any map), kept for the two
-        latest radii: enough for an eps loop and for doubling's
-        eps / 2 eps alternation, at a bounded memory."""
-        if eps not in self._stage0:
-            _keep_latest_two(self._stage0, eps, sys.pair_ops.stage0(self.array(sys), eps))
-        return self._stage0[eps]
-
-    def release(self) -> None:
-        """Forget the cached stage-0 pairs, once no further word needs
-        them: callers that walk many orbits keep one orbit's alive.  The
-        labels of the latest walks stay, for the next horizon."""
-        self._stage0 = {}
-
-
-def _keep_latest_two(memo: dict, key, value) -> None:
-    """memo[key] = value, forgetting the oldest other key once two are kept."""
-    if key not in memo and len(memo) == 2:
-        del memo[next(iter(memo))]
-    memo[key] = value
 
 
 def _as_point_set(sys: GeneratorSystem, points) -> _PointSet:
@@ -294,17 +265,18 @@ def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, read) -> dict:
     a node whose windows cannot decide, exact stage keys take over.  A
     stage that raises leaves its exception at every cell below it.
 
-    The walk resumes where the point set's latest walk at eps ended
-    (pset.labelled) when the trie runs down that node's prefix from the
-    root without branching and without a cell ending above it, as the
-    nested horizons of one word do; otherwise it starts at stage 0.  Its
-    own last node where cells end is kept for the next walk, unless that
-    node's labels came from exact points or its stage raised.  Folding
+    The walk resumes where the point set's kept walk ended
+    (pset.labelled) when that walk was at eps and the trie runs down its
+    node's prefix from the root without branching and without a cell
+    ending above it, as the nested horizons of one word do; otherwise it
+    starts at stage 0.  Its own last node where cells end replaces the
+    kept one, unless that node's labels came from exact points or its
+    stage raised.  Folding
     stage by stage makes the same partition as one wide fold, and the
     readers see only the partition, so no result depends on where a walk
     started."""
     out = {}
-    resumed = _resume_node(root, pset.labelled.get(eps))
+    resumed = _resume_node(root, eps, pset.labelled)
     if resumed is None:
         stack = [(root, (), (None, None, None, 0, 0), None)]
     else:
@@ -325,17 +297,17 @@ def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, read) -> dict:
             last = path, carried, failed
         stack.extend((kid, path + (kid[0],), carried, failed) for kid in node[1].values())
     if last is not None and last[2] is None and last[1][1] is None:  # window labels
-        _keep_latest_two(pset.labelled, eps, last[:2])
+        pset.labelled = (eps, *last[:2])
     return out
 
 
-def _resume_node(root, labelled):
-    """(node, path, carried) for labelled = (path, carried): the trie
-    node at path, if every node above it has one child and no cell
-    ending there; else None."""
-    if labelled is None:
+def _resume_node(root, eps, labelled):
+    """(node, path, carried) for labelled = (eps, path, carried): the
+    trie node at path, if every node above it has one child and no cell
+    ending there; else None, as for labels kept at another radius."""
+    if labelled is None or labelled[0] != eps:
         return None
-    path, carried = labelled
+    _, path, carried = labelled
     node = root
     for s in path:
         if node[2] or len(node[1]) != 1 or s not in node[1]:
@@ -362,22 +334,23 @@ def _label_stage(sys, pset, eps, node, path, state, points, labels, row, bits):
     return state, points, labels, row, bits
 
 
-def _pair_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, positions=False):
+def _pair_walk(sys: GeneratorSystem, arr, pairs, eps, root, positions=False):
     """Yield (first cell, cols) at every trie node where cells end, per
-    PAIR_CHUNK chunk of the stage-0 pairs: cols = (i, j) of the chunk's
-    pairs Bowen-within eps along the node's prefix (plus their stage-0
-    positions if asked).  Each node makes its stage array once and, per
-    chunk, keeps those of its parent's surviving pairs that
-    pair_ops.close keeps there.  Gathers reuse two arrays per walk, as fresh
-    ones get faulted in anew, more often for some words than for others."""
+    PAIR_CHUNK chunk of the stage-0 pairs (i0, j0) of the point array arr:
+    cols = (i, j) of the chunk's pairs Bowen-within eps along the node's
+    prefix (plus their stage-0 positions if asked).  Each node makes its
+    stage array once and, per chunk, keeps those of its parent's
+    surviving pairs that pair_ops.close keeps there.  Gathers reuse two
+    arrays per walk, as fresh ones get faulted in anew, more often for
+    some words than for others."""
     apply, close = sys.array_ops.apply, sys.pair_ops.close
     arrays = {}  # stage array per node, freed with the walk
-    todo = [(root, pset.array(sys))]
+    todo = [(root, arr)]
     while todo:
         node, arr = todo.pop()
         arrays[id(node)] = arr
         todo.extend((kid, apply(kid[0], arr)) for kid in node[1].values())
-    i0, j0 = pset.stage0_pairs(sys, eps)
+    i0, j0 = pairs
     chunk = systems.PAIR_CHUNK
     ta, tb = np.empty((2, min(chunk, len(i0))), dtype=arrays[id(root)].dtype)
     for lo in range(0, len(i0), chunk):
@@ -450,19 +423,22 @@ def _net_from_pairs(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 def _pair_results(sys, pset, eps, root, nodes, kind, reduce, blocks) -> dict:
     """The reduced result of the kind at every trie node where cells
     end, keyed by its first cell (listed in nodes), from one pair walk;
-    results are made and reduced one node at a time."""
+    results are made and reduced one node at a time.  The point array
+    and its stage-0 pairs are made once per call, before the walk's own
+    arrays."""
     n = len(pset)
-    i0, j0 = pset.stage0_pairs(sys, eps)  # before the walk's own arrays
+    arr = sys.array_ops.to_array(pset.points)
+    i0, j0 = pairs = sys.pair_ops.stage0(arr, eps)
     if kind != "net":
         size, dtype = (n, np.int32) if kind == "balls" else (blocks.n_blocks**2, np.int64)
         acc = {c: np.zeros(size, dtype=dtype) for c in nodes}
-        for c, (i, j) in _pair_walk(sys, pset, eps, root):
+        for c, (i, j) in _pair_walk(sys, arr, pairs, eps, root):
             _tally(acc[c], kind, i, j, blocks)
         return {c: reduce(_tallied(kind, acc.pop(c), blocks)) for c in nodes}
     # a net needs all of a node's pairs at once: one bit per stage-0 pair
     # and node during the walk, then one node's pairs at a time
     acc = {c: np.zeros((len(i0) + 7) // 8, dtype=np.uint8) for c in nodes}
-    for c, (_, _, pos) in _pair_walk(sys, pset, eps, root, positions=True):
+    for c, (_, _, pos) in _pair_walk(sys, arr, pairs, eps, root, positions=True):
         if len(pos):
             byte = pos >> 3
             starts = np.flatnonzero(np.diff(byte, prepend=-1))
@@ -560,12 +536,6 @@ def _label_pair_counts(labels, blocks: _Blocks) -> np.ndarray:
     return counts
 
 
-def _ball_counts(sys: GeneratorSystem, omega, k, eps, pset) -> np.ndarray:
-    """For each point, how many sample points (itself included) lie in
-    its Bowen eps-ball."""
-    return _count_cells(sys, pset, eps, [(k, omega)], "balls")[0]
-
-
 # ---------------------------------------------------------------------------
 # Empirical measure
 
@@ -598,18 +568,17 @@ class EmpiricalMeasure:
 
     def _point_set(self, sys) -> _PointSet:
         """The sample as a point set of sys, converted once per measure
-        and kind of window_ops and pair_ops."""
+        and window_ops."""
         memo = self.__dict__.setdefault("_point_sets", {})
-        kind = (sys.window_ops, sys.pair_ops)
-        if kind not in memo:
-            memo[kind] = _as_point_set(sys, self.points)
-        return memo[kind]
+        if sys.window_ops not in memo:
+            memo[sys.window_ops] = _as_point_set(sys, self.points)
+        return memo[sys.window_ops]
 
     def ball_measures(self, sys, omega, k, eps) -> np.ndarray:
         """Empirical Bowen-ball measure centered at every sample point."""
         _check_eps(eps)
         _check_word(omega, k)
-        return _ball_counts(sys, omega, k, eps, self._point_set(sys)) / self.n
+        return _cell_measures(self, sys, eps, [(k, omega)])[0]
 
     def ball_measure(self, sys, omega, k, center, eps) -> float:
         """Empirical Bowen-ball measure at one center from the sample."""
@@ -628,6 +597,16 @@ class EmpiricalMeasure:
             arr, c = ops.apply(s, arr), ops.apply(s, c)
             row &= ops.within(c, arr, eps)
         return float(row.sum()) / self.n
+
+
+def _cell_measures(measure, sys, eps, cells, reduce=lambda m: m) -> list:
+    """reduce(the Bowen eps-ball measures at the sample points) of every
+    (k, word) cell: an empirical measure counts all the cells in one
+    walk, and any other measure (ExactCylinderMeasure) answers per cell."""
+    if isinstance(measure, EmpiricalMeasure):
+        pset, n = measure._point_set(sys), measure.n
+        return _count_cells(sys, pset, eps, cells, "balls", lambda counts: reduce(counts / n))
+    return [reduce(np.asarray(measure.ball_measures(sys, w, k, eps), float)) for k, w in cells]
 
 
 # ---------------------------------------------------------------------------
@@ -727,9 +706,10 @@ def correlation_sum(
     blocks (n = 1) the standard error is 0.0.  Only the first k-1
     symbols of omega enter.  Calls with equal (sys, x, n, m_upsilon,
     seed, weights) share one orbit set, built by the first of them, and
-    with it the labels where each orbit's latest walk at each of the two
-    latest radii ended: a call at a longer prefix of the same omega
-    labels only the stages past it (see _label_walk).
+    with it the labels where each orbit's latest walk ended: a call at
+    the same eps and a longer prefix of the same omega labels only the
+    stages past it (see _label_walk), so a run walks one radius at a
+    time, eps outer and k inner.
     """
     _check_eps(eps)
     _check_word(omega, k)
@@ -742,7 +722,6 @@ def correlation_sum(
     close = []
     for orbit in _upsilon_orbits(sys, x, n, m_upsilon, seed, weights):
         close += _count_cells(sys, orbit, eps, [(k, omega)], "pairs", blocks=blocks)
-        orbit.release()
     close = np.array(close)
     values = _floored_fraction(close.sum(axis=(1, 2)), pairs.sum(), n).tolist()
     value = math.fsum(values) / m_upsilon
@@ -837,21 +816,6 @@ def _word_averaged(sys, eps_list, k_list, m_omega, seed, weights, values, **seri
     return out
 
 
-def _log_q_means(measure, sys, eps, cells, q) -> list:
-    """Log q-mean of the Bowen-ball measures of every (k, word) cell; an
-    empirical measure counts all the cells in one walk."""
-    if not isinstance(measure, EmpiricalMeasure):
-        return [
-            _q_log_mean(np.log(np.asarray(measure.ball_measures(sys, w, k, eps), float)), q)
-            for k, w in cells
-        ]
-    n = measure.n
-    return _count_cells(
-        sys, measure._point_set(sys), eps, cells, "balls",
-        lambda counts: _q_log_mean(np.log(counts / n), q),
-    )
-
-
 def corr_integral(
     measure,
     sys: GeneratorSystem,
@@ -874,7 +838,8 @@ def corr_integral(
         raise ValueError("q must be finite")
     _check_eps(eps)
     (words,), cells = _series_cells(sys.m, [k], weights, m_omega, seed)
-    return _weighted_mean(_log_q_means(measure, sys, eps, cells, q), [wt for _, wt in words])
+    logs = _cell_measures(measure, sys, eps, cells, lambda m: _q_log_mean(np.log(m), q))
+    return _weighted_mean(logs, [wt for _, wt in words])
 
 
 def corr_entropy_series(
@@ -893,7 +858,9 @@ def corr_entropy_series(
     _check_grids(eps_list, k_list)
     return _word_averaged(
         sys, eps_list, k_list, m_omega, seed, weights,
-        lambda eps, cells: [-c for c in _log_q_means(measure, sys, eps, cells, q)],
+        lambda eps, cells: _cell_measures(
+            measure, sys, eps, cells, lambda m: -_q_log_mean(np.log(m), q)
+        ),
         kind="corr-entropy", q=q,
         meta={"m_omega": m_omega, "seed": seed, "n_points": len(measure.points)},
     )
@@ -927,7 +894,6 @@ def _orbit_fractions(sys, eps, cells, orbits) -> list:
             sys, orbit, eps, cells, "pairs", lambda close: (n + int(close[0, 0])) / (n * n),
             blocks=_blocks(np.zeros(n, dtype=np.intp)),
         ))
-        orbit.release()
     return [list(values) for values in zip(*per_orbit)]
 
 
@@ -1043,17 +1009,31 @@ def top_entropy_series(
 # Doubling diagnostic and local entropy
 
 
+def doubling_series(
+    measure, sys: GeneratorSystem, omega, eps_list, k_list
+) -> list[EntropySeries]:
+    """Entropy-doubling diagnostic along one word: one series per
+    epsilon with rows (k, (1/k) * log of the worst ratio of 2eps- to
+    eps-ball measures over the sample centers).  Trending to 0 in k is
+    the signature of a doubling-friendly measure.  Every horizon of a
+    radius is counted in one walk at eps and one more at 2 eps."""
+    _check_grids(eps_list, k_list)
+    _check_word(omega, k_list[-1])
+    cells = [(k, omega) for k in k_list]
+    out = []
+    for eps in eps_list:
+        m1, m2 = (_cell_measures(measure, sys, e, cells) for e in (eps, 2.0 * eps))
+        rows = [(k, math.log(float((b / a).max())) / k) for k, a, b in zip(k_list, m1, m2)]
+        out.append(EntropySeries(eps, rows, kind="doubling"))
+    return out
+
+
 def doubling_ratio(measure, sys: GeneratorSystem, omega, k, eps) -> float:
-    """Entropy-doubling diagnostic per horizon: (1/k) * log of the
-    worst ratio of 2eps- to eps-ball measures over the sample centers.
-    Trending to 0 in k is the signature of a doubling-friendly
-    measure."""
+    """The doubling diagnostic of one horizon and radius: the one-cell
+    case of doubling_series."""
     _check_eps(eps)
     _check_word(omega, k)
-    m1 = np.asarray(measure.ball_measures(sys, omega, k, eps), dtype=float)
-    m2 = np.asarray(measure.ball_measures(sys, omega, k, 2.0 * eps), dtype=float)
-    ratio = float((m2 / m1).max())
-    return math.log(ratio) / k
+    return doubling_series(measure, sys, omega, [eps], [k])[0].rows[0][1]
 
 
 def local_entropy_series(

@@ -284,6 +284,21 @@ def _circle_stage0(arr: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]
 _CIRCLE_PAIRS = PairOps(stage0=_circle_stage0, close=_circle_close)
 
 
+def _circle_system(name: str, maps, apply_arr) -> GeneratorSystem:
+    """maps on the unit circle, with Lebesgue measure, the arc metric and
+    the circle family's array and pair paths; apply_arr(j, arr) applies
+    map j to a point array."""
+    return GeneratorSystem(
+        name=name,
+        maps=maps,
+        metric=_circle_metric,
+        diameter=0.5,
+        mu_sampler=lambda rng, n: rng.random(n).tolist(),
+        array_ops=ArrayOps(lambda pts: np.asarray(pts, dtype=float), apply_arr, _circle_within),
+        pair_ops=_CIRCLE_PAIRS,
+    )
+
+
 def circle_double_rotate(alpha: float = GOLDEN_ROTATION) -> GeneratorSystem:
     """Doubling map and rotation by alpha on the unit circle with
     Lebesgue measure and the arc metric."""
@@ -292,19 +307,7 @@ def circle_double_rotate(alpha: float = GOLDEN_ROTATION) -> GeneratorSystem:
     def apply_arr(j, arr, _a=alpha):
         return (2.0 * arr) % 1.0 if j == 1 else (arr + _a) % 1.0
 
-    return GeneratorSystem(
-        name="circle-double-rotate",
-        maps=maps,
-        metric=_circle_metric,
-        diameter=0.5,
-        mu_sampler=lambda rng, n: rng.random(n).tolist(),
-        array_ops=ArrayOps(
-            to_array=lambda pts: np.asarray(pts, dtype=float),
-            apply=apply_arr,
-            within=_circle_within,
-        ),
-        pair_ops=_CIRCLE_PAIRS,
-    )
+    return _circle_system("circle-double-rotate", maps, apply_arr)
 
 
 def torus_affine(constants: tuple[float, ...] = (0.0, GOLDEN_ROTATION)) -> GeneratorSystem:
@@ -321,19 +324,7 @@ def torus_affine(constants: tuple[float, ...] = (0.0, GOLDEN_ROTATION)) -> Gener
     def apply_arr(j, arr, _cs=tuple(constants)):
         return (2.0 * arr + _cs[j - 1]) % 1.0
 
-    return GeneratorSystem(
-        name="torus-affine",
-        maps=maps,
-        metric=_circle_metric,
-        diameter=0.5,
-        mu_sampler=lambda rng, n: rng.random(n).tolist(),
-        array_ops=ArrayOps(
-            to_array=lambda pts: np.asarray(pts, dtype=float),
-            apply=apply_arr,
-            within=_circle_within,
-        ),
-        pair_ops=_CIRCLE_PAIRS,
-    )
+    return _circle_system("torus-affine", maps, apply_arr)
 
 
 BUILTIN_SYSTEMS = {

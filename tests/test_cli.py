@@ -154,7 +154,10 @@ def test_power_test_monte_carlo_short_horizons_exit_zero(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("estimator", ["top-entropy", "power-test"])
+@pytest.mark.parametrize(
+    "estimator",
+    ["top-entropy", "power-test", "corr-sum", "local-corr-entropy", "exact-series"],
+)
 def test_exact_on_a_non_binary_system_is_a_config_error(tmp_path, capsys, estimator):
     """The closed forms belong to the binary backend: reading them for
     the circle would print the binary entropy as the circle's."""
@@ -169,6 +172,17 @@ def test_exact_on_a_non_binary_system_is_a_config_error(tmp_path, capsys, estima
     assert main(["run", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "config error" in captured.err
+
+
+@pytest.mark.parametrize("estimator", ["corr-sum", "local-corr-entropy"])
+def test_exact_without_a_closed_form_is_a_config_error(tmp_path, capsys, estimator):
+    """corr-sum and local-corr-entropy have no closed form: exact = true
+    would be ignored and print sampled rows."""
+    cfg = tmp_path / "exact.cfg"
+    cfg.write_text(f"estimator = {estimator}\nexact = true\nepsilons = 0.25\nks = 1,2\n")
+    assert main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "config error" in captured.err and "exact" in captured.err
 
 
 def test_power_test_exact_short_horizons_exit_zero(tmp_path, capsys):

@@ -22,6 +22,7 @@ from fsgentropy.estimators import (
     corr_integral,
     correlation_sum,
     doubling_ratio,
+    doubling_series,
     local_corr_entropy_series,
     local_entropy_series,
     omega_words,
@@ -483,6 +484,17 @@ def test_doubling_ratio_exact_backend_bitwise():
     for k in (1, 2, 5, 12):
         got = doubling_ratio(em, BIN, word((1, 2) * 6, 2), k, 2.0**-3)
         assert got == math.log(2.0) / k
+
+
+def test_doubling_series_on_the_exact_backend_equals_per_cell_ratios():
+    em = ExactCylinderMeasure.draw(60, 8, substream(25))
+    omega = word((1, 2) * 6, 2)
+    ks = [1, 2, 5, 12]
+    for series in doubling_series(em, BIN, omega, [0.25, 2.0**-3], ks):
+        assert series.rows == [
+            (k, doubling_ratio(em, BIN, omega, k, series.epsilon)) for k in ks
+        ]
+        assert series.values == [math.log(2.0) / k for k in ks]
 
 
 def test_local_entropy_series_trivials():

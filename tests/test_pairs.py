@@ -16,11 +16,12 @@ from fsgentropy import estimators, systems
 from fsgentropy.estimators import (
     EmpiricalMeasure,
     _as_point_set,
-    _ball_counts,
     _blocks,
     _count_cells,
     corr_entropy_series,
     correlation_sum,
+    doubling_ratio,
+    doubling_series,
     local_corr_entropy_series,
     separated_set,
     top_entropy_series,
@@ -103,6 +104,10 @@ def _words(sys_, k):
     return [word(syms, sys_.m) for syms in itertools.product(range(1, sys_.m + 1), repeat=k - 1)]
 
 
+def _ball_counts(sys_, omega, k, eps, pset):
+    return _count_cells(sys_, pset, eps, [(k, omega)], "balls")[0]
+
+
 @pytest.mark.parametrize("eps", EPS)
 def test_ball_counts_match_oracle(pair_systems, chunk, eps):
     fast, oracle, calls = pair_systems
@@ -180,17 +185,17 @@ def test_stage0_is_exactly_the_close_pairs(chunk, eps):
     assert got == sorted(zip(a[hit].tolist(), b[hit].tolist()))
 
 
-def test_point_set_keeps_two_latest_radii():
+def test_each_count_sweeps_stage0_once():
+    """A point set keeps no stage-0 pairs: every _count_cells call on a
+    pair system makes them anew, once, whatever its cells and radius."""
     calls = []
     fast = _sparse(SYSTEMS["circle"], calls)
-    pset = _as_point_set(fast, _points(10, 4))
-    for eps in (0.25, 0.125, 0.25, 0.125, 0.0625, 0.125):
-        pset.stage0_pairs(fast, eps)
-    assert len(calls) == 3
-    assert list(pset._stage0) == [0.125, 0.0625]
-    pset.release()
-    pset.stage0_pairs(fast, 0.125)
-    assert len(calls) == 4
+    pts = _points(10, 4)
+    pset = _as_point_set(fast, pts)
+    cells = _cells(fast)
+    for n, eps in enumerate((0.25, 0.125, 0.25, 0.125, 0.0625, 0.125), 1):
+        _count_cells(fast, pset, eps, cells if n % 2 else cells[:1], "balls")
+        assert calls == [len(pts)] * n
     assert estimators._has_pairs(fast)
     assert not estimators._has_pairs(replace(fast, array_ops=None))
 
@@ -288,10 +293,43 @@ def test_each_trie_node_filters_once_per_chunk(monkeypatch, chunk_size):
     nodes = {w.symbols[:d] for k, w in cells for d in range(k)}
     # at eps = 1/2 every pair is close at every stage, so no subtree is skipped
     pset = _as_point_set(fast, pts)
-    n_pairs = len(pset.stage0_pairs(fast, 0.5)[0])
+    n_pairs = len(systems._circle_stage0(np.asarray(pts), 0.5)[0])
     assert n_pairs == len(pts) * (len(pts) - 1) // 2
     chunks = -(-n_pairs // systems.PAIR_CHUNK)
     _count_cells(fast, pset, 0.5, cells, "balls")
     assert count["apply"] == len(nodes) - 1
     assert count["close"] == (len(nodes) - 1) * chunks
     assert sum(k - 1 for k, _ in cells) > len(nodes) - 1
+
+
+def test_doubling_series_walks_once_per_radius(monkeypatch):
+    """Every horizon of a radius is counted in one pair walk at eps and
+    one at 2 eps, each mapping the word's K - 1 stages once; per-k calls
+    would walk twice per horizon, each from stage 0."""
+    base = SYSTEMS["circle"]
+    count = {"walks": 0, "apply": 0}
+
+    def apply(j, arr):
+        count["apply"] += 1
+        return base.array_ops.apply(j, arr)
+
+    walk = estimators._pair_walk
+
+    def counting_walk(*args, **kwargs):
+        count["walks"] += 1
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "_pair_walk", counting_walk)
+    ops = base.array_ops
+    fast = replace(base, array_ops=ArrayOps(ops.to_array, apply, ops.within))
+    pts = tuple(_points(40, 10))
+    omega = word((1, 2, 2, 1, 2), 2)
+    eps_list, ks = [0.125, 0.0625], [1, 2, 3, 4, 5, 6]
+    got = doubling_series(EmpiricalMeasure(pts), fast, omega, eps_list, ks)
+    assert count == {"walks": 2 * len(eps_list), "apply": 2 * len(eps_list) * (len(ks) - 1)}
+    for eps, series in zip(eps_list, got):
+        assert (series.epsilon, series.kind) == (eps, "doubling")
+        assert [k for k, _ in series.rows] == ks
+        for k, value in series.rows:
+            for s in (base, _generic(base)):
+                assert value == doubling_ratio(EmpiricalMeasure(pts), s, omega, k, eps), (eps, k)

@@ -10,7 +10,7 @@ import pytest
 
 from fsgentropy import binary, estimators
 from fsgentropy.binary import all_points, orbit_windows, to_windows, window_stage
-from fsgentropy.errors import CarryOverflow, DepthExhausted
+from fsgentropy.errors import CarryOverflow, DepthExhausted, WordTooShort
 from fsgentropy.estimators import (
     EmpiricalMeasure,
     _as_point_set,
@@ -20,6 +20,7 @@ from fsgentropy.estimators import (
     _trie,
     correlation_sum,
     doubling_ratio,
+    doubling_series,
     separated_set,
 )
 from fsgentropy.seeding import substream
@@ -361,18 +362,49 @@ def test_corr_sum_horizons_take_one_stage_per_orbit_and_k(exact_calls):
     assert not exact_calls
 
 
-def test_doubling_resumes_at_both_of_its_radii():
+def test_doubling_series_takes_one_walk_per_radius():
     base = binary_shift_odometer(depth=64)
     sys_, stages = _counting_stages(base)
     em = EmpiricalMeasure(tuple(_points(100, 64, 14)))
     omega = word((1, 2, 1), 2)
-    got = [doubling_ratio(em, sys_, omega, k, 0.125) for k in range(1, 5)]
-    # eps and 2 eps alternate, and both stay kept: 4 stages each, not 10
-    assert stages == {0.125: 4, 0.25: 4}
-    for k, value in enumerate(got, 1):
-        fresh = EmpiricalMeasure(em.points)
-        assert value == doubling_ratio(fresh, base, omega, k, 0.125)
-        assert value == doubling_ratio(fresh, _generic(base), omega, k, 0.125)
+    eps_list = [0.25, 0.125]
+    got = doubling_series(em, sys_, omega, eps_list, [1, 2, 3, 4])
+    # one walk at eps and one at 2 eps, 4 stages each; per-k walks from
+    # stage 0 would take 10 at each radius
+    assert stages == {0.5: 4, 0.25: 8, 0.125: 4}
+    for eps, series in zip(eps_list, got):
+        assert (series.epsilon, series.kind) == (eps, "doubling")
+        assert [k for k, _ in series.rows] == [1, 2, 3, 4]
+        for k, value in series.rows:
+            fresh = EmpiricalMeasure(em.points)
+            assert value == doubling_ratio(fresh, base, omega, k, eps)
+            assert value == doubling_ratio(fresh, _generic(base), omega, k, eps)
+
+
+@pytest.mark.parametrize(
+    "points, eps, omega, ks, error",
+    [
+        (_points(16, 6, 2), 2.0**-4, (1, 1, 1, 1), [1, 2, 3, 4, 5], DepthExhausted),
+        (all_points(4), 0.5, (1, 2, 2), [1, 2, 3, 4], CarryOverflow),
+        (_points(16, 64, 3), 0.25, (1, 2), [1, 2, 3, 4], WordTooShort),
+    ],
+    ids=["depth", "carry", "short"],
+)
+def test_doubling_series_raises_as_the_per_k_loop(points, eps, omega, ks, error):
+    sys_ = binary_shift_odometer(depth=points[0].depth)
+    omega = word(omega, 2)
+
+    def per_k(s):
+        em = EmpiricalMeasure(tuple(points))
+        return [doubling_ratio(em, s, omega, k, eps) for k in ks]
+
+    def series(s):
+        return doubling_series(EmpiricalMeasure(tuple(points)), s, omega, [eps], ks)
+
+    for s in (sys_, replace(sys_, window_ops=None)):
+        for run in (per_k, series):
+            with pytest.raises(error):
+                run(s)
 
 
 def test_corr_sum_resumed_in_any_call_order_equals_fresh_walks(exact_calls):
@@ -382,11 +414,12 @@ def test_corr_sum_resumed_in_any_call_order_equals_fresh_walks(exact_calls):
     omega = word((1, 2, 2, 1, 2, 1, 1), 2)
     a, b, c = 0.25, 0.125, 0.0625
     # (eps, k, stages per orbit): gapped ks, a repeated k, a decreasing k,
-    # an eps switch, eps / 2 eps alternation, and a third radius, which
-    # drops the labels kept for the oldest
+    # an eps switch, eps / 2 eps alternation and a third radius; labels
+    # are kept for the latest radius only, so every switch walks from
+    # stage 0
     calls = [
         (a, 1, 1), (a, 3, 2), (a, 8, 5), (a, 8, 0), (a, 5, 5), (b, 5, 5),
-        (a, 6, 1), (b, 6, 1), (a, 7, 1), (b, 7, 1), (c, 7, 7), (a, 8, 8),
+        (a, 6, 6), (b, 6, 6), (a, 7, 7), (b, 7, 7), (c, 7, 7), (a, 8, 8),
     ]
     m = 3
 
@@ -425,7 +458,7 @@ def test_resumed_walks_raise_exactly_where_fresh_walks_raise(
     pset = em._point_set(sys_)
     omega = word(omega, 2)
     for k in ks:
-        kept = pset.labelled.get(eps)
+        kept = pset.labelled
         got = _outcome(lambda s: em.ball_measures(s, omega, k, eps).tolist(), sys_)
 
         def fresh(s):
@@ -437,7 +470,7 @@ def test_resumed_walks_raise_exactly_where_fresh_walks_raise(
             assert got[1] is error
             # a failed walk keeps nothing: the next one resumes from the
             # labels an earlier walk kept, or from stage 0
-            assert pset.labelled.get(eps) is kept
+            assert pset.labelled is kept
 
 
 def test_exact_fallback_mid_series_keeps_only_window_labels(exact_calls):
@@ -455,6 +488,6 @@ def test_exact_fallback_mid_series_keeps_only_window_labels(exact_calls):
     got = [corr(sys_, k) for k in range(1, 9)]
     assert len(exact_calls) == 3  # once per orbit, at k = 8
     for orbit in estimators._upsilon_orbits(sys_, x, 60, 3, 9, None):
-        ((path, carried),) = orbit.labelled.values()
-        assert path == omega.symbols[:6] and carried[1] is None
+        kept_eps, path, carried = orbit.labelled
+        assert kept_eps == 2.0**-60 and path == omega.symbols[:6] and carried[1] is None
     assert got == [corr(exact, k) for k in range(1, 9)]
