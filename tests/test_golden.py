@@ -25,7 +25,10 @@ before a label walk resumed where the point set's previous walk ended,
 and the circle doubling over halving radii, the three-radius binary
 doubling, the exact-measure binary doubling and the circle local
 entropy before a doubling series counted every horizon of its word in
-one walk per radius.
+one walk per radius, and the three-radius torus local entropy, the
+exact-measure binary local entropy and the deep circle local entropy,
+whose rows reach the 1/N floor, before a one-centre ball count went
+through the shared trie walk.
 A change that means to alter output regenerates them and says which
 rows changed and why.
 """
@@ -39,7 +42,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def test_golden_csvs_byte_identical(tmp_path, capsys):
     configs = sorted(GOLDEN.glob("*.cfg"))
-    assert len(configs) >= 42
+    assert len(configs) >= 45
     changed = []
     for cfg in configs:
         expected = cfg.with_suffix(".json")
