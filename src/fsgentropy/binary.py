@@ -487,12 +487,6 @@ class ExactCylinderMeasure:
     def draw(cls, depth: int, n_points: int, rng: np.random.Generator):
         return cls(tuple(random_points(depth, n_points, rng)))
 
-    def _measure(self, omega: SymbolWord, k: int, eps: float) -> float:
-        level = prefix_length_for(eps)
-        return 2.0 ** (-(level + s_count(omega, k)))
-
-    def ball_measure(self, sys, omega, k, center, eps) -> float:
-        return self._measure(omega, k, eps)
-
     def ball_measures(self, sys, omega, k, eps) -> np.ndarray:
-        return np.full(len(self.points), self._measure(omega, k, eps))
+        level = prefix_length_for(eps)
+        return np.full(len(self.points), 2.0 ** (-(level + s_count(omega, k))))

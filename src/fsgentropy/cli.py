@@ -253,7 +253,7 @@ def _run_corr_sum(cfg, sys_):
     x = sys_.mu_sampler(substream(cfg.seed, POINT), 1)[0]
     omega = _sample_omega(cfg, sys_, max(cfg.ks) - 1)
     weights = _weights(cfg, sys_)
-    series_list = []
+    out = []
     for eps in cfg.epsilons:
         ests = [
             estimators.correlation_sum(
@@ -261,15 +261,9 @@ def _run_corr_sum(cfg, sys_):
             )
             for k in cfg.ks
         ]
-        series_list.append(
-            EntropySeries(
-                eps,
-                [(k, est.value) for k, est in zip(cfg.ks, ests)],
-                kind="corr-sum",
-                stderrs=[est.stderr for est in ests],
-            )
-        )
-    return series_list
+        rows = [(k, est.value) for k, est in zip(cfg.ks, ests)]
+        out.append(EntropySeries(eps, rows, "corr-sum", stderrs=[e.stderr for e in ests]))
+    return out
 
 
 def _run_corr_entropy(cfg, sys_):
@@ -426,18 +420,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _row_to_csv(row: ResultRow) -> str:
     q = "" if row.q is None else repr(float(row.q))
-    return ",".join(
-        [
-            row.estimator,
-            repr(float(row.epsilon)),
-            str(row.k),
-            q,
-            repr(float(row.value)),
-            repr(float(row.stderr)),
-            str(row.seed),
-            row.flags.replace(",", ";"),
-        ]
-    )
+    return ",".join([
+        row.estimator, repr(float(row.epsilon)), str(row.k), q, repr(float(row.value)),
+        repr(float(row.stderr)), str(row.seed), row.flags.replace(",", ";"),
+    ])
 
 
 def format_csv(rows: list[ResultRow]) -> str:
@@ -455,18 +441,10 @@ def parse_rows(text: str) -> list[ResultRow]:
         if len(parts) != 8:
             raise IoFailure(f"malformed row: {ln!r}")
         est, eps, k, q, value, stderr, seed, flags = parts
-        out.append(
-            ResultRow(
-                est,
-                float(eps),
-                int(k),
-                None if q == "" else float(q),
-                float(value),
-                float(stderr),
-                int(seed),
-                flags,
-            )
-        )
+        out.append(ResultRow(
+            est, float(eps), int(k), None if q == "" else float(q), float(value),
+            float(stderr), int(seed), flags,
+        ))
     return out
 
 

@@ -18,7 +18,8 @@ Conventions shared by everything here:
   point set and radius and walks the prefix trie of their words' first
   k-1 symbols, so each distinct prefix is paid for once; ball counts,
   pair counts and greedy nets are read off where cells end.  A single
-  ball count, correlation sum or separated set is the one-cell case.
+  ball count, correlation sum or separated set is the one-cell case;
+  local entropy counts the ball of its center alone.
 * With ball keys, a trie node folds its stage keys into its parent's
   integer labels, equal for two points exactly when they are
   Bowen-within eps along the prefix.  Labels are the dense ranks of the
@@ -30,14 +31,16 @@ Conventions shared by everything here:
   the exact stage keys of the points take over.  A point set keeps the
   window state and labels where its latest walk ended, for one radius,
   and a walk at that radius down a longer prefix of the same word
-  resumes there: the nested horizons of a corr-sum run label one more
-  stage each, not all of them again.  Labels from exact keys, or from a
-  walk that raised, are never kept.
+  resumes there: the nested horizons of a corr-sum run, one call per
+  (eps, k), label one more stage each (a series walks all its own at
+  once).  Labels from exact keys, or from a walk that raised, are never
+  kept.
 * On the circle family (pair_ops) a sort-sweep finds the pairs within
   eps at stage 0 once per count, and every node filters its parent's
   surviving pairs through its own stage with the metric's own float
   expression, systems.PAIR_CHUNK stage-0 pairs at a time; no N x N
-  matrix is built.
+  matrix is built.  A one-center count takes the center's pairs from
+  pair_ops.close against every point instead, with no sweep.
 * Both orbit estimators count Bowen-close pairs through one counter,
   which tallies ordered off-diagonal pairs outside a lag window by
   pairs of orbit-time blocks.  correlation_sum leaves out lags up to
@@ -159,10 +162,11 @@ class _PointSet:
     `make` builds the points on first use, so orbits whose windows
     decide every stage never exist as points.  On systems with
     window_ops, `labelled` is the end of the latest label walk that kept
-    its labels: (eps, path, carried) of the walk's radius and last node
-    where cells end, its window state and folded labels, for the next
-    walk at that radius to resume from (see _label_walk), or None;
-    labels made from exact points are never kept."""
+    its labels, unless a later walk started at stage 0: (eps, path,
+    carried) of the walk's radius and last node where cells end, its
+    window state and folded labels, for the next walk at that radius to
+    resume from (see _label_walk), or None; labels made from exact
+    points are never kept."""
 
     def __init__(self, wins, points=None, make=None):
         self.wins = wins
@@ -186,7 +190,7 @@ class _PointSet:
 
 
 def _as_point_set(sys: GeneratorSystem, points) -> _PointSet:
-    points = list(points)
+    points = tuple(points)  # no copy of a measure's own tuple
     ops = sys.window_ops
     return _PointSet(None if ops is None else ops.to_windows(points), points)
 
@@ -269,15 +273,16 @@ def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, read) -> dict:
     (pset.labelled) when that walk was at eps and the trie runs down its
     node's prefix from the root without branching and without a cell
     ending above it, as the nested horizons of one word do; otherwise it
-    starts at stage 0.  Its own last node where cells end replaces the
-    kept one, unless that node's labels came from exact points or its
-    stage raised.  Folding
+    starts at stage 0 and drops the kept labels.  Its own last node where
+    cells end is kept, unless that node's labels came from exact points
+    or its stage raised.  Folding
     stage by stage makes the same partition as one wide fold, and the
     readers see only the partition, so no result depends on where a walk
     started."""
     out = {}
     resumed = _resume_node(root, eps, pset.labelled)
     if resumed is None:
+        pset.labelled = None  # its end replaces them: free them for its stages
         stack = [(root, (), (None, None, None, 0, 0), None)]
     else:
         node, path, carried = resumed
@@ -420,14 +425,25 @@ def _net_from_pairs(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return np.flatnonzero(kept)
 
 
-def _pair_results(sys, pset, eps, root, nodes, kind, reduce, blocks) -> dict:
+def _pair_results(sys, pset, eps, root, nodes, kind, reduce, blocks, center) -> dict:
     """The reduced result of the kind at every trie node where cells
     end, keyed by its first cell (listed in nodes), from one pair walk;
     results are made and reduced one node at a time.  The point array
     and its stage-0 pairs are made once per call, before the walk's own
-    arrays."""
-    n = len(pset)
+    arrays.  With a center, the walk's array is the center and the points
+    that pair_ops.close keeps with it, and a count is one plus the
+    center's surviving pairs."""
     arr = sys.array_ops.to_array(pset.points)
+    if center is not None:
+        near = sys.pair_ops.close(arr[center], arr, eps)
+        near[center] = False
+        arr = np.concatenate((arr[center:center + 1], arr[near]))
+        pairs = np.zeros(len(arr) - 1, np.int32), np.arange(1, len(arr), dtype=np.int32)
+        count = dict.fromkeys(nodes, 1)  # the center itself
+        for c, (i, _) in _pair_walk(sys, arr, pairs, eps, root):
+            count[c] += len(i)
+        return {c: reduce(float(count[c])) for c in nodes}
+    n = len(arr)
     i0, j0 = pairs = sys.pair_ops.stage0(arr, eps)
     if kind != "net":
         size, dtype = (n, np.int32) if kind == "balls" else (blocks.n_blocks**2, np.int64)
@@ -472,16 +488,20 @@ def _generic_result(sys, points, eps, k, omega, kind, blocks):
 
 
 def _count_cells(
-    sys: GeneratorSystem, pset: _PointSet, eps, cells, kind, reduce=None, blocks=None
+    sys: GeneratorSystem, pset: _PointSet, eps, cells, kind, reduce=None, blocks=None,
+    center=None,
 ) -> list:
     """One result per cell (k, word) of one point set and radius, passed
     through reduce if given.  kind "balls": per point, the points in its
-    Bowen eps-ball, itself included, as floats; "pairs": ordered pairs
+    Bowen eps-ball, itself included, as floats, or with a center (a point
+    index) the count of its ball alone, a float; "pairs": ordered pairs
     (i, j), |i - j| > w, Bowen-within eps, tallied by (block[i],
     block[j]) of blocks; "net": the first-come greedy net's indices.
     Where a stage raises, the first cell that needs it raises, as cell
     by cell."""
     reduce = reduce or (lambda v: v)
+    if center is not None and (sys.ball_key is not None or not _has_pairs(sys)):
+        whole, reduce = reduce, lambda counts: whole(counts[center])  # read off all balls
     if sys.ball_key is None and not _has_pairs(sys):
         return [
             reduce(_generic_result(sys, pset.points, eps, k, omega, kind, blocks))
@@ -496,7 +516,7 @@ def _count_cells(
         }[kind]
         got = _label_walk(sys, pset, eps, root, lambda labels: reduce(read(labels)))
     else:
-        got = _pair_results(sys, pset, eps, root, set(first), kind, reduce, blocks)
+        got = _pair_results(sys, pset, eps, root, set(first), kind, reduce, blocks, center)
     out = [got[c] for c in first]
     for v in out:
         if isinstance(v, Exception):
@@ -581,32 +601,34 @@ class EmpiricalMeasure:
         return _cell_measures(self, sys, eps, [(k, omega)])[0]
 
     def ball_measure(self, sys, omega, k, center, eps) -> float:
-        """Empirical Bowen-ball measure at one center from the sample."""
+        """Empirical Bowen-ball measure at one center from the sample:
+        the one-cell case of local_entropy_series."""
         _check_eps(eps)
         _check_word(omega, k)
-        at = next((i for i, p in enumerate(self.points) if p == center), None)
-        if at is None:
-            raise CenterNotInSample("center must be one of the sample points")
-        if sys.array_ops is None or sys.ball_key is not None:
-            return float(self.ball_measures(sys, omega, k, eps)[at])
-        # one center against the sample, stage by stage: no pair lists
-        ops = sys.array_ops
-        arr, c = ops.to_array(self.points), ops.to_array([center])
-        row = ops.within(c, arr, eps)
-        for s in omega.symbols[: k - 1]:
-            arr, c = ops.apply(s, arr), ops.apply(s, c)
-            row &= ops.within(c, arr, eps)
-        return float(row.sum()) / self.n
+        at = _center_index(self, center)
+        return float(_cell_measures(self, sys, eps, [(k, omega)], center=at)[0])
 
 
-def _cell_measures(measure, sys, eps, cells, reduce=lambda m: m) -> list:
-    """reduce(the Bowen eps-ball measures at the sample points) of every
-    (k, word) cell: an empirical measure counts all the cells in one
-    walk, and any other measure (ExactCylinderMeasure) answers per cell."""
+def _center_index(measure, center) -> int:
+    """The index of center's first copy in the measure's sample."""
+    at = next((i for i, p in enumerate(measure.points) if p == center), None)
+    if at is None:
+        raise CenterNotInSample("center must be one of the sample points")
+    return at
+
+
+def _cell_measures(measure, sys, eps, cells, reduce=lambda m: m, center=None) -> list:
+    """reduce(the Bowen eps-ball measures at the sample points, or at the
+    point of index center alone) of every (k, word) cell: an empirical
+    measure counts all the cells in one walk, and any other measure
+    (ExactCylinderMeasure) answers per cell."""
     if isinstance(measure, EmpiricalMeasure):
         pset, n = measure._point_set(sys), measure.n
-        return _count_cells(sys, pset, eps, cells, "balls", lambda counts: reduce(counts / n))
-    return [reduce(np.asarray(measure.ball_measures(sys, w, k, eps), float)) for k, w in cells]
+        return _count_cells(
+            sys, pset, eps, cells, "balls", lambda counts: reduce(counts / n), center=center
+        )
+    at = slice(None) if center is None else center
+    return [reduce(np.asarray(measure.ball_measures(sys, w, k, eps), float)[at]) for k, w in cells]
 
 
 # ---------------------------------------------------------------------------
@@ -1040,16 +1062,15 @@ def local_entropy_series(
     measure, sys: GeneratorSystem, omega, x, eps_list, k_list
 ) -> list[EntropySeries]:
     """Decay rate of the ball measure at a fixed center x along a fixed
-    word: rows (k, -(1/k) log measure(Bowen ball))."""
+    word: rows (k, -(1/k) log measure(Bowen ball)).  Every horizon of a
+    radius is counted in one walk that reads x's ball alone."""
     _check_grids(eps_list, k_list)
-    if not any(p == x for p in measure.points):
-        raise CenterNotInSample("x must be one of the sample points")
-    return [
-        EntropySeries(
-            eps,
-            [(k, -math.log(measure.ball_measure(sys, omega, k, x, eps)) / k) for k in k_list],
-            kind="local-entropy",
-            meta={"n_points": len(measure.points)},
-        )
-        for eps in eps_list
-    ]
+    _check_word(omega, k_list[-1])
+    cells, at = [(k, omega) for k in k_list], _center_index(measure, x)
+    out = []
+    for eps in eps_list:
+        found = _cell_measures(measure, sys, eps, cells, center=at)
+        rows = [(k, -math.log(m) / k) for k, m in zip(k_list, found)]
+        meta = {"n_points": len(measure.points)}
+        out.append(EntropySeries(eps, rows, "local-entropy", meta=meta))
+    return out

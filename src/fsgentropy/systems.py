@@ -19,8 +19,8 @@ Systems may advertise four optional fast-path capabilities:
   estimators then use ball_key from that stage on, which raises exactly
   where the point maps raise.
 * array_ops: vectorised point array conversion, generator application
-  and a center-by-sample threshold test, for scalar systems (the circle
-  family).
+  and a center-by-sample threshold test (read only by the benchmark's
+  tracer), for scalar systems (the circle family).
 * pair_ops: sparse Bowen pair lists on the arc metric of R/Z (the circle
   family and its power systems).  stage0 finds every pair of a point
   array within eps by sorting it once and sweeping a band of eps plus a
@@ -58,7 +58,8 @@ MAX_ALPHABET = 1 << 20
 
 @dataclass(frozen=True)
 class ArrayOps:
-    """Vectorised operations over a whole sample of points at once."""
+    """Vectorised operations over a whole sample of points at once;
+    `within` has no caller but the benchmark's tracer, which wraps it."""
 
     to_array: Callable[[Sequence[Point]], np.ndarray]
     apply: Callable[[int, np.ndarray], np.ndarray]  # 1-based generator index

@@ -265,7 +265,7 @@ def test_exact_cylinder_measure():
     assert ms.shape == (8,)
     # length = 2 resolved + 1 shift among the first two letters
     assert all(m == 2.0**-3 for m in ms)
-    assert em.ball_measure(sys_, omega, 3, em.points[0], 0.25) == 2.0**-3
+    assert em.ball_measures(sys_, omega, 3, 0.125)[0] == 2.0**-4
 
 
 def test_random_point_depth_and_determinism():

@@ -312,6 +312,25 @@ def test_console_script_is_installed():
     assert "binary-shift-odometer" in proc.stdout
 
 
+def test_python_m_runs_the_command_line_without_warnings():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import fsgentropy
+
+    src = str(Path(fsgentropy.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "fsgentropy", "list-systems"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "binary-shift-odometer" in proc.stdout
+
+
 def test_cli_main_list_systems(capsys):
     assert main(["list-systems"]) == 0
     out = capsys.readouterr().out

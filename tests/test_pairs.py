@@ -23,6 +23,7 @@ from fsgentropy.estimators import (
     doubling_ratio,
     doubling_series,
     local_corr_entropy_series,
+    local_entropy_series,
     separated_set,
     top_entropy_series,
 )
@@ -183,6 +184,31 @@ def test_stage0_is_exactly_the_close_pairs(chunk, eps):
     a, b = np.triu_indices(len(arr), 1)
     hit = systems._circle_close(arr[a], arr[b], eps)
     assert got == sorted(zip(a[hit].tolist(), b[hit].tolist()))
+
+
+@pytest.mark.parametrize("eps", (0.5, 0.5 - 1e-11, 0.125, 2.0**-20))
+def test_one_center_walks_its_own_pairs_like_the_oracle(pair_systems, chunk, eps):
+    """A one-centre count starts from the centre's pairs, which close
+    picks from the whole array: no stage0 sweep and no dense within.
+    Centres sit on the edges of [0, 1), on a duplicate, at both ends of
+    the pairs exactly 0.125 apart (directly and across 0) and of the
+    rounding pairs."""
+    fast, oracle, calls = pair_systems
+    pts = tuple(_points(30, 11))
+    m = fast.m
+    ks = [1, 2, 3, 4]
+    for omega in (word((1, m, 1), m), word((m, m, 2), m)):
+        for center in pts[:4] + pts[5:11] + pts[20:21]:
+            got, want = (
+                local_entropy_series(EmpiricalMeasure(pts), s, omega, center, [eps], ks)[0]
+                for s in (fast, oracle)
+            )
+            assert got.rows == want.rows, center
+            em = EmpiricalMeasure(pts)
+            for k in ks:
+                measure = em.ball_measure(fast, omega, k, center, eps)
+                assert measure == em.ball_measure(oracle, omega, k, center, eps), (center, k)
+    assert calls == []
 
 
 def test_each_count_sweeps_stage0_once():

@@ -2,6 +2,7 @@
 BinaryPoint path: equal results, and the same exception wherever the
 exact path raises."""
 
+import math
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -21,6 +22,7 @@ from fsgentropy.estimators import (
     correlation_sum,
     doubling_ratio,
     doubling_series,
+    local_entropy_series,
     separated_set,
 )
 from fsgentropy.seeding import substream
@@ -381,6 +383,35 @@ def test_doubling_series_takes_one_walk_per_radius():
             assert value == doubling_ratio(fresh, _generic(base), omega, k, eps)
 
 
+def test_local_entropy_series_takes_one_walk_per_radius(monkeypatch):
+    base = binary_shift_odometer(depth=64)
+    sys_, stages = _counting_stages(base)
+    walks = Counter()
+    walk = estimators._label_walk
+
+    def counting_walk(s, pset, eps, *rest):
+        walks[eps] += 1
+        return walk(s, pset, eps, *rest)
+
+    monkeypatch.setattr(estimators, "_label_walk", counting_walk)
+    points = _points(100, 64, 16)
+    em = EmpiricalMeasure(tuple(points))
+    omega = word((1, 2, 1), 2)
+    eps_list, ks = [0.25, 0.125], [1, 2, 3, 4]
+    got = local_entropy_series(em, sys_, omega, points[7], eps_list, ks)
+    # one walk of 4 stages per radius; per-k walks from stage 0 would
+    # take 10 stages, and resumed ones 4 walks
+    assert walks == {0.25: 1, 0.125: 1}
+    assert stages == {0.25: 4, 0.125: 4}
+    for eps, series in zip(eps_list, got):
+        assert (series.epsilon, series.kind) == (eps, "local-entropy")
+        assert [k for k, _ in series.rows] == ks
+        for k, value in series.rows:
+            for s in (base, _generic(base)):
+                fresh = EmpiricalMeasure(tuple(points))
+                assert value == -math.log(fresh.ball_measure(s, omega, k, points[7], eps)) / k
+
+
 @pytest.mark.parametrize(
     "points, eps, omega, ks, error",
     [
@@ -401,10 +432,22 @@ def test_doubling_series_raises_as_the_per_k_loop(points, eps, omega, ks, error)
     def series(s):
         return doubling_series(EmpiricalMeasure(tuple(points)), s, omega, [eps], ks)
 
+    def local(s):
+        em = EmpiricalMeasure(tuple(points))
+        return local_entropy_series(em, s, omega, points[1], [eps], ks)
+
+    def local_per_k(s):
+        em = EmpiricalMeasure(tuple(points))
+        return [em.ball_measure(s, omega, k, points[1], eps) for k in ks]
+
+    # the exact stage keys, one horizon at a time, name the failure
+    oracle = _outcome(local_per_k, replace(sys_, window_ops=None))
+    assert oracle[:2] == ("raised", error)
     for s in (sys_, replace(sys_, window_ops=None)):
         for run in (per_k, series):
             with pytest.raises(error):
                 run(s)
+        assert _outcome(local, s) == oracle
 
 
 def test_corr_sum_resumed_in_any_call_order_equals_fresh_walks(exact_calls):
