@@ -28,7 +28,11 @@ entropy before a doubling series counted every horizon of its word in
 one walk per radius, and the three-radius torus local entropy, the
 exact-measure binary local entropy and the deep circle local entropy,
 whose rows reach the 1/N floor, before a one-centre ball count went
-through the shared trie walk.
+through the shared trie walk, and the circle corr-entropy and
+top-entropy and the torus corr-sum whose stage-0 pairs span many
+PAIR_CHUNK chunks, and the circle corr-entropy at eps = 1/2, where the
+sweep's two bands meet, before stage 0 was built from centre bands and
+ball and pair counts were tallied by difference down the trie.
 A change that means to alter output regenerates them and says which
 rows changed and why.
 """
@@ -42,7 +46,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def test_golden_csvs_byte_identical(tmp_path, capsys):
     configs = sorted(GOLDEN.glob("*.cfg"))
-    assert len(configs) >= 45
+    assert len(configs) >= 49
     changed = []
     for cfg in configs:
         expected = cfg.with_suffix(".json")
