@@ -39,8 +39,11 @@ Conventions shared by everything here:
   eps at stage 0 once per count, and every node filters its parent's
   surviving pairs through its own stage with the metric's own float
   expression, systems.PAIR_CHUNK stage-0 pairs at a time; no N x N
-  matrix is built.  A one-center count takes the center's pairs from
-  pair_ops.close against every point instead, with no sweep.
+  matrix is built.  Ball and pair counts are tallied by difference down
+  the trie: a node that keeps most of its parent's pairs subtracts the
+  tally of those it drops from its parent's, so no node tallies more
+  than half its parent's pairs.  A one-center count takes the center's
+  pairs from pair_ops.close against every point instead, with no sweep.
 * Both orbit estimators count Bowen-close pairs through one counter,
   which tallies ordered off-diagonal pairs outside a lag window by
   pairs of orbit-time blocks.  correlation_sum leaves out lags up to
@@ -55,7 +58,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -339,15 +342,20 @@ def _label_stage(sys, pset, eps, node, path, state, points, labels, row, bits):
     return state, points, labels, row, bits
 
 
-def _pair_walk(sys: GeneratorSystem, arr, pairs, eps, root, positions=False):
-    """Yield (first cell, cols) at every trie node where cells end, per
-    PAIR_CHUNK chunk of the stage-0 pairs (i0, j0) of the point array arr:
-    cols = (i, j) of the chunk's pairs Bowen-within eps along the node's
-    prefix (plus their stage-0 positions if asked).  Each node makes its
-    stage array once and, per chunk, keeps those of its parent's
-    surviving pairs that pair_ops.close keeps there.  Gathers reuse two
-    arrays per walk, as fresh ones get faulted in anew, more often for
-    some words than for others."""
+def _pair_walk(sys: GeneratorSystem, arr, pairs, eps, root, tally=None):
+    """Yield (first cell, chunk start, got) at every trie node where cells
+    end and pairs survive, per PAIR_CHUNK chunk of the stage-0 pairs
+    (i0, j0) of the point array arr: got is tally(i, j) of the chunk's
+    pairs Bowen-within eps along the node's prefix, or without a tally
+    their positions in the chunk.  Each node makes its stage array once
+    and, per chunk, keeps those of its parent's surviving pairs that
+    pair_ops.close keeps there.  A node that keeps them all (an isometry)
+    takes its parent's tally, one that keeps more than half its parent's
+    tally minus that of the pairs it drops (exact for integer counts),
+    any other the tally of what it keeps: so no node but the root
+    tallies more than half its parent's pairs.  Gathers reuse two arrays
+    per walk and positions are views of one array, as fresh ones get
+    faulted in anew, more often for some words than for others."""
     apply, close = sys.array_ops.apply, sys.pair_ops.close
     arrays = {}  # stage array per node, freed with the walk
     todo = [(root, arr)]
@@ -357,25 +365,36 @@ def _pair_walk(sys: GeneratorSystem, arr, pairs, eps, root, positions=False):
         todo.extend((kid, apply(kid[0], arr)) for kid in node[1].values())
     i0, j0 = pairs
     chunk = systems.PAIR_CHUNK
-    ta, tb = np.empty((2, min(chunk, len(i0))), dtype=arrays[id(root)].dtype)
+    size = min(chunk, len(i0))
+    ta, tb = np.empty((2, size), dtype=arrays[id(root)].dtype)
+    at = np.arange(size, dtype=np.int32) if tally is None else None  # copies half as big
     for lo in range(0, len(i0), chunk):
         cols = (i0[lo:lo + chunk], j0[lo:lo + chunk])
-        if positions:
-            cols += (np.arange(lo, lo + len(cols[0])),)
-        stack = [(root, cols)]
+        if at is not None:
+            cols += (at[:len(cols[0])],)
+        stack = [(root, cols, None)]
         while stack:
-            node, cols = stack.pop()
+            node, cols, got = stack.pop()
             sym, kids, ends = node
             if sym is not None:  # the root is stage 0, which every pair passes
                 arr, n = arrays[id(node)], len(cols[0])
                 a = arr.take(cols[0], out=ta[:n], mode="clip")  # "raise" would buffer out
                 keep = close(a, arr.take(cols[1], out=tb[:n], mode="clip"), eps)
-                if not keep.all():  # an isometry keeps them all
+                kept = np.count_nonzero(keep)
+                if not kept:  # nothing to count here or below
+                    continue
+                if kept < n:
+                    if tally is not None and 2 * kept > n:
+                        drop = ~keep
+                        got = got - tally(cols[0][drop], cols[1][drop])
+                    else:
+                        got = None
                     cols = tuple(c[keep] for c in cols)
+            if got is None:
+                got = cols[2] if tally is None else tally(*cols)
             if ends:
-                yield ends[0], cols
-            if len(cols[0]):  # no survivors: skip the subtree
-                stack.extend((kid, cols) for kid in kids.values())
+                yield ends[0], lo, got
+            stack.extend((kid, cols, got) for kid in kids.values())
 
 
 class _Blocks(NamedTuple):
@@ -395,15 +414,14 @@ def _blocks(block, n_blocks: int = 1, w: int = 0) -> _Blocks:
     return _Blocks(block, n_blocks, w, lags)
 
 
-def _tally(acc, kind, i, j, blocks) -> None:
-    """Add close pairs i < j to acc: neighbour counts per point for
-    "balls", pairs with j - i > w per (block[i], block[j]) for "pairs"."""
+def _tally(kind, size, blocks, i, j) -> np.ndarray:
+    """The size counts of close pairs i < j: neighbour counts per point
+    for "balls", pairs with j - i > w per (block[i], block[j]) for
+    "pairs"."""
     if kind == "balls":
-        acc += np.bincount(i, minlength=len(acc))
-        acc += np.bincount(j, minlength=len(acc))
-    else:
-        block, far = blocks.block, j - i > blocks.w
-        acc += np.bincount(block[i[far]] * blocks.n_blocks + block[j[far]], minlength=len(acc))
+        return np.bincount(i, minlength=size) + np.bincount(j, minlength=size)
+    block, far = blocks.block, j - i > blocks.w
+    return np.bincount(block[i[far]] * blocks.n_blocks + block[j[far]], minlength=size)
 
 
 def _tallied(kind, acc, blocks):
@@ -440,25 +458,26 @@ def _pair_results(sys, pset, eps, root, nodes, kind, reduce, blocks, center) -> 
         arr = np.concatenate((arr[center:center + 1], arr[near]))
         pairs = np.zeros(len(arr) - 1, np.int32), np.arange(1, len(arr), dtype=np.int32)
         count = dict.fromkeys(nodes, 1)  # the center itself
-        for c, (i, _) in _pair_walk(sys, arr, pairs, eps, root):
-            count[c] += len(i)
+        for c, _, got in _pair_walk(sys, arr, pairs, eps, root, lambda i, j: len(i)):
+            count[c] += got
         return {c: reduce(float(count[c])) for c in nodes}
     n = len(arr)
     i0, j0 = pairs = sys.pair_ops.stage0(arr, eps)
     if kind != "net":
         size, dtype = (n, np.int32) if kind == "balls" else (blocks.n_blocks**2, np.int64)
         acc = {c: np.zeros(size, dtype=dtype) for c in nodes}
-        for c, (i, j) in _pair_walk(sys, arr, pairs, eps, root):
-            _tally(acc[c], kind, i, j, blocks)
+        tally = partial(_tally, kind, size, blocks)
+        for c, _, got in _pair_walk(sys, arr, pairs, eps, root, tally):
+            acc[c] += got
         return {c: reduce(_tallied(kind, acc.pop(c), blocks)) for c in nodes}
     # a net needs all of a node's pairs at once: one bit per stage-0 pair
     # and node during the walk, then one node's pairs at a time
     acc = {c: np.zeros((len(i0) + 7) // 8, dtype=np.uint8) for c in nodes}
-    for c, (_, _, pos) in _pair_walk(sys, arr, pairs, eps, root, positions=True):
-        if len(pos):
-            byte = pos >> 3
-            starts = np.flatnonzero(np.diff(byte, prepend=-1))
-            acc[c][byte[starts]] |= np.add.reduceat(1 << (pos & 7), starts).astype(np.uint8)
+    for c, lo, pos in _pair_walk(sys, arr, pairs, eps, root):
+        pos = pos + lo % 8  # bits from byte lo // 8, small enough for int32
+        byte = pos >> 3
+        starts = np.flatnonzero(np.diff(byte, prepend=-1))
+        acc[c][lo // 8:][byte[starts]] |= np.add.reduceat(1 << (pos & 7), starts).astype(np.uint8)
     out = {}
     for c in nodes:
         hit = np.unpackbits(acc.pop(c), count=len(i0), bitorder="little").view(bool)
@@ -482,8 +501,7 @@ def _generic_result(sys, points, eps, k, omega, kind, blocks):
     i, j = np.array(close, dtype=np.intp).reshape(len(close), 2).T
     if kind == "net":
         return _net_from_pairs(n, i, j)
-    acc = np.zeros(n if kind == "balls" else blocks.n_blocks**2, dtype=np.int64)
-    _tally(acc, kind, i, j, blocks)
+    acc = _tally(kind, n if kind == "balls" else blocks.n_blocks**2, blocks, i, j)
     return _tallied(kind, acc, blocks)
 
 

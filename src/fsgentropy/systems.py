@@ -23,12 +23,13 @@ Systems may advertise four optional fast-path capabilities:
   tracer), for scalar systems (the circle family).
 * pair_ops: sparse Bowen pair lists on the arc metric of R/Z (the circle
   family and its power systems).  stage0 finds every pair of a point
-  array within eps by sorting it once and sweeping a band of eps plus a
-  small margin, wrap-around band included, and close keeps a pair
-  exactly when the metric would; the estimators filter the stage-0
-  pairs stage by stage down the prefix trie of a series' words with
-  close, so no N x N matrix is ever built.  pair_ops needs array_ops
-  for the stage arrays.
+  array within eps by sorting it once and reading each centre's band of
+  eps plus a small margin, wrap-around band included, from the sorted
+  order: only the margin's thin edge goes through the exact test, and
+  close keeps a pair exactly when the metric would; the estimators
+  filter the stage-0 pairs stage by stage down the prefix trie of a
+  series' words with close, so no N x N matrix is ever built.  pair_ops
+  needs array_ops for the stage arrays.
 
 Estimators fall back to the generic pairwise path when none is present;
 all paths agree exactly and the tests check that.
@@ -247,38 +248,51 @@ def _circle_stage0(arr: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]
 
     min(d, 1 - d) <= eps holds exactly when d <= eps or d >= 1 - eps, so
     after one sort the candidates of sorted row a are a near band (a, near)
-    and a wrap-around band [wrap, n); both are widened by the margin and
-    the exact test decides.  Candidates are enumerated in PAIR_CHUNK
-    slices of their concatenation, so no temporary outgrows the chunk.
+    and a wrap-around band [wrap, n), both widened by the margin (where
+    they meet, every pair is a candidate).  Only their margin parts, within
+    the margin of eps or of 1 - eps, go through the exact test; the sure
+    parts are kept whole.  Each kind of band is read in PAIR_CHUNK slices
+    of all rows' bands laid end to end, a candidate's row repeated from
+    the band lengths, into two int32 arrays made once.
     """
     n = len(arr)
-    order = np.argsort(arr, kind="stable")
+    order = np.argsort(arr, kind="stable").astype(np.int32)
     v = arr[order]
     margin = PAIR_MARGIN * max(1.0, float(np.abs(v).max(initial=0.0)))
+    row = np.arange(n)
+    sure_near = np.maximum(np.searchsorted(v, v + (eps - margin), side="right"), row + 1)
+    sure_wrap = np.searchsorted(v, v + (1.0 - eps + margin))
     if eps + margin < 0.5:
         near = np.searchsorted(v, v + (eps + margin), side="right")
         wrap = np.maximum(np.searchsorted(v, v + (1.0 - eps - margin)), near)
-    else:  # the bands meet: every pair is a candidate
-        near = wrap = np.full(n, n)
-    n_near = near - np.arange(n) - 1
-    counts = n_near + (n - wrap)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    total = int(ends[-1]) if n else 0
-    out_i = np.empty(total, dtype=np.int32)
-    out_j = np.empty(total, dtype=np.int32)
+    else:  # the bands meet: one margin band between the sure ones
+        near = wrap = np.maximum(sure_wrap, sure_near)
+    sure_near, sure_wrap = np.minimum(sure_near, near), np.maximum(sure_wrap, wrap)
+    # the bands [first, stop) of every sorted row: two sure, then two margin
+    bands = ((row + 1, sure_near), (sure_wrap, n), (sure_near, near), (wrap, sure_wrap))
+    total = sum(int((stop - first).sum()) for first, stop in bands)
+    out_i, out_j = np.empty((2, total), dtype=np.int32)
     kept = 0
-    for lo in range(0, total, PAIR_CHUNK):
-        pos = np.arange(lo, min(lo + PAIR_CHUNK, total))
-        a = np.searchsorted(ends, pos, side="right")
-        r = pos - starts[a]
-        b = np.where(r < n_near[a], a + 1 + r, wrap[a] + (r - n_near[a]))
-        hit = _circle_close(v[a], v[b], eps)
-        a, b = order[a[hit]], order[b[hit]]
-        m = len(a)
-        out_i[kept:kept + m] = np.minimum(a, b)
-        out_j[kept:kept + m] = np.maximum(a, b)
-        kept += m
+    for band, (first, stop) in enumerate(bands):
+        length = stop - first
+        ends = np.cumsum(length)
+        shift = first - ends + length  # candidate position + shift = its partner
+        count = int(length.sum())
+        for lo in range(0, count, PAIR_CHUNK):
+            hi = min(lo + PAIR_CHUNK, count)
+            bot, top = np.searchsorted(ends, (lo, hi - 1), side="right")
+            rows = slice(bot, top + 1)
+            cut = np.minimum(ends[rows], hi) - np.maximum(ends[rows] - length[rows], lo)
+            a = np.repeat(row[rows], cut)
+            b = np.arange(lo, hi) + np.repeat(shift[rows], cut)
+            if band > 1:  # a margin band: the exact test decides
+                hit = _circle_close(v[a], v[b], eps)
+                a, b = a[hit], b[hit]
+            a, b = order[a], order[b]
+            m = len(a)
+            np.minimum(a, b, out=out_i[kept:kept + m])
+            np.maximum(a, b, out=out_j[kept:kept + m])
+            kept += m
     return out_i[:kept], out_j[:kept]
 
 

@@ -7,6 +7,7 @@ so a test fails if the estimators fall through to the generic loop.
 """
 
 import itertools
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -170,20 +171,42 @@ def test_one_and_two_points_match_oracle(pair_systems, eps, pts):
     assert calls
 
 
+def _margin_points(eps):
+    """Points at distance eps + t margin and 1 - eps + t margin, t in
+    {-1, -1/2, 0, 1/2, 1} (one float step either side too), from bases in
+    and outside [0, 1), directly and across 0, where margin is the
+    sweep's own for this array: where the sure part of each stage-0 band
+    ends, inside its margin part, and where that ends."""
+    bases = (0.3, 0.97, 1.7)
+    margin = systems.PAIR_MARGIN * 2.49  # 2.49 is the largest |point|
+    pts = list(bases) + [2.49]
+    for x in bases:
+        for d in (e + t * margin for e in (eps, 1.0 - eps) for t in (-1, -0.5, 0, 0.5, 1)):
+            for y in (x + d, (x + d) % 1.0, x - d):
+                if abs(y) < 2.49:
+                    pts += [y, np.nextafter(y, -np.inf), np.nextafter(y, np.inf)]
+    return list(dict.fromkeys(pts))
+
+
 @pytest.mark.parametrize("eps", EPS + (0.75, 2.0))
 def test_stage0_is_exactly_the_close_pairs(chunk, eps):
     """Sorted-order bands, wrap-around band, margin and chunking: stage0
     returns each pair i < j with close(arr[i], arr[j]) once, as int32,
-    also for points outside [0, 1)."""
+    also for points outside [0, 1) and for points on both sides of
+    where each band's sure part ends and its margin part begins."""
     rng = substream(3)
-    arr = np.array(_points(40, 3) + [-0.3, 1.7, 2.05, -1.95, 5.0, 1e6, 1e6 + 0.1])
-    arr = arr[rng.permutation(len(arr))]
-    i, j = systems._circle_stage0(arr, eps)
-    assert i.dtype == np.int32 and j.dtype == np.int32
-    got = sorted(zip(i.tolist(), j.tolist()))
-    a, b = np.triu_indices(len(arr), 1)
-    hit = systems._circle_close(arr[a], arr[b], eps)
-    assert got == sorted(zip(a[hit].tolist(), b[hit].tolist()))
+    for pts in (
+        _points(40, 3) + [-0.3, 1.7, 2.05, -1.95, 5.0, 1e6, 1e6 + 0.1],
+        _margin_points(eps),
+    ):
+        arr = np.array(pts)
+        arr = arr[rng.permutation(len(arr))]
+        i, j = systems._circle_stage0(arr, eps)
+        assert i.dtype == np.int32 and j.dtype == np.int32
+        got = sorted(zip(i.tolist(), j.tolist()))
+        a, b = np.triu_indices(len(arr), 1)
+        hit = systems._circle_close(arr[a], arr[b], eps)
+        assert got == sorted(zip(a[hit].tolist(), b[hit].tolist()))
 
 
 @pytest.mark.parametrize("eps", (0.5, 0.5 - 1e-11, 0.125, 2.0**-20))
@@ -209,6 +232,39 @@ def test_one_center_walks_its_own_pairs_like_the_oracle(pair_systems, chunk, eps
                 measure = em.ball_measure(fast, omega, k, center, eps)
                 assert measure == em.ball_measure(oracle, omega, k, center, eps), (center, k)
     assert calls == []
+
+
+@pytest.mark.parametrize("n, eps", [(2048, 1 / 8), (4096, 1 / 4)])
+def test_stage0_memory_is_bounded(n, eps, monkeypatch):
+    """Stage 0 of n points with C candidate pairs (the pairs in its bands,
+    margin parts included: at most the pairs it keeps plus those the
+    exact test drops) peaks at no more than
+
+        8 C + 128 n + 48 PAIR_CHUNK bytes
+
+    of numpy allocations: the two int32 output arrays (8 C), the sort and
+    the per-row band bounds (under 16 int64 words per point, one band
+    kind's arrays at a time) and one chunk's temporaries (under 6 int64
+    words per candidate).  No temporary of the candidates' size, so the
+    pairs kept cost their own 8 bytes each and no more."""
+    arr = substream(12).random(n)
+    exact, dropped = systems._circle_close, []
+
+    def close(a, b, e):
+        hit = exact(a, b, e)
+        dropped.append(len(hit) - int(hit.sum()))
+        return hit
+
+    monkeypatch.setattr(systems, "_circle_close", close)
+    tracemalloc.start()
+    try:
+        i, _ = systems._circle_stage0(arr, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    candidates = len(i) + sum(dropped)
+    assert len(i) > 0.9 * eps * n * (n - 1)  # about n^2 eps pairs
+    assert peak <= 8 * candidates + 128 * n + 48 * systems.PAIR_CHUNK
 
 
 def test_each_count_sweeps_stage0_once():
@@ -266,6 +322,91 @@ def test_walk_matches_per_cell_oracle(pair_systems, chunk, kind, eps):
     for g, v, cell in zip(got, want, cells):
         assert np.array_equal(g, v), cell
     assert calls
+
+
+# Points whose stage-0 pairs at eps 1/8 the doubling map (symbol 1) keeps
+# all of (tight clusters), none of (a 0.1 grid), most of (clusters with
+# one outlier each) and few of (a 0.07 grid with two tight pairs).
+SHARES = {
+    "all": [c + 0.004 * t for c in (0.2, 0.7) for t in range(12)],
+    "none": [0.03 + 0.1 * t for t in range(10)],
+    "most": [c + 0.005 * t for c in (0.05, 0.3, 0.55, 0.8) for t in range(6)]
+    + [c + 0.1 for c in (0.05, 0.3, 0.55, 0.8)],
+    "few": [0.07 * t for t in range(14)] + [0.5, 0.501, 0.8, 0.8005],
+}
+
+
+@pytest.mark.parametrize("share", list(SHARES))
+@pytest.mark.parametrize("kind", ["balls", "pairs"])
+def test_tally_by_difference_matches_oracle(chunk, kind, share):
+    """A node that keeps all its parent's pairs (every rotation node, and
+    here every doubling node for "all") takes its parent's tally, one that
+    keeps most takes it minus the tally of the pairs it drops, and any
+    other tallies what it keeps; the counts equal the oracle's in every
+    case, with one, seven or all pairs per chunk."""
+    base = SYSTEMS["circle"]
+    fast, oracle = _sparse(base, []), _generic(base)
+    pts, eps = SHARES[share], 0.125
+    i, j = systems._circle_stage0(np.array(pts), eps)
+    doubled = base.array_ops.apply(1, np.array(pts))
+    kept = int(systems._circle_close(doubled[i], doubled[j], eps).sum())
+    assert {"all": kept == len(i), "none": kept == 0, "most": len(i) > kept > len(i) / 2,
+            "few": 0 < kept < len(i) / 2}[share], (kept, len(i))
+    cells = [
+        (len(syms) + 1, word(syms, 2))
+        for syms in [(), (1,), (2,), (1, 1), (2, 1), (1, 2), (2, 2, 1), (1, 1, 1)]
+    ]
+    opts = _kind_options(kind, len(pts))
+    got = _count_cells(fast, _as_point_set(fast, pts), eps, cells, kind, **opts)
+    for g, cell in zip(got, cells):
+        want = _count_cells(oracle, _as_point_set(oracle, pts), eps, [cell], kind, **opts)[0]
+        assert np.array_equal(g, want), cell
+
+
+def test_tally_takes_at_most_half_its_parents_pairs(monkeypatch):
+    """On the shape of the benchmark's circle corr-entropy (N = 2048,
+    eps 1/8, ks 1..5, 4 Monte Carlo words), a node that keeps some but
+    not all of its parent's n surviving pairs passes min(kept, n - kept)
+    pairs to the tally, one that keeps all or none passes none, and the
+    root of each chunk its stage-0 pairs; so the walk tallies well under
+    half the pairs that a tally of every node's survivors where cells end
+    would take."""
+    base = SYSTEMS["circle"]
+    events, survivors = [], []
+    tally, walk = estimators._tally, estimators._pair_walk
+
+    def counting_tally(kind, size, blocks, i, j):
+        events.append(("tally", len(i)))
+        return tally(kind, size, blocks, i, j)
+
+    def close(a, b, eps):
+        keep = systems._circle_close(a, b, eps)
+        events.append(("close", len(a), int(keep.sum())))
+        return keep
+
+    def counting_walk(*args):
+        for c, lo, got in walk(*args):
+            survivors.append(int(got.sum()) // 2)  # two ball counts per pair
+            yield c, lo, got
+
+    monkeypatch.setattr(estimators, "_tally", counting_tally)
+    monkeypatch.setattr(estimators, "_pair_walk", counting_walk)
+    fast = replace(base, pair_ops=PairOps(systems._circle_stage0, close))
+    em = EmpiricalMeasure.draw(fast, 2048, 11)
+    corr_entropy_series(em, fast, [0.125], [1, 2, 3, 4, 5], 2.0, 4, seed=11)
+    pending, root, tallied = None, 0, 0
+    for event in events:
+        if event[0] == "close":
+            assert pending is None
+            n, kept = event[1:]
+            pending = min(kept, n - kept) or None  # no tally where all or none are kept
+        elif pending is None:  # a chunk's root
+            root += event[1]
+        else:
+            assert event[1] == pending
+            tallied, pending = tallied + pending, None
+    assert root == len(systems._circle_stage0(np.array(em.points), 0.125)[0])
+    assert tallied > 0 and root + tallied <= 0.5 * sum(survivors)
 
 
 def test_series_over_shared_prefixes_match_oracle(pair_systems, chunk):
