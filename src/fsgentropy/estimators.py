@@ -39,10 +39,11 @@ Conventions shared by everything here:
   eps at stage 0 once per count, and every node filters its parent's
   surviving pairs through its own stage with the metric's own float
   expression, systems.PAIR_CHUNK stage-0 pairs at a time; no N x N
-  matrix is built.  Ball and pair counts are tallied by difference down
-  the trie: a node that keeps most of its parent's pairs subtracts the
-  tally of those it drops from its parent's, so no node tallies more
-  than half its parent's pairs.  A one-center count takes the center's
+  matrix is built.  Ball and pair counts are tallied only where cells
+  end, by difference down the trie: such a node that keeps most of the
+  pairs of its nearest tallied ancestor subtracts the tally of those
+  dropped since from the ancestor's, so no node tallies more pairs than
+  it keeps.  A one-center count takes the center's
   pairs from pair_ops.close against every point instead, with no sweep.
 * Both orbit estimators count Bowen-close pairs through one counter,
   which tallies ordered off-diagonal pairs outside a lag window by
@@ -349,13 +350,17 @@ def _pair_walk(sys: GeneratorSystem, arr, pairs, eps, root, tally=None):
     pairs Bowen-within eps along the node's prefix, or without a tally
     their positions in the chunk.  Each node makes its stage array once
     and, per chunk, keeps those of its parent's surviving pairs that
-    pair_ops.close keeps there.  A node that keeps them all (an isometry)
-    takes its parent's tally, one that keeps more than half its parent's
-    tally minus that of the pairs it drops (exact for integer counts),
-    any other the tally of what it keeps: so no node but the root
-    tallies more than half its parent's pairs.  Gathers reuse two arrays
-    per walk and positions are views of one array, as fresh ones get
-    faulted in anew, more often for some words than for others."""
+    pair_ops.close keeps there.  Only nodes where cells end tally.  Each
+    pair set carries the tally of its nearest tallied ancestor, the base,
+    while more than half the base's pairs survive, with the pieces
+    dropped since: a node where cells end then takes the base's tally
+    minus that of the dropped pieces (exact for integer counts), any
+    other the tally of what it keeps.  So no node tallies more pairs than
+    it keeps, a node that drops nothing (an isometry) tallies none, and
+    one ending right below a tallied node at most half of that node's.
+    Gathers reuse two arrays per walk and positions are views of one
+    array, as fresh ones get faulted in anew, more often for some words
+    than for others."""
     apply, close = sys.array_ops.apply, sys.pair_ops.close
     arrays = {}  # stage array per node, freed with the walk
     todo = [(root, arr)]
@@ -372,9 +377,9 @@ def _pair_walk(sys: GeneratorSystem, arr, pairs, eps, root, tally=None):
         cols = (i0[lo:lo + chunk], j0[lo:lo + chunk])
         if at is not None:
             cols += (at[:len(cols[0])],)
-        stack = [(root, cols, None)]
+        stack = [(root, cols, None, [], 0)]  # base tally, pieces dropped since, their size
         while stack:
-            node, cols, got = stack.pop()
+            node, cols, got, dropped, gone = stack.pop()
             sym, kids, ends = node
             if sym is not None:  # the root is stage 0, which every pair passes
                 arr, n = arrays[id(node)], len(cols[0])
@@ -384,17 +389,24 @@ def _pair_walk(sys: GeneratorSystem, arr, pairs, eps, root, tally=None):
                 if not kept:  # nothing to count here or below
                     continue
                 if kept < n:
-                    if tally is not None and 2 * kept > n:
+                    gone += n - kept
+                    if got is not None and gone < kept:
                         drop = ~keep
-                        got = got - tally(cols[0][drop], cols[1][drop])
+                        dropped = dropped + [(cols[0][drop], cols[1][drop])]
                     else:
-                        got = None
+                        got, dropped = None, []
                     cols = tuple(c[keep] for c in cols)
-            if got is None:
-                got = cols[2] if tally is None else tally(*cols)
             if ends:
+                if tally is None:
+                    got = cols[2]
+                elif got is None:
+                    got = tally(*cols)
+                else:
+                    for i, j in dropped:
+                        got = got - tally(i, j)
+                dropped, gone = [], 0
                 yield ends[0], lo, got
-            stack.extend((kid, cols, got) for kid in kids.values())
+            stack.extend((kid, cols, got, dropped, gone) for kid in kids.values())
 
 
 class _Blocks(NamedTuple):

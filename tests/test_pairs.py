@@ -363,50 +363,60 @@ def test_tally_by_difference_matches_oracle(chunk, kind, share):
         assert np.array_equal(g, want), cell
 
 
-def test_tally_takes_at_most_half_its_parents_pairs(monkeypatch):
-    """On the shape of the benchmark's circle corr-entropy (N = 2048,
-    eps 1/8, ks 1..5, 4 Monte Carlo words), a node that keeps some but
-    not all of its parent's n surviving pairs passes min(kept, n - kept)
-    pairs to the tally, one that keeps all or none passes none, and the
-    root of each chunk its stage-0 pairs; so the walk tallies well under
-    half the pairs that a tally of every node's survivors where cells end
-    would take."""
-    base = SYSTEMS["circle"]
-    events, survivors = [], []
-    tally, walk = estimators._tally, estimators._pair_walk
+def _counting_walk(monkeypatch):
+    """Patch the walk so that each yield logs (pairs passed to the tally
+    since the last yield, pairs the last close test kept or None if no
+    test ran since, the yielded tally)."""
+    tally, walk, close = estimators._tally, estimators._pair_walk, systems._circle_close
+    log, passed, kept = [], [0], [None]
 
     def counting_tally(kind, size, blocks, i, j):
-        events.append(("tally", len(i)))
+        passed[0] += len(i)
         return tally(kind, size, blocks, i, j)
 
-    def close(a, b, eps):
-        keep = systems._circle_close(a, b, eps)
-        events.append(("close", len(a), int(keep.sum())))
+    def counting_close(a, b, eps):
+        keep = close(a, b, eps)
+        kept[0] = int(keep.sum())
         return keep
 
     def counting_walk(*args):
         for c, lo, got in walk(*args):
-            survivors.append(int(got.sum()) // 2)  # two ball counts per pair
+            log.append((passed[0], kept[0], got))
+            passed[0], kept[0] = 0, None
             yield c, lo, got
 
     monkeypatch.setattr(estimators, "_tally", counting_tally)
     monkeypatch.setattr(estimators, "_pair_walk", counting_walk)
-    fast = replace(base, pair_ops=PairOps(systems._circle_stage0, close))
+    return PairOps(systems._circle_stage0, counting_close), log
+
+
+def test_tally_takes_at_most_half_its_parents_pairs(monkeypatch):
+    """On the shape of the benchmark's circle corr-entropy (N = 2048,
+    eps 1/8, ks 1..5, 4 Monte Carlo words), every node where cells end
+    passes the tally no more pairs than survive there, and the walk
+    tallies well under half the pairs that a tally of every such node's
+    survivors would take."""
+    pair_ops, log = _counting_walk(monkeypatch)
+    fast = replace(SYSTEMS["circle"], pair_ops=pair_ops)
     em = EmpiricalMeasure.draw(fast, 2048, 11)
     corr_entropy_series(em, fast, [0.125], [1, 2, 3, 4, 5], 2.0, 4, seed=11)
-    pending, root, tallied = None, 0, 0
-    for event in events:
-        if event[0] == "close":
-            assert pending is None
-            n, kept = event[1:]
-            pending = min(kept, n - kept) or None  # no tally where all or none are kept
-        elif pending is None:  # a chunk's root
-            root += event[1]
-        else:
-            assert event[1] == pending
-            tallied, pending = tallied + pending, None
-    assert root == len(systems._circle_stage0(np.array(em.points), 0.125)[0])
-    assert tallied > 0 and root + tallied <= 0.5 * sum(survivors)
+    survivors = [int(got.sum()) // 2 for _, _, got in log]  # two ball counts per pair
+    assert all(passed <= alive for (passed, _, _), alive in zip(log, survivors))
+    tallied = sum(passed for passed, _, _ in log)
+    stage0 = len(systems._circle_stage0(np.array(em.points), 0.125)[0])
+    assert stage0 < tallied <= 0.5 * sum(survivors)
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_single_cell_tallies_only_its_survivors(monkeypatch, k):
+    """A torus-affine correlation sum counts one cell, which ends at the
+    trie's one leaf: the walk tallies no node above it, and the leaf no
+    more pairs than it keeps."""
+    pair_ops, log = _counting_walk(monkeypatch)
+    fast = replace(SYSTEMS["torus"], pair_ops=pair_ops)
+    correlation_sum(fast, 0.3, 0.25, word([1, 2, 2, 1, 2], 2), k, 1200, 2, seed=89)
+    assert log
+    assert all(kept is not None and passed <= kept for passed, kept, _ in log)
 
 
 def test_series_over_shared_prefixes_match_oracle(pair_systems, chunk):
