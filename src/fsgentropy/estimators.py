@@ -43,8 +43,10 @@ Conventions shared by everything here:
   end, by difference down the trie: such a node that keeps most of the
   pairs of its nearest tallied ancestor subtracts the tally of those
   dropped since from the ancestor's, so no node tallies more pairs than
-  it keeps.  A one-center count takes the center's
-  pairs from pair_ops.close against every point instead, with no sweep.
+  it keeps.  A rotation node (pair_ops.isometries) keeps untested a
+  chunk whose pairs all lay within eps - PAIR_MARGIN where last tested,
+  as it moves a distance by ulps only.  A one-center count takes the
+  center's pairs from pair_ops.close against every point, with no sweep.
 * Both orbit estimators count Bowen-close pairs through one counter,
   which tallies ordered off-diagonal pairs outside a lag window by
   pairs of orbit-time blocks.  correlation_sum leaves out lags up to
@@ -97,6 +99,13 @@ JACKKNIFE_BLOCKS = 20
 # flags per point: filling and summing the table then costs more than
 # sorting the keys (about 4 flags per point breaks even for 4000 points).
 RANK_TABLE_RATIO = 4
+
+# Isometric trie nodes a sure pair set passes untested in a row (see
+# _pair_walk).  A rotation rounds fl(x + a), and % 1.0 only 1.0 plus a
+# negative remainder, so it moves the computed distance of two points of
+# [0, 1] by 2**-51 at most, times the rotations a symbol composes (<= 20,
+# by MAX_ALPHABET): 2**14 such nodes stay below 1.5e-10 < PAIR_MARGIN.
+SURE_STAGES = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -346,48 +355,62 @@ def _label_stage(sys, pset, eps, node, path, state, points, labels, row, bits):
 def _pair_walk(sys: GeneratorSystem, arr, pairs, eps, root, tally=None):
     """Yield (first cell, chunk start, got) at every trie node where cells
     end and pairs survive, per PAIR_CHUNK chunk of the stage-0 pairs
-    (i0, j0) of the point array arr: got is tally(i, j) of the chunk's
-    pairs Bowen-within eps along the node's prefix, or without a tally
-    their positions in the chunk.  Each node makes its stage array once
-    and, per chunk, keeps those of its parent's surviving pairs that
-    pair_ops.close keeps there.  Only nodes where cells end tally.  Each
-    pair set carries the tally of its nearest tallied ancestor, the base,
-    while more than half the base's pairs survive, with the pieces
-    dropped since: a node where cells end then takes the base's tally
-    minus that of the dropped pieces (exact for integer counts), any
-    other the tally of what it keeps.  So no node tallies more pairs than
-    it keeps, a node that drops nothing (an isometry) tallies none, and
-    one ending right below a tallied node at most half of that node's.
-    Gathers reuse two arrays per walk and positions are views of one
-    array, as fresh ones get faulted in anew, more often for some words
-    than for others."""
-    apply, close = sys.array_ops.apply, sys.pair_ops.close
-    arrays = {}  # stage array per node, freed with the walk
+    (i0, j0) of the point array arr, pairs = (i0, j0, sure): got is
+    tally(i, j) of the chunk's pairs Bowen-within eps along the node's
+    prefix, or without a tally their positions in the chunk.  Each node
+    makes its stage array once and, per chunk, keeps those of its
+    parent's surviving pairs that pair_ops.close keeps there, but an
+    isometric node keeps a sure pair set whole, with no gather, test or
+    tally, at most SURE_STAGES times in a row.  A set is sure while
+    every pair's computed distance at the last stage tested is <= eps -
+    PAIR_MARGIN: at the root, a chunk of the first `sure` pairs if arr
+    lies in [0, 1], below it as a tested node with an isometric kid reads
+    off the distances close leaves.  That is exact for points in [0, 1]
+    (see SURE_STAGES), where PAIR_MARGIN is stage 0's margin and every
+    mapped array lies, as % 1.0 returns nothing above 1.  Only nodes
+    where cells end tally.  Each pair set carries the tally of its
+    nearest tallied ancestor, the base, while more than half the base's
+    pairs survive, with the pieces dropped since: a node where cells end
+    then takes the base's tally minus that of the dropped pieces (exact
+    for integer counts), any other the tally of what it keeps.  So no
+    node tallies more pairs than it keeps, a node that drops nothing (an
+    isometry) tallies none, and one ending right below a tallied node at
+    most half of that node's.  Gathers reuse two arrays per walk and
+    positions are views of one array, as fresh ones get faulted in anew,
+    more often for some words than for others."""
+    apply, close, iso = sys.array_ops.apply, sys.pair_ops.close, sys.pair_ops.isometries
+    i0, j0, sure = pairs
+    unit = np.all((0.0 <= arr) & (arr <= 1.0))  # else no stage-0 pair is sure
+    arrays = {}  # stage array per node and whether a kid is isometric, freed with the walk
     todo = [(root, arr)]
     while todo:
         node, arr = todo.pop()
-        arrays[id(node)] = arr
+        arrays[id(node)] = arr, not iso.isdisjoint(node[1])
         todo.extend((kid, apply(kid[0], arr)) for kid in node[1].values())
-    i0, j0 = pairs
-    chunk = systems.PAIR_CHUNK
+    chunk, inside = systems.PAIR_CHUNK, eps - systems.PAIR_MARGIN
     size = min(chunk, len(i0))
-    ta, tb = np.empty((2, size), dtype=arrays[id(root)].dtype)
+    ta, tb = np.empty((2, size), dtype=arrays[id(root)][0].dtype)
     at = np.arange(size, dtype=np.int32) if tally is None else None  # copies half as big
     for lo in range(0, len(i0), chunk):
         cols = (i0[lo:lo + chunk], j0[lo:lo + chunk])
+        left = SURE_STAGES if unit and lo + len(cols[0]) <= sure else 0
         if at is not None:
             cols += (at[:len(cols[0])],)
-        stack = [(root, cols, None, [], 0)]  # base tally, pieces dropped since, their size
+        stack = [(root, cols, None, [], 0, left)]  # base tally, pieces dropped since, their size
         while stack:
-            node, cols, got, dropped, gone = stack.pop()
+            node, cols, got, dropped, gone, left = stack.pop()
             sym, kids, ends = node
-            if sym is not None:  # the root is stage 0, which every pair passes
-                arr, n = arrays[id(node)], len(cols[0])
+            if left and sym in iso:  # the filter would keep every pair
+                left -= 1
+            elif sym is not None:  # the root is stage 0, which every pair passes
+                (arr, check), n = arrays[id(node)], len(cols[0])
                 a = arr.take(cols[0], out=ta[:n], mode="clip")  # "raise" would buffer out
-                keep = close(a, arr.take(cols[1], out=tb[:n], mode="clip"), eps)
+                b = arr.take(cols[1], out=tb[:n], mode="clip")
+                keep = close(a, b, eps, out=a)  # a: the distances
                 kept = np.count_nonzero(keep)
                 if not kept:  # nothing to count here or below
                     continue
+                left = SURE_STAGES if check and np.count_nonzero(a <= inside) == kept else 0
                 if kept < n:
                     gone += n - kept
                     if got is not None and gone < kept:
@@ -406,7 +429,7 @@ def _pair_walk(sys: GeneratorSystem, arr, pairs, eps, root, tally=None):
                         got = got - tally(i, j)
                 dropped, gone = [], 0
                 yield ends[0], lo, got
-            stack.extend((kid, cols, got, dropped, gone) for kid in kids.values())
+            stack.extend((kid, cols, got, dropped, gone, left) for kid in kids.values())
 
 
 class _Blocks(NamedTuple):
@@ -468,13 +491,13 @@ def _pair_results(sys, pset, eps, root, nodes, kind, reduce, blocks, center) -> 
         near = sys.pair_ops.close(arr[center], arr, eps)
         near[center] = False
         arr = np.concatenate((arr[center:center + 1], arr[near]))
-        pairs = np.zeros(len(arr) - 1, np.int32), np.arange(1, len(arr), dtype=np.int32)
+        pairs = np.zeros(len(arr) - 1, np.int32), np.arange(1, len(arr), dtype=np.int32), 0
         count = dict.fromkeys(nodes, 1)  # the center itself
         for c, _, got in _pair_walk(sys, arr, pairs, eps, root, lambda i, j: len(i)):
             count[c] += got
         return {c: reduce(float(count[c])) for c in nodes}
     n = len(arr)
-    i0, j0 = pairs = sys.pair_ops.stage0(arr, eps)
+    i0, j0, _ = pairs = sys.pair_ops.stage0(arr, eps)
     if kind != "net":
         size, dtype = (n, np.int32) if kind == "balls" else (blocks.n_blocks**2, np.int64)
         acc = {c: np.zeros(size, dtype=dtype) for c in nodes}

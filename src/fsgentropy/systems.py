@@ -28,8 +28,9 @@ Systems may advertise four optional fast-path capabilities:
   order: only the margin's thin edge goes through the exact test, and
   close keeps a pair exactly when the metric would; the estimators
   filter the stage-0 pairs stage by stage down the prefix trie of a
-  series' words with close, so no N x N matrix is ever built.  pair_ops
-  needs array_ops for the stage arrays.
+  series' words with close, so no N x N matrix is ever built, and keep
+  stage0's sure pairs untested through the maps named in isometries (the
+  rotation).  pair_ops needs array_ops for the stage arrays.
 
 Estimators fall back to the generic pairwise path when none is present;
 all paths agree exactly and the tests check that.
@@ -83,9 +84,12 @@ class WindowOps:
 class PairOps:
     """Sparse pair lists over a point array of a scalar metric space."""
 
-    # (array, eps) -> int32 arrays (i, j), i < j, of every pair within eps
-    stage0: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]]
-    close: Callable[[np.ndarray, np.ndarray, float], np.ndarray]  # elementwise bool
+    # (array, eps) -> int32 arrays (i, j), i < j, of every pair within
+    # eps, and how many at their head lie within eps - margin (sure pairs)
+    stage0: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray, int]]
+    close: Callable[..., np.ndarray]  # (a, b, eps, out=None): bool; distances into out
+    # generators mapping [0, 1] into itself isometrically, up to 2**-52 a point
+    isometries: frozenset = frozenset()  # hashable: systems are memo keys
 
 
 @dataclass(frozen=True)
@@ -157,8 +161,9 @@ def build_power_system(sys: GeneratorSystem, t: int) -> GeneratorSystem:
 
     Generator j applies the digit maps of j in order: first digit first.
     Points, metric, diameter, sampler, ball_key, array_ops and pair_ops
-    carry over unchanged (same space, same measure); window_ops does not, so
-    power systems of the binary backend count through ball_key.
+    carry over unchanged (same space, same measure), except that j is an
+    isometry of pair_ops exactly when all its digits are; window_ops does
+    not, so power systems of the binary backend count through ball_key.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -177,9 +182,8 @@ def build_power_system(sys: GeneratorSystem, t: int) -> GeneratorSystem:
 
         return g
 
-    power_maps = tuple(
-        composed(symbol_digits(j, sys.m, t)) for j in range(1, sys.m ** t + 1)
-    )
+    digits = [symbol_digits(j, sys.m, t) for j in range(1, sys.m ** t + 1)]
+    power_maps = tuple(map(composed, digits))
     array_ops = None
     if sys.array_ops is not None:
         base_ops = sys.array_ops
@@ -190,8 +194,11 @@ def build_power_system(sys: GeneratorSystem, t: int) -> GeneratorSystem:
             return arr
 
         array_ops = ArrayOps(base_ops.to_array, apply_arr, base_ops.within)
+    pair_ops = sys.pair_ops and replace(sys.pair_ops, isometries=frozenset(
+        j for j, d in enumerate(digits, 1) if sys.pair_ops.isometries.issuperset(d)))
     return replace(
-        sys, name=f"{sys.name}-power{t}", maps=power_maps, array_ops=array_ops, window_ops=None
+        sys, name=f"{sys.name}-power{t}", maps=power_maps, array_ops=array_ops,
+        window_ops=None, pair_ops=pair_ops,
     )
 
 
@@ -227,8 +234,8 @@ def _circle_within(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
     return _circle_close(a[:, None], b[None, :], eps)
 
 
-def _circle_close(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
-    d = a - b
+def _circle_close(a: np.ndarray, b: np.ndarray, eps: float, out=None) -> np.ndarray:
+    d = np.subtract(a, b, out=out)
     np.abs(d, out=d)
     return np.minimum(d, 1.0 - d, out=d) <= eps
 
@@ -243,25 +250,27 @@ PAIR_CHUNK = 1 << 14
 PAIR_MARGIN = 1e-9
 
 
-def _circle_stage0(arr: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair i < j of arr with _circle_close(arr[i], arr[j], eps).
+def _circle_stage0(arr: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Every pair i < j of arr with _circle_close(arr[i], arr[j], eps),
+    and how many of them come first with _circle_close(..., eps - margin).
 
     min(d, 1 - d) <= eps holds exactly when d <= eps or d >= 1 - eps, so
     after one sort the candidates of sorted row a are a near band (a, near)
     and a wrap-around band [wrap, n), both widened by the margin (where
     they meet, every pair is a candidate).  Only their margin parts, within
-    the margin of eps or of 1 - eps, go through the exact test; the sure
-    parts are kept whole.  Each kind of band is read in PAIR_CHUNK slices
-    of all rows' bands laid end to end, a candidate's row repeated from
-    the band lengths, into two int32 arrays made once.
+    two margins of eps or of 1 - eps, go through the exact test; the sure
+    parts, kept whole and written first, end a margin short of eps -
+    margin, past the sweep keys' rounding.  Each kind of band is read in
+    PAIR_CHUNK slices of all rows' bands laid end to end, a candidate's
+    row repeated from the band lengths, into two int32 arrays made once.
     """
     n = len(arr)
     order = np.argsort(arr, kind="stable").astype(np.int32)
     v = arr[order]
     margin = PAIR_MARGIN * max(1.0, float(np.abs(v).max(initial=0.0)))
     row = np.arange(n)
-    sure_near = np.maximum(np.searchsorted(v, v + (eps - margin), side="right"), row + 1)
-    sure_wrap = np.searchsorted(v, v + (1.0 - eps + margin))
+    sure_near = np.maximum(np.searchsorted(v, v + (eps - 2 * margin), side="right"), row + 1)
+    sure_wrap = np.searchsorted(v, v + (1.0 - eps + 2 * margin))
     if eps + margin < 0.5:
         near = np.searchsorted(v, v + (eps + margin), side="right")
         wrap = np.maximum(np.searchsorted(v, v + (1.0 - eps - margin)), near)
@@ -270,16 +279,15 @@ def _circle_stage0(arr: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]
     sure_near, sure_wrap = np.minimum(sure_near, near), np.maximum(sure_wrap, wrap)
     # the bands [first, stop) of every sorted row: two sure, then two margin
     bands = ((row + 1, sure_near), (sure_wrap, n), (sure_near, near), (wrap, sure_wrap))
-    total = sum(int((stop - first).sum()) for first, stop in bands)
-    out_i, out_j = np.empty((2, total), dtype=np.int32)
+    sizes = [int((stop - first).sum()) for first, stop in bands]
+    out_i, out_j = np.empty((2, sum(sizes)), dtype=np.int32)
     kept = 0
     for band, (first, stop) in enumerate(bands):
         length = stop - first
         ends = np.cumsum(length)
         shift = first - ends + length  # candidate position + shift = its partner
-        count = int(length.sum())
-        for lo in range(0, count, PAIR_CHUNK):
-            hi = min(lo + PAIR_CHUNK, count)
+        for lo in range(0, sizes[band], PAIR_CHUNK):
+            hi = min(lo + PAIR_CHUNK, sizes[band])
             bot, top = np.searchsorted(ends, (lo, hi - 1), side="right")
             rows = slice(bot, top + 1)
             cut = np.minimum(ends[rows], hi) - np.maximum(ends[rows] - length[rows], lo)
@@ -293,16 +301,13 @@ def _circle_stage0(arr: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]
             np.minimum(a, b, out=out_i[kept:kept + m])
             np.maximum(a, b, out=out_j[kept:kept + m])
             kept += m
-    return out_i[:kept], out_j[:kept]
+    return out_i[:kept], out_j[:kept], sizes[0] + sizes[1]
 
 
-_CIRCLE_PAIRS = PairOps(stage0=_circle_stage0, close=_circle_close)
-
-
-def _circle_system(name: str, maps, apply_arr) -> GeneratorSystem:
+def _circle_system(name: str, maps, apply_arr, isometries=frozenset()) -> GeneratorSystem:
     """maps on the unit circle, with Lebesgue measure, the arc metric and
     the circle family's array and pair paths; apply_arr(j, arr) applies
-    map j to a point array."""
+    map j to a point array, and the maps of isometries are isometries."""
     return GeneratorSystem(
         name=name,
         maps=maps,
@@ -310,19 +315,21 @@ def _circle_system(name: str, maps, apply_arr) -> GeneratorSystem:
         diameter=0.5,
         mu_sampler=lambda rng, n: rng.random(n).tolist(),
         array_ops=ArrayOps(lambda pts: np.asarray(pts, dtype=float), apply_arr, _circle_within),
-        pair_ops=_CIRCLE_PAIRS,
+        pair_ops=PairOps(_circle_stage0, _circle_close, isometries),
     )
 
 
 def circle_double_rotate(alpha: float = GOLDEN_ROTATION) -> GeneratorSystem:
     """Doubling map and rotation by alpha on the unit circle with
-    Lebesgue measure and the arc metric."""
+    Lebesgue measure and the arc metric.  For |alpha| <= 1 the rotation
+    is an isometry up to rounding each point of [0, 1] by 2**-52 at most."""
     maps = (lambda x: (2.0 * x) % 1.0, lambda x, _a=alpha: (x + _a) % 1.0)
 
     def apply_arr(j, arr, _a=alpha):
         return (2.0 * arr) % 1.0 if j == 1 else (arr + _a) % 1.0
 
-    return _circle_system("circle-double-rotate", maps, apply_arr)
+    isometries = frozenset({2}) if abs(alpha) <= 1.0 else frozenset()
+    return _circle_system("circle-double-rotate", maps, apply_arr, isometries)
 
 
 def torus_affine(constants: tuple[float, ...] = (0.0, GOLDEN_ROTATION)) -> GeneratorSystem:

@@ -36,7 +36,7 @@ from fsgentropy.systems import (
     circle_double_rotate,
     torus_affine,
 )
-from fsgentropy.words import word
+from fsgentropy.words import symbol_digits, word
 
 EPS = (0.5, 0.5 - 1e-11, 0.125, 1e-3, 2.0**-20)
 
@@ -69,7 +69,7 @@ def _sparse(sys_, calls):
     return replace(
         sys_,
         array_ops=ArrayOps(ops.to_array, ops.apply, within),
-        pair_ops=PairOps(stage0, sys_.pair_ops.close),
+        pair_ops=replace(sys_.pair_ops, stage0=stage0),
     )
 
 
@@ -201,12 +201,34 @@ def test_stage0_is_exactly_the_close_pairs(chunk, eps):
     ):
         arr = np.array(pts)
         arr = arr[rng.permutation(len(arr))]
-        i, j = systems._circle_stage0(arr, eps)
+        i, j, _ = systems._circle_stage0(arr, eps)
         assert i.dtype == np.int32 and j.dtype == np.int32
         got = sorted(zip(i.tolist(), j.tolist()))
         a, b = np.triu_indices(len(arr), 1)
         hit = systems._circle_close(arr[a], arr[b], eps)
         assert got == sorted(zip(a[hit].tolist(), b[hit].tolist()))
+
+
+@pytest.mark.parametrize("eps", EPS + (0.75, 2.0))
+def test_stage0_counts_its_sure_pairs_first(chunk, eps):
+    """The pairs before stage0's sure count pass the exact test at
+    eps - margin, margin the sweep's own, also for points outside [0, 1)
+    and on the edges of the bands; and every pair within eps - 3 margin
+    comes before it."""
+    rng = substream(13)
+    for pts in (
+        _points(40, 3) + [-0.3, 1.7, 2.05, -1.95, 5.0, 1e6, 1e6 + 0.1],
+        _points(40, 13),
+        _margin_points(eps),
+    ):
+        arr = np.array(pts)
+        arr = arr[rng.permutation(len(arr))]
+        i, j, sure = systems._circle_stage0(arr, eps)
+        margin = systems.PAIR_MARGIN * max(1.0, float(np.abs(arr).max()))
+        assert 0 <= sure <= len(i)
+        assert systems._circle_close(arr[i[:sure]], arr[j[:sure]], eps - margin).all()
+        deep = systems._circle_close(arr[i], arr[j], eps - 3 * margin)
+        assert not deep[sure:].any()
 
 
 @pytest.mark.parametrize("eps", (0.5, 0.5 - 1e-11, 0.125, 2.0**-20))
@@ -258,7 +280,7 @@ def test_stage0_memory_is_bounded(n, eps, monkeypatch):
     monkeypatch.setattr(systems, "_circle_close", close)
     tracemalloc.start()
     try:
-        i, _ = systems._circle_stage0(arr, eps)
+        i, _, _ = systems._circle_stage0(arr, eps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -347,7 +369,7 @@ def test_tally_by_difference_matches_oracle(chunk, kind, share):
     base = SYSTEMS["circle"]
     fast, oracle = _sparse(base, []), _generic(base)
     pts, eps = SHARES[share], 0.125
-    i, j = systems._circle_stage0(np.array(pts), eps)
+    i, j, _ = systems._circle_stage0(np.array(pts), eps)
     doubled = base.array_ops.apply(1, np.array(pts))
     kept = int(systems._circle_close(doubled[i], doubled[j], eps).sum())
     assert {"all": kept == len(i), "none": kept == 0, "most": len(i) > kept > len(i) / 2,
@@ -374,8 +396,8 @@ def _counting_walk(monkeypatch):
         passed[0] += len(i)
         return tally(kind, size, blocks, i, j)
 
-    def counting_close(a, b, eps):
-        keep = close(a, b, eps)
+    def counting_close(a, b, eps, out=None):
+        keep = close(a, b, eps, out)
         kept[0] = int(keep.sum())
         return keep
 
@@ -455,9 +477,9 @@ def test_each_trie_node_filters_once_per_chunk(monkeypatch, chunk_size):
         count["apply"] += 1
         return base.array_ops.apply(j, arr)
 
-    def close(a, b, eps):
+    def close(a, b, eps, out=None):
         count["close"] += 1
-        return systems._circle_close(a, b, eps)
+        return systems._circle_close(a, b, eps, out)
 
     ops = base.array_ops
     fast = replace(
@@ -510,3 +532,152 @@ def test_doubling_series_walks_once_per_radius(monkeypatch):
         for k, value in series.rows:
             for s in (base, _generic(base)):
                 assert value == doubling_ratio(EmpiricalMeasure(pts), s, omega, k, eps), (eps, k)
+
+
+# ---------------------------------------------------------------------------
+# isometric trie nodes: rotation nodes keep sure pairs untested
+
+
+def test_power_systems_map_isometries():
+    """A power symbol is an isometry exactly when all its digits are: on
+    circle-double-rotate only the all-rotation symbol, on torus-affine
+    none.  A rotation by more than a turn rounds too coarsely to count."""
+    circle, torus = SYSTEMS["circle"], SYSTEMS["torus"]
+    assert circle.pair_ops.isometries == {2}
+    assert torus.pair_ops.isometries == frozenset()
+    for t in (2, 3):
+        assert build_power_system(circle, t).pair_ops.isometries == {2**t}
+        assert symbol_digits(2**t, 2, t) == (2,) * t
+        assert build_power_system(torus, t).pair_ops.isometries == frozenset()
+        three = torus_affine((0.0, 0.1, 0.2))
+        assert build_power_system(three, t).pair_ops.isometries == frozenset()
+        hash(build_power_system(circle, t))  # systems stay memo keys
+    assert circle_double_rotate(-1.0).pair_ops.isometries == {2}
+    assert circle_double_rotate(1.5).pair_ops.isometries == frozenset()
+
+
+def _tested_nodes(nodes, inside, stages):
+    """The nodes (symbol tuples) of a circle-double-rotate walk whose
+    pairs all stay sure that run the stage filter: every doubling node,
+    and a rotation node whose parent's pair set is not sure (the root's,
+    for a sample outside [0, 1]) or has passed `stages` rotations since
+    its last test."""
+    left, tested = {(): stages if inside else 0}, set()
+    for p in sorted(nodes - {()}, key=len):
+        if p[-1] == 2 and left[p[:-1]]:
+            left[p] = left[p[:-1]] - 1
+        else:
+            tested.add(p)
+            left[p] = stages
+    return tested
+
+
+@pytest.mark.parametrize("stages", [None, 1, 2])
+@pytest.mark.parametrize("inside", [True, False], ids=["unit", "outside-unit"])
+@pytest.mark.parametrize("chunk_size", [None, 7])
+def test_rotation_nodes_keep_sure_pairs_untested(monkeypatch, chunk_size, inside, stages):
+    """A circle-double-rotate walk at eps = 1/2 whose pairs all lie
+    within eps - margin at stage 0 and at every stage after: close runs
+    once per chunk at every doubling node and never at a rotation
+    node, unless the sample leaves [0, 1] (the root's rotation kids test)
+    or SURE_STAGES rotations in a row have passed untested.  The counts
+    equal the oracle's."""
+    if chunk_size is not None:
+        monkeypatch.setattr(systems, "PAIR_CHUNK", chunk_size)
+    if stages is not None:
+        monkeypatch.setattr(estimators, "SURE_STAGES", stages)
+    base = SYSTEMS["circle"]
+    count = {"close": 0}
+
+    def close(a, b, eps, out=None):
+        count["close"] += 1
+        return systems._circle_close(a, b, eps, out)
+
+    fast = replace(base, pair_ops=replace(base.pair_ops, close=close))
+    pts = substream(9).random(20).tolist() + ([] if inside else [1.25])
+    cells = _cells(fast) + [(6, word((2, 2, 2, 2, 1), 2)), (5, word((1, 2, 2, 2), 2))]
+    nodes = {w.symbols[:d] for k, w in cells for d in range(k)}
+    i, _, sure = systems._circle_stage0(np.asarray(pts), 0.5)
+    assert sure == len(i) == len(pts) * (len(pts) - 1) // 2
+    chunks = -(-len(i) // systems.PAIR_CHUNK)
+    got = _count_cells(fast, _as_point_set(fast, pts), 0.5, cells, "balls")
+    tested = _tested_nodes(nodes, inside, stages or estimators.SURE_STAGES)
+    assert count["close"] == len(tested) * chunks
+    assert any(p[-1] == 2 for p in tested) == (not inside or stages is not None)
+    oracle = _generic(base)
+    for g, cell in zip(got, cells):
+        want = _count_cells(oracle, _as_point_set(oracle, pts), 0.5, [cell], "balls")[0]
+        assert np.array_equal(g, want), cell
+
+
+def _boundary_points(eps, outside):
+    """Pairs whose computed distance sits at eps - margin (margin =
+    PAIR_MARGIN, stage 0's on [0, 1]) and at eps, and up to two float
+    steps either side, directly and the long way round across 0; as
+    they are, so that the root's rotation kid starts from them, and
+    halved, so that they sit at stage 1 after a doubling, before the
+    rotation chain of the word 1,2,2,2,1,2.  From the bases 0.07 and
+    0.37 some pairs within eps leave it under a rotation.  outside adds
+    a point outside [0, 1], which leaves stage 0's sure pairs unused."""
+    margin = systems.PAIR_MARGIN
+    pts = []
+    for x in (0.07, 0.37, 0.97):
+        pts.append(x)
+        for d in (eps - margin, eps, 1.0 - eps + margin):
+            y = (x + d) % 1.0
+            below = above = y
+            pts.append(y)
+            for _ in range(2):
+                below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+                pts += [float(below), float(above)]
+    pts += [p / 2 for p in pts]
+    assert max(pts) < 1.0
+    return pts + [1.3] * outside
+
+
+@pytest.mark.parametrize("outside", [False, True], ids=["unit", "outside-unit"])
+@pytest.mark.parametrize("eps", (0.25, 0.125, 2.0**-20))
+def test_sure_pairs_at_the_margin_match_oracle(monkeypatch, eps, outside):
+    """Ball counts (corr-entropy), pair counts (corr-sum), greedy nets
+    (top-entropy) and one-centre counts (local entropy) over words with
+    one rotation after stage 0 and rotation chains after a doubling
+    equal the oracle's, with one, seven or all pairs per chunk, for pairs
+    on both sides of eps - margin and of eps."""
+    fast, oracle = _sparse(SYSTEMS["circle"], []), _generic(SYSTEMS["circle"])
+    pts = _boundary_points(eps, outside)
+    if eps > 1e-3:  # a pair within eps at the stage before a rotation leaves it there
+        i, j = np.triu_indices(len(pts), 1)
+        stage = np.array(pts)
+        rotated = fast.array_ops.apply(2, stage)
+        assert (systems._circle_close(stage[i], stage[j], eps)
+                & ~systems._circle_close(rotated[i], rotated[j], eps)).any()
+    cells = [
+        (k, word(syms, 2))
+        for syms in [(1, 2, 2, 2, 1, 2), (2, 1, 2, 2), (2, 2, 2, 2)]
+        for k in range(1, len(syms) + 2)
+    ]
+    em, omega = EmpiricalMeasure(tuple(pts)), word((1, 2, 2, 2, 1, 2), 2)
+    centers = pts[:4] + pts[-4:]
+    want = {
+        kind: [
+            _count_cells(oracle, _as_point_set(oracle, pts), eps, [c], kind,
+                         **_kind_options(kind, len(pts)))[0]
+            for c in cells
+        ]
+        for kind in ("balls", "pairs", "net")
+    }
+    local = [local_entropy_series(em, oracle, omega, c, [eps], range(1, 8))[0].rows
+             for c in centers]
+    for chunk_size in (None, 1, 7):
+        with monkeypatch.context() as patch:
+            if chunk_size is not None:
+                patch.setattr(systems, "PAIR_CHUNK", chunk_size)
+            for kind, values in want.items():
+                got = _count_cells(fast, _as_point_set(fast, pts), eps, cells, kind,
+                                   **_kind_options(kind, len(pts)))
+                for g, v, cell in zip(got, values, cells):
+                    assert np.array_equal(g, v), (chunk_size, kind, cell)
+            assert local == [
+                local_entropy_series(em, fast, omega, c, [eps], range(1, 8))[0].rows
+                for c in centers
+            ]
