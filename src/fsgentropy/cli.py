@@ -114,17 +114,24 @@ class ExperimentConfig:
             raise ConfigInvalid("system", "closed forms exist only for binary-shift-odometer")
 
 
-_BOOL_KEYS = {"exact"}
-_INT_KEYS = {"n", "m_upsilon", "m_omega", "n_points", "seed", "power", "depth"}
-_FLOAT_KEYS = {"q", "alpha"}
-_FLOAT_LIST_KEYS = {"epsilons", "constants", "weights"}
-_INT_LIST_KEYS = {"ks"}
+def _parse_bool(value: str) -> bool:
+    if value.lower() not in ("true", "false", "0", "1"):
+        raise ValueError("expected true/false")
+    return value.lower() in ("true", "1")
+
+
+# A key's parser, named by its ExperimentConfig annotation less " | None".
+_PARSERS = {
+    "str": str, "bool": _parse_bool, "int": int, "float": float,
+    "list[int]": lambda value: [int(p) for p in value.split(",") if p.strip()],
+    "list[float]": lambda value: [float(p) for p in value.split(",") if p.strip()],
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key=value config format into a validated config."""
-    known = {f.name for f in fields(ExperimentConfig)}
     cfg = ExperimentConfig()
+    parsers = {f.name: _PARSERS[f.type.removesuffix(" | None")] for f in fields(cfg)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -134,23 +141,10 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key not in known:
+        if key not in parsers:
             raise ConfigInvalid(key, "unknown key")
         try:
-            if key in _BOOL_KEYS:
-                if value.lower() not in ("true", "false", "0", "1"):
-                    raise ValueError("expected true/false")
-                parsed = value.lower() in ("true", "1")
-            elif key in _INT_KEYS:
-                parsed = int(value)
-            elif key in _FLOAT_KEYS:
-                parsed = float(value)
-            elif key in _FLOAT_LIST_KEYS:
-                parsed = [float(p) for p in value.split(",") if p.strip()]
-            elif key in _INT_LIST_KEYS:
-                parsed = [int(p) for p in value.split(",") if p.strip()]
-            else:
-                parsed = value
+            parsed = parsers[key](value)
         except ValueError as exc:
             raise ConfigInvalid(key, f"cannot parse {value!r}: {exc}") from None
         setattr(cfg, key, parsed)
@@ -194,17 +188,22 @@ def _resolution(eps_list) -> int:
 DEPTH_HEADROOM = 40
 
 
+def _depth(cfg: ExperimentConfig) -> int:
+    """Binary truncation depth: the override, else the finest radius's
+    resolution + the longest horizon (+ n for orbits) + DEPTH_HEADROOM."""
+    if cfg.depth is not None:
+        return cfg.depth
+    horizon = max(cfg.ks) * (cfg.power if cfg.estimator == "power-test" else 1)
+    depth = _resolution(cfg.epsilons) + horizon + DEPTH_HEADROOM
+    if cfg.estimator in ("corr-sum", "local-corr-entropy"):
+        depth += cfg.n
+    return depth
+
+
 def _build_system(cfg: ExperimentConfig) -> systems.GeneratorSystem:
     params = {}
     if cfg.system == "binary-shift-odometer":
-        if cfg.depth is not None:
-            depth = cfg.depth
-        else:
-            horizon = max(cfg.ks) * (cfg.power if cfg.estimator == "power-test" else 1)
-            depth = _resolution(cfg.epsilons) + horizon + DEPTH_HEADROOM
-            if cfg.estimator in ("corr-sum", "local-corr-entropy"):
-                depth += cfg.n
-        params["depth"] = depth
+        params["depth"] = _depth(cfg)
     elif cfg.system == "circle-double-rotate":
         if cfg.alpha is not None:
             params["alpha"] = cfg.alpha
@@ -216,9 +215,8 @@ def _build_system(cfg: ExperimentConfig) -> systems.GeneratorSystem:
 
 def _measure(cfg: ExperimentConfig, sys_: systems.GeneratorSystem):
     if cfg.exact:
-        depth = cfg.depth or (_resolution(cfg.epsilons) + max(cfg.ks) + DEPTH_HEADROOM)
         return binary.ExactCylinderMeasure.draw(
-            depth, min(cfg.n_points, 64), substream(cfg.seed, 0)
+            _depth(cfg), min(cfg.n_points, 64), substream(cfg.seed, 0)
         )
     return estimators.EmpiricalMeasure.draw(sys_, cfg.n_points, cfg.seed)
 

@@ -48,12 +48,13 @@ Conventions shared by everything here:
   as it moves a distance by ulps only.  A one-center count takes the
   center's pairs from pair_ops.close against every point, with no sweep.
 * Both orbit estimators count Bowen-close pairs through one counter,
-  which tallies ordered off-diagonal pairs outside a lag window by
-  pairs of orbit-time blocks.  correlation_sum leaves out lags up to
-  THEILER_WINDOW and floors each value at 1/n, so it lives in [1/n, 1];
-  local_corr_entropy_series counts the diagonal too.  Ball counting
-  includes the center itself, so empirical ball measures live in
-  [1/N, 1].  Logs and negative powers stay finite.
+  one orbit at a time, which tallies ordered off-diagonal pairs outside
+  a lag window by pairs of orbit-time blocks.  correlation_sum leaves
+  out lags up to THEILER_WINDOW and floors each value at 1/n, so it
+  lives in [1/n, 1].  local_corr_entropy_series counts the diagonal
+  too, and reads its n/2 value off the (head, head) block of the same
+  count.  Ball counting includes the center itself, so empirical ball
+  measures live in [1/N, 1].  Logs and negative powers stay finite.
 """
 
 from __future__ import annotations
@@ -192,14 +193,6 @@ class _PointSet:
         if self._points is None:
             self._points = self._make()
         return self._points
-
-    def __len__(self) -> int:
-        return len(self.points) if self.wins is None else len(self.wins[0])
-
-    def head(self, n: int) -> "_PointSet":
-        """The first n points."""
-        wins = None if self.wins is None else tuple(a[:n] for a in self.wins)
-        return _PointSet(wins, make=lambda: self.points[:n])
 
 
 def _as_point_set(sys: GeneratorSystem, points) -> _PointSet:
@@ -716,6 +709,10 @@ def _upsilon_orbits(sys, x, n, m_upsilon, seed, weights) -> tuple[_PointSet, ...
     the points are built at once, raising where the maps raise.  Equal
     arguments share the orbit set of the latest call, so the (eps, k)
     calls of one run build it once; a call that raised is not kept."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if m_upsilon < 1:
+        raise ValueError("m_upsilon must be >= 1")
     if weights is None:
         weights = uniform_spec(sys.m)
     words = [
@@ -788,16 +785,10 @@ def correlation_sum(
     """
     _check_eps(eps)
     _check_word(omega, k)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if m_upsilon < 1:
-        raise ValueError("m_upsilon must be >= 1")
+    orbits = _upsilon_orbits(sys, x, n, m_upsilon, seed, weights)
     blocks, pairs = _time_blocks(n)
     n_blocks = blocks.n_blocks
-    close = []
-    for orbit in _upsilon_orbits(sys, x, n, m_upsilon, seed, weights):
-        close += _count_cells(sys, orbit, eps, [(k, omega)], "pairs", blocks=blocks)
-    close = np.array(close)
+    close = _orbit_pair_counts(sys, orbits, eps, [(k, omega)], blocks)[0]
     values = _floored_fraction(close.sum(axis=(1, 2)), pairs.sum(), n).tolist()
     value = math.fsum(values) / m_upsilon
     stderr = 0.0
@@ -808,6 +799,16 @@ def correlation_sum(
         spread = float(((dropped - dropped.mean()) ** 2).sum())
         stderr = math.sqrt((n_blocks - 1) / n_blocks * spread)
     return CorrSumEstimate(value, stderr, n, k, eps, m_upsilon, tuple(values))
+
+
+def _orbit_pair_counts(sys, orbits, eps, cells, blocks) -> np.ndarray:
+    """Bowen-close ordered pairs of every orbit and (k, word) cell,
+    tallied by blocks, as an int array [cell, orbit, block, block].  One
+    walk per orbit, so only one orbit's stage-0 pairs are ever alive."""
+    return np.stack(
+        [_count_cells(sys, orbit, eps, cells, "pairs", blocks=blocks) for orbit in orbits],
+        axis=1,
+    )
 
 
 def _without_each_block(counts: np.ndarray) -> np.ndarray:
@@ -957,21 +958,6 @@ def _check_grids(eps_list, k_list):
         raise ConfigInvalid("ks", "must be strictly increasing")
 
 
-def _orbit_fractions(sys, eps, cells, orbits) -> list:
-    """Fraction of ordered pairs (diagonal included) that are
-    Bowen-within eps, of every orbit for every (k, word) cell, as
-    out[cell] = [one value per orbit].  The orbits are walked one at a
-    time, so only one orbit's stage-0 pairs are ever alive."""
-    per_orbit = []
-    for orbit in orbits:
-        n = len(orbit)
-        per_orbit.append(_count_cells(
-            sys, orbit, eps, cells, "pairs", lambda close: (n + int(close[0, 0])) / (n * n),
-            blocks=_blocks(np.zeros(n, dtype=np.intp)),
-        ))
-    return [list(values) for values in zip(*per_orbit)]
-
-
 def _log_word_mean(fractions, words) -> tuple[float, float]:
     """Weighted word mean of the log orbit-averaged pair fraction, and
     its variance from the spread of each word's fractions over orbits."""
@@ -1002,20 +988,19 @@ def local_corr_entropy_series(
     with a stability check: each row also evaluates the correlation sum
     at n/2 (same driving words), and the row is flagged "unstable" when
     the two word-averaged values differ by more than twice their
-    combined standard error.
+    combined standard error.  The n/2 value comes from the same walk:
+    the close pairs among the first max(1, n // 2) orbit points.
     """
     _check_grids(eps_list, k_list)
-    if n < 1:
-        raise ValueError("n must be >= 1")
     orbits = _upsilon_orbits(sys, x, n, m_upsilon, seed, weights)
-    half_orbits = [orbit.head(max(1, n // 2)) for orbit in orbits]
+    h = max(1, n // 2)
+    halves = _blocks((np.arange(n) >= h).astype(np.intp), 2)
     out = []
     for eps in eps_list:
         word_sets, cells = _series_cells(sys.m, k_list, weights, m_omega, seed)
-        full, half = (
-            _by_horizon(_orbit_fractions(sys, eps, cells, o), word_sets)
-            for o in (orbits, half_orbits)
-        )
+        close = _orbit_pair_counts(sys, orbits, eps, cells, halves)
+        full = _by_horizon(((n + close.sum(axis=(2, 3))) / n**2).tolist(), word_sets)
+        half = _by_horizon(((h + close[:, :, 0, 0]) / h**2).tolist(), word_sets)
         rows, ses, flags = [], [], []
         for k, words, full_k, half_k in zip(k_list, word_sets, full, half):
             mean_full, var_full = _log_word_mean(full_k, words)

@@ -23,15 +23,29 @@ LOG2 = math.log(2.0)
 
 
 def test_parse_config_defaults_and_overrides():
+    assert repr(parse_config("# comment only")) == repr(ExperimentConfig())
     cfg = parse_config(
         """
         # comment
         system = circle-double-rotate
         estimator = top-entropy
+        q = 3
         epsilons = 0.2,0.1
         ks = 1,2,3
+        n = 50
+        m-upsilon = 5
+        m_omega = 6
+        n_points = 70
         seed = 7
+        weights = 0.3,0.7
         exact = false
+        series = corr
+        power = 3
+        depth = 90
+        alpha = 0.5
+        constants = 0.1,0.2
+        out = rows.csv
+        format = csv
         """
     )
     assert cfg.system == "circle-double-rotate"
@@ -39,6 +53,14 @@ def test_parse_config_defaults_and_overrides():
     assert cfg.ks == [1, 2, 3]
     assert cfg.seed == 7
     assert cfg.format == "csv"
+    # every key parsed by its field's type: q = 3 reads as 3.0, not 3
+    want = ExperimentConfig(
+        "circle-double-rotate", "top-entropy", 3.0, [0.2, 0.1], [1, 2, 3], 50, 5, 6, 70, 7,
+        [0.3, 0.7], False, "corr", 3, 90, 0.5, [0.1, 0.2], "rows.csv", "csv",
+    )
+    assert repr(cfg) == repr(want)
+    with pytest.raises(ConfigInvalid, match="cannot parse 'yes': expected true/false"):
+        parse_config("exact = yes")
 
 
 def test_parse_config_rejects_bad_input():

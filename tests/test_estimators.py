@@ -33,6 +33,7 @@ from fsgentropy.seeding import substream
 from fsgentropy.systems import (
     GeneratorSystem,
     binary_shift_odometer,
+    bowen_distance,
     circle_double_rotate,
 )
 from fsgentropy.words import BernoulliSpec, word
@@ -376,6 +377,73 @@ def test_local_corr_entropy_degenerate_alphabet():
     a = local_corr_entropy_series(one, 0.3, [0.1], [1, 2], 60, 4, 1, seed=5)
     b = local_corr_entropy_series(one, 0.3, [0.1], [1, 2], 60, 4, 17, seed=5)
     assert a[0].rows == b[0].rows  # the word average has a single word
+
+
+@pytest.mark.parametrize("n, m_upsilon", [(0, 4), (20, 0)])
+def test_local_corr_entropy_rejects_empty_orbit_sets(n, m_upsilon):
+    name = "n" if n < 1 else "m_upsilon"
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+        local_corr_entropy_series(CIRCLE, 0.3, [0.25], [1, 2], n, m_upsilon, 4, seed=1)
+
+
+ORBIT_PATHS = {
+    "binary-windows": (BIN, 0.25),
+    "binary-exact": (replace(BIN, window_ops=None), 0.25),
+    "circle-pairs": (CIRCLE, 0.2),
+    "generic": (_generic(CIRCLE), 0.2),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 30])
+@pytest.mark.parametrize("path", ORBIT_PATHS)
+def test_orbit_pair_counts_by_halves_equal_brute_force(request, path, n):
+    """local_corr_entropy_series' layout: block (0, 0) holds the ordered
+    close pairs among the first max(1, n // 2) orbit points, and the
+    blocks together those among all n, on every counting path."""
+    sys_, eps = ORBIT_PATHS[path]
+    if path == "binary-windows":
+        request.getfixturevalue("windows_only")
+    x = sys_.mu_sampler(substream(60, n), 1)[0]
+    orbits = estimators._upsilon_orbits(sys_, x, n, 3, 61, None)
+    _, cells = estimators._series_cells(sys_.m, [1, 2, 3], None, 8, 62)
+    h = max(1, n // 2)
+    halves = estimators._blocks((np.arange(n) >= h).astype(np.intp), 2)
+    got = estimators._orbit_pair_counts(sys_, orbits, eps, cells, halves)
+    assert got.shape == (len(cells), len(orbits), 2, 2)
+    for c, (k, omega) in enumerate(cells):
+        for o, orbit in enumerate(orbits):
+            pts = orbit.points
+            close = [
+                (i, j) for i in range(n) for j in range(n)
+                if i != j and bowen_distance(sys_, omega, k, pts[i], pts[j]) <= eps
+            ]
+            assert got[c, o, 0, 0] == sum(i < h and j < h for i, j in close), (k, omega, o)
+            assert got[c, o].sum() == len(close), (k, omega, o)
+
+
+@pytest.mark.parametrize("sys_", [BIN, CIRCLE], ids=["binary", "circle"])
+def test_local_corr_entropy_walks_each_orbit_once_per_radius(monkeypatch, sys_):
+    """The value at n/2 comes from the walk that counts the value at n:
+    one _count_cells call per orbit and radius, over every cell, on the
+    whole orbit."""
+    x = sys_.mu_sampler(substream(63), 1)[0]
+    eps_list, ks, n, m_upsilon = [0.25, 0.125], [1, 2, 3], 24, 3
+    want = local_corr_entropy_series(sys_, x, eps_list, ks, n, m_upsilon, 8, seed=64)
+    calls = []
+    count = estimators._count_cells
+
+    def counting(sys, pset, eps, cells, kind, *args, **kwargs):
+        calls.append((pset, eps, len(cells)))
+        return count(sys, pset, eps, cells, kind, *args, **kwargs)
+
+    monkeypatch.setattr(estimators, "_count_cells", counting)
+    got = local_corr_entropy_series(sys_, x, eps_list, ks, n, m_upsilon, 8, seed=64)
+    assert [(s.rows, s.stderrs, s.flags) for s in got] == [
+        (s.rows, s.stderrs, s.flags) for s in want
+    ]
+    orbits = estimators._upsilon_orbits(sys_, x, n, m_upsilon, 64, None)
+    n_cells = sum(2 ** (k - 1) for k in ks)
+    assert calls == [(o, eps, n_cells) for eps in eps_list for o in orbits]
 
 
 # ---------------------------------------------------------------------------
