@@ -13,9 +13,7 @@ from .binary import (
     Cylinder,
     ExactCylinderMeasure,
     exact_bowen_ball,
-    exact_corr_integral_series,
-    exact_measure_entropy_series,
-    exact_top_entropy_series,
+    exact_series,
     s_count,
 )
 from .estimators import (

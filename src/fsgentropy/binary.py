@@ -23,8 +23,10 @@ ball of radius 2**(-t) is the cylinder on the first t + s coordinates,
 where s counts the shift symbols among the first k-1 letters: each
 shift stage sharpens the effective radius by one halving, each odometer
 stage (an isometry) leaves it unchanged.  Averaging the cylinder length
-over fair words turns every entropy series below into the closed form
-(t + (k-1)/2) * log 2 / k, with limit (log 2) / 2.
+over fair words turns every entropy series into the closed form
+(t + (k-1)/2) * log 2 / k, with limit (log 2) / 2: one function,
+exact_series(flavour, t, k_max, q, power), gives the topological,
+correlation (any q) and partition-entropy series alike.
 
 Windows
 -------
@@ -409,65 +411,36 @@ def exact_correlation_integral(t: int, k: int, power: int = 1) -> float:
     return -(t + power * (k - 1) / 2.0) * LOG2
 
 
-def exact_corr_integral_series(
-    t: int, k_max: int, q: float = 2.0, power: int = 1
+EXACT_FLAVOURS = ("top", "corr", "measure")
+
+
+def exact_series(
+    flavour: str, t: int, k_max: int, q: float = 2.0, power: int = 1
 ) -> EntropySeries:
-    """Rows (k, -c/k) of the exact correlation-integral series.
+    """Rows (k, -c/k), k = 1..k_max, of a closed-form entropy series,
+    c = exact_correlation_integral(t, k, power), for every flavour.
 
-    Identical for every q (see exact_correlation_integral); q is kept in
-    the metadata so emitted results stay self-describing.
+    "corr" is the correlation-integral series at radius 2**(-t),
+    identical for every q, which is kept in its metadata so emitted
+    results stay self-describing.  "top" is the topological-entropy
+    series at that radius: a maximal separated set holds one point per
+    Bowen cylinder, so log #E = (t + s) * log 2.  "measure" is the
+    partition-entropy series of the partition into cylinders of length
+    t (epsilon 0.0): the join of its first k pullbacks along a word
+    consists of cylinders of length t + s.  All share the limit
+    power * (log 2) / 2.
     """
-    rows = [
-        (k, -exact_correlation_integral(t, k, power) / k)
-        for k in range(1, k_max + 1)
-    ]
+    if flavour not in EXACT_FLAVOURS:
+        raise ValueError(f"flavour must be one of {EXACT_FLAVOURS}, got {flavour!r}")
+    if min(t, k_max, power) < 1:
+        raise ValueError("t, k_max and power must all be >= 1")
+    rows = [(k, -exact_correlation_integral(t, k, power) / k) for k in range(1, k_max + 1)]
     return EntropySeries(
-        epsilon=2.0 ** (-t),
+        epsilon=0.0 if flavour == "measure" else 2.0 ** (-t),
         rows=rows,
-        kind="exact-corr-integral",
-        q=q,
+        kind=f"exact-{flavour}",
+        q=q if flavour == "corr" else None,
         meta={"t": t, "power": power, "exact": True},
-    )
-
-
-def exact_top_entropy_series(t: int, k_max: int, power: int = 1) -> EntropySeries:
-    """Rows of the exact topological-entropy series at radius 2**(-t).
-
-    A maximal separated set holds one point per Bowen cylinder, so
-    log #E = (t + s) * log 2 and the word average is the same binomial
-    closed form as the correlation series; the common limit is
-    (log 2) / 2.
-    """
-    if t < 1 or k_max < 1:
-        raise ValueError("t and k_max must be >= 1")
-    rows = [
-        (k, (t + power * (k - 1) / 2.0) * LOG2 / k) for k in range(1, k_max + 1)
-    ]
-    return EntropySeries(
-        epsilon=2.0 ** (-t),
-        rows=rows,
-        kind="exact-top-entropy",
-        meta={"t": t, "power": power, "exact": True},
-    )
-
-
-def exact_measure_entropy_series(k_max: int) -> EntropySeries:
-    """Rows of the exact partition-entropy series for the two-cell
-    partition by the first coordinate.
-
-    The join of the first k pullbacks of that partition along a word
-    consists of cylinders of length 1 + s, so the integrand is
-    (1 + s) * log 2 and the word average gives (1 + (k-1)/2) * log 2,
-    again with limit (log 2) / 2.
-    """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    rows = [(k, (1 + (k - 1) / 2.0) * LOG2 / k) for k in range(1, k_max + 1)]
-    return EntropySeries(
-        epsilon=0.0,
-        rows=rows,
-        kind="exact-measure-entropy",
-        meta={"partition": "first-coordinate", "exact": True},
     )
 
 

@@ -49,17 +49,6 @@ from .seeding import OMEGA, POINT, substream
 from .series import EntropySeries
 from .words import BernoulliSpec, power_weights, sample_word, uniform_spec
 
-ESTIMATORS = (
-    "corr-sum",
-    "corr-entropy",
-    "local-corr-entropy",
-    "top-entropy",
-    "local-entropy",
-    "doubling",
-    "exact-series",
-    "power-test",
-)
-
 CSV_HEADER = "estimator,epsilon,k,q,value,stderr,seed,flags"
 
 
@@ -86,9 +75,9 @@ class ExperimentConfig:
     format: str = "csv"
 
     def validate(self) -> None:
-        if self.estimator not in ESTIMATORS:
+        if self.estimator not in _RUNNERS:
             raise EstimatorUnknown(
-                f"unknown estimator {self.estimator!r} (known: {', '.join(ESTIMATORS)})"
+                f"unknown estimator {self.estimator!r} (known: {', '.join(_RUNNERS)})"
             )
         estimators._check_grids(self.epsilons, self.ks)
         for name in ("n", "m_upsilon", "m_omega", "n_points", "power"):
@@ -98,7 +87,7 @@ class ExperimentConfig:
             raise ConfigInvalid("q", "must be finite")
         if self.format not in ("csv", "json"):
             raise ConfigInvalid("format", "must be csv or json")
-        if self.series not in ("top", "corr", "measure"):
+        if self.series not in binary.EXACT_FLAVOURS:
             raise ConfigInvalid("series", "must be top, corr or measure")
         if self.depth is not None and self.depth < 1:
             raise ConfigInvalid("depth", "must be >= 1")
@@ -281,22 +270,14 @@ def _run_local_corr_entropy(cfg, sys_):
 
 def _closed_form_series(cfg, flavour: str) -> list[EntropySeries]:
     """The closed-form binary series of one flavour (top | corr |
-    measure), cut to the rows at cfg.ks."""
-    kmax = max(cfg.ks)
-    if flavour == "measure":
-        full = [binary.exact_measure_entropy_series(kmax)]
-    elif flavour == "top":
-        full = [
-            binary.exact_top_entropy_series(_dyadic_exponent(eps), kmax)
-            for eps in cfg.epsilons
-        ]
-    else:
-        full = [
-            binary.exact_corr_integral_series(_dyadic_exponent(eps), kmax, cfg.q)
-            for eps in cfg.epsilons
-        ]
+    measure), one per radius (the measure flavour: one, for the
+    first-coordinate partition), cut to the rows at cfg.ks."""
+    ts = [1] if flavour == "measure" else [_dyadic_exponent(eps) for eps in cfg.epsilons]
     wanted = set(cfg.ks)
-    return [replace(s, rows=[(k, v) for k, v in s.rows if k in wanted]) for s in full]
+    return [
+        replace(s, rows=[(k, v) for k, v in s.rows if k in wanted])
+        for s in (binary.exact_series(flavour, t, max(cfg.ks), cfg.q) for t in ts)
+    ]
 
 
 def _run_top_entropy(cfg, sys_):
@@ -336,7 +317,7 @@ def _run_power_test(cfg, sys_):
         # half) holds the 3 rows a slope fit needs, as in the branch below
         kmax = max(5, max(cfg.ks))
         base, powr = (
-            limits.k_limit(binary.exact_corr_integral_series(t, kmax, cfg.q, power=p))
+            limits.k_limit(binary.exact_series("corr", t, kmax, cfg.q, power=p))
             for p in (1, cfg.power)
         )
     else:
@@ -402,11 +383,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     for row in rows:
         if not math.isfinite(row.value) or not math.isfinite(row.stderr):
             raise FsgError(f"non-finite result row: {row}")
-    # Closed-form series carry meta["exact"] and get a slope-fit by
-    # default; exact ball measures make corr-entropy rows affine in 1/k too.
-    method = "slope-fit" if cfg.exact and cfg.estimator == "corr-entropy" else None
-    try:
-        summary, trend = limits.series_limit_summary(series_list, method=method)
+    try:  # series with meta["exact"] get a slope-fit
+        summary, trend = limits.series_limit_summary(series_list)
     except FsgError:  # too few rows for a limit: no summary
         summary, trend = [], None
     return ExperimentResult(cfg, rows, summary, trend)
@@ -522,7 +500,7 @@ def reproduce_paper_example(seed: int = 42, stream=None) -> bool:
     ok = True
     print(f"target: log(2)/2 = {target:.10f}", file=out)
     for t in (2, 3):
-        series = binary.exact_top_entropy_series(t, 64)
+        series = binary.exact_series("top", t, 64)
         est = limits.k_limit(series, method="slope-fit")
         err = abs(est.value - target)
         good = err <= 1e-9
@@ -532,16 +510,11 @@ def reproduce_paper_example(seed: int = 42, stream=None) -> bool:
             f"(|err|={err:.2e}) {'PASS' if good else 'FAIL'}",
             file=out,
         )
-    sys_ = systems.binary_shift_odometer(depth=3 + 12 + DEPTH_HEADROOM)
-    series_list = estimators.top_entropy_series(
-        sys_,
-        eps_list=[0.25, 0.125],
-        k_list=list(range(2, 13)),
-        m_omega=128,
-        n_sample=4096,
-        seed=seed,
+    cfg = ExperimentConfig(
+        estimator="top-entropy", epsilons=[0.25, 0.125], ks=list(range(2, 13)),
+        m_omega=128, n_points=4096, seed=seed,
     )
-    for s in series_list:
+    for s in _run_top_entropy(cfg, _build_system(cfg)):
         est = limits.k_limit(s, method="slope-fit")
         rel = abs(est.value - target) / target
         good = rel <= 0.10

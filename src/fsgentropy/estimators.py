@@ -69,6 +69,7 @@ import numpy as np
 
 from . import systems
 from .errors import (
+    AlphabetMismatch,
     CenterNotInSample,
     ConfigInvalid,
     FsgError,
@@ -118,11 +119,23 @@ def _check_eps(eps: float) -> None:
         raise InvalidEpsilon(f"epsilon must be > 0, got {eps!r}")
 
 
-def _check_word(omega: SymbolWord, k: int) -> None:
+def _check_k(k: int) -> None:
     if k < 1:
         raise KZero(f"k must be >= 1, got {k}")
+
+
+def _check_word(sys: GeneratorSystem, omega: SymbolWord, k: int) -> None:
+    """k >= 1, and omega's first k-1 symbols exist and name maps of sys."""
+    _check_k(k)
     if len(omega) < k - 1:
         raise WordTooShort(f"need {k - 1} symbols, have {len(omega)}")
+    if omega.m > sys.m and max(omega.symbols[: k - 1], default=1) > sys.m:
+        raise AlphabetMismatch(f"word symbols exceed the {sys.m} maps of {sys.name}")
+
+
+def _check_weights(weights: BernoulliSpec, m: int) -> None:
+    if weights.m != m:
+        raise AlphabetMismatch(f"{weights.m} symbol weights for {m} maps")
 
 
 def exhaustive_omega(m: int, k: int, m_omega: int) -> bool:
@@ -141,8 +154,10 @@ def omega_words(
     1/m_omega.  Exhaustive averages are exact and consume no
     randomness.
     """
+    _check_k(k)
     if weights is None:
         weights = uniform_spec(m)
+    _check_weights(weights, m)
     if m_omega < 1:
         raise ValueError("m_omega must be >= 1")
     if exhaustive_omega(m, k, m_omega):
@@ -643,14 +658,14 @@ class EmpiricalMeasure:
     def ball_measures(self, sys, omega, k, eps) -> np.ndarray:
         """Empirical Bowen-ball measure centered at every sample point."""
         _check_eps(eps)
-        _check_word(omega, k)
+        _check_word(sys, omega, k)
         return _cell_measures(self, sys, eps, [(k, omega)])[0]
 
     def ball_measure(self, sys, omega, k, center, eps) -> float:
         """Empirical Bowen-ball measure at one center from the sample:
         the one-cell case of local_entropy_series."""
         _check_eps(eps)
-        _check_word(omega, k)
+        _check_word(sys, omega, k)
         at = _center_index(self, center)
         return float(_cell_measures(self, sys, eps, [(k, omega)], center=at)[0])
 
@@ -715,6 +730,7 @@ def _upsilon_orbits(sys, x, n, m_upsilon, seed, weights) -> tuple[_PointSet, ...
         raise ValueError("m_upsilon must be >= 1")
     if weights is None:
         weights = uniform_spec(sys.m)
+    _check_weights(weights, sys.m)
     words = [
         sample_word(weights, n - 1, substream(seed, UPSILON, j)).symbols
         for j in range(m_upsilon)
@@ -784,7 +800,7 @@ def correlation_sum(
     time, eps outer and k inner.
     """
     _check_eps(eps)
-    _check_word(omega, k)
+    _check_word(sys, omega, k)
     orbits = _upsilon_orbits(sys, x, n, m_upsilon, seed, weights)
     blocks, pairs = _time_blocks(n)
     n_blocks = blocks.n_blocks
@@ -930,7 +946,8 @@ def corr_entropy_series(
 ) -> list[EntropySeries]:
     """One series per epsilon with rows (k, -c/k), c the correlation
     integral; the limit extraction over k and the epsilon trend are left
-    to the limits module."""
+    to the limits module.  Exact ball measures make the rows affine in
+    1/k, so their series carry meta["exact"], which k_limit slope-fits."""
     _check_grids(eps_list, k_list)
     return _word_averaged(
         sys, eps_list, k_list, m_omega, seed, weights,
@@ -938,7 +955,8 @@ def corr_entropy_series(
             measure, sys, eps, cells, lambda m: -_q_log_mean(np.log(m), q)
         ),
         kind="corr-entropy", q=q,
-        meta={"m_omega": m_omega, "seed": seed, "n_points": len(measure.points)},
+        meta={"m_omega": m_omega, "seed": seed, "n_points": len(measure.points),
+              "exact": not isinstance(measure, EmpiricalMeasure)},
     )
 
 
@@ -1027,7 +1045,7 @@ def separated_set(sample, sys: GeneratorSystem, omega, k, eps) -> list:
     bound on the maximum packing); by maximality the set is also a Bowen
     eps-cover of the sample: every sample point is within eps of one."""
     _check_eps(eps)
-    _check_word(omega, k)
+    _check_word(sys, omega, k)
     pset = _as_point_set(sys, sample)
     return [pset.points[i] for i in _count_cells(sys, pset, eps, [(k, omega)], "net")[0]]
 
@@ -1078,7 +1096,7 @@ def doubling_series(
     the signature of a doubling-friendly measure.  Every horizon of a
     radius is counted in one walk at eps and one more at 2 eps."""
     _check_grids(eps_list, k_list)
-    _check_word(omega, k_list[-1])
+    _check_word(sys, omega, k_list[-1])
     cells = [(k, omega) for k in k_list]
     out = []
     for eps in eps_list:
@@ -1092,7 +1110,7 @@ def doubling_ratio(measure, sys: GeneratorSystem, omega, k, eps) -> float:
     """The doubling diagnostic of one horizon and radius: the one-cell
     case of doubling_series."""
     _check_eps(eps)
-    _check_word(omega, k)
+    _check_word(sys, omega, k)
     return doubling_series(measure, sys, omega, [eps], [k])[0].rows[0][1]
 
 
@@ -1103,7 +1121,7 @@ def local_entropy_series(
     word: rows (k, -(1/k) log measure(Bowen ball)).  Every horizon of a
     radius is counted in one walk that reads x's ball alone."""
     _check_grids(eps_list, k_list)
-    _check_word(omega, k_list[-1])
+    _check_word(sys, omega, k_list[-1])
     cells, at = [(k, omega) for k in k_list], _center_index(measure, x)
     out = []
     for eps in eps_list:

@@ -18,10 +18,8 @@ from fsgentropy.binary import (
     ExactCylinderMeasure,
     all_points,
     exact_bowen_ball,
-    exact_corr_integral_series,
     exact_correlation_integral,
-    exact_measure_entropy_series,
-    exact_top_entropy_series,
+    exact_series,
     s_count,
 )
 from fsgentropy.cli import ExperimentConfig, reproduce_paper_example, run_experiment
@@ -292,10 +290,10 @@ def test_entropy_notions_coincide_on_binary_backend():
     all slope-fit to the same limit within 1e-9."""
     fits = []
     for t in (2, 3):
-        fits.append(k_limit(exact_top_entropy_series(t, 64)).value)
+        fits.append(k_limit(exact_series("top", t, 64)).value)
         for q in (0.0, 1.0, 2.0, 5.0):
-            fits.append(k_limit(exact_corr_integral_series(t, 64, q)).value)
-    fits.append(k_limit(exact_measure_entropy_series(64)).value)
+            fits.append(k_limit(exact_series("corr", t, 64, q)).value)
+    fits.append(k_limit(exact_series("measure", 1, 64)).value)
     spread = max(fits) - min(fits)
     err = max(abs(v - HALF_LOG2) for v in fits)
     _report(

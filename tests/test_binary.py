@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fsgentropy.binary import (
+    EXACT_FLAVOURS,
     BinaryPoint,
     Cylinder,
     ExactCylinderMeasure,
@@ -18,10 +19,8 @@ from fsgentropy.binary import (
     distance,
     drop_head,
     exact_bowen_ball,
-    exact_corr_integral_series,
     exact_correlation_integral,
-    exact_measure_entropy_series,
-    exact_top_entropy_series,
+    exact_series,
     prefix_length_for,
     random_point,
     random_points,
@@ -166,22 +165,22 @@ def test_cylinder_measure_and_membership():
 
 
 def test_exact_corr_integral_series_values():
-    s = exact_corr_integral_series(3, 8, q=2.0)
+    s = exact_series("corr", 3, 8, q=2.0)
     assert s.value_at(1) == pytest.approx(3 * LOG2, abs=0)
     for k, v in s.rows:
         assert v == (3 + (k - 1) / 2.0) * LOG2 / k
 
 
 def test_exact_series_q_invariance_bitwise():
-    a = exact_corr_integral_series(2, 32, q=0.0)
-    b = exact_corr_integral_series(2, 32, q=1.0)
-    c = exact_corr_integral_series(2, 32, q=2.0)
-    d = exact_corr_integral_series(2, 32, q=5.0)
+    a = exact_series("corr", 2, 32, q=0.0)
+    b = exact_series("corr", 2, 32, q=1.0)
+    c = exact_series("corr", 2, 32, q=2.0)
+    d = exact_series("corr", 2, 32, q=5.0)
     assert a.rows == b.rows == c.rows == d.rows
 
 
 def test_exact_top_entropy_series_values():
-    s = exact_top_entropy_series(2, 64)
+    s = exact_series("top", 2, 64)
     assert s.value_at(1) == 2 * LOG2
     assert s.value_at(64) == pytest.approx((2 + 31.5) * LOG2 / 64, rel=1e-12)
     assert s.value_at(64) == pytest.approx(0.3628192, abs=5e-7)
@@ -190,16 +189,39 @@ def test_exact_top_entropy_series_values():
 def test_exact_series_deviation_structure():
     # value - limit is exactly (t - 1/2) * log2 / k for the radius series
     for t in (1, 2, 4):
-        s = exact_top_entropy_series(t, 32)
+        s = exact_series("top", t, 32)
         for k, v in s.rows:
             assert v - LOG2 / 2 == pytest.approx((t - 0.5) * LOG2 / k, rel=1e-12)
-    m = exact_measure_entropy_series(32)
+    m = exact_series("measure", 1, 32)
     for k, v in m.rows:
         assert v - LOG2 / 2 == pytest.approx(0.5 * LOG2 / k, rel=1e-12)
 
 
+@pytest.mark.parametrize("flavour", EXACT_FLAVOURS)
+def test_exact_series_rows_are_the_one_closed_form(flavour):
+    for t, power in itertools.product(range(1, 5), range(1, 4)):
+        s = exact_series(flavour, t, 40, q=3.0, power=power)
+        assert s.rows == [
+            (k, -exact_correlation_integral(t, k, power) / k) for k in range(1, 41)
+        ]
+        # bit for bit the cylinder-length formula (t + power*(k-1)/2) log 2 / k
+        assert s.values == [(t + power * (k - 1) / 2.0) * LOG2 / k for k in range(1, 41)]
+        assert s.epsilon == (0.0 if flavour == "measure" else 2.0 ** (-t))
+        assert s.q == (3.0 if flavour == "corr" else None)
+        assert s.meta["exact"] is True
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("entropy", 2, 8), ("Top", 2, 8), ("top", 0, 8), ("corr", 2, 0), ("measure", 1, 8, 2.0, 0)],
+)
+def test_exact_series_rejects_bad_arguments(args):
+    with pytest.raises(ValueError):
+        exact_series(*args)
+
+
 def test_exact_measure_entropy_first_rows():
-    s = exact_measure_entropy_series(4)
+    s = exact_series("measure", 1, 4)
     assert s.value_at(1) == LOG2
     assert s.value_at(3) == pytest.approx(2 * LOG2 / 3)
 
@@ -232,15 +254,15 @@ def test_exact_measure_entropy_k3_against_join_oracle():
     oracle = np.mean(
         [_join_partition_entropy(w, k) for w in itertools.product((1, 2), repeat=2)]
     )
-    series_value = exact_measure_entropy_series(3).value_at(3)
+    series_value = exact_series("measure", 1, 3).value_at(3)
     assert series_value == pytest.approx(oracle / k, rel=1e-12)
 
 
 def test_all_exact_series_share_one_limit():
     t = 3
-    corr = exact_corr_integral_series(t, 48, q=2.0)
-    top = exact_top_entropy_series(t, 48)
-    meas = exact_measure_entropy_series(48)
+    corr = exact_series("corr", t, 48, q=2.0)
+    top = exact_series("top", t, 48)
+    meas = exact_series("measure", 1, 48)
     for s in (corr, top, meas):
         tail = s.value_at(48)
         assert abs(tail - LOG2 / 2) <= LOG2 / 2  # sanity: same order

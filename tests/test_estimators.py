@@ -11,9 +11,11 @@ import pytest
 from fsgentropy import binary, estimators
 from fsgentropy.binary import ExactCylinderMeasure, all_points, s_count
 from fsgentropy.errors import (
+    AlphabetMismatch,
     CenterNotInSample,
     ConfigInvalid,
     InvalidEpsilon,
+    KZero,
     WordTooShort,
 )
 from fsgentropy.estimators import (
@@ -29,6 +31,7 @@ from fsgentropy.estimators import (
     separated_set,
     top_entropy_series,
 )
+from fsgentropy.limits import k_limit
 from fsgentropy.seeding import substream
 from fsgentropy.systems import (
     GeneratorSystem,
@@ -718,3 +721,82 @@ def test_label_pair_counts_stay_exact_past_float32():
         np.zeros(n, dtype=np.intp), estimators._blocks(np.arange(n) * 2 // n, 2)
     )
     assert counts.tolist() == [[4097 * 4096, 4097**2], [4097**2, 4097 * 4096]]
+
+
+# Every counting path: binary uint64 windows, binary exact keys, circle
+# pair lists and the generic pairwise loop.
+COUNTING_PATHS = {
+    "binary-windows": BIN,
+    "binary-exact": replace(BIN, window_ops=None),
+    "circle-pairs": CIRCLE,
+    "generic": _generic(CIRCLE),
+}
+
+
+@pytest.fixture(params=list(COUNTING_PATHS))
+def counting_path(request):
+    sys_ = COUNTING_PATHS[request.param]
+    return sys_, EmpiricalMeasure.draw(sys_, 16, seed=3)
+
+
+def test_word_symbols_beyond_the_maps_raise_on_every_path(counting_path):
+    sys_, em = counting_path
+    x, omega = em.points[0], word((3, 1), 3)
+    calls = [
+        lambda: em.ball_measures(sys_, omega, 3, 0.25),
+        lambda: em.ball_measure(sys_, omega, 3, x, 0.25),
+        lambda: separated_set(em.points, sys_, omega, 3, 0.25),
+        lambda: doubling_ratio(em, sys_, omega, 3, 0.25),
+        lambda: doubling_series(em, sys_, omega, [0.25], [1, 2, 3]),
+        lambda: local_entropy_series(em, sys_, omega, x, [0.25], [1, 2, 3]),
+        lambda: correlation_sum(sys_, x, 0.25, omega, 3, 16, 2, seed=1),
+    ]
+    for call in calls:
+        with pytest.raises(AlphabetMismatch):
+            call()
+    # only the first k-1 symbols are read: a later one may name no map
+    late = em.ball_measures(sys_, word((1, 2, 3), 3), 3, 0.25)
+    assert np.array_equal(late, em.ball_measures(sys_, word((1, 2), 2), 3, 0.25))
+
+
+@pytest.mark.parametrize("weights", [(0.5, 0.25, 0.25), (1.0,)])
+def test_weights_for_another_alphabet_raise_on_every_path(counting_path, weights):
+    sys_, em = counting_path
+    spec, x = BernoulliSpec(weights), em.points[0]
+    calls = [
+        lambda: omega_words(sys_.m, 2, spec, 16, 1),
+        lambda: corr_integral(em, sys_, 0.25, 2, 2.0, 16, 1, weights=spec),
+        lambda: corr_entropy_series(em, sys_, [0.25], [1, 2], 2.0, 16, 1, weights=spec),
+        lambda: top_entropy_series(sys_, [0.25], [1, 2], 16, 16, 1, weights=spec),
+        lambda: correlation_sum(sys_, x, 0.25, word((1,), 2), 2, 16, 2, 1, weights=spec),
+        lambda: local_corr_entropy_series(sys_, x, [0.25], [1, 2], 16, 2, 4, 1, weights=spec),
+    ]
+    for call in calls:
+        with pytest.raises(AlphabetMismatch):
+            call()
+
+
+def test_k_zero_raises_kzero_on_every_path(counting_path):
+    sys_, em = counting_path
+    calls = [
+        lambda: omega_words(sys_.m, 0, None, 16, 1),
+        lambda: corr_integral(em, sys_, 0.25, 0, 2.0, 16, 1),
+        lambda: em.ball_measures(sys_, word((), 2), 0, 0.25),
+        lambda: separated_set(em.points, sys_, word((), 2), 0, 0.25),
+        lambda: correlation_sum(sys_, em.points[0], 0.25, word((), 2), 0, 16, 2, 1),
+    ]
+    for call in calls:
+        with pytest.raises(KZero):
+            call()
+
+
+def test_corr_entropy_series_marks_exact_measures_for_a_slope_fit():
+    exact = ExactCylinderMeasure.draw(60, 8, substream(5))
+    empirical = EmpiricalMeasure.draw(BIN, 64, seed=5)
+    ks = list(range(1, 9))
+    s_exact, = corr_entropy_series(exact, BIN, [0.25], ks, 2.0, 256, 5)
+    s_emp, = corr_entropy_series(empirical, BIN, [0.25], ks, 2.0, 256, 5)
+    assert s_exact.meta["exact"] is True and s_emp.meta["exact"] is False
+    assert k_limit(s_exact).method == "slope-fit"
+    assert k_limit(s_exact).value == pytest.approx(LOG2 / 2, abs=1e-9)
+    assert k_limit(s_emp).method == "tail-mean"

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from fsgentropy.binary import exact_top_entropy_series
+from fsgentropy.binary import exact_series
 from fsgentropy.errors import WindowTooSmall
 from fsgentropy.limits import (
     TrendReport,
@@ -31,7 +31,7 @@ def test_constant_series_every_method():
 
 def test_slope_fit_recovers_affine_intercept():
     # exact radius-2**-2 series has value = log2/2 + 1.5 * log2 / k
-    s = exact_top_entropy_series(2, 64)
+    s = exact_series("top", 2, 64)
     est = k_limit(s, window=(8, 64), method="slope-fit")
     assert abs(est.value - LOG2 / 2) <= 1e-9
 
@@ -65,7 +65,7 @@ def test_k_limit_ignores_rows_outside_window():
 
 
 def test_default_method_follows_series_mode():
-    exact = exact_top_entropy_series(2, 16)
+    exact = exact_series("top", 2, 16)
     assert k_limit(exact).method == "slope-fit"
     noisy = _series([(k, 0.5) for k in range(1, 9)])
     assert k_limit(noisy).method == "tail-mean"
@@ -95,7 +95,7 @@ def test_epsilon_trend_orders_and_flags_increase():
 def test_epsilon_trend_exact_backend_is_radius_free():
     ests = []
     for t in (2, 3, 4):
-        s = exact_top_entropy_series(t, 64)
+        s = exact_series("top", t, 64)
         ests.append((2.0**-t, k_limit(s, window=(8, 64), method="slope-fit")))
     report = epsilon_trend(ests)
     assert report.flag == "converged"
@@ -108,7 +108,7 @@ def test_epsilon_trend_needs_two_radii():
 
 
 def test_series_limit_summary():
-    series = [exact_top_entropy_series(t, 32) for t in (2, 3)]
+    series = [exact_series("top", t, 32) for t in (2, 3)]
     series[0].epsilon, series[1].epsilon = 0.25, 0.125
     per_eps, trend = series_limit_summary(series)
     assert len(per_eps) == 2

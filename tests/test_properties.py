@@ -198,9 +198,9 @@ def test_corr_integral_monotonicity_in_expectation_monte_carlo():
 
 def test_power_rule_exact_series_ratio():
     # slope-fit limits of the 2-fold power series against the base
-    from fsgentropy.binary import exact_corr_integral_series
+    from fsgentropy.binary import exact_series
     from fsgentropy.limits import k_limit
 
-    base = k_limit(exact_corr_integral_series(2, 24, 2.0)).value
-    power = k_limit(exact_corr_integral_series(2, 24, 2.0, power=2)).value
+    base = k_limit(exact_series("corr", 2, 24, 2.0)).value
+    power = k_limit(exact_series("corr", 2, 24, 2.0, power=2)).value
     assert power / base == pytest.approx(2.0, abs=1e-9)
