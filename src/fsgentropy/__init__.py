@@ -10,9 +10,7 @@ every estimator is validated against.
 from . import binary, cli, estimators, limits, seeding, series, systems, words
 from .binary import (
     BinaryPoint,
-    Cylinder,
     ExactCylinderMeasure,
-    exact_bowen_ball,
     exact_series,
     s_count,
 )
@@ -20,13 +18,10 @@ from .estimators import (
     CorrSumEstimate,
     EmpiricalMeasure,
     corr_entropy_series,
-    corr_integral,
     correlation_sum,
-    doubling_ratio,
     doubling_series,
     local_corr_entropy_series,
     local_entropy_series,
-    separated_set,
     top_entropy_series,
 )
 from .limits import LimitEstimate, TrendReport, epsilon_trend, k_limit
@@ -36,7 +31,6 @@ from .systems import (
     apply_word,
     binary_shift_odometer,
     bowen_distance,
-    bowen_within,
     build_power_system,
     circle_double_rotate,
     make_system,
@@ -46,9 +40,7 @@ from .words import (
     BernoulliSpec,
     SymbolWord,
     power_weights,
-    power_word_map,
     sample_word,
-    shift,
     uniform_spec,
     word,
 )

@@ -52,12 +52,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import (
+    AlphabetMismatch,
     CarryOverflow,
     DepthExhausted,
     InvalidEpsilon,
@@ -217,17 +217,6 @@ def random_points(depth: int, n: int, rng: np.random.Generator) -> list[BinaryPo
             for i in range(0, len(raw), step)]
 
 
-def all_points(depth: int, pad: int = 0) -> list[BinaryPoint]:
-    """Every prefix of the given depth, optionally zero-padded deeper.
-
-    Padding appends guard zeros so that orbits can be computed without
-    carry overflow; the padded point lies in the cylinder of its first
-    `depth` coordinates, so any membership decided at cylinder scale is
-    unchanged.
-    """
-    return [BinaryPoint(v, depth + pad) for v in range(1 << depth)]
-
-
 # ---------------------------------------------------------------------------
 # uint64 windows (see the module docstring)
 
@@ -329,68 +318,17 @@ def window_stage(wins, eps: float, state=None, sym: int = 1):
     return state, state[0] & _low_masks()[level], level
 
 
-@dataclass(frozen=True)
-class Cylinder:
-    """Set of sequences sharing a fixed prefix, anchored at coordinate 1."""
-
-    word: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.word):
-            raise ValueError("cylinder word must be 0/1")
-
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
-    @property
-    def measure(self) -> Fraction:
-        """Exact fair-coin measure 2**(-length); length 0 is the whole space."""
-        return Fraction(1, 2 ** self.length)
-
-    def contains(self, x: BinaryPoint) -> bool:
-        if x.depth < self.length:
-            raise DepthExhausted(
-                f"cylinder length {self.length} exceeds point depth {x.depth}"
-            )
-        mask = (1 << self.length) - 1
-        return (x.value & mask) == self._value()
-
-    def _value(self) -> int:
-        v = 0
-        for i, b in enumerate(self.word):
-            v |= b << i
-        return v
-
-    def points(self, depth: int) -> list[BinaryPoint]:
-        """All depth-`depth` prefixes lying in this cylinder."""
-        if depth < self.length:
-            raise DepthExhausted("enumeration depth shorter than the cylinder")
-        base = self._value()
-        step = 1 << self.length
-        return [
-            BinaryPoint(base + hi * step, depth)
-            for hi in range(1 << (depth - self.length))
-        ]
-
-
 def s_count(omega: SymbolWord, k: int) -> int:
-    """Number of shift symbols (value 1) among the first k-1 letters."""
+    """Number of shift symbols (value 1) among the first k-1 letters,
+    each of which must name one of the two maps."""
     if k < 1:
         raise KZero(f"k must be >= 1, got {k}")
     if len(omega) < k - 1:
         raise WordTooShort(f"need {k - 1} symbols, have {len(omega)}")
-    return sum(1 for s in omega.symbols[: k - 1] if s == 1)
-
-
-def exact_bowen_ball(omega: SymbolWord, k: int, x: BinaryPoint, t: int) -> Cylinder:
-    """Bowen ball of radius 2**(-t) as an explicit cylinder on x's prefix."""
-    if t < 1:
-        raise InvalidEpsilon(f"dyadic exponent t must be >= 1, got {t}")
-    length = t + s_count(omega, k)
-    if x.depth < length:
-        raise DepthExhausted(f"need {length} coordinates, have {x.depth}")
-    return Cylinder(x.bits[:length])
+    syms = omega.symbols[: k - 1]
+    if max(syms, default=1) > 2:
+        raise AlphabetMismatch("word symbols exceed the 2 maps of binary-shift-odometer")
+    return syms.count(1)
 
 
 def exact_correlation_integral(t: int, k: int, power: int = 1) -> float:

@@ -214,6 +214,8 @@ def _dyadic_exponent(eps: float) -> int:
     t = binary.prefix_length_for(eps)
     if 2.0 ** (-t) != eps:
         raise ConfigInvalid("epsilons", f"{eps!r} is not a dyadic 2**-t radius")
+    if t < 1:
+        raise ConfigInvalid("epsilons", f"closed forms need t >= 1 in 2**-t, got {eps!r}")
     return t
 
 

@@ -10,10 +10,6 @@ class FsgError(ValueError):
     """Base class for all package-specific errors."""
 
 
-class StepsExceedLength(FsgError):
-    """Asked to shift a word by more steps than it has symbols."""
-
-
 class AlphabetMismatch(FsgError):
     """Word alphabet does not match the declared (m, t) encoding."""
 

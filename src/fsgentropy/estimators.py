@@ -17,9 +17,9 @@ Conventions shared by everything here:
 * Bowen-ball counting takes all the (k, word) cells of a series at one
   point set and radius and walks the prefix trie of their words' first
   k-1 symbols, so each distinct prefix is paid for once; ball counts,
-  pair counts and greedy nets are read off where cells end.  A single
-  ball count, correlation sum or separated set is the one-cell case;
-  local entropy counts the ball of its center alone.
+  pair counts and greedy nets are read off where cells end.  A
+  correlation sum or a ball-measure call is the one-cell case; local
+  entropy counts the ball of its center alone.
 * With ball keys, a trie node folds its stage keys into its parent's
   integer labels, equal for two points exactly when they are
   Bowen-within eps along the prefix.  Labels are the dense ranks of the
@@ -661,14 +661,6 @@ class EmpiricalMeasure:
         _check_word(sys, omega, k)
         return _cell_measures(self, sys, eps, [(k, omega)])[0]
 
-    def ball_measure(self, sys, omega, k, center, eps) -> float:
-        """Empirical Bowen-ball measure at one center from the sample:
-        the one-cell case of local_entropy_series."""
-        _check_eps(eps)
-        _check_word(sys, omega, k)
-        at = _center_index(self, center)
-        return float(_cell_measures(self, sys, eps, [(k, omega)], center=at)[0])
-
 
 def _center_index(measure, center) -> int:
     """The index of center's first copy in the measure's sample."""
@@ -908,32 +900,6 @@ def _word_averaged(sys, eps_list, k_list, m_omega, seed, weights, values, **seri
     return out
 
 
-def corr_integral(
-    measure,
-    sys: GeneratorSystem,
-    eps: float,
-    k: int,
-    q: float,
-    m_omega: int,
-    seed: int,
-    weights: BernoulliSpec | None = None,
-) -> float:
-    """q-order correlation integral: the word average of the log
-    q-mean of Bowen-ball measures under `measure`.
-
-    `measure` is an EmpiricalMeasure or the exact closed-form measure
-    of the binary backend; the order-1 value is the plain mean of log
-    measures (the continuity limit of the q-mean), and every value is
-    finite because ball measures are bounded below.
-    """
-    if not math.isfinite(q):
-        raise ValueError("q must be finite")
-    _check_eps(eps)
-    (words,), cells = _series_cells(sys.m, [k], weights, m_omega, seed)
-    logs = _cell_measures(measure, sys, eps, cells, lambda m: _q_log_mean(np.log(m), q))
-    return _weighted_mean(logs, [wt for _, wt in words])
-
-
 def corr_entropy_series(
     measure,
     sys: GeneratorSystem,
@@ -1038,18 +1004,6 @@ def local_corr_entropy_series(
 # Separated sets and topological entropy
 
 
-def separated_set(sample, sys: GeneratorSystem, omega, k, eps) -> list:
-    """First-come greedy net of the sample: a point is kept unless it is
-    Bowen-within eps of an already kept one.  The kept points are
-    pairwise more than eps apart, a maximal separated subset (a lower
-    bound on the maximum packing); by maximality the set is also a Bowen
-    eps-cover of the sample: every sample point is within eps of one."""
-    _check_eps(eps)
-    _check_word(sys, omega, k)
-    pset = _as_point_set(sys, sample)
-    return [pset.points[i] for i in _count_cells(sys, pset, eps, [(k, omega)], "net")[0]]
-
-
 def top_entropy_series(
     sys: GeneratorSystem,
     eps_list,
@@ -1063,15 +1017,22 @@ def top_entropy_series(
     """Growth rate of separated-set cardinality: rows are the word
     average of log #separated divided by k.
 
-    The sample is drawn from the reference measure unless one is passed
-    in; with a finite sample and a greedy packing the rows are biased
-    low, approaching the true rate as the sample fills the space.
+    Each cell's separated set is the first-come greedy net of the
+    sample: a point is kept unless it is Bowen-within eps of an already
+    kept one.  The kept points are pairwise more than eps apart, a
+    maximal separated subset (a lower bound on the maximum packing), and
+    by maximality a Bowen eps-cover of the sample.  The sample is drawn
+    from the reference measure unless one is passed in; with a finite
+    sample and a greedy packing the rows are biased low, approaching the
+    true rate as the sample fills the space.
     """
     _check_grids(eps_list, k_list)
     if sample is None:
         if n_sample < 1:
             raise ValueError("n_sample must be >= 1")
         sample = EmpiricalMeasure.draw(sys, n_sample, seed).points
+    elif len(sample) < 1:
+        raise ValueError("need at least one sample point")
     pset = _as_point_set(sys, sample)
     return _word_averaged(
         sys, eps_list, k_list, m_omega, seed, weights,
@@ -1104,14 +1065,6 @@ def doubling_series(
         rows = [(k, math.log(float((b / a).max())) / k) for k, a, b in zip(k_list, m1, m2)]
         out.append(EntropySeries(eps, rows, kind="doubling"))
     return out
-
-
-def doubling_ratio(measure, sys: GeneratorSystem, omega, k, eps) -> float:
-    """The doubling diagnostic of one horizon and radius: the one-cell
-    case of doubling_series."""
-    _check_eps(eps)
-    _check_word(sys, omega, k)
-    return doubling_series(measure, sys, omega, [eps], [k])[0].rows[0][1]
 
 
 def local_entropy_series(

@@ -149,13 +149,6 @@ def bowen_distance(
     return best
 
 
-def bowen_within(
-    sys: GeneratorSystem, omega: SymbolWord, k: int, x: Point, y: Point, eps: float
-) -> bool:
-    """Whether the Bowen distance is <= eps."""
-    return bowen_distance(sys, omega, k, x, y) <= eps
-
-
 def build_power_system(sys: GeneratorSystem, t: int) -> GeneratorSystem:
     """System generated by all t-fold compositions of the base maps.
 

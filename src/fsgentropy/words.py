@@ -1,5 +1,5 @@
-"""Symbol-space primitives: finite words, Bernoulli sampling, shift,
-and the digit expansion of alphabet {1..m**t} into {1..m}.
+"""Symbol-space primitives: finite words, Bernoulli sampling, and the
+digit expansion of alphabet {1..m**t} into {1..m}.
 
 Symbols are 1-based throughout.  A word stores a finite prefix of an
 infinite symbol sequence; the empty word denotes the identity
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphabetMismatch, StepsExceedLength
+from .errors import AlphabetMismatch
 
 
 @dataclass(frozen=True)
@@ -91,15 +91,6 @@ def sample_word(spec: BernoulliSpec, length: int, rng: np.random.Generator) -> S
     return SymbolWord(tuple((draws + 1).tolist()), spec.m)
 
 
-def shift(w: SymbolWord, steps: int) -> SymbolWord:
-    """Drop the first `steps` symbols (the shift operator iterated)."""
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    if steps > len(w):
-        raise StepsExceedLength(f"cannot shift {len(w)}-symbol word by {steps}")
-    return SymbolWord(w.symbols[steps:], w.m)
-
-
 def symbol_digits(j: int, m: int, t: int) -> tuple[int, ...]:
     """Digits (i_1..i_t) over {1..m} of a symbol j in {1..m**t}."""
     if not 1 <= j <= m ** t:
@@ -110,21 +101,6 @@ def symbol_digits(j: int, m: int, t: int) -> tuple[int, ...]:
         digits.append(v % m + 1)
         v //= m
     return tuple(digits)
-
-
-def power_word_map(w: SymbolWord, m: int, t: int) -> SymbolWord:
-    """Expand a word over {1..m**t} into its digit word over {1..m}.
-
-    Output length is t * len(w).
-    """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if w.m != m ** t:
-        raise AlphabetMismatch(f"word alphabet {w.m} is not {m}**{t}")
-    out = []
-    for j in w:
-        out.extend(symbol_digits(j, m, t))
-    return SymbolWord(tuple(out), m)
 
 
 def power_weights(spec: BernoulliSpec, t: int) -> BernoulliSpec:

@@ -16,8 +16,6 @@ import pytest
 import test_properties
 from fsgentropy.binary import (
     ExactCylinderMeasure,
-    all_points,
-    exact_bowen_ball,
     exact_correlation_integral,
     exact_series,
     s_count,
@@ -25,13 +23,12 @@ from fsgentropy.binary import (
 from fsgentropy.cli import ExperimentConfig, reproduce_paper_example, run_experiment
 from fsgentropy.estimators import (
     EmpiricalMeasure,
-    corr_integral,
+    corr_entropy_series,
     correlation_sum,
-    doubling_ratio,
+    doubling_series,
 )
 from fsgentropy.limits import k_limit
 from fsgentropy.seeding import OMEGA, POINT, substream
-from fsgentropy.series import EntropySeries
 from fsgentropy.systems import (
     binary_shift_odometer,
     bowen_distance,
@@ -39,6 +36,7 @@ from fsgentropy.systems import (
     torus_affine,
 )
 from fsgentropy.words import sample_word, uniform_spec, word
+from oracles import all_points, exact_bowen_ball
 
 LOG2 = math.log(2.0)
 HALF_LOG2 = LOG2 / 2.0
@@ -143,15 +141,12 @@ def test_correlation_integral_order_invariance_on_homogeneous_system():
     worst = 0.0
     for eps in (0.25, 0.125):
         per_q = {
-            q: [corr_integral(em, sys_, eps, k, q, 4096, seed=3) for k in ks]
+            q: corr_entropy_series(em, sys_, [eps], ks, q, 4096, seed=3)[0]
             for q in (0.0, 1.0, 2.0, 5.0)
         }
-        base = per_q[2.0]
-        for q, vals in per_q.items():
-            assert vals == base, f"q={q} differs from q=2 at eps={eps}"
-        series = EntropySeries(
-            eps, [(k, -c / k) for k, c in zip(ks, base)], meta={"exact": True}
-        )
+        series = per_q[2.0]
+        for q, s in per_q.items():
+            assert s.rows == series.rows, f"q={q} differs from q=2 at eps={eps}"
         est = k_limit(series, method="slope-fit")
         worst = max(worst, abs(est.value - HALF_LOG2))
     _report(
@@ -344,7 +339,7 @@ def test_doubling_diagnostic():
     omega = sample_word(uniform_spec(2), 64, substream(8, 1))
     values = []
     for t in (2, 3, 4):
-        vals = [doubling_ratio(em, sys_, omega, k, 2.0**-t) for k in range(1, 65)]
+        vals = doubling_series(em, sys_, omega, [2.0**-t], list(range(1, 65)))[0].values
         assert all(v == LOG2 / k for k, v in zip(range(1, 65), vals))
         assert all(b < a for a, b in zip(vals, vals[1:]))
         values.append(vals[-1])
@@ -355,8 +350,8 @@ def test_doubling_diagnostic():
         cem = EmpiricalMeasure.draw(circle_sys, 1024, 88)
         comega = sample_word(uniform_spec(circle_sys.m), 12, substream(8, 2))
         report = []
-        for k in range(1, 13):
-            v = doubling_ratio(cem, circle_sys, comega, k, 0.05)
+        (series,) = doubling_series(cem, circle_sys, comega, [0.05], list(range(1, 13)))
+        for k, v in series.rows:
             assert math.isfinite(v)
             report.append(f"k={k}:{v:.3f}{'' if v <= math.log(4)/k else '!'}")
         print(f"  doubling report (non-gating) {circle_sys.name}: {' '.join(report)}")

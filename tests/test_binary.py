@@ -11,14 +11,11 @@ import pytest
 from fsgentropy.binary import (
     EXACT_FLAVOURS,
     BinaryPoint,
-    Cylinder,
     ExactCylinderMeasure,
     add_one,
-    all_points,
     ball_key,
     distance,
     drop_head,
-    exact_bowen_ball,
     exact_correlation_integral,
     exact_series,
     prefix_length_for,
@@ -36,6 +33,7 @@ from fsgentropy.errors import (
 from fsgentropy.seeding import substream
 from fsgentropy.systems import binary_shift_odometer, bowen_distance
 from fsgentropy.words import word
+from oracles import Cylinder, all_points, exact_bowen_ball
 
 LOG2 = math.log(2.0)
 

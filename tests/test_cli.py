@@ -207,6 +207,39 @@ def test_exact_without_a_closed_form_is_a_config_error(tmp_path, capsys, estimat
     assert captured.out == "" and "config error" in captured.err and "exact" in captured.err
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        "estimator = exact-series\n",
+        "estimator = top-entropy\nexact = true\n",
+        "estimator = power-test\nexact = true\n",
+    ],
+    ids=["exact-series", "top-entropy", "power-test"],
+)
+def test_closed_form_at_radius_one_is_a_config_error(tmp_path, capsys, body):
+    """The closed-form series start at radius 2**-1: radius 1 (t = 0)
+    names epsilons instead of ending in a traceback."""
+    cfg = tmp_path / "exact.cfg"
+    cfg.write_text(body + "epsilons = 1.0\nks = 1,2,3,4\n")
+    assert main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "config error" in captured.err
+    assert "epsilons" in captured.err
+
+
+def test_exact_corr_entropy_at_radius_one_runs(tmp_path, capsys):
+    """Exact corr-entropy reads the cylinder measures 2**-s at radius 1."""
+    cfg = tmp_path / "exact.cfg"
+    cfg.write_text("estimator = corr-entropy\nexact = true\nepsilons = 1.0\nks = 1,2,3,4\n")
+    out = tmp_path / "rows.csv"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    rows = parse_rows(out.read_text())
+    assert [r.k for r in rows] == [1, 2, 3, 4]
+    for r in rows:
+        assert r.value == pytest.approx((r.k - 1) / 2 * LOG2 / r.k, abs=1e-12)
+    capsys.readouterr()
+
+
 def test_power_test_exact_short_horizons_exit_zero(tmp_path, capsys):
     """ks up to 4 still gives the closed-form fits the three rows they
     need, as in the Monte Carlo branch."""

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fsgentropy import binary, estimators
-from fsgentropy.binary import ExactCylinderMeasure, all_points, s_count
+from fsgentropy.binary import ExactCylinderMeasure, s_count
 from fsgentropy.errors import (
     AlphabetMismatch,
     CenterNotInSample,
@@ -21,14 +21,11 @@ from fsgentropy.errors import (
 from fsgentropy.estimators import (
     EmpiricalMeasure,
     corr_entropy_series,
-    corr_integral,
     correlation_sum,
-    doubling_ratio,
     doubling_series,
     local_corr_entropy_series,
     local_entropy_series,
     omega_words,
-    separated_set,
     top_entropy_series,
 )
 from fsgentropy.limits import k_limit
@@ -40,6 +37,7 @@ from fsgentropy.systems import (
     circle_double_rotate,
 )
 from fsgentropy.words import BernoulliSpec, word
+from oracles import all_points, ball_measure, corr_integral, doubling_ratio, net
 
 LOG2 = math.log(2.0)
 BIN = binary_shift_odometer(depth=60)
@@ -195,19 +193,19 @@ def test_correlation_sum_converges_to_exact_ball_measure():
 
 def test_ball_measure_single_sample_point():
     em = EmpiricalMeasure(_rand_binary_points(1, 60, 1))
-    assert em.ball_measure(BIN, word((1,), 2), 2, em.points[0], 0.25) == 1.0
+    assert ball_measure(em, BIN, word((1,), 2), 2, em.points[0], 0.25) == 1.0
 
 
 def test_ball_measure_diameter():
     em = EmpiricalMeasure(_rand_binary_points(32, 60, 2))
-    assert em.ball_measure(BIN, word((1,), 2), 2, em.points[3], 1.0) == 1.0
+    assert ball_measure(em, BIN, word((1,), 2), 2, em.points[3], 1.0) == 1.0
 
 
 def test_ball_measure_center_not_in_sample():
     em = EmpiricalMeasure(_rand_binary_points(8, 60, 3))
     outsider = binary.random_point(59, substream(99))
     with pytest.raises(CenterNotInSample):
-        em.ball_measure(BIN, word((1,), 2), 2, outsider, 0.25)
+        ball_measure(em, BIN, word((1,), 2), 2, outsider, 0.25)
 
 
 def test_ball_measure_window_path_equals_generic(windows_only):
@@ -216,8 +214,8 @@ def test_ball_measure_window_path_equals_generic(windows_only):
     omega = word((1, 2, 2), 2)
     for eps in (0.5, 0.125):
         for center in em.points[:8]:
-            assert em.ball_measure(BIN, omega, 4, center, eps) == em.ball_measure(
-                generic, omega, 4, center, eps
+            assert ball_measure(em, BIN, omega, 4, center, eps) == ball_measure(
+                em, generic, omega, 4, center, eps
             )
 
 
@@ -231,7 +229,7 @@ def test_ball_measure_binomial_band():
     for syms in itertools.product((1, 2), repeat=k - 1):
         omega = word(syms, 2)
         p = 2.0 ** -(t + s_count(omega, k))
-        got = em.ball_measure(BIN, omega, k, em.points[0], 2.0**-t)
+        got = ball_measure(em, BIN, omega, k, em.points[0], 2.0**-t)
         tol = 3 * math.sqrt(p * (1 - p) / n_pts) + 1.0 / n_pts
         assert abs(got - p) <= tol
 
@@ -455,8 +453,8 @@ def test_local_corr_entropy_walks_each_orbit_once_per_radius(monkeypatch, sys_):
 
 def test_separated_singleton_and_diameter():
     pts = _rand_binary_points(16, 60, 17)
-    assert separated_set([pts[0]], BIN, word((1,), 2), 2, 0.25) == [pts[0]]
-    assert len(separated_set(pts, BIN, word((1,), 2), 2, 1.0)) == 1
+    assert net([pts[0]], BIN, word((1,), 2), 2, 0.25) == [pts[0]]
+    assert len(net(pts, BIN, word((1,), 2), 2, 1.0)) == 1
 
 
 def test_separated_cardinality_full_prefix_sample():
@@ -465,7 +463,7 @@ def test_separated_cardinality_full_prefix_sample():
     sample = all_points(depth, pad=8)
     for syms in itertools.product((1, 2), repeat=k - 1):
         omega = word(syms, 2)
-        kept = separated_set(sample, BIN, omega, k, 2.0**-t)
+        kept = net(sample, BIN, omega, k, 2.0**-t)
         assert len(kept) == 2 ** (t + s_count(omega, k))
 
 
@@ -473,15 +471,11 @@ def test_greedy_net_paths_agree(windows_only):
     pts = list(_rand_binary_points(48, 60, 18))
     generic = _generic(BIN)
     omega = word((1, 2), 2)
-    assert separated_set(pts, BIN, omega, 3, 0.25) == separated_set(
-        pts, generic, omega, 3, 0.25
-    )
+    assert net(pts, BIN, omega, 3, 0.25) == net(pts, generic, omega, 3, 0.25)
     rng = substream(19)
     cpts = [float(rng.random()) for _ in range(80)]
     nogen = _generic(CIRCLE)
-    assert separated_set(cpts, CIRCLE, omega, 3, 0.04) == separated_set(
-        cpts, nogen, omega, 3, 0.04
-    )
+    assert net(cpts, CIRCLE, omega, 3, 0.04) == net(cpts, nogen, omega, 3, 0.04)
 
 
 def test_spanning_vs_separated_sandwich():
@@ -498,8 +492,8 @@ def test_spanning_vs_separated_sandwich():
         k = int(rng.integers(1, 4))
         omega = word(tuple(rng.integers(1, 3, size=max(0, k - 1))), 2)
         eps = float(rng.uniform(0.02, 0.2))
-        cover = separated_set(pts, sys_, omega, k, eps)
-        separated2 = separated_set(pts, sys_, omega, k, 2 * eps)
+        cover = net(pts, sys_, omega, k, eps)
+        separated2 = net(pts, sys_, omega, k, 2 * eps)
         assert len(cover) >= len(separated2)
 
 
@@ -509,7 +503,7 @@ def test_separated_kept_points_are_pairwise_far():
     pts = list(_rand_binary_points(40, 60, 21))
     omega = word((2, 1), 2)
     eps = 0.25
-    kept = separated_set(pts, BIN, omega, 3, eps)
+    kept = net(pts, BIN, omega, 3, eps)
     for i, a in enumerate(kept):
         for b in kept[i + 1 :]:
             assert bowen_distance(BIN, omega, 3, a, b) > eps
@@ -525,6 +519,12 @@ def test_separated_kept_points_are_pairwise_far():
 def test_top_entropy_series_diameter_rows_are_zero():
     series = top_entropy_series(BIN, [1.0], [1, 2, 3], 16, 32, seed=22)
     assert all(v == 0.0 for v in series[0].values)
+
+
+@pytest.mark.parametrize("sys_", [BIN, CIRCLE], ids=["binary", "circle"])
+def test_top_entropy_series_rejects_an_empty_sample(sys_):
+    with pytest.raises(ValueError, match="need at least one sample point"):
+        top_entropy_series(sys_, [0.25], [1, 2], 16, 16, seed=1, sample=[])
 
 
 def test_top_entropy_series_exact_sample_matches_closed_form():
@@ -744,9 +744,6 @@ def test_word_symbols_beyond_the_maps_raise_on_every_path(counting_path):
     x, omega = em.points[0], word((3, 1), 3)
     calls = [
         lambda: em.ball_measures(sys_, omega, 3, 0.25),
-        lambda: em.ball_measure(sys_, omega, 3, x, 0.25),
-        lambda: separated_set(em.points, sys_, omega, 3, 0.25),
-        lambda: doubling_ratio(em, sys_, omega, 3, 0.25),
         lambda: doubling_series(em, sys_, omega, [0.25], [1, 2, 3]),
         lambda: local_entropy_series(em, sys_, omega, x, [0.25], [1, 2, 3]),
         lambda: correlation_sum(sys_, x, 0.25, omega, 3, 16, 2, seed=1),
@@ -759,13 +756,22 @@ def test_word_symbols_beyond_the_maps_raise_on_every_path(counting_path):
     assert np.array_equal(late, em.ball_measures(sys_, word((1, 2), 2), 3, 0.25))
 
 
+def test_exact_cylinder_measure_rejects_word_symbols_beyond_the_maps():
+    em = ExactCylinderMeasure.draw(60, 4, substream(1))
+    with pytest.raises(AlphabetMismatch):
+        em.ball_measures(binary_shift_odometer(60), word((3, 1), 3), 3, 0.25)
+    with pytest.raises(AlphabetMismatch):
+        s_count(word((1, 2, 3), 3), 4)
+    # only the first k-1 symbols are read: a later one may name no map
+    assert s_count(word((1, 2, 3), 3), 3) == 1
+
+
 @pytest.mark.parametrize("weights", [(0.5, 0.25, 0.25), (1.0,)])
 def test_weights_for_another_alphabet_raise_on_every_path(counting_path, weights):
     sys_, em = counting_path
     spec, x = BernoulliSpec(weights), em.points[0]
     calls = [
         lambda: omega_words(sys_.m, 2, spec, 16, 1),
-        lambda: corr_integral(em, sys_, 0.25, 2, 2.0, 16, 1, weights=spec),
         lambda: corr_entropy_series(em, sys_, [0.25], [1, 2], 2.0, 16, 1, weights=spec),
         lambda: top_entropy_series(sys_, [0.25], [1, 2], 16, 16, 1, weights=spec),
         lambda: correlation_sum(sys_, x, 0.25, word((1,), 2), 2, 16, 2, 1, weights=spec),
@@ -780,9 +786,7 @@ def test_k_zero_raises_kzero_on_every_path(counting_path):
     sys_, em = counting_path
     calls = [
         lambda: omega_words(sys_.m, 0, None, 16, 1),
-        lambda: corr_integral(em, sys_, 0.25, 0, 2.0, 16, 1),
         lambda: em.ball_measures(sys_, word((), 2), 0, 0.25),
-        lambda: separated_set(em.points, sys_, word((), 2), 0, 0.25),
         lambda: correlation_sum(sys_, em.points[0], 0.25, word((), 2), 0, 16, 2, 1),
     ]
     for call in calls:

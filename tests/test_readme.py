@@ -1,13 +1,19 @@
-"""The README's library tour runs against the package as it is, and the
-CLI docs name every config key and estimator kind."""
+"""The README's library tour runs against the package as it is, the CLI
+docs name every config key and estimator kind, and every name the
+package exports has a consumer outside the tests."""
 
+import ast
+import inspect
 import re
 from dataclasses import fields
 from pathlib import Path
 
+import fsgentropy
 from fsgentropy import cli
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+SRC = ROOT / "src" / "fsgentropy"
 
 
 def test_readme_library_tour_runs(capsys):
@@ -29,3 +35,31 @@ def test_cli_docs_name_every_config_key_and_estimator_kind():
     for kind in cli._RUNNERS:
         assert _names(kind, doc), f"cli docstring lacks estimator {kind}"
         assert _names(f"`{kind}`", kinds), f"README estimator kinds lack {kind}"
+
+
+def test_every_exported_name_has_a_consumer_outside_the_tests():
+    """A name fsgentropy/__init__.py imports from a module must appear
+    somewhere other than its own definition and __init__: in the
+    package's modules, the README, or the benchmark harness outside its
+    tests.  Test-only helpers belong in tests/oracles.py."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    names = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module
+        for alias in node.names
+    ]
+    sources = {p: p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"}
+    sources[README] = README.read_text()
+    sources.update(
+        (p, p.read_text()) for p in (ROOT / "perfbench").glob("*.py")
+        if not p.name.startswith("test_")
+    )
+    unused = []
+    for name in names:
+        obj = getattr(fsgentropy, name)
+        home, own = Path(inspect.getsourcefile(obj)), inspect.getsource(obj)
+        texts = [t.replace(own, "", 1) if p == home else t for p, t in sources.items()]
+        if not any(_names(name, t) for t in texts):
+            unused.append(name)
+    assert names and unused == [], f"exported names with no consumer: {unused}"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fsgentropy import binary, estimators
-from fsgentropy.binary import all_points, orbit_windows, to_windows, window_stage
+from fsgentropy.binary import orbit_windows, to_windows, window_stage
 from fsgentropy.errors import CarryOverflow, DepthExhausted, WordTooShort
 from fsgentropy.estimators import (
     EmpiricalMeasure,
@@ -20,14 +20,13 @@ from fsgentropy.estimators import (
     _label_walk,
     _trie,
     correlation_sum,
-    doubling_ratio,
     doubling_series,
     local_entropy_series,
-    separated_set,
 )
 from fsgentropy.seeding import substream
 from fsgentropy.systems import binary_shift_odometer, build_power_system
 from fsgentropy.words import word
+from oracles import all_points, ball_measure, doubling_ratio, net
 
 M64 = (1 << 64) - 1
 
@@ -63,9 +62,9 @@ def _consumers(points, omega, k, eps):
     """Every label consumer on one point set, as functions of the system."""
     em = EmpiricalMeasure(tuple(points))
     return {
-        "greedy net": lambda s: separated_set(points, s, omega, k, eps),
+        "greedy net": lambda s: net(points, s, omega, k, eps),
         "ball counts": lambda s: em.ball_measures(s, omega, k, eps).tolist(),
-        "ball measure": lambda s: em.ball_measure(s, omega, k, points[3], eps),
+        "ball measure": lambda s: ball_measure(em, s, omega, k, points[3], eps),
     }
 
 
@@ -123,7 +122,7 @@ def test_all_ones_prefix_raises_carry_overflow_on_both_paths(exact_calls):
     _assert_parity(points, omega, 2, 0.5, exact_calls, window_ran=False)
     sys_ = binary_shift_odometer(depth=4)
     with pytest.raises(CarryOverflow):
-        separated_set(points, sys_, omega, 2, 0.5)
+        net(points, sys_, omega, 2, 0.5)
 
 
 def test_short_depth_raises_depth_exhausted_on_both_paths(exact_calls):
@@ -133,7 +132,7 @@ def test_short_depth_raises_depth_exhausted_on_both_paths(exact_calls):
         k = len(omega) + 1
         _assert_parity(points, omega, k, 2.0**-4, exact_calls, window_ran=False)
         with pytest.raises(DepthExhausted):
-            separated_set(points, binary_shift_odometer(depth=6), omega, k, 2.0**-4)
+            net(points, binary_shift_odometer(depth=6), omega, k, 2.0**-4)
 
 
 def test_window_carry_into_unknown_bits_falls_back_with_equal_results(exact_calls):
@@ -409,7 +408,7 @@ def test_local_entropy_series_takes_one_walk_per_radius(monkeypatch):
         for k, value in series.rows:
             for s in (base, _generic(base)):
                 fresh = EmpiricalMeasure(tuple(points))
-                assert value == -math.log(fresh.ball_measure(s, omega, k, points[7], eps)) / k
+                assert value == -math.log(ball_measure(fresh, s, omega, k, points[7], eps)) / k
 
 
 @pytest.mark.parametrize(
@@ -438,7 +437,7 @@ def test_doubling_series_raises_as_the_per_k_loop(points, eps, omega, ks, error)
 
     def local_per_k(s):
         em = EmpiricalMeasure(tuple(points))
-        return [em.ball_measure(s, omega, k, points[1], eps) for k in ks]
+        return [local_entropy_series(em, s, omega, points[1], [eps], [k]) for k in ks]
 
     # the exact stage keys, one horizon at a time, name the failure
     oracle = _outcome(local_per_k, replace(sys_, window_ops=None))

@@ -3,18 +3,17 @@
 import numpy as np
 import pytest
 
-from fsgentropy.errors import AlphabetMismatch, StepsExceedLength
+from fsgentropy.errors import AlphabetMismatch
 from fsgentropy.seeding import substream
 from fsgentropy.words import (
     BernoulliSpec,
     SymbolWord,
     power_weights,
-    power_word_map,
     sample_word,
-    shift,
     uniform_spec,
     word,
 )
+from oracles import power_word_map
 
 
 def test_word_validates_alphabet():
@@ -75,15 +74,6 @@ def test_sample_word_deterministic():
     c = sample_word(uniform_spec(3), 50, substream(9, 1, 5))
     assert a == b
     assert a != c
-
-
-def test_shift_examples():
-    w = word((1, 2, 1), 2)
-    assert shift(w, 0).symbols == (1, 2, 1)
-    assert shift(w, 1).symbols == (2, 1)
-    assert shift(w, 3).symbols == ()
-    with pytest.raises(StepsExceedLength):
-        shift(w, 4)
 
 
 def test_power_word_map_identity_at_t1():
