@@ -7,7 +7,7 @@ local entropy, and ships a closed-form shift+odometer backend that
 every estimator is validated against.
 """
 
-from . import binary, cli, estimators, limits, seeding, series, systems, words
+from . import binary, estimators, limits, seeding, series, systems, words
 from .binary import (
     BinaryPoint,
     ExactCylinderMeasure,
@@ -46,3 +46,12 @@ from .words import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """fsgentropy.cli on first access, so `python -m fsgentropy.cli`
+    finds it unloaded when it runs it as __main__."""
+    if name == "cli":
+        from importlib import import_module
+        return import_module(f"{__name__}.cli")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -249,39 +249,39 @@ def orbit_windows(x: BinaryPoint, words, n: int):
     (1 shift, 2 odometer; at least n - 1 symbols), one (win, depth)
     pair of length-n arrays per word.
 
-    After a shifts the orbit point is (x >> a) + c, where the carry c
-    follows the word: a shift maps c to (bit a of x + c) >> 1, an
-    odometer to c + 1, so c only needs working out at the shifts and
-    grows by one per odometer in between.  Returns None when some orbit
-    would run out of depth or some odometer step could carry out of its
-    window.
+    An odometer after a shifts adds 2**a at the scale of x, and a shift
+    floors, so with run[a] odometers between shifts a and a + 1 and
+    D = sum(run[a] * 2**a), the orbit point after a shifts, before that
+    level's odometers, is ((x + D) >> a) - sum(run[b] * 2**(b - a), b >= a).
+    Both terms are the windows at a of a bit row, bit a of x + D and
+    run[a], so the low 64 bits of the difference are the windows of
+    their difference, which six shifted adds give for every a at once
+    (mod 2**64); the level's odometers so far add to that.  Returns None
+    when some orbit would run out of depth or some odometer step could
+    carry out of its window.
     """
-    words = [tuple(syms[: n - 1]) for syms in words]
-    most = max((syms.count(1) for syms in words), default=0)
-    if most > x.depth - 1:
+    words = [np.array(syms[: n - 1], dtype=np.int8) for syms in words]
+    if max((np.count_nonzero(syms == 1) for syms in words), default=0) > x.depth - 1:
         return None
-    nbytes = (x.depth + 7) // 8 + WINDOW_BITS // 8
-    bits = np.unpackbits(
-        np.frombuffer(x.value.to_bytes(nbytes, "little"), dtype=np.uint8),
-        bitorder="little",
-    )
-    spans = np.lib.stride_tricks.sliding_window_view(bits, WINDOW_BITS)[: most + 1]
-    x_win = np.packbits(spans, axis=1, bitorder="little").view("<u8")[:, 0]
-    bit = bits.tolist()
     out = []
     for syms in words:
-        odometer = np.array(syms, dtype=np.int8) == 2
+        odometer = syms == 2
         shifts = np.concatenate(([0], np.cumsum(~odometer)))
-        odometers = np.arange(n) - shifts
-        # odometer count at each shift; the carry only needs updating there
-        at_shift = np.concatenate(([0], odometers[1:][~odometer]))
-        c = 0
-        after_shift = [0]
-        for b, run in zip(bit, np.diff(at_shift).tolist()):
-            c = (b + c + run) >> 1
-            after_shift.append(c)
-        carry = np.array(after_shift)[shifts] + odometers - at_shift[shifts]
-        win = x_win[shifts] + carry.astype(np.uint64)
+        run = np.bincount(shifts[:-1][odometer], minlength=shifts[-1] + 1)
+        d = sum(  # D from the bit planes of run
+            int.from_bytes(np.packbits(run >> p & 1, bitorder="little").tobytes(), "little") << p
+            for p in range(int(run.max()).bit_length())
+        )
+        y = x.value + d
+        nbytes = (max(y.bit_length(), len(run)) + 7) // 8 + WINDOW_BITS // 8
+        w = np.unpackbits(np.frombuffer(y.to_bytes(nbytes, "little"), np.uint8), bitorder="little")
+        w = w.astype(np.uint64)
+        w[: len(run)] -= run.astype(np.uint64)
+        for b in (1, 2, 4, 8, 16, 32):
+            w = w[:-b] + (w[b:] << np.uint64(b))
+        # odometers since the point's level began
+        since = np.arange(n) - shifts - (np.cumsum(run) - run)[shifts]
+        win = w[shifts] + since.astype(np.uint64)
         depth = x.depth - shifts
         width = np.minimum(depth[:-1][odometer], WINDOW_BITS)
         if _carry_may_leave(win[:-1][odometer], width):

@@ -25,7 +25,8 @@ Conventions shared by everything here:
   Bowen-within eps along the prefix.  Labels are the dense ranks of the
   packed stage keys, made with no sort while the key space is small
   (RANK_TABLE_RATIO), and greedy nets and pair counts read them in
-  linear time.  On the binary backend the keys
+  linear time.  An isometry packs no key, and a node with its parent's
+  labels takes the result read there.  On the binary backend the keys
   come from uint64 windows, made once per point set (the sample, or
   each driving word's orbit); below a node whose windows cannot decide,
   the exact stage keys of the points take over.  A point set keeps the
@@ -33,8 +34,8 @@ Conventions shared by everything here:
   and a walk at that radius down a longer prefix of the same word
   resumes there: the nested horizons of a corr-sum run, one call per
   (eps, k), label one more stage each (a series walks all its own at
-  once).  Labels from exact keys, or from a walk that raised, are never
-  kept.
+  once), and reuse the kept result where the read is the same.  Labels
+  from exact keys, or from a walk that raised, are never kept.
 * On the circle family (pair_ops) a sort-sweep finds the pairs within
   eps at stage 0 once per count, and every node filters its parent's
   surviving pairs through its own stage with the metric's own float
@@ -43,7 +44,7 @@ Conventions shared by everything here:
   end, by difference down the trie: such a node that keeps most of the
   pairs of its nearest tallied ancestor subtracts the tally of those
   dropped since from the ancestor's, so no node tallies more pairs than
-  it keeps.  A rotation node (pair_ops.isometries) keeps untested a
+  it keeps.  A rotation node (sys.isometries) keeps untested a
   chunk whose pairs all lay within eps - PAIR_MARGIN where last tested,
   as it moves a distance by ulps only.  A one-center count takes the
   center's pairs from pair_ops.close against every point, with no sweep.
@@ -59,6 +60,7 @@ Conventions shared by everything here:
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -193,9 +195,9 @@ class _PointSet:
     window_ops, `labelled` is the end of the latest label walk that kept
     its labels, unless a later walk started at stage 0: (eps, path,
     carried) of the walk's radius and last node where cells end, its
-    window state and folded labels, for the next walk at that radius to
-    resume from (see _label_walk), or None; labels made from exact
-    points are never kept."""
+    window state, folded labels and latest read, for the next walk at
+    that radius to resume from (see _label_walk), or None; labels made
+    from exact points are never kept."""
 
     def __init__(self, wins, points=None, make=None):
         self.wins = wins
@@ -281,14 +283,16 @@ def _first_indices(labels) -> np.ndarray:
     return np.flatnonzero(first[labels] == at)
 
 
-def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, read) -> dict:
+def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, read, key=None) -> dict:
     """read(labels) at every trie node where cells end, keyed by its
     first cell; labels agree for two points exactly when their ball keys
     agree at every stage of the node's prefix.  A node moves its parent's
     windows one stage on and packs its keys into a pending uint64 row,
     folded into the labels only where cells end or the row is full; from
-    a node whose windows cannot decide, exact stage keys take over.  A
-    stage that raises leaves its exception at every cell below it.
+    a node whose windows cannot decide, exact stage keys take over.  An
+    isometry (sys.isometries) still moves the windows or points, but
+    packs no key: its partition is its parent's.  A stage that raises
+    leaves its exception at every cell below it.
 
     The walk resumes where the point set's kept walk ended
     (pset.labelled) when that walk was at eps and the trie runs down its
@@ -299,32 +303,49 @@ def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, read) -> dict:
     or its stage raised.  Folding
     stage by stage makes the same partition as one wide fold, and the
     readers see only the partition, so no result depends on where a walk
-    started."""
-    out = {}
+    started.  A node whose labels are the very array of the latest read
+    above it takes a copy of that read's result, and so does a resumed
+    node if the kept read's key, the objects read depends on, is key's by
+    identity (None: no reuse across walks)."""
+    out, last = {}, None
     resumed = _resume_node(root, eps, pset.labelled)
     if resumed is None:
         pset.labelled = None  # its end replaces them: free them for its stages
-        stack = [(root, (), (None, None, None, 0, 0), None)]
+        stack = [(root, (), (None, None, None, 0, 0, None), None)]
     else:
         node, path, carried = resumed
+        seen = carried[5]
+        if seen and (None in (key, seen[1]) or any(a is not b for a, b in zip(seen[1], key))):
+            carried = carried[:5] + (None,)
         if node[2]:
-            out[node[2][0]] = read(carried[2])
+            out[node[2][0]], carried = _read_once(read, key, carried)
+            last = path, carried, None
         stack = [(kid, path + (kid[0],), carried, None) for kid in node[1].values()]
-    last = None
     while stack:
         node, path, carried, failed = stack.pop()
         if failed is None:
             try:
-                carried = _label_stage(sys, pset, eps, node, path, *carried)
+                carried = _label_stage(sys, pset, eps, node, path, *carried[:5]) + carried[5:]
             except FsgError as exc:  # DepthExhausted, CarryOverflow
                 failed = exc
         if node[2]:
-            out[node[2][0]] = read(carried[2]) if failed is None else failed
+            got = (failed, carried) if failed else _read_once(read, key, carried)
+            out[node[2][0]], carried = got
             last = path, carried, failed
         stack.extend((kid, path + (kid[0],), carried, failed) for kid in node[1].values())
     if last is not None and last[2] is None and last[1][1] is None:  # window labels
         pset.labelled = (eps, *last[:2])
     return out
+
+
+def _read_once(read, key, carried):
+    """A copy of read(labels) of carried, or of seen's result if its labels
+    are the same array, and carried with seen = (labels, key, result)."""
+    labels, seen = carried[2], carried[5]
+    if seen is None or seen[0] is not labels:
+        seen = labels, key, read(labels)
+        carried = carried[:5] + (seen,)
+    return copy.copy(seen[2]), carried
 
 
 def _resume_node(root, eps, labelled):
@@ -344,7 +365,8 @@ def _resume_node(root, eps, labelled):
 
 def _label_stage(sys, pset, eps, node, path, state, points, labels, row, bits):
     """One node of the label walk: its window state (or exact points),
-    labels and pending row, from its parent's."""
+    labels and pending row, from its parent's; an isometry packs no key
+    and folds only pending keys, or labels not yet made (None)."""
     windows = points is None and pset.wins is not None
     got = sys.window_ops.stage(pset.wins, eps, state, node[0]) if windows else None
     if got is None:  # exact stage keys from here on
@@ -352,10 +374,12 @@ def _label_stage(sys, pset, eps, node, path, state, points, labels, row, bits):
         points, key, width = _bowen_keys(sys, start, syms, eps)
     else:
         state, key, width = got
-    if bits + width > 64:
-        labels, row, bits = _fold(labels, row, bits), 0, 0
-    row, bits = row | (key << np.uint64(bits)), bits + width
-    if node[2]:
+    iso = node[0] in sys.isometries
+    if not iso:
+        if bits + width > 64:
+            labels, row, bits = _fold(labels, row, bits), 0, 0
+        row, bits = row | (key << np.uint64(bits)), bits + width
+    if node[2] and not (iso and bits == 0 and labels is not None):
         labels, row, bits = _fold(labels, row, bits), 0, 0
     return state, points, labels, row, bits
 
@@ -386,7 +410,7 @@ def _pair_walk(sys: GeneratorSystem, arr, pairs, eps, root, tally=None):
     most half of that node's.  Gathers reuse two arrays per walk and
     positions are views of one array, as fresh ones get faulted in anew,
     more often for some words than for others."""
-    apply, close, iso = sys.array_ops.apply, sys.pair_ops.close, sys.pair_ops.isometries
+    apply, close, iso = sys.array_ops.apply, sys.pair_ops.close, sys.isometries
     i0, j0, sure = pairs
     unit = np.all((0.0 <= arr) & (arr <= 1.0))  # else no stage-0 pair is sure
     arrays = {}  # stage array per node and whether a kid is isometric, freed with the walk
@@ -560,6 +584,7 @@ def _count_cells(
     block[j]) of blocks; "net": the first-come greedy net's indices.
     Where a stage raises, the first cell that needs it raises, as cell
     by cell."""
+    key = kind, blocks, reduce, center  # what a label read depends on
     reduce = reduce or (lambda v: v)
     if center is not None and (sys.ball_key is not None or not _has_pairs(sys)):
         whole, reduce = reduce, lambda counts: whole(counts[center])  # read off all balls
@@ -575,10 +600,10 @@ def _count_cells(
             "pairs": lambda labels: _label_pair_counts(labels, blocks),
             "net": _first_indices,
         }[kind]
-        got = _label_walk(sys, pset, eps, root, lambda labels: reduce(read(labels)))
+        got = _label_walk(sys, pset, eps, root, lambda labels: reduce(read(labels)), key)
     else:
         got = _pair_results(sys, pset, eps, root, set(first), kind, reduce, blocks, center)
-    out = [got[c] for c in first]
+    out = [got[c] if c == at else copy.copy(got[c]) for at, c in enumerate(first)]
     for v in out:
         if isinstance(v, Exception):
             raise v
@@ -915,6 +940,8 @@ def corr_entropy_series(
     to the limits module.  Exact ball measures make the rows affine in
     1/k, so their series carry meta["exact"], which k_limit slope-fits."""
     _check_grids(eps_list, k_list)
+    if not math.isfinite(q):
+        raise ConfigInvalid("q", "must be finite")
     return _word_averaged(
         sys, eps_list, k_list, m_omega, seed, weights,
         lambda eps, cells: _cell_measures(

@@ -29,8 +29,8 @@ Systems may advertise four optional fast-path capabilities:
   close keeps a pair exactly when the metric would; the estimators
   filter the stage-0 pairs stage by stage down the prefix trie of a
   series' words with close, so no N x N matrix is ever built, and keep
-  stage0's sure pairs untested through the maps named in isometries (the
-  rotation).  pair_ops needs array_ops for the stage arrays.
+  stage0's sure pairs untested through the isometries (the rotation).
+  pair_ops needs array_ops for the stage arrays.
 
 Estimators fall back to the generic pairwise path when none is present;
 all paths agree exactly and the tests check that.
@@ -88,8 +88,6 @@ class PairOps:
     # eps, and how many at their head lie within eps - margin (sure pairs)
     stage0: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray, int]]
     close: Callable[..., np.ndarray]  # (a, b, eps, out=None): bool; distances into out
-    # generators mapping [0, 1] into itself isometrically, up to 2**-52 a point
-    isometries: frozenset = frozenset()  # hashable: systems are memo keys
 
 
 @dataclass(frozen=True)
@@ -103,6 +101,9 @@ class GeneratorSystem:
     array_ops: Optional[ArrayOps] = None
     window_ops: Optional[WindowOps] = None
     pair_ops: Optional[PairOps] = None
+    # generators that keep every distance, exactly where ball_key is given,
+    # up to 2**-52 a point of [0, 1] for pair_ops (hashable: memo keys)
+    isometries: frozenset = frozenset()
 
     @property
     def m(self) -> int:
@@ -154,8 +155,8 @@ def build_power_system(sys: GeneratorSystem, t: int) -> GeneratorSystem:
 
     Generator j applies the digit maps of j in order: first digit first.
     Points, metric, diameter, sampler, ball_key, array_ops and pair_ops
-    carry over unchanged (same space, same measure), except that j is an
-    isometry of pair_ops exactly when all its digits are; window_ops does
+    carry over unchanged (same space, same measure), and j is an isometry
+    exactly when all its digits are, on every system; window_ops does
     not, so power systems of the binary backend count through ball_key.
     """
     if t < 1:
@@ -187,11 +188,10 @@ def build_power_system(sys: GeneratorSystem, t: int) -> GeneratorSystem:
             return arr
 
         array_ops = ArrayOps(base_ops.to_array, apply_arr, base_ops.within)
-    pair_ops = sys.pair_ops and replace(sys.pair_ops, isometries=frozenset(
-        j for j, d in enumerate(digits, 1) if sys.pair_ops.isometries.issuperset(d)))
+    isometries = frozenset(j for j, d in enumerate(digits, 1) if sys.isometries.issuperset(d))
     return replace(
         sys, name=f"{sys.name}-power{t}", maps=power_maps, array_ops=array_ops,
-        window_ops=None, pair_ops=pair_ops,
+        window_ops=None, isometries=isometries,
     )
 
 
@@ -215,6 +215,7 @@ def binary_shift_odometer(depth: int = 64) -> GeneratorSystem:
         mu_sampler=lambda rng, n: binary.random_points(depth, n, rng),
         ball_key=binary.ball_key,
         window_ops=WindowOps(binary.to_windows, binary.orbit_windows, binary.window_stage),
+        isometries=frozenset({2}),  # the odometer: + 1 keeps every common prefix
     )
 
 
@@ -308,7 +309,8 @@ def _circle_system(name: str, maps, apply_arr, isometries=frozenset()) -> Genera
         diameter=0.5,
         mu_sampler=lambda rng, n: rng.random(n).tolist(),
         array_ops=ArrayOps(lambda pts: np.asarray(pts, dtype=float), apply_arr, _circle_within),
-        pair_ops=PairOps(_circle_stage0, _circle_close, isometries),
+        pair_ops=PairOps(_circle_stage0, _circle_close),
+        isometries=isometries,
     )
 
 

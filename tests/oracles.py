@@ -3,7 +3,8 @@ reads of the estimators at one horizon.
 
 The Bowen-ball oracle of the binary backend (Cylinder, exact_bowen_ball,
 all_points) and the power-word digit expansion (power_word_map) build
-their answers independently of the estimators.  net and ball_measure
+their answers independently of the estimators; orbit_windows_loop is
+binary.orbit_windows stepping each word's carry in a Python loop.  net and ball_measure
 read one (k, word) cell straight from the counting kernel;
 doubling_ratio and corr_integral read a one-horizon series.
 """
@@ -13,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from fsgentropy import estimators
+import numpy as np
+
+from fsgentropy import binary, estimators
 from fsgentropy.binary import BinaryPoint, s_count
 from fsgentropy.errors import AlphabetMismatch, DepthExhausted, InvalidEpsilon
 from fsgentropy.words import SymbolWord, symbol_digits
@@ -129,3 +132,50 @@ def doubling_ratio(measure, sys, omega, k, eps) -> float:
     one-horizon doubling_series."""
     (series,) = estimators.doubling_series(measure, sys, omega, [eps], [k])
     return series.rows[0][1]
+
+
+def orbit_windows_loop(x: BinaryPoint, words, n: int):
+    """binary.orbit_windows as a loop over each word's carry: windows of
+    the first n orbit points of x along each symbol word (1 shift, 2
+    odometer; at least n - 1 symbols), one (win, depth) pair of length-n
+    arrays per word.
+
+    After a shifts the orbit point is (x >> a) + c, where the carry c
+    follows the word: a shift maps c to (bit a of x + c) >> 1, an
+    odometer to c + 1, so c only needs working out at the shifts and
+    grows by one per odometer in between.  Returns None when some orbit
+    would run out of depth or some odometer step could carry out of its
+    window.
+    """
+    words = [tuple(syms[: n - 1]) for syms in words]
+    most = max((syms.count(1) for syms in words), default=0)
+    if most > x.depth - 1:
+        return None
+    nbytes = (x.depth + 7) // 8 + binary.WINDOW_BITS // 8
+    bits = np.unpackbits(
+        np.frombuffer(x.value.to_bytes(nbytes, "little"), dtype=np.uint8),
+        bitorder="little",
+    )
+    spans = np.lib.stride_tricks.sliding_window_view(bits, binary.WINDOW_BITS)[: most + 1]
+    x_win = np.packbits(spans, axis=1, bitorder="little").view("<u8")[:, 0]
+    bit = bits.tolist()
+    out = []
+    for syms in words:
+        odometer = np.array(syms, dtype=np.int8) == 2
+        shifts = np.concatenate(([0], np.cumsum(~odometer)))
+        odometers = np.arange(n) - shifts
+        # odometer count at each shift; the carry only needs updating there
+        at_shift = np.concatenate(([0], odometers[1:][~odometer]))
+        c = 0
+        after_shift = [0]
+        for b, run in zip(bit, np.diff(at_shift).tolist()):
+            c = (b + c + run) >> 1
+            after_shift.append(c)
+        carry = np.array(after_shift)[shifts] + odometers - at_shift[shifts]
+        win = x_win[shifts] + carry.astype(np.uint64)
+        depth = x.depth - shifts
+        width = np.minimum(depth[:-1][odometer], binary.WINDOW_BITS)
+        if binary._carry_may_leave(win[:-1][odometer], width):
+            return None
+        out.append((win, depth))
+    return out

@@ -386,6 +386,34 @@ def test_python_m_runs_the_command_line_without_warnings():
     assert "binary-shift-odometer" in proc.stdout
 
 
+def test_python_m_cli_module_runs_without_warnings():
+    # fsgentropy imports its cli on first access, so runpy finds
+    # fsgentropy.cli unloaded when it runs it as __main__
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import fsgentropy
+
+    src = str(Path(fsgentropy.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "fsgentropy.cli", "--help"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "list-systems" in proc.stdout
+    lazy = (
+        "import sys, fsgentropy; assert 'fsgentropy.cli' not in sys.modules; "
+        "assert fsgentropy.cli.main is sys.modules['fsgentropy.cli'].main"
+    )
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", lazy],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_main_list_systems(capsys):
     assert main(["list-systems"]) == 0
     out = capsys.readouterr().out

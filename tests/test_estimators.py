@@ -303,6 +303,18 @@ def test_corr_entropy_series_q_ordering_exact_mode():
     assert all(a >= b - 1e-12 for a, b in zip(s0.values, s2.values))
 
 
+@pytest.mark.parametrize("q", [math.inf, -math.inf, math.nan])
+def test_corr_entropy_series_rejects_a_non_finite_q_before_counting(monkeypatch, q):
+    def counting(*args, **kwargs):
+        raise AssertionError("counted")
+
+    monkeypatch.setattr(estimators, "_cell_measures", counting)
+    em = EmpiricalMeasure.draw(BIN, 64, 1)
+    with pytest.raises(ConfigInvalid, match="'q'") as info:
+        corr_entropy_series(em, BIN, [0.25], [1, 2], q, 16, 1)
+    assert info.value.field == "q"
+
+
 def test_q_log_mean_extreme_orders_are_finite():
     # (q - 1) * log overflowed to nan at q = 1e308; the q-mean tends to
     # the largest ball measure as q -> inf and to the smallest as q -> -inf
@@ -695,7 +707,7 @@ def test_shallow_binary_runs_label_without_sorting(request):
     def top():
         return [s.rows for s in top_entropy_series(BIN, eps_list, ks, 16, 256, seed=46)]
 
-    def corr(eps, k):
+    def corr(eps, k, omega=omega):
         return correlation_sum(orbit_sys, x, eps, omega, k, 256, 4, seed=47)
 
     cells = [(eps, k) for eps in eps_list for k in ks]
@@ -706,11 +718,12 @@ def test_shallow_binary_runs_label_without_sorting(request):
     # in k order each orbit's walk resumes where the one before ended, so
     # every fold takes one stage key (3 bits at eps = 1/8)
     assert [corr(*c) for c in cells] == want_corr
-    # a lone walk from stage 0 packs 15 bits at eps = 1/8, k = 5 into one
-    # row, over the table cap of 256 points (10 bits): that fold sorts
+    # a lone walk from stage 0 along four shifts packs 15 bits at eps =
+    # 1/8, k = 5 into one row (odometers pack none), over the table cap of
+    # 256 points (10 bits): that fold sorts
     estimators._upsilon_orbits.cache_clear()
     with pytest.raises(AssertionError, match="np.unique"):
-        corr(0.125, 5)
+        corr(0.125, 5, word((1, 1, 1, 1), 2))
 
 
 def test_label_pair_counts_stay_exact_past_float32():

@@ -485,6 +485,7 @@ def test_each_trie_node_filters_once_per_chunk(monkeypatch, chunk_size):
         base,
         array_ops=ArrayOps(ops.to_array, apply, ops.within),
         pair_ops=PairOps(systems._circle_stage0, close),
+        isometries=frozenset(),
     )
     pts = _points(20, 9)
     cells = _cells(fast)
@@ -542,17 +543,17 @@ def test_power_systems_map_isometries():
     circle-double-rotate only the all-rotation symbol, on torus-affine
     none.  A rotation by more than a turn rounds too coarsely to count."""
     circle, torus = SYSTEMS["circle"], SYSTEMS["torus"]
-    assert circle.pair_ops.isometries == {2}
-    assert torus.pair_ops.isometries == frozenset()
+    assert circle.isometries == {2}
+    assert torus.isometries == frozenset()
     for t in (2, 3):
-        assert build_power_system(circle, t).pair_ops.isometries == {2**t}
+        assert build_power_system(circle, t).isometries == {2**t}
         assert symbol_digits(2**t, 2, t) == (2,) * t
-        assert build_power_system(torus, t).pair_ops.isometries == frozenset()
+        assert build_power_system(torus, t).isometries == frozenset()
         three = torus_affine((0.0, 0.1, 0.2))
-        assert build_power_system(three, t).pair_ops.isometries == frozenset()
+        assert build_power_system(three, t).isometries == frozenset()
         hash(build_power_system(circle, t))  # systems stay memo keys
-    assert circle_double_rotate(-1.0).pair_ops.isometries == {2}
-    assert circle_double_rotate(1.5).pair_ops.isometries == frozenset()
+    assert circle_double_rotate(-1.0).isometries == {2}
+    assert circle_double_rotate(1.5).isometries == frozenset()
 
 
 def _tested_nodes(nodes, inside, stages):

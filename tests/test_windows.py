@@ -22,11 +22,12 @@ from fsgentropy.estimators import (
     correlation_sum,
     doubling_series,
     local_entropy_series,
+    top_entropy_series,
 )
 from fsgentropy.seeding import substream
 from fsgentropy.systems import binary_shift_odometer, build_power_system
 from fsgentropy.words import word
-from oracles import all_points, ball_measure, doubling_ratio, net
+from oracles import all_points, ball_measure, doubling_ratio, net, orbit_windows_loop
 
 M64 = (1 << 64) - 1
 
@@ -533,3 +534,216 @@ def test_exact_fallback_mid_series_keeps_only_window_labels(exact_calls):
         kept_eps, path, carried = orbit.labelled
         assert kept_eps == 2.0**-60 and path == omega.symbols[:6] and carried[1] is None
     assert got == [corr(exact, k) for k in range(1, 9)]
+
+
+def test_orbit_windows_match_the_carry_loop():
+    # random starts, words and lengths, with all-ones and nearly all-ones
+    # starts and short depths, so that about half the cases return None
+    rng = substream(17)
+    nones = 0
+    for case in range(400):
+        depth = int(rng.choice([3, 8, 20, 63, 64, 65, 100, 300]))
+        top = (1 << depth) - 1
+        value = [
+            int.from_bytes(rng.bytes(depth // 8 + 1), "little") & top,
+            top - int(rng.integers(0, 4)),
+            top ^ (1 << int(rng.integers(0, depth))),
+        ][case % 3]
+        x, n = binary.BinaryPoint(value, depth), int(rng.integers(1, 2 * depth + 5))
+        p = rng.random()
+        words = [
+            tuple(np.where(rng.random(n - 1 + int(rng.integers(0, 3))) < p, 2, 1).tolist())
+            for _ in range(int(rng.integers(1, 4)))
+        ]
+        want, got = orbit_windows_loop(x, words, n), orbit_windows(x, words, n)
+        if want is None:
+            assert got is None, case
+            nones += 1
+            continue
+        assert len(got) == len(want), case
+        for (win, d), (want_win, want_d) in zip(got, want):
+            assert win.dtype == want_win.dtype and d.dtype == want_d.dtype
+            assert win.tolist() == want_win.tolist() and d.tolist() == want_d.tolist(), case
+    assert 100 < nones < 300
+
+
+# ---------------------------------------------------------------------------
+# isometric nodes: the odometer packs no key and reuses its parent's read
+
+
+def test_binary_isometries_are_the_odometer_and_its_powers():
+    sys_ = binary_shift_odometer(depth=64)
+    assert sys_.isometries == {2}
+    for t in (2, 3):
+        assert build_power_system(sys_, t).isometries == {2**t}
+
+
+LOW3 = [binary.BinaryPoint(v, 3) for v in (0, 1, 2, 3, 1, 2)]
+
+
+def _cells_outcome(s, points, eps, cells, kind):
+    """_count_cells of every cell on s, as lists, or the error's type."""
+    try:
+        got = _count_cells(s, _as_point_set(s, points), eps, cells, kind,
+                           **_kind_options(kind, len(points)))
+    except (CarryOverflow, DepthExhausted) as exc:
+        return "raised", type(exc)
+    return "ok", [np.asarray(g).tolist() for g in got]
+
+
+@pytest.mark.parametrize("kind", ["balls", "pairs", "net"])
+@pytest.mark.parametrize(
+    "points, eps, cells, error",
+    [
+        # 0b1111 + 1 overflows at an odometer where cells end, and at one
+        # where none do, below a shift and right below the root
+        (all_points(4), 0.5, [(1, ()), (2, (2,))], CarryOverflow),
+        (all_points(4), 0.5, [(1, ()), (4, (2, 1, 1))], CarryOverflow),
+        (all_points(4), 0.5, [(2, (1,)), (3, (1, 2)), (4, (1, 2, 1))], CarryOverflow),
+        # the same words on a depth with room for every carry
+        (all_points(4, 2), 0.5, [(1, ()), (2, (2,)), (3, (2, 2)), (4, (2, 2, 1))], None),
+        (all_points(4, 2), 0.5, [(2, (1,)), (3, (1, 2)), (4, (1, 2, 1))], None),
+        # the third shift finds depth-1 points: the odometers below it
+        # inherit its failure, ending cells or not, and those above it do
+        # not fail (top coordinate 0 and at most two odometers after a
+        # shift, so no carry overflows)
+        (LOW3, 0.5,
+         [(3, (1, 2)), (4, (1, 2, 1)), (6, (1, 2, 1, 1, 2)), (7, (1, 2, 1, 1, 2, 2))],
+         DepthExhausted),
+        (LOW3, 0.5, [(3, (1, 2)), (5, (1, 2, 2, 1)), (8, (1, 1, 1, 2, 2, 2, 1))], DepthExhausted),
+        (LOW3, 0.5, [(2, (2,)), (3, (2, 1)), (4, (2, 1, 2)), (5, (2, 1, 2, 1))], None),
+    ],
+)
+def test_isometric_nodes_count_and_fail_like_the_oracle(kind, points, eps, cells, error):
+    cells = [(k, word(syms, 2)) for k, syms in cells]
+    sys_ = binary_shift_odometer(depth=points[0].depth)
+    oracle = _cells_outcome(_generic(sys_), points, eps, cells, kind)
+    assert oracle[0] == ("ok" if error is None else "raised")
+    if error is not None:
+        assert oracle[1] is error
+    for s in (sys_, replace(sys_, window_ops=None)):
+        assert _cells_outcome(s, points, eps, cells, kind) == oracle
+
+
+@pytest.mark.parametrize("kind", ["balls", "pairs", "net"])
+@pytest.mark.parametrize("eps", [1.0, 2.0])
+def test_radius_past_the_diameter_with_an_odometer_first_letter(kind, eps):
+    # keys have width 0, so the root leaves no labels to keep: the first
+    # odometer where cells end folds all the same
+    points = _points(40, 64, 18)
+    sys_ = binary_shift_odometer(depth=64)
+    cells = [(k, word(syms, 2)) for k, syms in
+             [(2, (2,)), (3, (2, 2)), (3, (2, 1)), (4, (2, 1, 2)), (4, (1, 2, 2))]]
+    oracle = _cells_outcome(_generic(sys_), points, eps, cells, kind)
+    assert oracle[0] == "ok"
+    for s in (sys_, replace(sys_, window_ops=None)):
+        assert _cells_outcome(s, points, eps, cells, kind) == oracle
+        rows = top_entropy_series(s, [eps], [2, 3], 4, 0, seed=1, sample=points)[0].rows
+        assert rows == [(2, 0.0), (3, 0.0)]
+
+
+def test_top_entropy_folds_only_where_shift_keys_are_pending(monkeypatch):
+    # exhaustive words for ks 2..6: cells end at every trie node of depth
+    # 1..5, so a node folds when its own letter is a shift, or at the
+    # odometer right below the root, whose key row is still pending;
+    # every other odometer keeps its parent's labels and net
+    sys_ = binary_shift_odometer(depth=49)
+    eps_list, ks = [0.25, 0.125], [2, 3, 4, 5, 6]
+    plain = replace(sys_, isometries=frozenset())
+    want = [s.rows for s in top_entropy_series(plain, eps_list, ks, 128, 512, seed=19)]
+    counts = Counter()
+    for name in ("_fold", "_first_indices"):
+        original = getattr(estimators, name)
+
+        def counting(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(estimators, name, counting)
+    for s in (sys_, replace(sys_, window_ops=None)):
+        counts.clear()
+        assert [r.rows for r in top_entropy_series(s, eps_list, ks, 128, 512, seed=19)] == want
+        folds = 1 + sum(2 ** (d - 1) for d in range(1, 6))  # shift nodes, and node (2,)
+        assert counts == {"_fold": 2 * folds, "_first_indices": 2 * folds}
+
+
+def test_reused_reads_give_every_cell_its_own_array():
+    points = _points(60, 64, 20)
+    sys_ = binary_shift_odometer(depth=64)
+    pset = _as_point_set(sys_, points)
+    cells = [(1, word((), 2)), (2, word((2,), 2)), (3, word((2, 2), 2)), (3, word((2, 2), 2))]
+    got = _count_cells(sys_, pset, 0.125, cells, "balls")
+    assert len({id(g) for g in got}) == len(cells)
+    assert all(np.array_equal(g, got[0]) for g in got)
+    want = got[0].copy()
+    for g in got[:3]:
+        g[:] = -1.0
+    # the resumed walk's node, where the latest walk ended, reads afresh
+    again = _count_cells(sys_, pset, 0.125, [(3, word((2, 2), 2))], "balls")
+    assert np.array_equal(got[3], want) and np.array_equal(again[0], want)
+
+
+def test_reads_without_a_key_are_not_reused_across_walks():
+    points = _points(60, 64, 22)
+    sys_ = binary_shift_odometer(depth=64)
+    pset = _as_point_set(sys_, points)
+    root, _ = _trie([(1, word((), 2))])
+    assert _label_walk(sys_, pset, 0.125, root, lambda labels: "no key") == {0: "no key"}
+    cells = [(2, word((2,), 2))]
+    want = _count_cells(_generic(sys_), _as_point_set(sys_, points), 0.125, cells, "balls")
+    got = _count_cells(sys_, pset, 0.125, cells, "balls")
+    assert pset.labelled[1] == (2,) and np.array_equal(got[0], want[0])
+    root, _ = _trie(cells)
+    assert _label_walk(sys_, pset, 0.125, root, lambda labels: "read") == {0: "read"}
+
+
+def test_corr_sum_reuses_reads_across_resumed_calls_in_any_order(monkeypatch, exact_calls):
+    base = binary_shift_odometer(depth=300)
+    x = base.mu_sampler(substream(21), 1)[0]
+    omega = word((2, 2, 1, 2, 1, 1, 2), 2)
+    a, b = 0.25, 0.125
+    m, n = 3, 60
+    reads = []
+    count = estimators._label_pair_counts
+
+    def counting(labels, blocks):
+        reads.append(1)
+        return count(labels, blocks)
+
+    estimators._upsilon_orbits.cache_clear()
+    estimators._time_blocks(n)  # made before reads are counted
+    monkeypatch.setattr(estimators, "_label_pair_counts", counting)
+    other = _blocks(np.arange(n) * 3 // n, 3, 2)
+
+    def corr(s, eps, k):
+        return correlation_sum(s, x, eps, omega, k, n, m, seed=9)
+
+    def other_read(eps, k):
+        orbits = estimators._upsilon_orbits(base, x, n, m, 9, None)
+        return [_count_cells(base, o, eps, [(k, omega)], "pairs", blocks=other)[0].tolist()
+                for o in orbits]
+
+    # (call, reads per orbit): odometers below a read node where nothing is
+    # pending take its read; a repeated k takes the kept read; a fold, a
+    # walk from stage 0 or a read with other blocks reads afresh
+    calls = [
+        ((a, 1), 1), ((a, 2), 0), ((a, 3), 0), ((a, 4), 1), ((a, 5), 0), ((a, 8), 1),
+        ((a, 8), 0), ((a, 5), 1), ((b, 5), 1), ((a, 2), 1), (("other", 3), 1), ((a, 3), 1),
+        ((a, 3), 0), (("other", 3), 1), (("other", 4), 1), ((a, 4), 1),
+    ]
+    got = []
+    for call, cost in calls:
+        del reads[:]
+        if call[0] == "other":
+            got.append(other_read(a, call[1]))
+        else:
+            got.append(corr(base, *call))
+        assert len(reads) == cost * m, call
+    assert not exact_calls
+    monkeypatch.setattr(estimators, "_label_pair_counts", count)
+    for (call, _), value in zip(calls, got):
+        estimators._upsilon_orbits.cache_clear()
+        if call[0] == "other":
+            assert value == other_read(a, call[1]), call
+        else:
+            assert value == corr(_generic(base), *call), call
