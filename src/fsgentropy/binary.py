@@ -239,9 +239,11 @@ def to_windows(points) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _carry_may_leave(win, width) -> bool:
-    """Whether +1 could carry out of the low `width` bits of some window."""
+    """Whether +1 could carry out of some window's low `width` bits (one or each)."""
     edge = _low_masks()[width]
-    return bool(np.any(win & edge == edge))
+    if np.ndim(edge):
+        return bool(np.any(win & edge == edge))
+    return bool((win & edge).max() == edge)  # as win & edge <= edge
 
 
 def orbit_windows(x: BinaryPoint, words, n: int):
@@ -301,18 +303,20 @@ def window_stage(wins, eps: float, state=None, sym: int = 1):
     """
     win, depth = wins
     if state is None:
-        state = (win, 0, int(depth.min()) if len(depth) else WINDOW_BITS + 1)
+        reach = np.minimum(depth, WINDOW_BITS)  # the bits a carry may run through
+        if len(reach) and reach.min() == reach.max():
+            reach = int(reach[0])  # one width, one mask
+        state = (win, 0, int(depth.min()) if len(depth) else WINDOW_BITS + 1, reach)
     else:
-        win, shifts, lowest = state
+        win, shifts, lowest, reach = state
         if sym == 1:
-            state = (win >> _ONE, shifts + 1, lowest)
-        # the bits a carry may run through: the window, less the shifted-in top
-        elif _carry_may_leave(win, np.minimum(depth, WINDOW_BITS) - shifts):
+            state = (win >> _ONE, shifts + 1, lowest, reach)
+        elif _carry_may_leave(win, reach - shifts):  # less the shifted-in top
             return None
         else:
-            state = (win + _ONE, shifts, lowest)
+            state = (win + _ONE, shifts, lowest, reach)
     level = prefix_length_for(eps)
-    _, shifts, lowest = state
+    _, shifts, lowest, _ = state
     if level + shifts > WINDOW_BITS or lowest < max(level + shifts, shifts + 1):
         return None
     return state, state[0] & _low_masks()[level], level

@@ -25,8 +25,9 @@ Conventions shared by everything here:
   Bowen-within eps along the prefix.  Labels are the dense ranks of the
   packed stage keys, made with no sort while the key space is small
   (RANK_TABLE_RATIO), and greedy nets and pair counts read them in
-  linear time.  An isometry packs no key, and a node with its parent's
-  labels takes the result read there.  On the binary backend the keys
+  linear time.  Nodes with the same non-isometric letters in order
+  (binary: the same shift count) share one fold and one read, held
+  until the last of them.  On the binary backend the keys
   come from uint64 windows, made once per point set (the sample, or
   each driving word's orbit); below a node whose windows cannot decide,
   the exact stage keys of the points take over.  A point set keeps the
@@ -65,6 +66,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial
+from operator import is_
 from typing import NamedTuple
 
 import numpy as np
@@ -289,63 +291,81 @@ def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, read, key=None
     agree at every stage of the node's prefix.  A node moves its parent's
     windows one stage on and packs its keys into a pending uint64 row,
     folded into the labels only where cells end or the row is full; from
-    a node whose windows cannot decide, exact stage keys take over.  An
-    isometry (sys.isometries) still moves the windows or points, but
-    packs no key: its partition is its parent's.  A stage that raises
-    leaves its exception at every cell below it.
+    a node whose windows cannot decide, exact stage keys take over.  A
+    stage that raises leaves its exception at every cell below it.
+
+    A node's signature, its parent's plus its letter unless that is an
+    isometry (sys.isometries), fixes its partition (binary: its shift
+    count).  The first node of a signature where cells end folds and
+    reads; a later one still moves its windows or points, so it raises
+    where it would, but takes the first one's labels and a copy of its
+    read, held only while a later node of the signature, as counted
+    beforehand, is still to come (none on power systems of the binary
+    backend, which have no isometries).
 
     The walk resumes where the point set's kept walk ended
     (pset.labelled) when that walk was at eps and the trie runs down its
     node's prefix from the root without branching and without a cell
     ending above it, as the nested horizons of one word do; otherwise it
     starts at stage 0 and drops the kept labels.  Its own last node where
-    cells end is kept, unless that node's labels came from exact points
-    or its stage raised.  Folding
-    stage by stage makes the same partition as one wide fold, and the
-    readers see only the partition, so no result depends on where a walk
-    started.  A node whose labels are the very array of the latest read
-    above it takes a copy of that read's result, and so does a resumed
-    node if the kept read's key, the objects read depends on, is key's by
-    identity (None: no reuse across walks)."""
-    out, last = {}, None
+    cells end is kept, with its read and key, unless that node's labels
+    came from exact points or its stage raised; a resumed walk takes the
+    kept read for the node's signature if the kept key, the objects read
+    depends on, is key by identity (None: no reuse across walks).
+    Folding stage by stage makes the same partition as one wide fold,
+    and the readers see only the partition, so no result depends on
+    where a walk started or which node of a signature read first."""
+    out, last, shared, iso = {}, None, {}, sys.isometries
     resumed = _resume_node(root, eps, pset.labelled)
     if resumed is None:
         pset.labelled = None  # its end replaces them: free them for its stages
-        stack = [(root, (), (None, None, None, 0, 0, None), None)]
+        node, path, carried = root, (), (None, None, None, 0, 0)
     else:
         node, path, carried = resumed
-        seen = carried[5]
-        if seen and (None in (key, seen[1]) or any(a is not b for a, b in zip(seen[1], key))):
-            carried = carried[:5] + (None,)
-        if node[2]:
-            out[node[2][0]], carried = _read_once(read, key, carried)
-            last = path, carried, None
-        stack = [(kid, path + (kid[0],), carried, None) for kid in node[1].values()]
+        carried, (kept_key, kept) = carried[:5], carried[5]
+    sigs, uses = _signatures(node, tuple(s for s in path if s not in iso), iso)
+    top = sigs[id(node)]
+    if resumed and uses[top] and None not in (key, kept_key) and all(map(is_, kept_key, key)):
+        shared[top] = carried[2], kept
+    stack = [(node, path, carried, None if resumed is None else False)]  # False: staged
     while stack:
         node, path, carried, failed = stack.pop()
+        sig = sigs[id(node)]
         if failed is None:
             try:
-                carried = _label_stage(sys, pset, eps, node, path, *carried[:5]) + carried[5:]
+                taken = shared[sig][0] if node[2] and sig in shared else None
+                carried = _label_stage(sys, pset, eps, node, path, *carried, taken)
             except FsgError as exc:  # DepthExhausted, CarryOverflow
                 failed = exc
         if node[2]:
-            got = (failed, carried) if failed else _read_once(read, key, carried)
-            out[node[2][0]], carried = got
-            last = path, carried, failed
-        stack.extend((kid, path + (kid[0],), carried, failed) for kid in node[1].values())
-    if last is not None and last[2] is None and last[1][1] is None:  # window labels
-        pset.labelled = (eps, *last[:2])
+            uses[sig] -= 1
+            got = shared.get(sig) if uses[sig] else shared.pop(sig, None)
+            if not failed and got is None:
+                state, points, labels, row, bits = carried
+                if bits or labels is None:  # keys pending, or no labels yet
+                    labels = _fold(labels, row, bits)
+                    carried = state, points, labels, 0, 0
+                got = labels, read(labels)
+                if uses[sig]:
+                    shared[sig] = got
+            out[node[2][0]] = failed or copy.copy(got[1])
+            last = path, carried, failed, got
+        stack.extend((kid, path + (kid[0],), carried, failed or None) for kid in node[1].values())
+    if last is not None and not last[2] and last[1][1] is None:  # window labels
+        pset.labelled = eps, last[0], last[1] + ((key, last[3][1]),)
     return out
 
 
-def _read_once(read, key, carried):
-    """A copy of read(labels) of carried, or of seen's result if its labels
-    are the same array, and carried with seen = (labels, key, result)."""
-    labels, seen = carried[2], carried[5]
-    if seen is None or seen[0] is not labels:
-        seen = labels, key, read(labels)
-        carried = carried[:5] + (seen,)
-    return copy.copy(seen[2]), carried
+def _signatures(top, sig, iso):
+    """Signatures of top (sig) and the nodes below it, by id, and counts
+    of those where cells end, by signature."""
+    sigs, uses, todo = {}, {}, [(top, sig)]
+    while todo:
+        node, sig = todo.pop()
+        sigs[id(node)] = sig
+        uses[sig] = uses.get(sig, 0) + bool(node[2])
+        todo.extend((kid, sig if kid[0] in iso else sig + (kid[0],)) for kid in node[1].values())
+    return sigs, uses
 
 
 def _resume_node(root, eps, labelled):
@@ -363,10 +383,11 @@ def _resume_node(root, eps, labelled):
     return node, path, carried
 
 
-def _label_stage(sys, pset, eps, node, path, state, points, labels, row, bits):
+def _label_stage(sys, pset, eps, node, path, state, points, labels, row, bits, taken):
     """One node of the label walk: its window state (or exact points),
-    labels and pending row, from its parent's; an isometry packs no key
-    and folds only pending keys, or labels not yet made (None)."""
+    labels and pending row, from its parent's.  An isometry packs no
+    key; a node that takes its signature's labels (taken) packs none
+    either and drops what is pending."""
     windows = points is None and pset.wins is not None
     got = sys.window_ops.stage(pset.wins, eps, state, node[0]) if windows else None
     if got is None:  # exact stage keys from here on
@@ -374,13 +395,12 @@ def _label_stage(sys, pset, eps, node, path, state, points, labels, row, bits):
         points, key, width = _bowen_keys(sys, start, syms, eps)
     else:
         state, key, width = got
-    iso = node[0] in sys.isometries
-    if not iso:
+    if taken is not None:
+        return state, points, taken, 0, 0
+    if node[0] not in sys.isometries:
         if bits + width > 64:
             labels, row, bits = _fold(labels, row, bits), 0, 0
         row, bits = row | (key << np.uint64(bits)), bits + width
-    if node[2] and not (iso and bits == 0 and labels is not None):
-        labels, row, bits = _fold(labels, row, bits), 0, 0
     return state, points, labels, row, bits
 
 
@@ -878,11 +898,11 @@ def _q_log_mean(logs: np.ndarray, q: float) -> float:
     if np.all(logs == logs[0]):
         return first
     if q == 1.0:
-        return math.fsum(logs) / len(logs)
+        return math.fsum(logs.tolist()) / len(logs)
     ext = float(logs.max() if q > 1.0 else logs.min())
     with np.errstate(over="ignore"):  # an exponent of -inf adds exactly 0
         a = (q - 1.0) * (logs - ext)
-    return ext + math.log(math.fsum(np.exp(a)) / len(a)) / (q - 1.0)
+    return ext + math.log(math.fsum(np.exp(a).tolist()) / len(a)) / (q - 1.0)
 
 
 def _series_cells(m, k_list, weights, m_omega, seed):

@@ -101,8 +101,10 @@ class GeneratorSystem:
     array_ops: Optional[ArrayOps] = None
     window_ops: Optional[WindowOps] = None
     pair_ops: Optional[PairOps] = None
-    # generators that keep every distance, exactly where ball_key is given,
-    # up to 2**-52 a point of [0, 1] for pair_ops (hashable: memo keys)
+    # generators that keep every distance, up to 2**-52 a point of [0, 1]
+    # for pair_ops (hashable: memo keys); with ball_key exactly, and each
+    # commutes with every generator up to an isometry on every Bowen ball
+    # (binary: shift(x + 1) = shift(x) + x_1), which label sharing needs
     isometries: frozenset = frozenset()
 
     @property
@@ -155,9 +157,11 @@ def build_power_system(sys: GeneratorSystem, t: int) -> GeneratorSystem:
 
     Generator j applies the digit maps of j in order: first digit first.
     Points, metric, diameter, sampler, ball_key, array_ops and pair_ops
-    carry over unchanged (same space, same measure), and j is an isometry
-    exactly when all its digits are, on every system; window_ops does
+    carry over unchanged (same space, same measure); window_ops does
     not, so power systems of the binary backend count through ball_key.
+    j is an isometry exactly when all its digits are, but with ball_key
+    none is: shift(shift(x + 2)) = shift(shift(x)) + x_2 does not
+    commute on a ball of radius 1/2.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -188,7 +192,8 @@ def build_power_system(sys: GeneratorSystem, t: int) -> GeneratorSystem:
             return arr
 
         array_ops = ArrayOps(base_ops.to_array, apply_arr, base_ops.within)
-    isometries = frozenset(j for j, d in enumerate(digits, 1) if sys.isometries.issuperset(d))
+    iso = frozenset() if sys.ball_key else sys.isometries
+    isometries = frozenset(j for j, d in enumerate(digits, 1) if iso.issuperset(d))
     return replace(
         sys, name=f"{sys.name}-power{t}", maps=power_maps, array_ops=array_ops,
         window_ops=None, isometries=isometries,

@@ -4,9 +4,10 @@ reads of the estimators at one horizon.
 The Bowen-ball oracle of the binary backend (Cylinder, exact_bowen_ball,
 all_points) and the power-word digit expansion (power_word_map) build
 their answers independently of the estimators; orbit_windows_loop is
-binary.orbit_windows stepping each word's carry in a Python loop.  net and ball_measure
-read one (k, word) cell straight from the counting kernel;
-doubling_ratio and corr_integral read a one-horizon series.
+binary.orbit_windows stepping each word's carry in a Python loop, and
+odometer_undecided binary.window_stage's odometer check point by point.
+net and ball_measure read one (k, word) cell straight from the counting
+kernel; doubling_ratio and corr_integral read a one-horizon series.
 """
 
 from __future__ import annotations
@@ -179,3 +180,19 @@ def orbit_windows_loop(x: BinaryPoint, words, n: int):
             return None
         out.append((win, depth))
     return out
+
+
+def odometer_undecided(wins, eps, state) -> bool:
+    """Whether binary.window_stage returns None at an odometer after
+    state, decided point by point: some window's + 1 could carry out of
+    its own low min(depth, 64) - shifts bits, or the windows cannot hold
+    the key at the stage."""
+    win, shifts = state[:2]
+    depth = wins[1]
+    edge = binary._low_masks()[np.minimum(depth, binary.WINDOW_BITS) - shifts]
+    level = binary.prefix_length_for(eps)
+    return (
+        bool(np.any(win & edge == edge))
+        or level + shifts > binary.WINDOW_BITS
+        or int(depth.min()) < max(level + shifts, shifts + 1)
+    )

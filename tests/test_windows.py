@@ -3,6 +3,7 @@ BinaryPoint path: equal results, and the same exception wherever the
 exact path raises."""
 
 import math
+import weakref
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -27,7 +28,14 @@ from fsgentropy.estimators import (
 from fsgentropy.seeding import substream
 from fsgentropy.systems import binary_shift_odometer, build_power_system
 from fsgentropy.words import word
-from oracles import all_points, ball_measure, doubling_ratio, net, orbit_windows_loop
+from oracles import (
+    all_points,
+    ball_measure,
+    doubling_ratio,
+    net,
+    odometer_undecided,
+    orbit_windows_loop,
+)
 
 M64 = (1 << 64) - 1
 
@@ -568,14 +576,27 @@ def test_orbit_windows_match_the_carry_loop():
 
 
 # ---------------------------------------------------------------------------
-# isometric nodes: the odometer packs no key and reuses its parent's read
+# isometric nodes: the odometer packs no key, and a node takes the read of
+# the first node of its signature
 
 
-def test_binary_isometries_are_the_odometer_and_its_powers():
+def test_binary_isometries_are_the_odometer_and_no_power_symbol():
+    # the odometer commutes with the shift up to an odometer fixed on each
+    # Bowen ball; two odometers do not with two shifts (shift(shift(x +
+    # 2)) = shift(shift(x)) + x_2), so a power word's partition depends on
+    # where its odometers stand: at radius 1/2, (4, 1) splits what (1,)
+    # does not
     sys_ = binary_shift_odometer(depth=64)
     assert sys_.isometries == {2}
     for t in (2, 3):
-        assert build_power_system(sys_, t).isometries == {2**t}
+        assert build_power_system(sys_, t).isometries == frozenset()
+    power = _generic(build_power_system(sys_, 2))
+    points = _points(32, 64, 3)
+    balls = [
+        _count_cells(power, _as_point_set(power, points), 0.5, [cell], "balls")[0]
+        for cell in [(2, word((1,), 4)), (3, word((4, 1), 4))]
+    ]
+    assert not np.array_equal(*balls)
 
 
 LOW3 = [binary.BinaryPoint(v, 3) for v in (0, 1, 2, 3, 1, 2)]
@@ -612,6 +633,19 @@ def _cells_outcome(s, points, eps, cells, kind):
          DepthExhausted),
         (LOW3, 0.5, [(3, (1, 2)), (5, (1, 2, 2, 1)), (8, (1, 1, 1, 2, 2, 2, 1))], DepthExhausted),
         (LOW3, 0.5, [(2, (2,)), (3, (2, 1)), (4, (2, 1, 2)), (5, (2, 1, 2, 1))], None),
+        # later nodes of a signature: (1, 2) would take the read of (1,),
+        # but carries 0b111 out of depth 3, and (2,) would take the root's,
+        # but overflows on 0b1111
+        (all_points(4), 0.5, [(2, (1,)), (3, (1, 2))], CarryOverflow),
+        (all_points(4), 0.5, [(1, ()), (2, (1,)), (2, (2,)), (3, (2, 1))], CarryOverflow),
+        # no 0b1111: (2, 1) reads before (1, 2) of its signature overflows,
+        # and after it in the other order, where (2, 1) is the first to read
+        (all_points(4)[:15], 0.5, [(3, (2, 1)), (3, (1, 2)), (4, (1, 2, 1))], CarryOverflow),
+        (all_points(4)[:15], 0.5, [(3, (1, 2)), (3, (2, 1)), (4, (2, 1, 2))], CarryOverflow),
+        # (2, 1) takes the read of (1,), and its third shift below runs out
+        # of depth as that of (1,) does: a depth failure follows the shift
+        # count, which the signature fixes
+        (LOW3, 0.5, [(2, (1,)), (3, (2, 1)), (5, (2, 1, 1, 1)), (4, (1, 1, 1))], DepthExhausted),
     ],
 )
 def test_isometric_nodes_count_and_fail_like_the_oracle(kind, points, eps, cells, error):
@@ -623,6 +657,11 @@ def test_isometric_nodes_count_and_fail_like_the_oracle(kind, points, eps, cells
         assert oracle[1] is error
     for s in (sys_, replace(sys_, window_ops=None)):
         assert _cells_outcome(s, points, eps, cells, kind) == oracle
+    # and the cells that do not raise count like the oracle's
+    fine = [c for c in cells if _cells_outcome(_generic(sys_), points, eps, [c], kind)[0] == "ok"]
+    oracle = _cells_outcome(_generic(sys_), points, eps, fine, kind)
+    for s in (sys_, replace(sys_, window_ops=None)):
+        assert _cells_outcome(s, points, eps, fine, kind) == oracle
 
 
 @pytest.mark.parametrize("kind", ["balls", "pairs", "net"])
@@ -644,9 +683,10 @@ def test_radius_past_the_diameter_with_an_odometer_first_letter(kind, eps):
 
 def test_top_entropy_folds_only_where_shift_keys_are_pending(monkeypatch):
     # exhaustive words for ks 2..6: cells end at every trie node of depth
-    # 1..5, so a node folds when its own letter is a shift, or at the
-    # odometer right below the root, whose key row is still pending;
-    # every other odometer keeps its parent's labels and net
+    # 1..5, and a node's partition is that of its shift count s; the
+    # first node of each s folds and reads (for s = 0 the odometer right
+    # below the root, whose key row is still pending), and every other
+    # node takes its labels and net
     sys_ = binary_shift_odometer(depth=49)
     eps_list, ks = [0.25, 0.125], [2, 3, 4, 5, 6]
     plain = replace(sys_, isometries=frozenset())
@@ -663,7 +703,7 @@ def test_top_entropy_folds_only_where_shift_keys_are_pending(monkeypatch):
     for s in (sys_, replace(sys_, window_ops=None)):
         counts.clear()
         assert [r.rows for r in top_entropy_series(s, eps_list, ks, 128, 512, seed=19)] == want
-        folds = 1 + sum(2 ** (d - 1) for d in range(1, 6))  # shift nodes, and node (2,)
+        folds = 6  # one per radius and shift count 0..5
         assert counts == {"_fold": 2 * folds, "_first_indices": 2 * folds}
 
 
@@ -747,3 +787,114 @@ def test_corr_sum_reuses_reads_across_resumed_calls_in_any_order(monkeypatch, ex
             assert value == other_read(a, call[1]), call
         else:
             assert value == corr(_generic(base), *call), call
+
+
+# ---------------------------------------------------------------------------
+# signatures: the nodes of one partition share one fold and one read
+
+
+def _unshared(sys_):
+    """sys_ with no isometries: every node where cells end folds and reads."""
+    return replace(sys_, isometries=frozenset())
+
+
+SHARING = {
+    "windows": binary_shift_odometer(depth=64),
+    "exact keys": replace(binary_shift_odometer(depth=64), window_ops=None),
+    "power 2": build_power_system(binary_shift_odometer(depth=64), 2),
+}
+
+
+@pytest.mark.parametrize("kind", ["balls", "pairs", "net"])
+@pytest.mark.parametrize("system", list(SHARING))
+@pytest.mark.parametrize("m_omega", [64, 5], ids=["exhaustive", "monte-carlo"])
+def test_shared_reads_equal_the_unshared_walk_and_the_oracle(kind, system, m_omega):
+    sys_ = SHARING[system]
+    points = _points(32, 64, 24)
+    ks = [1, 2, 3, 4] if sys_.m == 4 else [1, 2, 3, 4, 5, 6, 7]
+    _, cells = estimators._series_cells(sys_.m, ks, None, m_omega, 25)
+    opts = _kind_options(kind, len(points))
+    plain, oracle = _unshared(sys_), _generic(sys_)
+    got = _count_cells(sys_, _as_point_set(sys_, points), 0.5, cells, kind, **opts)
+    want = _count_cells(plain, _as_point_set(plain, points), 0.5, cells, kind, **opts)
+    for g, w, cell in zip(got, want, cells):
+        (o,) = _count_cells(oracle, _as_point_set(oracle, points), 0.5, [cell], kind, **opts)
+        assert np.array_equal(g, w) and np.array_equal(g, o), cell
+
+
+def test_corr_sum_run_with_shared_reads_equals_the_unshared_walk_and_the_oracle():
+    base = binary_shift_odometer(depth=300)
+    x = base.mu_sampler(substream(26), 1)[0]
+    omega = word((2, 1, 2, 2, 1, 1, 2), 2)
+
+    def run(s):
+        # each call resumes the walk the one before it kept, and an
+        # odometer's node takes the kept read of its signature
+        estimators._upsilon_orbits.cache_clear()
+        return [
+            correlation_sum(s, x, eps, omega, k, 60, 3, seed=9)
+            for eps in (0.25, 0.125) for k in range(1, 9)
+        ]
+
+    got = run(base)
+    assert got == run(_unshared(base)) == run(_generic(base))
+
+
+def _tracked_walk(sys_, points, eps, cells):
+    """A label walk of cells whose read numbers its results in order:
+    the walk's results (the numbers each node took, in walk order), the
+    numbers still alive at each read, and weak references to them all."""
+    refs, alive = [], []
+
+    def read(labels):
+        alive.append([r for r, ref in enumerate(refs) if ref() is not None])
+        got = np.array([len(refs)])
+        refs.append(weakref.ref(got))
+        return got
+
+    root, _ = _trie(cells)
+    out = _label_walk(sys_, _as_point_set(sys_, points), eps, root, read)
+    return [int(v[0]) for v in out.values()], alive, refs
+
+
+@pytest.mark.parametrize("m_omega", [4096, 24], ids=["exhaustive", "monte-carlo"])
+def test_walk_holds_a_shared_partition_until_its_last_use(m_omega):
+    sys_ = binary_shift_odometer(depth=64)
+    k_max = 8
+    _, cells = estimators._series_cells(2, range(1, k_max + 1), None, m_omega, 1)
+    for s in (sys_, replace(sys_, window_ops=None)):
+        took, alive, refs = _tracked_walk(s, _points(50, 64, 28), 0.25, cells)
+        assert len(refs) == k_max  # one read per shift count
+        last_use = {r: i for i, r in enumerate(took)}
+        for r, held in enumerate(alive):
+            at = took.index(r)  # the node that read r
+            # each still needed below, or the latest node's, which the
+            # walk keeps until it ends
+            assert all(last_use[h] > at or took[at - 1] == h for h in held), r
+            assert len(held) <= k_max + 1
+
+
+def test_odometer_carry_check_matches_the_per_point_check():
+    # windows of mixed and equal depths, shallow and past 64 bits, with
+    # runs of ones at the bottom, walked along random words
+    rng = substream(30)
+    masks = binary._low_masks()
+    seen = Counter()
+    for case in range(400):
+        n = int(rng.integers(1, 30))
+        choices = [[3, 5, 9], [40, 63, 64, 65], [64, 70, 300], [6], [66]][case % 5]
+        depth = rng.choice(choices, size=n).astype(np.int64)
+        win = rng.integers(0, 2**64 - 1, size=n, dtype=np.uint64, endpoint=True)
+        win |= masks[rng.integers(0, 65, size=n)]
+        wins = (win & masks[np.minimum(depth, 64)], depth)
+        eps = 2.0 ** -int(rng.integers(0, 4))
+        got = window_stage(wins, eps)
+        for sym in rng.integers(1, 3, size=12).tolist():
+            if got is None:
+                break
+            if sym == 2:
+                undecided = odometer_undecided(wins, eps, got[0])
+                seen[undecided] += 1
+                assert (window_stage(wins, eps, got[0], 2) is None) == undecided, case
+            got = window_stage(wins, eps, got[0], sym)
+    assert seen[True] > 100 and seen[False] > 100
