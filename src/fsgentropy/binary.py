@@ -241,9 +241,7 @@ def to_windows(points) -> tuple[np.ndarray, np.ndarray]:
 def _carry_may_leave(win, width) -> bool:
     """Whether +1 could carry out of some window's low `width` bits (one or each)."""
     edge = _low_masks()[width]
-    if np.ndim(edge):
-        return bool(np.any(win & edge == edge))
-    return bool((win & edge).max() == edge)  # as win & edge <= edge
+    return bool(np.any(win & edge == edge))
 
 
 def orbit_windows(x: BinaryPoint, words, n: int):

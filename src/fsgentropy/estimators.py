@@ -323,14 +323,13 @@ def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, read, key=None
     else:
         node, path, carried = resumed
         carried, (kept_key, kept) = carried[:5], carried[5]
-    sigs, uses = _signatures(node, tuple(s for s in path if s not in iso), iso)
-    top = sigs[id(node)]
+    top = tuple(s for s in path if s not in iso)
+    uses = _signature_uses(node, top, iso)
     if resumed and uses[top] and None not in (key, kept_key) and all(map(is_, kept_key, key)):
         shared[top] = carried[2], kept
-    stack = [(node, path, carried, None if resumed is None else False)]  # False: staged
+    stack = [(node, path, top, carried, None if resumed is None else False)]  # False: staged
     while stack:
-        node, path, carried, failed = stack.pop()
-        sig = sigs[id(node)]
+        node, path, sig, carried, failed = stack.pop()
         if failed is None:
             try:
                 taken = shared[sig][0] if node[2] and sig in shared else None
@@ -350,22 +349,22 @@ def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, read, key=None
                     shared[sig] = got
             out[node[2][0]] = failed or copy.copy(got[1])
             last = path, carried, failed, got
-        stack.extend((kid, path + (kid[0],), carried, failed or None) for kid in node[1].values())
+        stack.extend((kid, path + (kid[0],), sig if kid[0] in iso else sig + (kid[0],), carried,
+                      failed or None) for kid in node[1].values())
     if last is not None and not last[2] and last[1][1] is None:  # window labels
         pset.labelled = eps, last[0], last[1] + ((key, last[3][1]),)
     return out
 
 
-def _signatures(top, sig, iso):
-    """Signatures of top (sig) and the nodes below it, by id, and counts
-    of those where cells end, by signature."""
-    sigs, uses, todo = {}, {}, [(top, sig)]
+def _signature_uses(top, sig, iso):
+    """How many of top (signature sig) and the nodes below it end cells,
+    by signature."""
+    uses, todo = {}, [(top, sig)]
     while todo:
         node, sig = todo.pop()
-        sigs[id(node)] = sig
         uses[sig] = uses.get(sig, 0) + bool(node[2])
         todo.extend((kid, sig if kid[0] in iso else sig + (kid[0],)) for kid in node[1].values())
-    return sigs, uses
+    return uses
 
 
 def _resume_node(root, eps, labelled):

@@ -874,6 +874,16 @@ def test_walk_holds_a_shared_partition_until_its_last_use(m_omega):
             assert len(held) <= k_max + 1
 
 
+def test_power_walk_holds_no_read_past_its_node():
+    # binary power signatures are whole paths, one node each: every node
+    # reads, and only the latest read, kept to the walk's end, outlives it
+    sys_ = build_power_system(binary_shift_odometer(depth=64), 2)
+    _, cells = estimators._series_cells(4, range(1, 5), None, 4096, 1)
+    took, alive, refs = _tracked_walk(sys_, _points(50, 64, 28), 0.25, cells)
+    assert took == list(range(len(refs))) and len(refs) == len(cells)
+    assert all(set(held) <= {r - 1} for r, held in enumerate(alive))
+
+
 def test_odometer_carry_check_matches_the_per_point_check():
     # windows of mixed and equal depths, shallow and past 64 bits, with
     # runs of ones at the bottom, walked along random words
