@@ -175,14 +175,8 @@ def prefix_length_for(eps: float) -> int:
     """
     if not eps > 0.0:
         raise InvalidEpsilon(f"epsilon must be > 0, got {eps!r}")
-    if eps >= 1.0:
-        return 0
-    level = max(0, math.ceil(-math.log2(eps)))
-    while 2.0 ** (-level) > eps:
-        level += 1
-    while level > 0 and 2.0 ** (-(level - 1)) <= eps:
-        level -= 1
-    return level
+    # exact: frexp gives 2**(e-1) <= eps < 2**e, subnormals included
+    return 0 if eps >= 1.0 else 1 - math.frexp(eps)[1]
 
 
 @lru_cache(maxsize=1024)
@@ -361,7 +355,7 @@ def exact_series(
     c = exact_correlation_integral(t, k, power), for every flavour.
 
     "corr" is the correlation-integral series at radius 2**(-t),
-    identical for every q, which is kept in its metadata so emitted
+    identical for every q, which is kept in its q field so emitted
     results stay self-describing.  "top" is the topological-entropy
     series at that radius: a maximal separated set holds one point per
     Bowen cylinder, so log #E = (t + s) * log 2.  "measure" is the
@@ -378,9 +372,8 @@ def exact_series(
     return EntropySeries(
         epsilon=0.0 if flavour == "measure" else 2.0 ** (-t),
         rows=rows,
-        kind=f"exact-{flavour}",
         q=q if flavour == "corr" else None,
-        meta={"t": t, "power": power, "exact": True},
+        exact=True,
     )
 
 

@@ -6,14 +6,14 @@ comma-separated, `#` comments allowed.  Keys:
     system      binary-shift-odometer | circle-double-rotate | torus-affine
     estimator   corr-sum | corr-entropy | local-corr-entropy | top-entropy |
                 local-entropy | doubling | exact-series | power-test
-    epsilons    positive, strictly decreasing (e.g. 0.25,0.125)
+    epsilons    finite, positive, strictly decreasing (e.g. 0.25,0.125)
     ks          strictly increasing Bowen horizons (e.g. 1,2,3,4)
     q           order of the correlation integral (default 2)
     n           orbit length for correlation sums (default 1000)
     m_upsilon   driving words per correlation sum (default 16)
     m_omega     sampled words for the outer average (default 64)
     n_points    empirical-measure sample size (default 1024)
-    seed        master seed (default 42, recorded in every row)
+    seed        master seed, >= 0 (default 42, recorded in every row)
     weights     symbol probabilities, e.g. 0.3,0.7 (default uniform)
     exact       true to use the closed-form binary backend measures
                 (not with corr-sum or local-corr-entropy)
@@ -38,6 +38,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import binary, estimators, limits, systems
 from .errors import (
+    AlphabetOverflow,
     ConfigInvalid,
     EstimatorUnknown,
     FsgError,
@@ -83,8 +84,12 @@ class ExperimentConfig:
         for name in ("n", "m_upsilon", "m_omega", "n_points", "power"):
             if getattr(self, name) < 1:
                 raise ConfigInvalid(name, "must be >= 1")
-        if not math.isfinite(self.q):
-            raise ConfigInvalid("q", "must be finite")
+        if self.seed < 0:
+            raise ConfigInvalid("seed", "must be >= 0")
+        for name, values in (("q", [self.q]), ("alpha", [self.alpha or 0.0]),
+                             ("constants", self.constants or [])):
+            if not all(map(math.isfinite, values)):
+                raise ConfigInvalid(name, "must be finite")
         if self.format not in ("csv", "json"):
             raise ConfigInvalid("format", "must be csv or json")
         if self.series not in binary.EXACT_FLAVOURS:
@@ -251,7 +256,7 @@ def _run_corr_sum(cfg, sys_):
             for k in cfg.ks
         ]
         rows = [(k, est.value) for k, est in zip(cfg.ks, ests)]
-        out.append(EntropySeries(eps, rows, "corr-sum", stderrs=[e.stderr for e in ests]))
+        out.append(EntropySeries(eps, rows, stderrs=[e.stderr for e in ests]))
     return out
 
 
@@ -286,7 +291,7 @@ def _run_top_entropy(cfg, sys_):
     if cfg.exact:
         return _closed_form_series(cfg, "top")
     return estimators.top_entropy_series(
-        sys_, cfg.epsilons, cfg.ks, cfg.m_omega, cfg.n_points, cfg.seed,
+        _measure(cfg, sys_), sys_, cfg.epsilons, cfg.ks, cfg.m_omega, cfg.seed,
         weights=_weights(cfg, sys_),
     )
 
@@ -351,7 +356,7 @@ def _run_power_test(cfg, sys_):
     ratio = powr.value / base.value
     if not math.isfinite(ratio):
         raise FsgError(f"non-finite power-test ratio {ratio!r}")
-    return [EntropySeries(eps, [(0, ratio)], kind="power-test", q=cfg.q)]
+    return [EntropySeries(eps, [(0, ratio)], q=cfg.q)]
 
 
 _RUNNERS = {
@@ -385,7 +390,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     for row in rows:
         if not math.isfinite(row.value) or not math.isfinite(row.stderr):
             raise FsgError(f"non-finite result row: {row}")
-    try:  # series with meta["exact"] get a slope-fit
+    try:  # exact series get a slope-fit
         summary, trend = limits.series_limit_summary(series_list)
     except FsgError:  # too few rows for a limit: no summary
         summary, trend = [], None
@@ -489,18 +494,23 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def reproduce_paper_example(seed: int = 42, stream=None) -> bool:
-    """End-to-end reproduction of the shift+odometer worked example.
+def reproduce_paper_example(seed: int = 42) -> bool:
+    """End-to-end reproduction of the shift+odometer worked example,
+    reported on stdout.
 
     Exact mode evaluates the closed-form topological-entropy series at
     radii 1/4 and 1/8 out to horizon 64 and slope-fits the limit, which
     must hit (log 2)/2 to 1e-9.  Monte Carlo mode re-estimates it from
     4096 sampled points with sampled words and must land within 10%.
     """
-    out = stream or _sys.stdout
+    cfg = ExperimentConfig(
+        estimator="top-entropy", epsilons=[0.25, 0.125], ks=list(range(2, 13)),
+        m_omega=128, n_points=4096, seed=seed,
+    )
+    cfg.validate()
     target = LOG2 / 2.0
     ok = True
-    print(f"target: log(2)/2 = {target:.10f}", file=out)
+    print(f"target: log(2)/2 = {target:.10f}")
     for t in (2, 3):
         series = binary.exact_series("top", t, 64)
         est = limits.k_limit(series, method="slope-fit")
@@ -509,13 +519,8 @@ def reproduce_paper_example(seed: int = 42, stream=None) -> bool:
         ok &= good
         print(
             f"exact  eps=2^-{t}: slope-fit {est.value:.10f} "
-            f"(|err|={err:.2e}) {'PASS' if good else 'FAIL'}",
-            file=out,
+            f"(|err|={err:.2e}) {'PASS' if good else 'FAIL'}"
         )
-    cfg = ExperimentConfig(
-        estimator="top-entropy", epsilons=[0.25, 0.125], ks=list(range(2, 13)),
-        m_omega=128, n_points=4096, seed=seed,
-    )
     for s in _run_top_entropy(cfg, _build_system(cfg)):
         est = limits.k_limit(s, method="slope-fit")
         rel = abs(est.value - target) / target
@@ -523,8 +528,7 @@ def reproduce_paper_example(seed: int = 42, stream=None) -> bool:
         ok &= good
         print(
             f"sampled eps={s.epsilon}: slope-fit {est.value:.6f} "
-            f"(rel err {100 * rel:.2f}%) {'PASS' if good else 'FAIL'}",
-            file=out,
+            f"(rel err {100 * rel:.2f}%) {'PASS' if good else 'FAIL'}"
         )
     return ok
 
@@ -568,7 +572,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigInvalid, SystemUnknown, EstimatorUnknown, InvalidEpsilon) as exc:
+    # AlphabetOverflow: within a run only the config's power can raise it
+    except (ConfigInvalid, SystemUnknown, EstimatorUnknown, InvalidEpsilon,
+            AlphabetOverflow) as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
     except FsgError as exc:

@@ -285,7 +285,7 @@ def _first_indices(labels) -> np.ndarray:
     return np.flatnonzero(first[labels] == at)
 
 
-def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, read, key=None) -> dict:
+def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, read, key) -> dict:
     """read(labels) at every trie node where cells end, keyed by its
     first cell; labels agree for two points exactly when their ball keys
     agree at every stage of the node's prefix.  A node moves its parent's
@@ -311,7 +311,7 @@ def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, read, key=None
     cells end is kept, with its read and key, unless that node's labels
     came from exact points or its stage raised; a resumed walk takes the
     kept read for the node's signature if the kept key, the objects read
-    depends on, is key by identity (None: no reuse across walks).
+    depends on, is key by identity.
     Folding stage by stage makes the same partition as one wide fold,
     and the readers see only the partition, so no result depends on
     where a walk started or which node of a signature read first."""
@@ -325,7 +325,7 @@ def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, read, key=None
         carried, (kept_key, kept) = carried[:5], carried[5]
     top = tuple(s for s in path if s not in iso)
     uses = _signature_uses(node, top, iso)
-    if resumed and uses[top] and None not in (key, kept_key) and all(map(is_, kept_key, key)):
+    if resumed and uses[top] and all(map(is_, kept_key, key)):
         shared[top] = carried[2], kept
     stack = [(node, path, top, carried, None if resumed is None else False)]  # False: staged
     while stack:
@@ -956,8 +956,9 @@ def corr_entropy_series(
 ) -> list[EntropySeries]:
     """One series per epsilon with rows (k, -c/k), c the correlation
     integral; the limit extraction over k and the epsilon trend are left
-    to the limits module.  Exact ball measures make the rows affine in
-    1/k, so their series carry meta["exact"], which k_limit slope-fits."""
+    to the limits module.  Exact ball measures (any measure but an
+    EmpiricalMeasure) make the rows affine in 1/k, so their series are
+    marked exact, which k_limit slope-fits."""
     _check_grids(eps_list, k_list)
     if not math.isfinite(q):
         raise ConfigInvalid("q", "must be finite")
@@ -966,20 +967,18 @@ def corr_entropy_series(
         lambda eps, cells: _cell_measures(
             measure, sys, eps, cells, lambda m: -_q_log_mean(np.log(m), q)
         ),
-        kind="corr-entropy", q=q,
-        meta={"m_omega": m_omega, "seed": seed, "n_points": len(measure.points),
-              "exact": not isinstance(measure, EmpiricalMeasure)},
+        q=q, exact=not isinstance(measure, EmpiricalMeasure),
     )
 
 
 def _check_grids(eps_list, k_list):
-    """Radii strictly positive and decreasing, horizons >= 1 and
+    """Radii finite, strictly positive and decreasing, horizons >= 1 and
     strictly increasing; the experiment config checks its grids here
     too, hence ConfigInvalid (a ValueError) named after its fields."""
     if not eps_list:
         raise ConfigInvalid("epsilons", "need at least one value")
-    if any(e <= 0 for e in eps_list):
-        raise ConfigInvalid("epsilons", "must be strictly positive")
+    if not all(0 < e < math.inf for e in eps_list):
+        raise ConfigInvalid("epsilons", "must be finite and strictly positive")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigInvalid("epsilons", "must be strictly decreasing")
     if not k_list or any(k < 1 for k in k_list):
@@ -1039,10 +1038,7 @@ def local_corr_entropy_series(
             rows.append((k, -mean_full / k))
             ses.append(math.sqrt(var_full) / k)
             flags.append("" if abs(mean_full - mean_half) <= tol or tol == 0.0 else "unstable")
-        meta = {"n": n, "m_upsilon": m_upsilon, "m_omega": m_omega, "seed": seed}
-        out.append(
-            EntropySeries(eps, rows, "local-corr-entropy", stderrs=ses, flags=flags, meta=meta)
-        )
+        out.append(EntropySeries(eps, rows, stderrs=ses, flags=flags))
     return out
 
 
@@ -1051,14 +1047,13 @@ def local_corr_entropy_series(
 
 
 def top_entropy_series(
+    measure: EmpiricalMeasure,
     sys: GeneratorSystem,
     eps_list,
     k_list,
     m_omega: int,
-    n_sample: int,
     seed: int,
     weights: BernoulliSpec | None = None,
-    sample=None,
 ) -> list[EntropySeries]:
     """Growth rate of separated-set cardinality: rows are the word
     average of log #separated divided by k.
@@ -1067,26 +1062,19 @@ def top_entropy_series(
     sample: a point is kept unless it is Bowen-within eps of an already
     kept one.  The kept points are pairwise more than eps apart, a
     maximal separated subset (a lower bound on the maximum packing), and
-    by maximality a Bowen eps-cover of the sample.  The sample is drawn
-    from the reference measure unless one is passed in; with a finite
-    sample and a greedy packing the rows are biased low, approaching the
-    true rate as the sample fills the space.
+    by maximality a Bowen eps-cover of the sample, the measure's points.
+    With a finite sample and a greedy packing the rows are biased low,
+    approaching the true rate as the sample fills the space.  The sample
+    is converted once per measure (its _point_set), as for every other
+    estimator given the same measure, and before the first word.
     """
     _check_grids(eps_list, k_list)
-    if sample is None:
-        if n_sample < 1:
-            raise ValueError("n_sample must be >= 1")
-        sample = EmpiricalMeasure.draw(sys, n_sample, seed).points
-    elif len(sample) < 1:
-        raise ValueError("need at least one sample point")
-    pset = _as_point_set(sys, sample)
+    pset = measure._point_set(sys)
     return _word_averaged(
         sys, eps_list, k_list, m_omega, seed, weights,
         lambda eps, cells: _count_cells(
             sys, pset, eps, cells, "net", lambda kept: math.log(len(kept))
         ),
-        kind="top-entropy",
-        meta={"n_sample": len(sample), "m_omega": m_omega, "seed": seed},
     )
 
 
@@ -1109,7 +1097,7 @@ def doubling_series(
     for eps in eps_list:
         m1, m2 = (_cell_measures(measure, sys, e, cells) for e in (eps, 2.0 * eps))
         rows = [(k, math.log(float((b / a).max())) / k) for k, a, b in zip(k_list, m1, m2)]
-        out.append(EntropySeries(eps, rows, kind="doubling"))
+        out.append(EntropySeries(eps, rows))
     return out
 
 
@@ -1126,6 +1114,5 @@ def local_entropy_series(
     for eps in eps_list:
         found = _cell_measures(measure, sys, eps, cells, center=at)
         rows = [(k, -math.log(m) / k) for k, m in zip(k_list, found)]
-        meta = {"n_points": len(measure.points)}
-        out.append(EntropySeries(eps, rows, "local-entropy", meta=meta))
+        out.append(EntropySeries(eps, rows))
     return out

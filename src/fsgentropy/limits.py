@@ -1,9 +1,9 @@
 """Turn entropy series into scalar estimates.
 
 The k-limit of a series is approximated on a finite window by one of
-four methods: tail-mean (converged series), tail-min / tail-max
-(surrogates for liminf / limsup when the series has not settled), and
-slope-fit, which regresses k * value against k and reports the slope.
+two methods: tail-mean (the mean of the window's rows, for sampled
+series) and slope-fit, which regresses k * value against k and reports
+the slope.
 Series whose rows are exactly affine in 1/k (value = L + c/k, the shape
 every closed-form series here has) are recovered by slope-fit up to
 rounding, because k * value = L * k + c is an exact line.
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import WindowTooSmall
 from .series import EntropySeries
 
-METHODS = ("tail-mean", "tail-min", "tail-max", "slope-fit")
+METHODS = ("tail-mean", "slope-fit")
 
 
 @dataclass(frozen=True)
@@ -39,11 +39,9 @@ def default_window(series: EntropySeries) -> tuple[int, int]:
 
 
 def default_method(series: EntropySeries) -> str:
-    """Slope-fit for exact closed-form series, tail-mean for Monte
-    Carlo ones (noise makes tail extremes biased)."""
-    if series.meta.get("exact"):
-        return "slope-fit"
-    return "tail-mean"
+    """Slope-fit for exact closed-form series, tail-mean for sampled
+    ones."""
+    return "slope-fit" if series.exact else "tail-mean"
 
 
 def k_limit(
@@ -68,10 +66,6 @@ def k_limit(
     vals = np.array([v for _, v in pairs], dtype=float)
     if method == "tail-mean":
         value = float(vals.mean())
-    elif method == "tail-min":
-        value = float(vals.min())
-    elif method == "tail-max":
-        value = float(vals.max())
     else:
         slope, _ = np.polyfit(ks, ks * vals, 1)
         value = float(slope)
@@ -87,14 +81,13 @@ class TrendReport:
     flag: str
 
 
-def epsilon_trend(
-    estimates: list[tuple[float, LimitEstimate]], tol: float = 1e-9
-) -> TrendReport:
+def epsilon_trend(estimates: list[tuple[float, LimitEstimate]]) -> TrendReport:
     """Summarise limit values across shrinking radii.
 
     The headline is the value at the smallest radius; the flag says
-    whether the values already agree ("converged") or are still moving
-    monotonically as the radius shrinks.  No extrapolation.
+    whether the values already agree ("converged": they span at most
+    1e-9 times the largest of 1 and their magnitudes) or are still
+    moving monotonically as the radius shrinks.  No extrapolation.
     """
     if len(estimates) < 2:
         raise ValueError("need limit estimates at >= 2 radii")
@@ -103,7 +96,7 @@ def epsilon_trend(
     values = [v for _, v in eps_vals]
     headline = values[-1]
     scale = max(1.0, max(abs(v) for v in values))
-    if max(values) - min(values) <= tol * scale:
+    if max(values) - min(values) <= 1e-9 * scale:
         flag = "converged"
     elif all(b > a for a, b in zip(values, values[1:])):
         flag = "not converged in epsilon (increasing)"
@@ -116,10 +109,9 @@ def epsilon_trend(
 
 def series_limit_summary(
     series_list: list[EntropySeries],
-    window: tuple[int, int] | None = None,
-    method: str | None = None,
 ) -> tuple[list[tuple[float, LimitEstimate]], TrendReport | None]:
-    """k-limit per series plus the trend report when there are >= 2."""
-    per_eps = [(s.epsilon, k_limit(s, window, method)) for s in series_list]
+    """k-limit per series, on its default window and method, plus the
+    trend report when there are >= 2."""
+    per_eps = [(s.epsilon, k_limit(s)) for s in series_list]
     trend = epsilon_trend(per_eps) if len(per_eps) >= 2 else None
     return per_eps, trend

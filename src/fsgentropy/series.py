@@ -3,25 +3,24 @@
 An EntropySeries is the common currency between the estimators, the
 closed-form backend and the limit extraction: one threshold epsilon,
 one row (k, value) per Bowen horizon, optional standard errors and
-per-row flags, plus free-form metadata (estimator kind, sample sizes,
-seed).
+per-row flags, and whether the rows are exact (closed-form ball
+measures), which picks the limit method.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
 class EntropySeries:
     epsilon: float
     rows: list[tuple[int, float]]
-    kind: str = ""
     q: float | None = None
     stderrs: list[float] | None = None
     flags: list[str] | None = None
-    meta: dict = field(default_factory=dict)
+    exact: bool = False
 
     def __post_init__(self):
         ks = [k for k, _ in self.rows]

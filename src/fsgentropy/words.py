@@ -14,6 +14,7 @@ first; the word and power-system tests pin the digit order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +61,8 @@ class BernoulliSpec:
     def __post_init__(self):
         if not self.weights:
             raise ValueError("need at least one weight")
-        if any(w <= 0.0 for w in self.weights):
-            raise ValueError("all weights must be > 0")
+        if not all(0.0 < w < math.inf for w in self.weights):
+            raise ValueError("all weights must be finite and > 0")
         total = sum(self.weights)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {total!r}, not 1 within 1e-12")

@@ -5,7 +5,6 @@ the measured quantities (run pytest with -s to see them).  Shared
 expensive computations live in session fixtures.
 """
 
-import io
 import itertools
 import math
 import time
@@ -110,15 +109,16 @@ def test_cylinder_ball_formula_matches_brute_force_sweep():
 # 2. end-to-end reproduction of the worked shift+odometer value
 
 
-def test_reproduce_example_command_recovers_half_log2():
+def test_reproduce_example_command_recovers_half_log2(capsys):
     """The reproduce-paper-example pipeline slope-fits the exact
     series to log(2)/2 within 1e-9 and the sampled re-estimate to
     within 10%, in under 2 minutes."""
     start = time.monotonic()
-    buf = io.StringIO()
-    ok = reproduce_paper_example(seed=42, stream=buf)
+    ok = reproduce_paper_example(seed=42)
     elapsed = time.monotonic() - start
-    print(buf.getvalue(), end="")
+    out = capsys.readouterr().out
+    assert out.count("PASS") == 4 and "FAIL" not in out
+    print(out, end="")
     _report(
         "worked-example reproduction",
         ok and elapsed < 120.0,

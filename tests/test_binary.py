@@ -100,6 +100,37 @@ def test_prefix_length_for():
         prefix_length_for(0.0)
 
 
+def _exact_prefix_length(eps: float) -> int:
+    """The smallest L >= 0 with 2**-L <= eps, in exact rationals, by
+    bisection: 2**-L <= eps holds from that L on, and at L = 1075 for
+    every positive double."""
+    lo, hi = 0, 1075
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if Fraction(1, 2**mid) <= Fraction(eps):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def test_prefix_length_for_matches_its_exact_definition():
+    dyadics = [2.0**-t for t in range(0, 1075)]  # down to the smallest subnormal
+    radii = [
+        eps
+        for d in dyadics
+        for eps in (d, math.nextafter(d, 0.0), math.nextafter(d, math.inf))
+        if eps > 0.0
+    ]
+    radii += [3 * 2.0**-5, 0.1, 1e-300, 5e-324, 1.0, 1.5, 2.0, 1e300]
+    for eps in radii:
+        assert prefix_length_for(eps) == _exact_prefix_length(eps), eps
+    assert prefix_length_for(math.inf) == 0
+    for bad in (0.0, -0.5, -math.inf, math.nan):
+        with pytest.raises(InvalidEpsilon):
+            prefix_length_for(bad)
+
+
 def test_ball_key_matches_distance():
     rng = np.random.default_rng(2)
     for _ in range(60):
@@ -206,7 +237,7 @@ def test_exact_series_rows_are_the_one_closed_form(flavour):
         assert s.values == [(t + power * (k - 1) / 2.0) * LOG2 / k for k in range(1, 41)]
         assert s.epsilon == (0.0 if flavour == "measure" else 2.0 ** (-t))
         assert s.q == (3.0 if flavour == "corr" else None)
-        assert s.meta["exact"] is True
+        assert s.exact is True
 
 
 @pytest.mark.parametrize(

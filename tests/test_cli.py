@@ -460,3 +460,37 @@ def test_cli_seed_override_changes_output(tmp_path):
     ra, rb = parse_rows(a.read_text()), parse_rows(b.read_text())
     assert {r.seed for r in ra} == {1}
     assert {r.seed for r in rb} == {2}
+
+
+@pytest.mark.parametrize(
+    "body, argv",
+    [
+        ("system = circle-double-rotate\nepsilons = nan\n", []),
+        ("system = circle-double-rotate\nepsilons = inf\n", []),
+        ("epsilons = nan\n", []),
+        ("weights = nan,nan\n", []),
+        ("system = circle-double-rotate\nalpha = nan\n", []),
+        ("system = torus-affine\nconstants = 0.0,inf\n", []),
+        ("seed = -5\n", []),
+        ("", ["--seed", "-1"]),
+        ("estimator = power-test\npower = 30\n", []),
+        (None, ["reproduce-paper-example", "--seed", "-3"]),
+    ],
+    ids=[
+        "nan-radius-circle", "inf-radius-circle", "nan-radius-binary", "nan-weights",
+        "nan-alpha", "inf-constant", "negative-seed", "negative-seed-flag",
+        "power-alphabet-overflow", "reproduce-negative-seed",
+    ],
+)
+def test_values_a_run_cannot_use_are_config_errors(tmp_path, capsys, body, argv):
+    """Non-finite numbers, negative seeds and an oversized power alphabet
+    end in exit 2 with a config error, not rows, a runtime error or a
+    traceback."""
+    if body is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("epsilons = 0.25\nks = 1,2,3\nn_points = 64\nm_omega = 4\n" + body)
+        argv = ["run", str(cfg), *argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error:")
+    assert "Traceback" not in captured.err

@@ -529,14 +529,14 @@ def test_separated_kept_points_are_pairwise_far():
 
 
 def test_top_entropy_series_diameter_rows_are_zero():
-    series = top_entropy_series(BIN, [1.0], [1, 2, 3], 16, 32, seed=22)
+    series = top_entropy_series(EmpiricalMeasure.draw(BIN, 32, 22), BIN, [1.0], [1, 2, 3], 16, 22)
     assert all(v == 0.0 for v in series[0].values)
 
 
 @pytest.mark.parametrize("sys_", [BIN, CIRCLE], ids=["binary", "circle"])
 def test_top_entropy_series_rejects_an_empty_sample(sys_):
     with pytest.raises(ValueError, match="need at least one sample point"):
-        top_entropy_series(sys_, [0.25], [1, 2], 16, 16, seed=1, sample=[])
+        top_entropy_series(EmpiricalMeasure(()), sys_, [0.25], [1, 2], 16, seed=1)
 
 
 def test_top_entropy_series_exact_sample_matches_closed_form():
@@ -545,7 +545,7 @@ def test_top_entropy_series_exact_sample_matches_closed_form():
     depth = t + max(ks) + 2
     sample = all_points(depth, pad=8)
     series = top_entropy_series(
-        BIN, [2.0**-t], ks, m_omega=4096, n_sample=1, seed=0, sample=sample
+        EmpiricalMeasure(tuple(sample)), BIN, [2.0**-t], ks, m_omega=4096, seed=0
     )[0]
     for k, v in series.rows:
         assert v == pytest.approx((t + (k - 1) / 2) * LOG2 / k, rel=1e-12)
@@ -705,7 +705,8 @@ def test_shallow_binary_runs_label_without_sorting(request):
     omega = word((1, 2, 2, 1), 2)
 
     def top():
-        return [s.rows for s in top_entropy_series(BIN, eps_list, ks, 16, 256, seed=46)]
+        em = EmpiricalMeasure.draw(BIN, 256, 46)
+        return [s.rows for s in top_entropy_series(em, BIN, eps_list, ks, 16, seed=46)]
 
     def corr(eps, k, omega=omega):
         return correlation_sum(orbit_sys, x, eps, omega, k, 256, 4, seed=47)
@@ -786,7 +787,7 @@ def test_weights_for_another_alphabet_raise_on_every_path(counting_path, weights
     calls = [
         lambda: omega_words(sys_.m, 2, spec, 16, 1),
         lambda: corr_entropy_series(em, sys_, [0.25], [1, 2], 2.0, 16, 1, weights=spec),
-        lambda: top_entropy_series(sys_, [0.25], [1, 2], 16, 16, 1, weights=spec),
+        lambda: top_entropy_series(em, sys_, [0.25], [1, 2], 16, 1, weights=spec),
         lambda: correlation_sum(sys_, x, 0.25, word((1,), 2), 2, 16, 2, 1, weights=spec),
         lambda: local_corr_entropy_series(sys_, x, [0.25], [1, 2], 16, 2, 4, 1, weights=spec),
     ]
@@ -813,7 +814,7 @@ def test_corr_entropy_series_marks_exact_measures_for_a_slope_fit():
     ks = list(range(1, 9))
     s_exact, = corr_entropy_series(exact, BIN, [0.25], ks, 2.0, 256, 5)
     s_emp, = corr_entropy_series(empirical, BIN, [0.25], ks, 2.0, 256, 5)
-    assert s_exact.meta["exact"] is True and s_emp.meta["exact"] is False
+    assert s_exact.exact is True and s_emp.exact is False
     assert k_limit(s_exact).method == "slope-fit"
     assert k_limit(s_exact).value == pytest.approx(LOG2 / 2, abs=1e-9)
     assert k_limit(s_emp).method == "tail-mean"

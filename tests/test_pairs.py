@@ -453,7 +453,7 @@ def test_series_over_shared_prefixes_match_oracle(pair_systems, chunk):
             [(r.rows, r.stderrs, r.flags) for r in found]
             for found in (
                 corr_entropy_series(em, s, eps_list, ks, 2.0, 4, seed=3),
-                top_entropy_series(s, eps_list, [1, 2, 4, 5], 4, 0, seed=3, sample=pts),
+                top_entropy_series(em, s, eps_list, [1, 2, 4, 5], 4, seed=3),
                 local_corr_entropy_series(s, 0.3, eps_list, ks, 30, 2, 4, seed=3),
             )
         ]
@@ -527,7 +527,7 @@ def test_doubling_series_walks_once_per_radius(monkeypatch):
     got = doubling_series(EmpiricalMeasure(pts), fast, omega, eps_list, ks)
     assert count == {"walks": 2 * len(eps_list), "apply": 2 * len(eps_list) * (len(ks) - 1)}
     for eps, series in zip(eps_list, got):
-        assert (series.epsilon, series.kind) == (eps, "doubling")
+        assert series.epsilon == eps
         assert [k for k, _ in series.rows] == ks
         for k, value in series.rows:
             for s in (base, _generic(base)):

@@ -1,6 +1,7 @@
 """The README's library tour runs against the package as it is, the CLI
 docs name every config key and estimator kind, and every name the
-package exports has a consumer outside the tests."""
+package exports, and every field of EntropySeries, has a consumer
+outside the tests."""
 
 import ast
 import inspect
@@ -37,6 +38,23 @@ def test_cli_docs_name_every_config_key_and_estimator_kind():
         assert _names(f"`{kind}`", kinds), f"README estimator kinds lack {kind}"
 
 
+def _consumer_sources() -> dict:
+    """The package's modules but __init__, the README, and the benchmark
+    harness outside its tests."""
+    sources = {p: p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"}
+    sources[README] = README.read_text()
+    sources.update(
+        (p, p.read_text()) for p in (ROOT / "perfbench").glob("*.py")
+        if not p.name.startswith("test_")
+    )
+    return sources
+
+
+def _without_own_source(obj, sources: dict) -> list:
+    home, own = Path(inspect.getsourcefile(obj)), inspect.getsource(obj)
+    return [t.replace(own, "", 1) if p == home else t for p, t in sources.items()]
+
+
 def test_every_exported_name_has_a_consumer_outside_the_tests():
     """A name fsgentropy/__init__.py imports from a module must appear
     somewhere other than its own definition and __init__: in the
@@ -49,17 +67,20 @@ def test_every_exported_name_has_a_consumer_outside_the_tests():
         if isinstance(node, ast.ImportFrom) and node.module
         for alias in node.names
     ]
-    sources = {p: p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"}
-    sources[README] = README.read_text()
-    sources.update(
-        (p, p.read_text()) for p in (ROOT / "perfbench").glob("*.py")
-        if not p.name.startswith("test_")
-    )
-    unused = []
-    for name in names:
-        obj = getattr(fsgentropy, name)
-        home, own = Path(inspect.getsourcefile(obj)), inspect.getsource(obj)
-        texts = [t.replace(own, "", 1) if p == home else t for p, t in sources.items()]
-        if not any(_names(name, t) for t in texts):
-            unused.append(name)
+    sources = _consumer_sources()
+    unused = [
+        name for name in names
+        if not any(_names(name, t) for t in _without_own_source(getattr(fsgentropy, name), sources))
+    ]
     assert names and unused == [], f"exported names with no consumer: {unused}"
+
+
+def test_every_series_field_is_read_outside_the_tests():
+    """Each field of EntropySeries is read as `.field` somewhere other
+    than its own class: a field no caller reads is an option to drop."""
+    texts = _without_own_source(fsgentropy.EntropySeries, _consumer_sources())
+    unread = [
+        f.name for f in fields(fsgentropy.EntropySeries)
+        if not any(re.search(rf"\.{f.name}(?![\w-])", t) for t in texts)
+    ]
+    assert unread == [], f"EntropySeries fields with no reader: {unread}"

@@ -27,7 +27,7 @@ def test_parallel_lists_must_align():
 
 
 def test_accessors():
-    s = EntropySeries(0.5, [(1, 1.0), (4, 0.25)], kind="demo")
+    s = EntropySeries(0.5, [(1, 1.0), (4, 0.25)])
     assert s.ks == [1, 4]
     assert s.values == [1.0, 0.25]
     assert s.value_at(4) == 0.25

@@ -20,6 +20,7 @@ from fsgentropy.estimators import (
     _count_cells,
     _label_walk,
     _trie,
+    corr_entropy_series,
     correlation_sum,
     doubling_series,
     local_entropy_series,
@@ -311,10 +312,11 @@ def test_trie_falls_back_below_a_deciding_parent(exact_calls):
     ]
     eps = 2.0**-60
     root, _ = _trie(cells)
-    labels = _label_walk(fast, _as_point_set(fast, points), eps, root, _first_come)
+    key = (_first_come,)
+    labels = _label_walk(fast, _as_point_set(fast, points), eps, root, _first_come, key)
     assert decided.count(False) == 1 and len(exact_calls) == 1
     exact = replace(sys_, window_ops=None)
-    assert labels == _label_walk(exact, _as_point_set(exact, points), eps, root, _first_come)
+    assert labels == _label_walk(exact, _as_point_set(exact, points), eps, root, _first_come, key)
     oracle = _generic(sys_)
     for kind in ("balls", "pairs", "net"):
         opts = _kind_options(kind, len(points))
@@ -383,7 +385,7 @@ def test_doubling_series_takes_one_walk_per_radius():
     # stage 0 would take 10 at each radius
     assert stages == {0.5: 4, 0.25: 8, 0.125: 4}
     for eps, series in zip(eps_list, got):
-        assert (series.epsilon, series.kind) == (eps, "doubling")
+        assert series.epsilon == eps
         assert [k for k, _ in series.rows] == [1, 2, 3, 4]
         for k, value in series.rows:
             fresh = EmpiricalMeasure(em.points)
@@ -412,7 +414,7 @@ def test_local_entropy_series_takes_one_walk_per_radius(monkeypatch):
     assert walks == {0.25: 1, 0.125: 1}
     assert stages == {0.25: 4, 0.125: 4}
     for eps, series in zip(eps_list, got):
-        assert (series.epsilon, series.kind) == (eps, "local-entropy")
+        assert series.epsilon == eps
         assert [k for k, _ in series.rows] == ks
         for k, value in series.rows:
             for s in (base, _generic(base)):
@@ -677,7 +679,7 @@ def test_radius_past_the_diameter_with_an_odometer_first_letter(kind, eps):
     assert oracle[0] == "ok"
     for s in (sys_, replace(sys_, window_ops=None)):
         assert _cells_outcome(s, points, eps, cells, kind) == oracle
-        rows = top_entropy_series(s, [eps], [2, 3], 4, 0, seed=1, sample=points)[0].rows
+        rows = top_entropy_series(EmpiricalMeasure(tuple(points)), s, [eps], [2, 3], 4, 1)[0].rows
         assert rows == [(2, 0.0), (3, 0.0)]
 
 
@@ -690,7 +692,11 @@ def test_top_entropy_folds_only_where_shift_keys_are_pending(monkeypatch):
     sys_ = binary_shift_odometer(depth=49)
     eps_list, ks = [0.25, 0.125], [2, 3, 4, 5, 6]
     plain = replace(sys_, isometries=frozenset())
-    want = [s.rows for s in top_entropy_series(plain, eps_list, ks, 128, 512, seed=19)]
+    def top(s):
+        em = EmpiricalMeasure.draw(s, 512, 19)
+        return [r.rows for r in top_entropy_series(em, s, eps_list, ks, 128, seed=19)]
+
+    want = top(plain)
     counts = Counter()
     for name in ("_fold", "_first_indices"):
         original = getattr(estimators, name)
@@ -702,9 +708,32 @@ def test_top_entropy_folds_only_where_shift_keys_are_pending(monkeypatch):
         monkeypatch.setattr(estimators, name, counting)
     for s in (sys_, replace(sys_, window_ops=None)):
         counts.clear()
-        assert [r.rows for r in top_entropy_series(s, eps_list, ks, 128, 512, seed=19)] == want
+        assert top(s) == want
         folds = 6  # one per radius and shift count 0..5
         assert counts == {"_fold": 2 * folds, "_first_indices": 2 * folds}
+
+
+def test_one_measure_is_converted_once_for_corr_and_top_entropy():
+    """A measure passed to both series gives both the same point set,
+    windowed once, and the rows of fresh measures."""
+    base = binary_shift_odometer(depth=64)
+    ops, converted = base.window_ops, []
+
+    def to_windows(points):
+        converted.append(len(points))
+        return ops.to_windows(points)
+
+    sys_ = replace(base, window_ops=replace(ops, to_windows=to_windows))
+    em = EmpiricalMeasure(tuple(_points(80, 64, 30)))
+    eps_list, ks = [0.25, 0.125], [1, 2, 3, 4, 5]
+    pset = em._point_set(sys_)
+    corr = corr_entropy_series(em, sys_, eps_list, ks, 2.0, 16, seed=5)
+    top = top_entropy_series(em, sys_, eps_list, ks, 16, seed=5)
+    assert converted == [80] and em._point_set(sys_) is pset
+    for s in (base, replace(base, window_ops=None)):
+        fresh = EmpiricalMeasure(em.points)
+        assert corr_entropy_series(fresh, s, eps_list, ks, 2.0, 16, seed=5) == corr
+        assert top_entropy_series(fresh, s, eps_list, ks, 16, seed=5) == top
 
 
 def test_reused_reads_give_every_cell_its_own_array():
@@ -721,20 +750,6 @@ def test_reused_reads_give_every_cell_its_own_array():
     # the resumed walk's node, where the latest walk ended, reads afresh
     again = _count_cells(sys_, pset, 0.125, [(3, word((2, 2), 2))], "balls")
     assert np.array_equal(got[3], want) and np.array_equal(again[0], want)
-
-
-def test_reads_without_a_key_are_not_reused_across_walks():
-    points = _points(60, 64, 22)
-    sys_ = binary_shift_odometer(depth=64)
-    pset = _as_point_set(sys_, points)
-    root, _ = _trie([(1, word((), 2))])
-    assert _label_walk(sys_, pset, 0.125, root, lambda labels: "no key") == {0: "no key"}
-    cells = [(2, word((2,), 2))]
-    want = _count_cells(_generic(sys_), _as_point_set(sys_, points), 0.125, cells, "balls")
-    got = _count_cells(sys_, pset, 0.125, cells, "balls")
-    assert pset.labelled[1] == (2,) and np.array_equal(got[0], want[0])
-    root, _ = _trie(cells)
-    assert _label_walk(sys_, pset, 0.125, root, lambda labels: "read") == {0: "read"}
 
 
 def test_corr_sum_reuses_reads_across_resumed_calls_in_any_order(monkeypatch, exact_calls):
@@ -853,7 +868,7 @@ def _tracked_walk(sys_, points, eps, cells):
         return got
 
     root, _ = _trie(cells)
-    out = _label_walk(sys_, _as_point_set(sys_, points), eps, root, read)
+    out = _label_walk(sys_, _as_point_set(sys_, points), eps, root, read, (read,))
     return [int(v[0]) for v in out.values()], alive, refs
 
 
