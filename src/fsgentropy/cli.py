@@ -90,12 +90,15 @@ class ExperimentConfig:
                              ("constants", self.constants or [])):
             if not all(map(math.isfinite, values)):
                 raise ConfigInvalid(name, "must be finite")
+        if self.constants == []:
+            raise ConfigInvalid("constants", "need at least one constant")
         if self.format not in ("csv", "json"):
             raise ConfigInvalid("format", "must be csv or json")
         if self.series not in binary.EXACT_FLAVOURS:
             raise ConfigInvalid("series", "must be top, corr or measure")
-        if self.depth is not None and self.depth < 1:
-            raise ConfigInvalid("depth", "must be >= 1")
+        need = _min_depth(self) if self.system == "binary-shift-odometer" else 1
+        if self.depth is not None and self.depth < need:
+            raise ConfigInvalid("depth", f"must be >= {need}, the coordinates this run reads")
         if self.weights is not None:
             try:
                 BernoulliSpec(tuple(self.weights))
@@ -182,16 +185,19 @@ def _resolution(eps_list) -> int:
 DEPTH_HEADROOM = 40
 
 
-def _depth(cfg: ExperimentConfig) -> int:
-    """Binary truncation depth: the override, else the finest radius's
-    resolution + the longest horizon (+ n for orbits) + DEPTH_HEADROOM."""
-    if cfg.depth is not None:
-        return cfg.depth
+def _min_depth(cfg: ExperimentConfig) -> int:
+    """The binary coordinates a run reads: the finest radius's resolution
+    + the longest horizon (+ n for orbits)."""
     horizon = max(cfg.ks) * (cfg.power if cfg.estimator == "power-test" else 1)
-    depth = _resolution(cfg.epsilons) + horizon + DEPTH_HEADROOM
+    depth = _resolution(cfg.epsilons) + horizon
     if cfg.estimator in ("corr-sum", "local-corr-entropy"):
         depth += cfg.n
     return depth
+
+
+def _depth(cfg: ExperimentConfig) -> int:
+    """Binary truncation depth: the override, else _min_depth + DEPTH_HEADROOM."""
+    return cfg.depth if cfg.depth is not None else _min_depth(cfg) + DEPTH_HEADROOM
 
 
 def _build_system(cfg: ExperimentConfig) -> systems.GeneratorSystem:

@@ -37,18 +37,18 @@ Conventions shared by everything here:
   (eps, k), label one more stage each (a series walks all its own at
   once), and reuse the kept result where the read is the same.  Labels
   from exact keys, or from a walk that raised, are never kept.
-* On the circle family (pair_ops) a sort-sweep finds the pairs within
-  eps at stage 0 once per count, and every node filters its parent's
-  surviving pairs through its own stage with the metric's own float
-  expression, systems.PAIR_CHUNK stage-0 pairs at a time; no N x N
-  matrix is built.  Ball and pair counts are tallied only where cells
-  end, by difference down the trie: such a node that keeps most of the
-  pairs of its nearest tallied ancestor subtracts the tally of those
-  dropped since from the ancestor's, so no node tallies more pairs than
-  it keeps.  A rotation node (sys.isometries) keeps untested a
-  chunk whose pairs all lay within eps - PAIR_MARGIN where last tested,
-  as it moves a distance by ulps only.  A one-center count takes the
-  center's pairs from pair_ops.close against every point, with no sweep.
+* On the circle family (pair_ops) a sort-sweep streams the pairs within
+  eps at stage 0 once per count, PAIR_CHUNK at most at a time, and every
+  node filters its parent's surviving pairs of each chunk through its
+  own stage with the metric's own float expression; no N x N matrix is
+  built, nor a whole pair list but for a greedy net.  Ball and pair
+  counts are tallied only where cells end, by difference down the trie:
+  such a node that keeps most of the pairs of its nearest tallied
+  ancestor subtracts the tally of those dropped since from the
+  ancestor's, so no node tallies more pairs than it keeps.  A rotation
+  node (sys.isometries) keeps untested a chunk whose pairs all lay within
+  eps - PAIR_MARGIN where last tested, as it moves a distance by ulps
+  only.  A one-center count takes its pairs from pair_ops.close: no sweep.
 * Both orbit estimators count Bowen-close pairs through one counter,
   one orbit at a time, which tallies ordered off-diagonal pairs outside
   a lag window by pairs of orbit-time blocks.  correlation_sum leaves
@@ -403,34 +403,33 @@ def _label_stage(sys, pset, eps, node, path, state, points, labels, row, bits, t
     return state, points, labels, row, bits
 
 
-def _pair_walk(sys: GeneratorSystem, arr, pairs, eps, root, tally=None):
+def _pair_walk(sys: GeneratorSystem, arr, chunks, eps, root, tally=None):
     """Yield (first cell, chunk start, got) at every trie node where cells
-    end and pairs survive, per PAIR_CHUNK chunk of the stage-0 pairs
-    (i0, j0) of the point array arr, pairs = (i0, j0, sure): got is
-    tally(i, j) of the chunk's pairs Bowen-within eps along the node's
-    prefix, or without a tally their positions in the chunk.  Each node
-    makes its stage array once and, per chunk, keeps those of its
-    parent's surviving pairs that pair_ops.close keeps there, but an
-    isometric node keeps a sure pair set whole, with no gather, test or
-    tally, at most SURE_STAGES times in a row.  A set is sure while
-    every pair's computed distance at the last stage tested is <= eps -
-    PAIR_MARGIN: at the root, a chunk of the first `sure` pairs if arr
-    lies in [0, 1], below it as a tested node with an isometric kid reads
-    off the distances close leaves.  That is exact for points in [0, 1]
-    (see SURE_STAGES), where PAIR_MARGIN is stage 0's margin and every
-    mapped array lies, as % 1.0 returns nothing above 1.  Only nodes
-    where cells end tally.  Each pair set carries the tally of its
+    end and pairs survive, per chunk (i0, j0, sure) of the stage-0 pairs
+    of the point array arr, read from the stream chunks as it yields them
+    (the start counts the pairs before): got is tally(i, j) of the chunk's
+    pairs Bowen-within eps along the node's prefix, or without a tally
+    their positions in the chunk.  Each node makes its stage array once and,
+    per chunk, keeps those of its parent's surviving pairs that
+    pair_ops.close keeps there, but an isometric node keeps a sure pair
+    set whole, with no gather, test or tally, at most SURE_STAGES times
+    in a row.  A set is sure while every pair's computed distance at the
+    last stage tested is <= eps - PAIR_MARGIN: at the root, a sure chunk
+    if arr lies in [0, 1], below it as a tested node with an isometric
+    kid reads off the distances close leaves.  That is exact for points
+    in [0, 1] (see SURE_STAGES), where PAIR_MARGIN is stage 0's margin
+    and every mapped array lies, as % 1.0 returns nothing above 1.  Only
+    nodes where cells end tally.  Each pair set carries the tally of its
     nearest tallied ancestor, the base, while more than half the base's
     pairs survive, with the pieces dropped since: a node where cells end
     then takes the base's tally minus that of the dropped pieces (exact
     for integer counts), any other the tally of what it keeps.  So no
     node tallies more pairs than it keeps, a node that drops nothing (an
     isometry) tallies none, and one ending right below a tallied node at
-    most half of that node's.  Gathers reuse two arrays per walk and
-    positions are views of one array, as fresh ones get faulted in anew,
-    more often for some words than for others."""
+    most half of that node's.  Gathers reuse two arrays of PAIR_CHUNK per
+    walk and positions are views of one array, as fresh ones get faulted
+    in anew, more often for some words than for others."""
     apply, close, iso = sys.array_ops.apply, sys.pair_ops.close, sys.isometries
-    i0, j0, sure = pairs
     unit = np.all((0.0 <= arr) & (arr <= 1.0))  # else no stage-0 pair is sure
     arrays = {}  # stage array per node and whether a kid is isometric, freed with the walk
     todo = [(root, arr)]
@@ -438,15 +437,13 @@ def _pair_walk(sys: GeneratorSystem, arr, pairs, eps, root, tally=None):
         node, arr = todo.pop()
         arrays[id(node)] = arr, not iso.isdisjoint(node[1])
         todo.extend((kid, apply(kid[0], arr)) for kid in node[1].values())
-    chunk, inside = systems.PAIR_CHUNK, eps - systems.PAIR_MARGIN
-    size = min(chunk, len(i0))
+    size, inside = systems.PAIR_CHUNK, eps - systems.PAIR_MARGIN
     ta, tb = np.empty((2, size), dtype=arrays[id(root)][0].dtype)
     at = np.arange(size, dtype=np.int32) if tally is None else None  # copies half as big
-    for lo in range(0, len(i0), chunk):
-        cols = (i0[lo:lo + chunk], j0[lo:lo + chunk])
-        left = SURE_STAGES if unit and lo + len(cols[0]) <= sure else 0
-        if at is not None:
-            cols += (at[:len(cols[0])],)
+    lo = 0
+    for i0, j0, sure in chunks:
+        left = SURE_STAGES if unit and sure else 0
+        cols = (i0, j0) if at is None else (i0, j0, at[:len(i0)])
         stack = [(root, cols, None, [], 0, left)]  # base tally, pieces dropped since, their size
         while stack:
             node, cols, got, dropped, gone, left = stack.pop()
@@ -481,6 +478,7 @@ def _pair_walk(sys: GeneratorSystem, arr, pairs, eps, root, tally=None):
                 dropped, gone = [], 0
                 yield ends[0], lo, got
             stack.extend((kid, cols, got, dropped, gone, left) for kid in kids.values())
+        lo += len(i0)
 
 
 class _Blocks(NamedTuple):
@@ -532,34 +530,42 @@ def _net_from_pairs(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 def _pair_results(sys, pset, eps, root, nodes, kind, reduce, blocks, center) -> dict:
     """The reduced result of the kind at every trie node where cells
     end, keyed by its first cell (listed in nodes), from one pair walk;
-    results are made and reduced one node at a time.  The point array
-    and its stage-0 pairs are made once per call, before the walk's own
-    arrays.  With a center, the walk's array is the center and the points
-    that pair_ops.close keeps with it, and a count is one plus the
-    center's surviving pairs."""
+    results are made and reduced one node at a time.  The point array is
+    made once per call and its stage-0 pairs streamed once (twice for a
+    net).  With a center, the walk's array is the center and the points
+    that pair_ops.close keeps with it, its pairs (0, b), and a count is
+    one plus the center's surviving pairs."""
     arr = sys.array_ops.to_array(pset.points)
     if center is not None:
         near = sys.pair_ops.close(arr[center], arr, eps)
         near[center] = False
         arr = np.concatenate((arr[center:center + 1], arr[near]))
-        pairs = np.zeros(len(arr) - 1, np.int32), np.arange(1, len(arr), dtype=np.int32), 0
+        b, size = np.arange(1, len(arr), dtype=np.int32), systems.PAIR_CHUNK
+        chunks = ((0 * b[lo:lo + size], b[lo:lo + size], False) for lo in range(0, len(b), size))
         count = dict.fromkeys(nodes, 1)  # the center itself
-        for c, _, got in _pair_walk(sys, arr, pairs, eps, root, lambda i, j: len(i)):
+        for c, _, got in _pair_walk(sys, arr, chunks, eps, root, lambda i, j: len(i)):
             count[c] += got
         return {c: reduce(float(count[c])) for c in nodes}
     n = len(arr)
-    i0, j0, _ = pairs = sys.pair_ops.stage0(arr, eps)
+    chunks = sys.pair_ops.stage0(arr, eps)
     if kind != "net":
         size, dtype = (n, np.int32) if kind == "balls" else (blocks.n_blocks**2, np.int64)
         acc = {c: np.zeros(size, dtype=dtype) for c in nodes}
         tally = partial(_tally, kind, size, blocks)
-        for c, _, got in _pair_walk(sys, arr, pairs, eps, root, tally):
+        for c, _, got in _pair_walk(sys, arr, chunks, eps, root, tally):
             acc[c] += got
         return {c: reduce(_tallied(kind, acc.pop(c), blocks)) for c in nodes}
-    # a net needs all of a node's pairs at once: one bit per stage-0 pair
-    # and node during the walk, then one node's pairs at a time
+    # a net needs all of a node's pairs at once: counted, then streamed
+    # again into one list of that size (no freed chunks left on the heap)
+    # and walked as views, one bit per pair and node; then node by node
+    i0, j0 = np.empty((2, sum(len(i) for i, _, _ in chunks)), dtype=np.int32)
+    views, lo = [], 0
+    for i, j, sure in sys.pair_ops.stage0(arr, eps):
+        i0[lo:lo + len(i)], j0[lo:lo + len(i)] = i, j
+        views.append((i0[lo:lo + len(i)], j0[lo:lo + len(i)], sure))
+        lo += len(i)
     acc = {c: np.zeros((len(i0) + 7) // 8, dtype=np.uint8) for c in nodes}
-    for c, lo, pos in _pair_walk(sys, arr, pairs, eps, root):
+    for c, lo, pos in _pair_walk(sys, arr, views, eps, root):
         pos = pos + lo % 8  # bits from byte lo // 8, small enough for int32
         byte = pos >> 3
         starts = np.flatnonzero(np.diff(byte, prepend=-1))
@@ -1035,7 +1041,7 @@ def local_corr_entropy_series(
             mean_full, var_full = _log_word_mean(full_k, words)
             mean_half, var_half = _log_word_mean(half_k, words)
             tol = 2.0 * math.sqrt(var_full + var_half)
-            rows.append((k, -mean_full / k))
+            rows.append((k, 0.0 - mean_full / k))  # no -0.0
             ses.append(math.sqrt(var_full) / k)
             flags.append("" if abs(mean_full - mean_half) <= tol or tol == 0.0 else "unstable")
         out.append(EntropySeries(eps, rows, stderrs=ses, flags=flags))
@@ -1113,6 +1119,6 @@ def local_entropy_series(
     out = []
     for eps in eps_list:
         found = _cell_measures(measure, sys, eps, cells, center=at)
-        rows = [(k, -math.log(m) / k) for k, m in zip(k_list, found)]
+        rows = [(k, 0.0 - math.log(m) / k) for k, m in zip(k_list, found)]  # no -0.0
         out.append(EntropySeries(eps, rows))
     return out

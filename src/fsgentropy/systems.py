@@ -22,14 +22,15 @@ Systems may advertise four optional fast-path capabilities:
   and a center-by-sample threshold test (read only by the benchmark's
   tracer), for scalar systems (the circle family).
 * pair_ops: sparse Bowen pair lists on the arc metric of R/Z (the circle
-  family and its power systems).  stage0 finds every pair of a point
-  array within eps by sorting it once and reading each centre's band of
-  eps plus a small margin, wrap-around band included, from the sorted
-  order: only the margin's thin edge goes through the exact test, and
-  close keeps a pair exactly when the metric would; the estimators
-  filter the stage-0 pairs stage by stage down the prefix trie of a
-  series' words with close, so no N x N matrix is ever built, and keep
-  stage0's sure pairs untested through the isometries (the rotation).
+  family and its power systems).  stage0 streams every pair of a point
+  array within eps, in chunks, by sorting it once and reading each
+  centre's band of eps plus a small margin, wrap-around band included,
+  from the sorted order: only the margin's thin edge goes through the
+  exact test, and close keeps a pair exactly when the metric would; the
+  estimators filter each stage-0 chunk stage by stage down the prefix
+  trie of a series' words with close, so no N x N matrix and no whole
+  pair list is ever built, and keep stage0's sure chunks untested
+  through the isometries (the rotation).
   pair_ops needs array_ops for the stage arrays.
 
 Estimators fall back to the generic pairwise path when none is present;
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Hashable, Optional, Sequence
+from typing import Any, Callable, Hashable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -84,9 +85,10 @@ class WindowOps:
 class PairOps:
     """Sparse pair lists over a point array of a scalar metric space."""
 
-    # (array, eps) -> int32 arrays (i, j), i < j, of every pair within
-    # eps, and how many at their head lie within eps - margin (sure pairs)
-    stage0: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray, int]]
+    # (array, eps) -> every pair i < j within eps, as chunks (i, j, sure)
+    # of at most PAIR_CHUNK int32 pairs, sure when all lie within eps -
+    # margin; the sure chunks come first
+    stage0: Callable[[np.ndarray, float], Iterator[tuple[np.ndarray, np.ndarray, bool]]]
     close: Callable[..., np.ndarray]  # (a, b, eps, out=None): bool; distances into out
 
 
@@ -240,7 +242,8 @@ def _circle_close(a: np.ndarray, b: np.ndarray, eps: float, out=None) -> np.ndar
 
 
 # Pairs of stage0 candidates handled at once, in stage0 and in the
-# estimators' stage filter; bounds every pair-list temporary.
+# estimators' stage filter; bounds every pair-list temporary and every
+# chunk that stage0 yields.
 PAIR_CHUNK = 1 << 14
 
 # Slack of the stage0 sweep band per unit of the largest |point|: far
@@ -249,19 +252,23 @@ PAIR_CHUNK = 1 << 14
 PAIR_MARGIN = 1e-9
 
 
-def _circle_stage0(arr: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, int]:
+def _circle_stage0(arr: np.ndarray, eps: float) -> Iterator[tuple[np.ndarray, np.ndarray, bool]]:
     """Every pair i < j of arr with _circle_close(arr[i], arr[j], eps),
-    and how many of them come first with _circle_close(..., eps - margin).
+    as a stream of chunks (i, j, sure) of at most PAIR_CHUNK pairs in
+    fresh int32 arrays, the sure chunks first: those whose pairs all
+    pass _circle_close(..., eps - margin).
 
     min(d, 1 - d) <= eps holds exactly when d <= eps or d >= 1 - eps, so
     after one sort the candidates of sorted row a are a near band (a, near)
     and a wrap-around band [wrap, n), both widened by the margin (where
     they meet, every pair is a candidate).  Only their margin parts, within
     two margins of eps or of 1 - eps, go through the exact test; the sure
-    parts, kept whole and written first, end a margin short of eps -
-    margin, past the sweep keys' rounding.  Each kind of band is read in
-    PAIR_CHUNK slices of all rows' bands laid end to end, a candidate's
-    row repeated from the band lengths, into two int32 arrays made once.
+    parts, kept whole and read first, end a margin short of eps - margin,
+    past the sweep keys' rounding.  The bands of all rows are laid end to
+    end, sure parts first, and read in PAIR_CHUNK slices (sure parts,
+    then margin parts), a candidate's row repeated from the band lengths,
+    in int32, whose temporaries the heap reuses without faulting in
+    pages: a slice's kept pairs are a chunk (none if the test keeps none).
     """
     n = len(arr)
     order = np.argsort(arr, kind="stable").astype(np.int32)
@@ -276,31 +283,26 @@ def _circle_stage0(arr: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray,
     else:  # the bands meet: one margin band between the sure ones
         near = wrap = np.maximum(sure_wrap, sure_near)
     sure_near, sure_wrap = np.minimum(sure_near, near), np.maximum(sure_wrap, wrap)
-    # the bands [first, stop) of every sorted row: two sure, then two margin
+    # the bands [first, stop) of every sorted row, two sure then two
+    # margin: band k of row a is range r = k n + a, [edges[r], edges[r + 1])
     bands = ((row + 1, sure_near), (sure_wrap, n), (sure_near, near), (wrap, sure_wrap))
-    sizes = [int((stop - first).sum()) for first, stop in bands]
-    out_i, out_j = np.empty((2, sum(sizes)), dtype=np.int32)
-    kept = 0
-    for band, (first, stop) in enumerate(bands):
-        length = stop - first
-        ends = np.cumsum(length)
-        shift = first - ends + length  # candidate position + shift = its partner
-        for lo in range(0, sizes[band], PAIR_CHUNK):
-            hi = min(lo + PAIR_CHUNK, sizes[band])
-            bot, top = np.searchsorted(ends, (lo, hi - 1), side="right")
-            rows = slice(bot, top + 1)
-            cut = np.minimum(ends[rows], hi) - np.maximum(ends[rows] - length[rows], lo)
-            a = np.repeat(row[rows], cut)
-            b = np.arange(lo, hi) + np.repeat(shift[rows], cut)
-            if band > 1:  # a margin band: the exact test decides
-                hit = _circle_close(v[a], v[b], eps)
-                a, b = a[hit], b[hit]
+    first = np.concatenate([start for start, _ in bands], dtype=np.int32)
+    edges = np.cumsum(np.concatenate([[0], *(stop - start for start, stop in bands)]))
+    size, sure = int(edges[-1]), int(edges[2 * n])
+    for lo in [*range(0, sure, PAIR_CHUNK), *range(sure, size, PAIR_CHUNK)]:
+        hi = min(lo + PAIR_CHUNK, sure if lo < sure else size)
+        bot, top = np.searchsorted(edges, (lo, hi - 1), side="right") - 1
+        begin, end = edges[bot:top + 1], edges[bot + 1:top + 2]
+        cut = np.minimum(end, hi) - np.maximum(begin, lo)
+        a = np.repeat(np.arange(bot, top + 1, dtype=np.int32) % n, cut)
+        shift = (first[bot:top + 1] - (begin - lo)).astype(np.int32)  # partner - (position - lo)
+        b = np.arange(hi - lo, dtype=np.int32) + np.repeat(shift, cut)
+        if lo >= sure:  # the margin bands: the exact test decides
+            hit = _circle_close(v[a], v[b], eps)
+            a, b = a[hit], b[hit]
+        if len(a):
             a, b = order[a], order[b]
-            m = len(a)
-            np.minimum(a, b, out=out_i[kept:kept + m])
-            np.maximum(a, b, out=out_j[kept:kept + m])
-            kept += m
-    return out_i[:kept], out_j[:kept], sizes[0] + sizes[1]
+            yield np.minimum(a, b), np.maximum(a, b), lo < sure
 
 
 def _circle_system(name: str, maps, apply_arr, isometries=frozenset()) -> GeneratorSystem:

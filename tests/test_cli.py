@@ -471,6 +471,11 @@ def test_cli_seed_override_changes_output(tmp_path):
         ("weights = nan,nan\n", []),
         ("system = circle-double-rotate\nalpha = nan\n", []),
         ("system = torus-affine\nconstants = 0.0,inf\n", []),
+        ("system = torus-affine\nconstants = \n", []),
+        ("depth = 2\n", []),
+        ("depth = 4\n", []),
+        ("estimator = corr-sum\nn = 50\ndepth = 54\n", []),
+        ("estimator = power-test\ndepth = 7\n", []),
         ("seed = -5\n", []),
         ("", ["--seed", "-1"]),
         ("estimator = power-test\npower = 30\n", []),
@@ -478,14 +483,16 @@ def test_cli_seed_override_changes_output(tmp_path):
     ],
     ids=[
         "nan-radius-circle", "inf-radius-circle", "nan-radius-binary", "nan-weights",
-        "nan-alpha", "inf-constant", "negative-seed", "negative-seed-flag",
+        "nan-alpha", "inf-constant", "no-constants", "depth-2", "depth-below-horizon",
+        "depth-below-orbit", "depth-below-power-horizon", "negative-seed", "negative-seed-flag",
         "power-alphabet-overflow", "reproduce-negative-seed",
     ],
 )
 def test_values_a_run_cannot_use_are_config_errors(tmp_path, capsys, body, argv):
-    """Non-finite numbers, negative seeds and an oversized power alphabet
-    end in exit 2 with a config error, not rows, a runtime error or a
-    traceback."""
+    """Non-finite numbers, no torus constants, a binary depth below the
+    coordinates the run reads, negative seeds and an oversized power
+    alphabet end in exit 2 with a config error, not rows, a runtime
+    error or a traceback."""
     if body is not None:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("epsilons = 0.25\nks = 1,2,3\nn_points = 64\nm_omega = 4\n" + body)
@@ -494,3 +501,43 @@ def test_values_a_run_cannot_use_are_config_errors(tmp_path, capsys, body, argv)
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("config error:")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "body, need",
+    [
+        ("", 2 + 3),
+        ("epsilons = 0.25,0.0625\n", 4 + 3),
+        ("estimator = corr-sum\nn = 50\n", 2 + 3 + 50),
+        ("estimator = local-corr-entropy\nn = 50\n", 2 + 3 + 50),
+        ("estimator = power-test\npower = 3\n", 2 + 3 * 3),
+    ],
+    ids=["horizon", "finest-radius", "corr-sum", "local-corr-entropy", "power-test"],
+)
+def test_a_binary_depth_must_cover_what_the_run_reads(body, need):
+    """The depth floor is the finest radius's resolution plus the longest
+    horizon (times the power for power-test), plus n for orbits; other
+    systems ignore the depth."""
+    base = "epsilons = 0.25\nks = 1,2,3\n" + body
+    assert parse_config(f"{base}depth = {need}\n").depth == need
+    with pytest.raises(ConfigInvalid, match=f"depth.*must be >= {need}"):
+        parse_config(f"{base}depth = {need - 1}\n")
+    assert parse_config(f"{base}system = torus-affine\ndepth = 1\n").depth == 1
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "estimator = local-entropy\nn_points = 1\n",
+        "estimator = local-corr-entropy\nepsilons = 0.6\nn = 5\nm_upsilon = 2\n",
+    ],
+    ids=["local-entropy-one-point", "local-corr-entropy-every-pair-close"],
+)
+def test_a_ball_holding_everything_prints_a_positive_zero(tmp_path, capsys, body):
+    """A centre whose ball holds the whole sample, or orbits whose pairs
+    are all close, give entropy rows of 0.0, never -0.0."""
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("system = circle-double-rotate\nepsilons = 0.25\nks = 1,2,3\n" + body)
+    assert main(["run", str(cfg)]) == 0
+    rows = parse_rows(capsys.readouterr().out)
+    assert [str(r.value) for r in rows] == ["0.0"] * 3

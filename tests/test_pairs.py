@@ -101,6 +101,21 @@ def _points(n, seed):
     return list(EDGE) + [float(rng.random()) for _ in range(n)]
 
 
+def _stage0(arr, eps):
+    """stage0's stream joined into (i, j, sure), sure one flag per pair,
+    after checking that each chunk holds 1 to PAIR_CHUNK pairs i < j in
+    fresh int32 arrays and that the sure chunks come first."""
+    chunks = list(systems._circle_stage0(arr, eps))
+    for i, j, _ in chunks:
+        assert i.dtype == j.dtype == np.int32 and i.base is None and j.base is None
+        assert 0 < len(i) == len(j) <= systems.PAIR_CHUNK and (i < j).all()
+    flags = [sure for _, _, sure in chunks]
+    assert flags == sorted(flags, reverse=True)
+    sizes = [len(i) for i, _, _ in chunks]
+    i, j = (np.concatenate([np.empty(0, np.int32)] + [c[col] for c in chunks]) for col in (0, 1))
+    return i, j, np.repeat(np.array(flags, dtype=bool), sizes)
+
+
 def _words(sys_, k):
     return [word(syms, sys_.m) for syms in itertools.product(range(1, sys_.m + 1), repeat=k - 1)]
 
@@ -190,7 +205,7 @@ def _margin_points(eps):
 @pytest.mark.parametrize("eps", EPS + (0.75, 2.0))
 def test_stage0_is_exactly_the_close_pairs(chunk, eps):
     """Sorted-order bands, wrap-around band, margin and chunking: stage0
-    returns each pair i < j with close(arr[i], arr[j]) once, as int32,
+    streams each pair i < j with close(arr[i], arr[j]) once, as int32,
     also for points outside [0, 1) and for points on both sides of
     where each band's sure part ends and its margin part begins."""
     rng = substream(3)
@@ -200,8 +215,7 @@ def test_stage0_is_exactly_the_close_pairs(chunk, eps):
     ):
         arr = np.array(pts)
         arr = arr[rng.permutation(len(arr))]
-        i, j, _ = systems._circle_stage0(arr, eps)
-        assert i.dtype == np.int32 and j.dtype == np.int32
+        i, j, _ = _stage0(arr, eps)
         got = sorted(zip(i.tolist(), j.tolist()))
         a, b = np.triu_indices(len(arr), 1)
         hit = systems._circle_close(arr[a], arr[b], eps)
@@ -210,10 +224,10 @@ def test_stage0_is_exactly_the_close_pairs(chunk, eps):
 
 @pytest.mark.parametrize("eps", EPS + (0.75, 2.0))
 def test_stage0_counts_its_sure_pairs_first(chunk, eps):
-    """The pairs before stage0's sure count pass the exact test at
-    eps - margin, margin the sweep's own, also for points outside [0, 1)
-    and on the edges of the bands; and every pair within eps - 3 margin
-    comes before it."""
+    """The pairs of stage0's sure chunks, which come first, pass the
+    exact test at eps - margin, margin the sweep's own, also for points
+    outside [0, 1) and on the edges of the bands; and every pair within
+    eps - 3 margin lies in a sure chunk."""
     rng = substream(13)
     for pts in (
         _points(40, 3) + [-0.3, 1.7, 2.05, -1.95, 5.0, 1e6, 1e6 + 0.1],
@@ -222,12 +236,11 @@ def test_stage0_counts_its_sure_pairs_first(chunk, eps):
     ):
         arr = np.array(pts)
         arr = arr[rng.permutation(len(arr))]
-        i, j, sure = systems._circle_stage0(arr, eps)
+        i, j, sure = _stage0(arr, eps)
         margin = systems.PAIR_MARGIN * max(1.0, float(np.abs(arr).max()))
-        assert 0 <= sure <= len(i)
-        assert systems._circle_close(arr[i[:sure]], arr[j[:sure]], eps - margin).all()
+        assert systems._circle_close(arr[i[sure]], arr[j[sure]], eps - margin).all()
         deep = systems._circle_close(arr[i], arr[j], eps - 3 * margin)
-        assert not deep[sure:].any()
+        assert not deep[~sure].any()
 
 
 @pytest.mark.parametrize("eps", (0.5, 0.5 - 1e-11, 0.125, 2.0**-20))
@@ -255,37 +268,64 @@ def test_one_center_walks_its_own_pairs_like_the_oracle(pair_systems, chunk, eps
     assert calls == []
 
 
-@pytest.mark.parametrize("n, eps", [(2048, 1 / 8), (4096, 1 / 4)])
-def test_stage0_memory_is_bounded(n, eps, monkeypatch):
-    """Stage 0 of n points with C candidate pairs (the pairs in its bands,
-    margin parts included: at most the pairs it keeps plus those the
-    exact test drops) peaks at no more than
+@pytest.mark.parametrize("n, eps", [(2048, 1 / 8), (4096, 1 / 4), (16384, 1 / 64)])
+def test_stage0_memory_is_bounded(n, eps):
+    """Stage 0 of n points, read one chunk at a time, peaks at no more
+    than
 
-        8 C + 128 n + 48 PAIR_CHUNK bytes
+        128 n + 32 PAIR_CHUNK bytes
 
-    of numpy allocations: the two int32 output arrays (8 C), the sort and
-    the per-row band bounds (under 16 int64 words per point, one band
-    kind's arrays at a time) and one chunk's temporaries (under 6 int64
-    words per candidate).  No temporary of the candidates' size, so the
-    pairs kept cost their own 8 bytes each and no more."""
+    of numpy allocations, however many pairs P it streams: the sort, the
+    per-row band bounds and the edges of all rows' bands (under 16 int64
+    words per point) and one chunk's temporaries, the chunk yielded and
+    the one the reader still holds included (under 8 int32 words per
+    candidate).  Nothing grows with P: here the pairs alone would take
+    8 P bytes, 5 to 30 times the bound."""
     arr = substream(12).random(n)
-    exact, dropped = systems._circle_close, []
-
-    def close(a, b, e):
-        hit = exact(a, b, e)
-        dropped.append(len(hit) - int(hit.sum()))
-        return hit
-
-    monkeypatch.setattr(systems, "_circle_close", close)
     tracemalloc.start()
     try:
-        i, _, _ = systems._circle_stage0(arr, eps)
+        pairs = 0
+        for i, _, _ in systems._circle_stage0(arr, eps):
+            pairs += len(i)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    candidates = len(i) + sum(dropped)
-    assert len(i) > 0.9 * eps * n * (n - 1)  # about n^2 eps pairs
-    assert peak <= 8 * candidates + 128 * n + 48 * systems.PAIR_CHUNK
+    assert pairs > 0.9 * eps * n * (n - 1)  # about n^2 eps pairs
+    bound = 128 * n + 32 * systems.PAIR_CHUNK
+    assert peak <= bound and 5 * bound < 8 * pairs
+
+
+@pytest.mark.parametrize("kind", ["balls", "pairs"])
+def test_walk_memory_does_not_grow_with_the_pairs(kind):
+    """A whole circle walk of N = 4096 points, at eps 1/4 and at eps 1/32
+    (8 times fewer stage-0 pairs), peaks at no more than
+
+        8 N nodes + 4 N cells + 128 N + 96 PAIR_CHUNK bytes
+
+    of numpy allocations: a float64 stage array per trie node, an int32
+    count per cell, stage 0's sort and band bounds and the tally's
+    bincounts (under 16 int64 words per point), and the temporaries of
+    one chunk (stage 0's slice, the gather buffers, and a filtered pair
+    set per trie level on the walk's stack).  There is no term in the
+    pair count P: the pairs at eps 1/4 alone would take 8 P bytes, more
+    than 10 times the bound."""
+    fast, n = SYSTEMS["circle"], 4096
+    pts = substream(21).random(n).tolist()
+    cells = _cells(fast)
+    nodes = {w.symbols[:d] for k, w in cells for d in range(k)}
+    bound = 8 * n * len(nodes) + 4 * n * len(cells) + 128 * n + 96 * systems.PAIR_CHUNK
+    pairs = []
+    for eps in (0.25, 1 / 32):
+        pairs.append(len(_stage0(np.array(pts), eps)[0]))
+        pset = _as_point_set(fast, pts)
+        tracemalloc.start()
+        try:
+            _count_cells(fast, pset, eps, cells, kind, **_kind_options(kind, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, eps
+    assert pairs[0] >= 4 * pairs[1] and 8 * pairs[0] > 10 * bound
 
 
 def test_each_count_sweeps_stage0_once():
@@ -368,7 +408,7 @@ def test_tally_by_difference_matches_oracle(chunk, kind, share):
     base = SYSTEMS["circle"]
     fast, oracle = _sparse(base, []), _generic(base)
     pts, eps = SHARES[share], 0.125
-    i, j, _ = systems._circle_stage0(np.array(pts), eps)
+    i, j, _ = _stage0(np.array(pts), eps)
     doubled = base.array_ops.apply(1, np.array(pts))
     kept = int(systems._circle_close(doubled[i], doubled[j], eps).sum())
     assert {"all": kept == len(i), "none": kept == 0, "most": len(i) > kept > len(i) / 2,
@@ -424,7 +464,7 @@ def test_tally_takes_at_most_half_its_parents_pairs(monkeypatch):
     survivors = [int(got.sum()) // 2 for _, _, got in log]  # two ball counts per pair
     assert all(passed <= alive for (passed, _, _), alive in zip(log, survivors))
     tallied = sum(passed for passed, _, _ in log)
-    stage0 = len(systems._circle_stage0(np.array(em.points), 0.125)[0])
+    stage0 = len(_stage0(np.array(em.points), 0.125)[0])
     assert stage0 < tallied <= 0.5 * sum(survivors)
 
 
@@ -492,9 +532,9 @@ def test_each_trie_node_filters_once_per_chunk(monkeypatch, chunk_size):
     nodes = {w.symbols[:d] for k, w in cells for d in range(k)}
     # at eps = 1/2 every pair is close at every stage, so no subtree is skipped
     pset = _as_point_set(fast, pts)
-    n_pairs = len(systems._circle_stage0(np.asarray(pts), 0.5)[0])
-    assert n_pairs == len(pts) * (len(pts) - 1) // 2
-    chunks = -(-n_pairs // systems.PAIR_CHUNK)
+    chunks = list(systems._circle_stage0(np.asarray(pts), 0.5))
+    assert sum(len(i) for i, _, _ in chunks) == len(pts) * (len(pts) - 1) // 2
+    chunks = len(chunks)
     _count_cells(fast, pset, 0.5, cells, "balls")
     assert count["apply"] == len(nodes) - 1
     assert count["close"] == (len(nodes) - 1) * chunks
@@ -597,9 +637,10 @@ def test_rotation_nodes_keep_sure_pairs_untested(monkeypatch, chunk_size, inside
     pts = substream(9).random(20).tolist() + ([] if inside else [1.25])
     cells = _cells(fast) + [(6, word((2, 2, 2, 2, 1), 2)), (5, word((1, 2, 2, 2), 2))]
     nodes = {w.symbols[:d] for k, w in cells for d in range(k)}
-    i, _, sure = systems._circle_stage0(np.asarray(pts), 0.5)
-    assert sure == len(i) == len(pts) * (len(pts) - 1) // 2
-    chunks = -(-len(i) // systems.PAIR_CHUNK)
+    chunks = list(systems._circle_stage0(np.asarray(pts), 0.5))
+    assert all(sure for _, _, sure in chunks)
+    assert sum(len(i) for i, _, _ in chunks) == len(pts) * (len(pts) - 1) // 2
+    chunks = len(chunks)
     got = _count_cells(fast, _as_point_set(fast, pts), 0.5, cells, "balls")
     tested = _tested_nodes(nodes, inside, stages or estimators.SURE_STAGES)
     assert count["close"] == len(tested) * chunks
@@ -681,3 +722,60 @@ def test_sure_pairs_at_the_margin_match_oracle(monkeypatch, eps, outside):
                 local_entropy_series(em, fast, omega, c, [eps], range(1, 8))[0].rows
                 for c in centers
             ]
+
+
+def _margin_pairs(eps, offsets):
+    """Points of [0, 1) paired at eps + t margin for t in offsets, directly
+    and (from the base 1 - eps / 4) the long way round across 0, where
+    margin = PAIR_MARGIN, stage 0's on [0, 1]: a pair with t <= -2 lies
+    in a sure band, one with -2 < t <= 1 in a margin band, whose exact
+    test keeps it for t <= 0 and drops it for t > 0."""
+    pts = []
+    for x in (0.07, 0.37, 0.6, 1.0 - eps / 4):
+        pts.append(x)
+        for t in offsets:
+            d = eps + t * systems.PAIR_MARGIN
+            pts += [(x + d) % 1.0, (x - d) % 1.0]
+    return pts
+
+
+@pytest.mark.parametrize("kind", ["balls", "pairs", "net"])
+@pytest.mark.parametrize("eps", (0.25, 0.125, 2.0**-20))
+def test_walk_reads_sure_and_margin_chunks_like_the_oracle(monkeypatch, chunk, kind, eps):
+    """Ball counts, pair counts and greedy nets along words with rotation
+    chains equal the oracle's, with one, seven or all pairs per chunk,
+    when a sure chunk crosses from the near band into the wrap-around
+    band and the sure chunks end part way through a chunk's worth of
+    pairs (so the first margin chunk starts at no multiple of
+    PAIR_CHUNK), followed by margin chunks that the exact test keeps in
+    part, and when the exact test empties every margin slice it reads."""
+    exact, tested = systems._circle_close, []
+
+    def close(a, b, e):
+        hit = exact(a, b, e)
+        tested.append(int(np.count_nonzero(hit)))
+        return hit
+
+    monkeypatch.setattr(systems, "_circle_close", close)  # stage 0's exact test only
+    fast, oracle = _sparse(SYSTEMS["circle"], []), _generic(SYSTEMS["circle"])
+    cells = [
+        (k, word(syms, 2))
+        for syms in [(1, 2, 2, 2, 1, 2), (2, 1, 2, 2), (2, 2, 1)]
+        for k in range(1, len(syms) + 2)
+    ]
+    for offsets in ((-3, -1, 0.5), (-3, 0.5)):
+        pts = _margin_pairs(eps, offsets)
+        arr, opts = np.array(pts), _kind_options(kind, len(pts))
+        tested.clear()
+        _, _, sure = _stage0(arr, eps)
+        if len(offsets) == 3:  # margin pairs kept, after a partial sure chunk
+            assert 0 < sure.sum() < len(sure) and any(tested)
+            assert systems.PAIR_CHUNK == 1 or sure.sum() % systems.PAIR_CHUNK
+            wraps = [abs(arr[i] - arr[j]) > 0.5 for i, j, s in systems._circle_stage0(arr, eps) if s]
+            assert systems.PAIR_CHUNK == 1 or any(w.any() and not w.all() for w in wraps)
+        else:
+            assert sure.all() and tested and not any(tested)
+        got = _count_cells(fast, _as_point_set(fast, pts), eps, cells, kind, **opts)
+        for g, cell in zip(got, cells):
+            want = _count_cells(oracle, _as_point_set(oracle, pts), eps, [cell], kind, **opts)
+            assert np.array_equal(g, want[0]), (offsets, cell)
