@@ -12,11 +12,12 @@ Metric convention
 -----------------
 d(x, y) = 2**(-L) where L is the number of leading coordinates on which
 x and y agree (d = 1 when they differ at the first coordinate, 0 when
-the prefixes are identical).  With the non-strict ball rule d <= eps
-this makes the ball of radius 2**(-t) exactly the cylinder on the first
-t coordinates, which is the convention all closed-form series here are
-built on.  Under the fair-coin measure the cylinder on L coordinates
-has measure exactly 2**(-L).
+the prefixes are identical, known only up to the depth: see distance).
+With the non-strict ball rule d <= eps this makes the ball of radius
+2**(-t) exactly the cylinder on the first t coordinates, which is the
+convention all closed-form series here are built on.  Under the
+fair-coin measure the cylinder on L coordinates has measure exactly
+2**(-L).
 
 For a word omega over {1: shift, 2: odometer} and horizon k, the Bowen
 ball of radius 2**(-t) is the cylinder on the first t + s coordinates,
@@ -148,18 +149,38 @@ def add_one(x: BinaryPoint) -> BinaryPoint:
     return p
 
 
+class _AtMost(float):
+    """0.0 for two equal prefixes of one depth, whose distance is only
+    known to be at most 2**-depth: compared with a smaller radius it
+    raises DepthExhausted, as ball_key does; two compare by bound, so a
+    max over Bowen stages keeps the loosest."""
+
+    def __gt__(self, eps):
+        if isinstance(eps, _AtMost):
+            return self.depth < eps.depth
+        if eps < 2.0 ** -self.depth:
+            raise DepthExhausted(f"points agree on all {self.depth} coordinates")
+        return False
+
+    def __le__(self, eps):
+        return not self > eps
+
+
 def distance(x: BinaryPoint, y: BinaryPoint) -> float:
     """2**(-number of leading coordinates on which x and y agree).
 
     Raises DepthExhausted when the prefixes agree on their whole common
     range but have different depths: the true distance would depend on
-    coordinates outside the truncation.
+    coordinates outside the truncation.  Two equal prefixes of one depth
+    give a 0.0 that raises where a comparison needs more (_AtMost).
     """
     w = x.value ^ y.value
     if w == 0:
         if x.depth != y.depth:
             raise DepthExhausted("points agree on the shorter prefix")
-        return 0.0
+        d = _AtMost()
+        d.depth = x.depth
+        return d
     common = (w & -w).bit_length() - 1
     if common >= x.depth or common >= y.depth:
         raise DepthExhausted("first difference lies beyond the shorter prefix")
@@ -240,8 +261,8 @@ def _carry_may_leave(win, width) -> bool:
 
 def orbit_windows(x: BinaryPoint, words, n: int):
     """Windows of the first n orbit points of x along each symbol word
-    (1 shift, 2 odometer; at least n - 1 symbols), one (win, depth)
-    pair of length-n arrays per word.
+    (1 shift, 2 odometer; at least n - 1 symbols), one (win, depth) pair
+    of arrays of len(words) * n, orbit o at [o * n, (o + 1) * n).
 
     An odometer after a shifts adds 2**a at the scale of x, and a shift
     floors, so with run[a] odometers between shifts a and a + 1 and
@@ -254,11 +275,12 @@ def orbit_windows(x: BinaryPoint, words, n: int):
     when some orbit would run out of depth or some odometer step could
     carry out of its window.
     """
-    words = [np.array(syms[: n - 1], dtype=np.int8) for syms in words]
+    words = [np.asarray(syms[: n - 1], dtype=np.int8) for syms in words]
     if max((np.count_nonzero(syms == 1) for syms in words), default=0) > x.depth - 1:
         return None
-    out = []
-    for syms in words:
+    win = np.empty(len(words) * n, dtype=np.uint64)
+    depth = np.empty(len(words) * n, dtype=np.int64)
+    for o, syms in enumerate(words):
         odometer = syms == 2
         shifts = np.concatenate(([0], np.cumsum(~odometer)))
         run = np.bincount(shifts[:-1][odometer], minlength=shifts[-1] + 1)
@@ -275,13 +297,13 @@ def orbit_windows(x: BinaryPoint, words, n: int):
             w = w[:-b] + (w[b:] << np.uint64(b))
         # odometers since the point's level began
         since = np.arange(n) - shifts - (np.cumsum(run) - run)[shifts]
-        win = w[shifts] + since.astype(np.uint64)
-        depth = x.depth - shifts
-        width = np.minimum(depth[:-1][odometer], WINDOW_BITS)
-        if _carry_may_leave(win[:-1][odometer], width):
+        at = slice(o * n, (o + 1) * n)
+        np.add(w[shifts], since.astype(np.uint64), out=win[at])
+        np.subtract(x.depth, shifts, out=depth[at])
+        width = np.minimum(depth[at][:-1][odometer], WINDOW_BITS)
+        if _carry_may_leave(win[at][:-1][odometer], width):
             return None
-        out.append((win, depth))
-    return out
+    return win, depth
 
 
 def window_stage(wins, eps: float, state=None, sym: int = 1):

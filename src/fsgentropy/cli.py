@@ -98,7 +98,9 @@ class ExperimentConfig:
             raise ConfigInvalid("series", "must be top, corr or measure")
         need = _min_depth(self) if self.system == "binary-shift-odometer" else 1
         if self.depth is not None and self.depth < need:
-            raise ConfigInvalid("depth", f"must be >= {need}, the coordinates this run reads")
+            raise ConfigInvalid("depth", f"must be >= {need}, the coordinates this run reads"
+                                f" (necessary, not sufficient: below {need + DEPTH_HEADROOM}, the"
+                                " default, a carry may still run out of coordinates)")
         if self.weights is not None:
             try:
                 BernoulliSpec(tuple(self.weights))

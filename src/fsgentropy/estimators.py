@@ -22,41 +22,25 @@ Conventions shared by everything here:
   entropy counts the ball of its center alone.
 * With ball keys, a trie node folds its stage keys into its parent's
   integer labels, equal for two points exactly when they are
-  Bowen-within eps along the prefix.  Labels are the dense ranks of the
-  packed stage keys, made with no sort while the key space is small
-  (RANK_TABLE_RATIO), and greedy nets and pair counts read them in
-  linear time.  Nodes with the same non-isometric letters in order
-  (binary: the same shift count) share one fold and one read, held
-  until the last of them.  On the binary backend the keys
-  come from uint64 windows, made once per point set (the sample, or
-  each driving word's orbit); below a node whose windows cannot decide,
-  the exact stage keys of the points take over.  A point set keeps the
-  window state and labels where its latest walk ended, for one radius,
-  and a walk at that radius down a longer prefix of the same word
-  resumes there: the nested horizons of a corr-sum run, one call per
-  (eps, k), label one more stage each (a series walks all its own at
-  once), and reuse the kept result where the read is the same.  Labels
-  from exact keys, or from a walk that raised, are never kept.
+  Bowen-within eps along the prefix (_label_walk): dense ranks, made
+  with no sort while the key space is small, that nodes of one
+  partition share, from uint64 windows on the binary backend, kept
+  where a walk ends so that the nested horizons of a corr-sum run, one
+  call per (eps, k), label one more stage each.
 * On the circle family (pair_ops) a sort-sweep streams the pairs within
-  eps at stage 0 once per count, PAIR_CHUNK at most at a time, and every
-  node filters its parent's surviving pairs of each chunk through its
-  own stage with the metric's own float expression; no N x N matrix is
-  built, nor a whole pair list but for a greedy net.  Ball and pair
-  counts are tallied only where cells end, by difference down the trie:
-  such a node that keeps most of the pairs of its nearest tallied
-  ancestor subtracts the tally of those dropped since from the
-  ancestor's, so no node tallies more pairs than it keeps.  A rotation
-  node (sys.isometries) keeps untested a chunk whose pairs all lay within
-  eps - PAIR_MARGIN where last tested, as it moves a distance by ulps
-  only.  A one-center count takes its pairs from pair_ops.close: no sweep.
+  eps at stage 0, PAIR_CHUNK at most at a time, and every node filters
+  its parent's surviving pairs through its own stage (_pair_walk); no
+  N x N matrix is built, nor a whole pair list but for a greedy net.
 * Both orbit estimators count Bowen-close pairs through one counter,
-  one orbit at a time, which tallies ordered off-diagonal pairs outside
-  a lag window by pairs of orbit-time blocks.  correlation_sum leaves
-  out lags up to THEILER_WINDOW and floors each value at 1/n, so it
-  lives in [1/n, 1].  local_corr_entropy_series counts the diagonal
-  too, and reads its n/2 value off the (head, head) block of the same
-  count.  Ball counting includes the center itself, so empirical ball
-  measures live in [1/N, 1].  Logs and negative powers stay finite.
+  one group of orbits at a time (ORBIT_GROUP orbits with ball keys, one
+  with pair lists), which tallies each orbit's ordered off-diagonal
+  pairs outside a lag window by pairs of orbit-time blocks.
+  correlation_sum leaves out lags up to THEILER_WINDOW and floors each
+  value at 1/n, so it lives in [1/n, 1].  local_corr_entropy_series
+  counts the diagonal too, and reads its n/2 value off the (head, head)
+  block of the same count.  Ball counting includes the center itself,
+  so empirical ball measures live in [1/N, 1].  Logs and negative
+  powers stay finite.
 """
 
 from __future__ import annotations
@@ -65,7 +49,7 @@ import copy
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from operator import is_
 from typing import NamedTuple
 
@@ -84,7 +68,7 @@ from .errors import (
 from .seeding import MU, OMEGA, UPSILON, substream
 from .series import EntropySeries
 from .systems import GeneratorSystem
-from .words import BernoulliSpec, SymbolWord, sample_word, uniform_spec
+from .words import BernoulliSpec, SymbolWord, sample_symbols, sample_word, uniform_spec
 
 # Above this many word prefixes the outer symbol average switches from
 # exhaustive enumeration to Monte Carlo sampling.
@@ -99,6 +83,12 @@ THEILER_WINDOW = 4
 # standard error.  Blocks must stay longer than the orbit's dependence:
 # 40 blocks of a 4000-point orbit already understate the error.
 JACKKNIFE_BLOCKS = 20
+
+# Driving-word orbits one label walk takes at a time (see _upsilon_orbits).
+# A k-sweep over 16 orbits of 4,000 points took 27.7, 23.0, 19.9, 17.9 and
+# 18.9 ms in walks of 1, 2, 4, 8 and 16 orbits (fastest of 7, one core of
+# a 2.1 GHz Xeon); 8 peaked 0.6 MiB above 4 in resident memory, 16 2.6 MiB.
+ORBIT_GROUP = 4
 
 # A label fold ranks its packed keys through a table of 2**width flags,
 # and sorts them instead once the table would hold more than this many
@@ -193,18 +183,17 @@ class _PointSet:
     """The points of one estimator call, plus their window form on
     systems with window_ops: converted once and reused for every word.
     `make` builds the points on first use, so orbits whose windows
-    decide every stage never exist as points.  On systems with
-    window_ops, `labelled` is the end of the latest label walk that kept
-    its labels, unless a later walk started at stage 0: (eps, path,
-    carried) of the walk's radius and last node where cells end, its
-    window state, folded labels and latest read, for the next walk at
-    that radius to resume from (see _label_walk), or None; labels made
-    from exact points are never kept."""
+    decide every stage never exist as points; a group of `orbits` equal
+    orbits lies one orbit after another (see _upsilon_orbits).
+    `labelled` is the end of the latest label walk that kept its labels,
+    (eps, path, carried), for the next walk at eps to resume from (see
+    _label_walk), or None."""
 
-    def __init__(self, wins, points=None, make=None):
+    def __init__(self, wins, points=None, make=None, orbits=1):
         self.wins = wins
         self._points = points
         self._make = make
+        self.orbits = orbits
         self.labelled = None
 
     @property
@@ -212,6 +201,16 @@ class _PointSet:
         if self._points is None:
             self._points = self._make()
         return self._points
+
+    def __len__(self) -> int:
+        return len(self.points if self.wins is None else self.wins[0])
+
+    def split(self) -> tuple:
+        """A group's orbits, each a point set of views and slices."""
+        n = len(self) // self.orbits
+        return tuple(_PointSet(self.wins and tuple(w[o:o + n] for w in self.wins),
+                               make=lambda o=o: self.points[o:o + n])
+                     for o in range(0, len(self), n))
 
 
 def _as_point_set(sys: GeneratorSystem, points) -> _PointSet:
@@ -257,22 +256,24 @@ def _fold(labels, row, bits: int) -> np.ndarray:
     """labels (None: one class) refined by row, uint64 values that use
     their low `bits` bits: the dense ranks 0, 1, ... of the packed keys
     (labels above, row below), as np.unique(..., return_inverse=True)
-    gives them.  While the packed keys fit in a table of at most
-    RANK_TABLE_RATIO flags per point, the ranks are a cumulative count of
-    the keys seen, with no sort; wider keys are sorted."""
+    gives them, in the dtype of labels (intp for None).  While the packed
+    keys fit in a table of at most RANK_TABLE_RATIO flags per point, the
+    ranks are a cumulative count of the keys seen, with no sort; wider
+    keys are sorted."""
+    dtype = np.intp if labels is None else labels.dtype
     top = 0 if labels is None else int(labels.max(initial=0)).bit_length()
     if top + bits > 64:
         _, part = np.unique(row, return_inverse=True)
-        row = labels * (int(part.max()) + 1) + part
+        row = labels.astype(np.int64) * (int(part.max()) + 1) + part
     else:
         if top:
             row = (labels.astype(np.uint64) << np.uint64(bits)) | row
         if 1 << (top + bits) <= RANK_TABLE_RATIO * len(row):
             seen = np.zeros(1 << (top + bits), dtype=bool)
             seen[row] = True
-            return np.cumsum(seen)[row] - 1
+            return np.cumsum(seen, dtype=dtype)[row] - 1
     _, labels = np.unique(row, return_inverse=True)
-    return labels
+    return labels.astype(dtype, copy=False)
 
 
 def _first_indices(labels) -> np.ndarray:
@@ -288,11 +289,14 @@ def _first_indices(labels) -> np.ndarray:
 def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, read, key) -> dict:
     """read(labels) at every trie node where cells end, keyed by its
     first cell; labels agree for two points exactly when their ball keys
-    agree at every stage of the node's prefix.  A node moves its parent's
-    windows one stage on and packs its keys into a pending uint64 row,
-    folded into the labels only where cells end or the row is full; from
-    a node whose windows cannot decide, exact stage keys take over.  A
-    stage that raises leaves its exception at every cell below it.
+    agree at every stage of the node's prefix and, in a group of orbits,
+    the points lie in one orbit: a walk from stage 0 folds its first keys
+    into the orbit index, so ranks keep the orbits apart and in order.
+    A node moves its parent's windows one stage on and packs its keys
+    into a pending uint64 row, folded into the labels only where cells
+    end or the row is full; from a node whose windows cannot decide,
+    exact stage keys take over.  A stage that raises leaves its exception
+    at every cell below it.
 
     A node's signature, its parent's plus its letter unless that is an
     isometry (sys.isometries), fixes its partition (binary: its shift
@@ -319,7 +323,10 @@ def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, read, key) -> 
     resumed = _resume_node(root, eps, pset.labelled)
     if resumed is None:
         pset.labelled = None  # its end replaces them: free them for its stages
-        node, path, carried = root, (), (None, None, None, 0, 0)
+        start = None  # a group's ranks start from the orbit index, in int32: half the bytes
+        if pset.orbits > 1:
+            start = np.arange(pset.orbits, dtype=np.int32).repeat(len(pset) // pset.orbits)
+        node, path, carried = root, (), (None, None, start, 0, 0)
     else:
         node, path, carried = resumed
         carried, (kept_key, kept) = carried[:5], carried[5]
@@ -511,8 +518,8 @@ def _tally(kind, size, blocks, i, j) -> np.ndarray:
 def _tallied(kind, acc, blocks):
     if kind == "balls":
         return (acc + 1).astype(float)  # the center itself
-    counts = acc.reshape(blocks.n_blocks, blocks.n_blocks)
-    return counts + counts.T
+    counts = acc.reshape(1, blocks.n_blocks, blocks.n_blocks)  # one orbit
+    return counts + counts.transpose(0, 2, 1)
 
 
 def _net_from_pairs(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -606,7 +613,8 @@ def _count_cells(
     Bowen eps-ball, itself included, as floats, or with a center (a point
     index) the count of its ball alone, a float; "pairs": ordered pairs
     (i, j), |i - j| > w, Bowen-within eps, tallied by (block[i],
-    block[j]) of blocks; "net": the first-come greedy net's indices.
+    block[j]) of blocks, [orbit, block, block] (one orbit but for a group
+    of orbits); "net": the first-come greedy net's indices.
     Where a stage raises, the first cell that needs it raises, as cell
     by cell."""
     key = kind, blocks, reduce, center  # what a label read depends on
@@ -637,33 +645,39 @@ def _count_cells(
 
 def _label_pair_counts(labels, blocks: _Blocks) -> np.ndarray:
     """Ordered pairs (i, j) with equal integer labels and |i - j| > w,
-    tallied by (block[i], block[j]) of blocks.
+    tallied by (block[i], block[j]) of blocks, as [orbit, block, block]:
+    labels hold one or more orbits of len(blocks.block) points, one after
+    another, and no label lies in two of them.
 
     Linear in the number of points: per-block label histograms give
     every equal-label pair, and the diagonal and the lags 1..w are
     subtracted back out, all lags in one count over their block-pair
-    keys.  The histogram product runs in float64, through
-    BLAS, and is exact: its terms are nonnegative integers and every
-    partial sum is at most n**2, which float64 holds exactly while
-    n**2 < 2**53; longer rows multiply in int64.
+    keys.  An orbit's histogram spans only its own labels, from its
+    least.  The histogram product runs in floats, through BLAS, and is
+    exact: its terms are nonnegative integers and every partial sum is
+    at most n**2 for orbits of n points, which float32 holds exactly
+    while n**2 < 2**24 and float64 while n**2 < 2**53; longer orbits
+    multiply in int64.
     """
-    block, n_blocks = blocks.block, blocks.n_blocks
-    n_labels = int(labels.max()) + 1
+    block, n_blocks, n = blocks.block, blocks.n_blocks, len(blocks.block)
+    rows = labels.reshape(-1, n)
+    rows = rows - rows.min(axis=1, keepdims=True)
+    at, n_labels = np.arange(len(rows))[:, None], int(rows.max()) + 1
     hist = np.bincount(
-        block * n_labels + labels, minlength=n_blocks * n_labels
-    ).reshape(n_blocks, n_labels)
-    if len(labels) ** 2 < 2**53:
-        hist = hist.astype(float)
-    counts = (hist @ hist.T).astype(np.int64)
+        ((at * n_blocks + block) * n_labels + rows).ravel(),
+        minlength=at.size * n_blocks * n_labels,
+    ).reshape(-1, n_blocks, n_labels)
+    if n**2 < 2**53:
+        hist = hist.astype(np.float32 if n**2 < 2**24 else float)
+    counts = (hist @ hist.transpose(0, 2, 1)).astype(np.int64)
     counts -= np.diag(np.bincount(block, minlength=n_blocks))
     if blocks.lags:
-        near = np.bincount(
-            np.concatenate([
-                keys[labels[d:] == labels[:-d]] for d, keys in enumerate(blocks.lags, 1)
-            ]),
-            minlength=n_blocks * n_blocks,
-        ).reshape(n_blocks, n_blocks)
-        counts -= near + near.T
+        pos = [np.flatnonzero(labels[d:] == labels[:-d]) for d in range(1, blocks.w + 1)]
+        near = np.bincount(  # no lag pair joins two orbits: their labels differ
+            np.concatenate([p // n * n_blocks**2 + k[p % n] for p, k in zip(pos, blocks.lags)]),
+            minlength=counts.size,
+        ).reshape(counts.shape)
+        counts -= near + near.transpose(0, 2, 1)
     return counts
 
 
@@ -759,13 +773,17 @@ class CorrSumEstimate:
 
 @lru_cache(maxsize=1)
 def _upsilon_orbits(sys, x, n, m_upsilon, seed, weights) -> tuple[_PointSet, ...]:
-    """Orbits of x along m_upsilon independently sampled driving words.
+    """Orbits of x along m_upsilon independently sampled driving words,
+    in groups of ORBIT_GROUP consecutive orbits on systems with ball keys
+    (one walk labels a group; see _PointSet) and of one orbit otherwise,
+    as stage-0 pairs must not join two orbits.
 
-    On systems with window_ops the orbits are windows, built as points
-    only if a stage needs exact keys; when the windows cannot be built
-    the points are built at once, raising where the maps raise.  Equal
-    arguments share the orbit set of the latest call, so the (eps, k)
-    calls of one run build it once; a call that raised is not kept."""
+    On systems with window_ops the orbits are windows, built for all the
+    words into one pair of arrays whose slices the groups hold, and built
+    as points only if a stage needs exact keys; when the windows cannot
+    be built the points are built at once, raising where the maps raise.
+    Equal arguments share the orbit set of the latest call, so the (eps,
+    k) calls of one run build it once; a call that raised is not kept."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if m_upsilon < 1:
@@ -773,24 +791,24 @@ def _upsilon_orbits(sys, x, n, m_upsilon, seed, weights) -> tuple[_PointSet, ...
     if weights is None:
         weights = uniform_spec(sys.m)
     _check_weights(weights, sys.m)
-    words = [
-        sample_word(weights, n - 1, substream(seed, UPSILON, j)).symbols
-        for j in range(m_upsilon)
-    ]
+    words = [sample_symbols(weights, n - 1, substream(seed, UPSILON, j)) for j in range(m_upsilon)]
     maps = sys.maps
 
-    def orbit_points():
+    def orbit_points(group):
         return [
-            list(itertools.accumulate(syms, lambda p, s: maps[s - 1](p), initial=x))
-            for syms in words
+            p for syms in group
+            for p in itertools.accumulate(syms.tolist(), lambda p, s: maps[s - 1](p), initial=x)
         ]
 
-    ops = sys.window_ops
-    wins = None if ops is None else ops.orbit_windows(x, words, n)
-    if wins is None:
-        return tuple(_PointSet(None, pts) for pts in orbit_points())
-    built = cache(orbit_points)
-    return tuple(_PointSet(w, make=lambda j=j: built()[j]) for j, w in enumerate(wins))
+    size = ORBIT_GROUP if sys.ball_key is not None else 1
+    groups = [(lo * n, words[lo:lo + size]) for lo in range(0, m_upsilon, size)]
+    wins = None if sys.window_ops is None else sys.window_ops.orbit_windows(x, words, n)
+    return tuple(  # without windows, points at once, raising in orbit order
+        _PointSet(wins and tuple(w[at:at + len(group) * n] for w in wins),
+                  points=None if wins else orbit_points(group),
+                  make=partial(orbit_points, group), orbits=len(group))
+        for at, group in groups
+    )
 
 
 @lru_cache(maxsize=1)
@@ -836,10 +854,10 @@ def correlation_sum(
     blocks (n = 1) the standard error is 0.0.  Only the first k-1
     symbols of omega enter.  Calls with equal (sys, x, n, m_upsilon,
     seed, weights) share one orbit set, built by the first of them, and
-    with it the labels where each orbit's latest walk ended: a call at
-    the same eps and a longer prefix of the same omega labels only the
-    stages past it (see _label_walk), so a run walks one radius at a
-    time, eps outer and k inner.
+    with it the labels where each orbit group's latest walk ended (see
+    _orbit_pair_counts): a call at the same eps and a longer prefix of
+    the same omega labels only the stages past it (see _label_walk), so
+    a run walks one radius at a time, eps outer and k inner.
     """
     _check_eps(eps)
     _check_word(sys, omega, k)
@@ -859,14 +877,23 @@ def correlation_sum(
     return CorrSumEstimate(value, stderr, n, k, eps, m_upsilon, tuple(values))
 
 
-def _orbit_pair_counts(sys, orbits, eps, cells, blocks) -> np.ndarray:
+def _orbit_pair_counts(sys, groups, eps, cells, blocks) -> np.ndarray:
     """Bowen-close ordered pairs of every orbit and (k, word) cell,
     tallied by blocks, as an int array [cell, orbit, block, block].  One
-    walk per orbit, so only one orbit's stage-0 pairs are ever alive."""
-    return np.stack(
-        [_count_cells(sys, orbit, eps, cells, "pairs", blocks=blocks) for orbit in orbits],
-        axis=1,
-    )
+    walk per group of orbits (see _upsilon_orbits), whose reads split per
+    orbit, so only one group's labels or stage-0 pairs are ever alive.
+    A group that raises is walked again one orbit at a time, so the first
+    failing orbit, in orbit order, raises as it would alone."""
+    out = []
+    for group in groups:
+        try:
+            got = _count_cells(sys, group, eps, cells, "pairs", blocks=blocks)
+        except FsgError:  # DepthExhausted, CarryOverflow
+            if group.orbits == 1:
+                raise
+            got = _orbit_pair_counts(sys, group.split(), eps, cells, blocks)
+        out.append(np.stack(got))
+    return np.concatenate(out, axis=1)
 
 
 def _without_each_block(counts: np.ndarray) -> np.ndarray:

@@ -74,8 +74,9 @@ class WindowOps:
     """Bowen stage keys over a whole point set on uint64 windows."""
 
     to_windows: Callable[[Sequence[Point]], Any]
-    # (x, driving words, n) -> one window form per orbit, or None
-    orbit_windows: Callable[[Point, Sequence[Sequence[int]], int], Optional[list]]
+    # (x, driving words, n) -> one window form of all the orbits, orbit o
+    # at o * n, or None
+    orbit_windows: Callable[[Point, Sequence[Sequence[int]], int], Optional[tuple]]
     # (window form, eps, state of the previous stage or None, symbol)
     # -> (state, uint64 ball keys, their bit width) of the next stage, or None
     stage: Callable[[Any, float, Any, int], Optional[tuple]]

@@ -76,20 +76,24 @@ def uniform_spec(m: int) -> BernoulliSpec:
     return BernoulliSpec(tuple(1.0 / m for _ in range(m)))
 
 
-def sample_word(spec: BernoulliSpec, length: int, rng: np.random.Generator) -> SymbolWord:
-    """Draw a word of i.i.d. symbols, P(symbol = i) = p_i.
+def sample_symbols(spec: BernoulliSpec, length: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw length i.i.d. symbols, P(symbol = i) = p_i, as an int8 array
+    (int32 past 127 symbols); one symbol, or length 0, draws nothing.
 
     Deterministic given the generator state; callers wanting
     schedule-independent results should pass a per-task substream.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
-    if length == 0:
-        return SymbolWord((), spec.m)
-    if spec.m == 1:
-        return SymbolWord((1,) * length, 1)
+    if spec.m == 1 or length == 0:
+        return np.ones(length, dtype=np.int8)
     draws = rng.choice(spec.m, size=length, p=spec.weights)
-    return SymbolWord(tuple((draws + 1).tolist()), spec.m)
+    return (draws + 1).astype(np.int8 if spec.m < 128 else np.int32)
+
+
+def sample_word(spec: BernoulliSpec, length: int, rng: np.random.Generator) -> SymbolWord:
+    """The word of sample_symbols(spec, length, rng)."""
+    return SymbolWord(tuple(sample_symbols(spec, length, rng).tolist()), spec.m)
 
 
 def symbol_digits(j: int, m: int, t: int) -> tuple[int, ...]:

@@ -8,19 +8,24 @@ binary.orbit_windows stepping each word's carry in a Python loop, and
 odometer_undecided binary.window_stage's odometer check point by point.
 net and ball_measure read one (k, word) cell straight from the counting
 kernel; doubling_ratio and corr_integral read a one-horizon series.
+orbit_pair_counts counts correlation_sum's driving-word orbits with one
+walk per orbit, along sample_word's words.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from fsgentropy import binary, estimators
 from fsgentropy.binary import BinaryPoint, s_count
 from fsgentropy.errors import AlphabetMismatch, DepthExhausted, InvalidEpsilon
-from fsgentropy.words import SymbolWord, symbol_digits
+from fsgentropy.seeding import UPSILON, substream
+from fsgentropy.words import SymbolWord, sample_word, symbol_digits, uniform_spec
 
 
 def all_points(depth: int, pad: int = 0) -> list[BinaryPoint]:
@@ -196,3 +201,35 @@ def odometer_undecided(wins, eps, state) -> bool:
         or level + shifts > binary.WINDOW_BITS
         or int(depth.min()) < max(level + shifts, shifts + 1)
     )
+
+
+def orbit_pair_counts(sys, x, n, m_upsilon, seed, eps, cells, blocks):
+    """The Bowen-close pairs of correlation_sum's driving-word orbits, as
+    [cell, orbit, block, block], with one walk per orbit: the orbits of
+    x along the words sample_word draws from substream(seed, UPSILON, j),
+    built all at once as windows (each orbit a point set of its own
+    slice) or else as points, raising where the maps raise, and counted
+    one _count_cells call each, in orbit order, so the first failing
+    orbit raises."""
+    words = [
+        sample_word(uniform_spec(sys.m), n - 1, substream(seed, UPSILON, j)).symbols
+        for j in range(m_upsilon)
+    ]
+    maps = sys.maps
+
+    def points(syms):
+        return list(itertools.accumulate(syms, lambda p, s: maps[s - 1](p), initial=x))
+
+    wins = None if sys.window_ops is None else sys.window_ops.orbit_windows(x, words, n)
+    if wins is None:
+        orbits = [estimators._PointSet(None, points(syms)) for syms in words]
+    else:
+        orbits = [
+            estimators._PointSet(tuple(w[j * n:(j + 1) * n] for w in wins),
+                                 make=partial(points, syms))
+            for j, syms in enumerate(words)
+        ]
+    return np.concatenate([
+        np.stack(estimators._count_cells(sys, orbit, eps, cells, "pairs", blocks=blocks))
+        for orbit in orbits
+    ], axis=1)

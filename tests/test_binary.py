@@ -88,6 +88,19 @@ def test_distance_depth_failures():
     assert distance(bp(1, 0), bp(0, 0, 1)) == 1.0  # difference is visible
 
 
+def test_equal_prefixes_compare_only_down_to_their_depth():
+    # two equal depth-3 prefixes lie within 2**-3 of each other; whether
+    # they lie within 2**-4 needs the fourth coordinate
+    d = distance(bp(1, 0, 1), bp(1, 0, 1))
+    assert d <= 0.125 and not d > 0.125 and 0.25 >= d and not 0.25 < d
+    for compare in (lambda: d <= 0.0625, lambda: d > 0.0625, lambda: 0.0625 < d):
+        with pytest.raises(DepthExhausted):
+            compare()
+    # the loosest of two such bounds wins a max, as a Bowen distance takes it
+    deeper = distance(bp(1, 0, 1, 1), bp(1, 0, 1, 1))
+    assert max(deeper, d).depth == 3 and max(d, deeper).depth == 3
+
+
 def test_prefix_length_for():
     assert prefix_length_for(1.0) == 0
     assert prefix_length_for(2.0) == 0

@@ -102,8 +102,8 @@ def test_corr_sum_degenerate_orbit_rows_are_one():
 
 def test_corr_sum_run_builds_its_driving_orbits_once(monkeypatch):
     # every (eps, k) call of the run drives the same orbits: one window
-    # build, and one sampled word per driving word plus omega's
-    calls = {"orbit_windows": 0, "sample_word": 0}
+    # build, one array draw per driving word, and one sampled word, omega
+    calls = {"orbit_windows": 0, "sample_symbols": 0, "sample_word": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -113,6 +113,8 @@ def test_corr_sum_run_builds_its_driving_orbits_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(binary, "orbit_windows", counted("orbit_windows", binary.orbit_windows))
+    monkeypatch.setattr(estimators, "sample_symbols",
+                        counted("sample_symbols", words.sample_symbols))
     sample = counted("sample_word", words.sample_word)
     monkeypatch.setattr(cli, "sample_word", sample)
     monkeypatch.setattr(estimators, "sample_word", sample)
@@ -120,7 +122,7 @@ def test_corr_sum_run_builds_its_driving_orbits_once(monkeypatch):
         estimator="corr-sum", epsilons=[0.25, 0.125], ks=[1, 3, 6], n=200, m_upsilon=5
     )
     assert len(run_experiment(cfg).rows) == 6
-    assert calls == {"orbit_windows": 1, "sample_word": 5 + 1}
+    assert calls == {"orbit_windows": 1, "sample_symbols": 5, "sample_word": 1}
 
 
 def test_exact_series_summary_hits_half_log2():
@@ -523,6 +525,22 @@ def test_a_binary_depth_must_cover_what_the_run_reads(body, need):
     with pytest.raises(ConfigInvalid, match=f"depth.*must be >= {need}"):
         parse_config(f"{base}depth = {need - 1}\n")
     assert parse_config(f"{base}system = torus-affine\ndepth = 1\n").depth == 1
+
+
+def test_a_depth_at_the_floor_may_still_fail_at_run_time(tmp_path, capsys):
+    """The floor is necessary, not sufficient: depth 5 is the floor of
+    this corr-entropy run, passes the check, and runs out of carry room;
+    one below it is rejected with the headroom the default adds."""
+    cfg = tmp_path / "floor.cfg"
+    body = "estimator = corr-entropy\nepsilons = 0.25\nks = 1,2,3\nn_points = 64\n"
+    cfg.write_text(body + "depth = 5\n")
+    assert main(["run", str(cfg)]) == 3
+    assert capsys.readouterr().err == "runtime error: all-ones prefix of depth 5\n"
+    cfg.write_text(body + "depth = 4\n")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "must be >= 5, the coordinates this run reads" in err
+    assert "necessary, not sufficient: below 45, the default, a carry may still run out" in err
 
 
 @pytest.mark.parametrize(

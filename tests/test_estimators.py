@@ -417,11 +417,12 @@ def test_orbit_pair_counts_by_halves_equal_brute_force(request, path, n):
     if path == "binary-windows":
         request.getfixturevalue("windows_only")
     x = sys_.mu_sampler(substream(60, n), 1)[0]
-    orbits = estimators._upsilon_orbits(sys_, x, n, 3, 61, None)
+    groups = estimators._upsilon_orbits(sys_, x, n, 3, 61, None)
+    orbits = [orbit for group in groups for orbit in group.split()]
     _, cells = estimators._series_cells(sys_.m, [1, 2, 3], None, 8, 62)
     h = max(1, n // 2)
     halves = estimators._blocks((np.arange(n) >= h).astype(np.intp), 2)
-    got = estimators._orbit_pair_counts(sys_, orbits, eps, cells, halves)
+    got = estimators._orbit_pair_counts(sys_, groups, eps, cells, halves)
     assert got.shape == (len(cells), len(orbits), 2, 2)
     for c, (k, omega) in enumerate(cells):
         for o, orbit in enumerate(orbits):
@@ -437,8 +438,9 @@ def test_orbit_pair_counts_by_halves_equal_brute_force(request, path, n):
 @pytest.mark.parametrize("sys_", [BIN, CIRCLE], ids=["binary", "circle"])
 def test_local_corr_entropy_walks_each_orbit_once_per_radius(monkeypatch, sys_):
     """The value at n/2 comes from the walk that counts the value at n:
-    one _count_cells call per orbit and radius, over every cell, on the
-    whole orbit."""
+    one _count_cells call per group of orbits and radius, over every
+    cell, on the whole orbits: one group of the three orbits with ball
+    keys, one group per orbit with pair lists."""
     x = sys_.mu_sampler(substream(63), 1)[0]
     eps_list, ks, n, m_upsilon = [0.25, 0.125], [1, 2, 3], 24, 3
     want = local_corr_entropy_series(sys_, x, eps_list, ks, n, m_upsilon, 8, seed=64)
@@ -454,9 +456,10 @@ def test_local_corr_entropy_walks_each_orbit_once_per_radius(monkeypatch, sys_):
     assert [(s.rows, s.stderrs, s.flags) for s in got] == [
         (s.rows, s.stderrs, s.flags) for s in want
     ]
-    orbits = estimators._upsilon_orbits(sys_, x, n, m_upsilon, 64, None)
+    groups = estimators._upsilon_orbits(sys_, x, n, m_upsilon, 64, None)
+    assert [g.orbits for g in groups] == ([3] if sys_ is BIN else [1, 1, 1])
     n_cells = sum(2 ** (k - 1) for k in ks)
-    assert calls == [(o, eps, n_cells) for eps in eps_list for o in orbits]
+    assert calls == [(g, eps, n_cells) for eps in eps_list for g in groups]
 
 
 # ---------------------------------------------------------------------------
@@ -683,19 +686,27 @@ def test_first_indices_equal_sorted_unique_index(n, classes):
 @pytest.mark.parametrize("n_blocks", [1, 3, 20])
 @pytest.mark.parametrize("w", range(5))
 def test_label_pair_counts_equal_brute_force(w, n_blocks, classes):
+    # one orbit of 60 points, then three one after another, their labels
+    # dense over them all and never shared between two: counts per orbit
     n = 60
-    labels = _dense(substream(44, classes).integers(0, classes, size=n))
-    lab = labels.tolist()
-    # contiguous time blocks, and blocks scattered over the points
-    for block in (np.arange(n) * n_blocks // n, substream(48, w).integers(0, n_blocks, size=n)):
-        want = np.zeros((n_blocks, n_blocks), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                if abs(i - j) > w and lab[i] == lab[j]:
-                    want[block[i], block[j]] += 1
-        got = estimators._label_pair_counts(labels, estimators._blocks(block, n_blocks, w))
-        assert got.dtype == np.int64
-        assert np.array_equal(got, want)
+    for orbits in (1, 3):
+        labels = _dense(np.concatenate([
+            o * classes + substream(44, classes, o).integers(0, classes, size=n)
+            for o in range(orbits)
+        ]))
+        # contiguous time blocks, and blocks scattered over the points
+        scattered = substream(48, w).integers(0, n_blocks, size=n)
+        for block in (np.arange(n) * n_blocks // n, scattered):
+            want = np.zeros((orbits, n_blocks, n_blocks), dtype=np.int64)
+            for o in range(orbits):
+                lab = labels[o * n:(o + 1) * n].tolist()
+                for i in range(n):
+                    for j in range(n):
+                        if abs(i - j) > w and lab[i] == lab[j]:
+                            want[o, block[i], block[j]] += 1
+            got = estimators._label_pair_counts(labels, estimators._blocks(block, n_blocks, w))
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), orbits
 
 
 def test_shallow_binary_runs_label_without_sorting(request):
@@ -734,7 +745,7 @@ def test_label_pair_counts_stay_exact_past_float32():
     counts = estimators._label_pair_counts(
         np.zeros(n, dtype=np.intp), estimators._blocks(np.arange(n) * 2 // n, 2)
     )
-    assert counts.tolist() == [[4097 * 4096, 4097**2], [4097**2, 4097 * 4096]]
+    assert counts.tolist() == [[[4097 * 4096, 4097**2], [4097**2, 4097 * 4096]]]
 
 
 # Every counting path: binary uint64 windows, binary exact keys, circle

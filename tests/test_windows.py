@@ -55,6 +55,16 @@ def _outcome(fn, sys_):
 
 
 @pytest.fixture
+def groups_of_two(monkeypatch):
+    """Driving-word orbits walked two at a time: three orbits make two
+    groups, orbits 0-1 and orbit 2."""
+    monkeypatch.setattr(estimators, "ORBIT_GROUP", 2)
+    estimators._upsilon_orbits.cache_clear()
+    yield 2
+    estimators._upsilon_orbits.cache_clear()
+
+
+@pytest.fixture
 def exact_calls(monkeypatch):
     """Counts the label calls that took the exact BinaryPoint path."""
     calls = []
@@ -172,17 +182,22 @@ def _corr_sum(x, eps, omega, k, n, m):
 
 
 def test_orbit_windows_match_exact_orbits():
+    # one pair of arrays, orbit o at [200 * o, 200 * (o + 1)), from word
+    # tuples and int8 arrays alike
     x = binary.random_point(300, substream(5))
     words = [tuple(substream(6, j).integers(1, 3, size=199).tolist()) for j in range(3)]
-    wins = orbit_windows(x, words, 200)
-    for (win, depth), syms in zip(wins, words):
+    win, depth = orbit_windows(x, words, 200)
+    assert len(win) == len(depth) == 3 * 200
+    for o, syms in enumerate(words):
         cur = x
         orbit = [x]
         for s in syms:
             cur = binary.drop_head(cur) if s == 1 else binary.add_one(cur)
             orbit.append(cur)
-        assert win.tolist() == [p.value & M64 for p in orbit]
-        assert depth.tolist() == [p.depth for p in orbit]
+        assert win[200 * o:200 * (o + 1)].tolist() == [p.value & M64 for p in orbit]
+        assert depth[200 * o:200 * (o + 1)].tolist() == [p.depth for p in orbit]
+    arrays = orbit_windows(x, [np.array(w, dtype=np.int8) for w in words], 200)
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, (win, depth)))
 
 
 def test_deep_orbits_match_exact_path(exact_calls):
@@ -327,6 +342,27 @@ def test_trie_falls_back_below_a_deciding_parent(exact_calls):
 
 
 @pytest.mark.parametrize("kind", ["balls", "pairs", "net"])
+def test_equal_depth_prefixes_raise_on_every_path(kind):
+    # 16 depth-6 points: after three shifts they are depth-3 prefixes, and
+    # eps 2**-4 reads four coordinates; the keys raise, and the pairwise
+    # oracle raises too, at a pair of equal prefixes, whose distance is
+    # known only down to 2**-3
+    points = _points(16, 6, 2)
+    assert len({p.value >> 3 for p in points}) < 16
+    sys_ = binary_shift_odometer(depth=6)
+    cells = [(4, word((1, 1, 1), 2))]
+    opts = _kind_options(kind, len(points))
+    for s in (sys_, replace(sys_, window_ops=None), _generic(sys_)):
+        with pytest.raises(DepthExhausted):
+            _count_cells(s, _as_point_set(s, points), 2.0**-4, cells, kind, **opts)
+    # one halving coarser, every path counts alike
+    oracle = _cells_outcome(_generic(sys_), points, 2.0**-3, cells, kind)
+    assert oracle[0] == "ok"
+    for s in (sys_, replace(sys_, window_ops=None)):
+        assert _cells_outcome(s, points, 2.0**-3, cells, kind) == oracle
+
+
+@pytest.mark.parametrize("kind", ["balls", "pairs", "net"])
 def test_trie_raises_at_the_first_failing_cell_like_the_oracle(kind):
     # depth-3 points: the odometer overflows on 0b111 at stage 1, and the
     # third shift finds depth-1 points; duplicates make the generic
@@ -361,16 +397,18 @@ def _counting_stages(sys_):
     return replace(sys_, window_ops=replace(ops, stage=stage)), counts
 
 
-def test_corr_sum_horizons_take_one_stage_per_orbit_and_k(exact_calls):
+def test_corr_sum_horizons_take_one_stage_per_orbit_and_k(exact_calls, groups_of_two):
     sys_, stages = _counting_stages(binary_shift_odometer(depth=300))
     x = sys_.mu_sampler(substream(13), 1)[0]
     omega = word((1, 2, 2, 1, 2, 1, 1), 2)
-    m = 3
+    m, groups = 3, 2
     for eps in (0.25, 3 * 2.0**-5):
         for k in range(1, 9):
             correlation_sum(sys_, x, eps, omega, k, 80, m, seed=9)
-    # from stage 0 every horizon k would take k stages: 36 per orbit
-    assert stages == {0.25: 8 * m, 3 * 2.0**-5: 8 * m}
+    # one stage per group of orbits and k; from stage 0 every horizon k
+    # would take k stages, 36 per group, and one walk per orbit 8 per orbit
+    assert len(estimators._upsilon_orbits(sys_, x, 80, m, 9, None)) == groups
+    assert stages == {0.25: 8 * groups, 3 * 2.0**-5: 8 * groups}
     assert not exact_calls
 
 
@@ -460,13 +498,13 @@ def test_doubling_series_raises_as_the_per_k_loop(points, eps, omega, ks, error)
         assert _outcome(local, s) == oracle
 
 
-def test_corr_sum_resumed_in_any_call_order_equals_fresh_walks(exact_calls):
+def test_corr_sum_resumed_in_any_call_order_equals_fresh_walks(exact_calls, groups_of_two):
     base = binary_shift_odometer(depth=300)
     sys_, stages = _counting_stages(base)
     x = base.mu_sampler(substream(15), 1)[0]
     omega = word((1, 2, 2, 1, 2, 1, 1), 2)
     a, b, c = 0.25, 0.125, 0.0625
-    # (eps, k, stages per orbit): gapped ks, a repeated k, a decreasing k,
+    # (eps, k, stages per group of orbits): gapped ks, a repeated k, a decreasing k,
     # an eps switch, eps / 2 eps alternation and a third radius; labels
     # are kept for the latest radius only, so every switch walks from
     # stage 0
@@ -474,7 +512,7 @@ def test_corr_sum_resumed_in_any_call_order_equals_fresh_walks(exact_calls):
         (a, 1, 1), (a, 3, 2), (a, 8, 5), (a, 8, 0), (a, 5, 5), (b, 5, 5),
         (a, 6, 6), (b, 6, 6), (a, 7, 7), (b, 7, 7), (c, 7, 7), (a, 8, 8),
     ]
-    m = 3
+    m, groups = 3, 2
 
     def corr(s, eps, k):
         return correlation_sum(s, x, eps, omega, k, 60, m, seed=9)
@@ -484,7 +522,7 @@ def test_corr_sum_resumed_in_any_call_order_equals_fresh_walks(exact_calls):
     for eps, k, cost in calls:
         before = stages[eps]
         got.append(corr(sys_, eps, k))
-        assert stages[eps] - before == cost * m, (eps, k)
+        assert stages[eps] - before == cost * groups, (eps, k)
     assert not exact_calls
     for (eps, k, _), value in zip(calls, got):
         estimators._upsilon_orbits.cache_clear()
@@ -526,7 +564,7 @@ def test_resumed_walks_raise_exactly_where_fresh_walks_raise(
             assert pset.labelled is kept
 
 
-def test_exact_fallback_mid_series_keeps_only_window_labels(exact_calls):
+def test_exact_fallback_mid_series_keeps_only_window_labels(exact_calls, groups_of_two):
     # L = 60: the windows decide every stage up to k = 7 (four shifts),
     # and the exact keys take over at k = 8 (the fifth shift)
     sys_ = binary_shift_odometer(depth=200)
@@ -539,7 +577,7 @@ def test_exact_fallback_mid_series_keeps_only_window_labels(exact_calls):
 
     estimators._upsilon_orbits.cache_clear()
     got = [corr(sys_, k) for k in range(1, 9)]
-    assert len(exact_calls) == 3  # once per orbit, at k = 8
+    assert len(exact_calls) == 2  # once per group of orbits, at k = 8
     for orbit in estimators._upsilon_orbits(sys_, x, 60, 3, 9, None):
         kept_eps, path, carried = orbit.labelled
         assert kept_eps == 2.0**-60 and path == omega.symbols[:6] and carried[1] is None
@@ -570,10 +608,13 @@ def test_orbit_windows_match_the_carry_loop():
             assert got is None, case
             nones += 1
             continue
-        assert len(got) == len(want), case
-        for (win, d), (want_win, want_d) in zip(got, want):
+        win, d = got
+        assert len(win) == len(d) == len(words) * n, case
+        for o, (want_win, want_d) in enumerate(want):
+            at = slice(o * n, (o + 1) * n)
             assert win.dtype == want_win.dtype and d.dtype == want_d.dtype
-            assert win.tolist() == want_win.tolist() and d.tolist() == want_d.tolist(), case
+            assert win[at].tolist() == want_win.tolist(), case
+            assert d[at].tolist() == want_d.tolist(), case
     assert 100 < nones < 300
 
 
@@ -752,12 +793,14 @@ def test_reused_reads_give_every_cell_its_own_array():
     assert np.array_equal(got[3], want) and np.array_equal(again[0], want)
 
 
-def test_corr_sum_reuses_reads_across_resumed_calls_in_any_order(monkeypatch, exact_calls):
+def test_corr_sum_reuses_reads_across_resumed_calls_in_any_order(
+    monkeypatch, exact_calls, groups_of_two
+):
     base = binary_shift_odometer(depth=300)
     x = base.mu_sampler(substream(21), 1)[0]
     omega = word((2, 2, 1, 2, 1, 1, 2), 2)
     a, b = 0.25, 0.125
-    m, n = 3, 60
+    m, n, groups = 3, 60, 2
     reads = []
     count = estimators._label_pair_counts
 
@@ -778,7 +821,7 @@ def test_corr_sum_reuses_reads_across_resumed_calls_in_any_order(monkeypatch, ex
         return [_count_cells(base, o, eps, [(k, omega)], "pairs", blocks=other)[0].tolist()
                 for o in orbits]
 
-    # (call, reads per orbit): odometers below a read node where nothing is
+    # (call, reads per group of orbits): odometers below a read node where nothing is
     # pending take its read; a repeated k takes the kept read; a fold, a
     # walk from stage 0 or a read with other blocks reads afresh
     calls = [
@@ -793,7 +836,7 @@ def test_corr_sum_reuses_reads_across_resumed_calls_in_any_order(monkeypatch, ex
             got.append(other_read(a, call[1]))
         else:
             got.append(corr(base, *call))
-        assert len(reads) == cost * m, call
+        assert len(reads) == cost * groups, call
     assert not exact_calls
     monkeypatch.setattr(estimators, "_label_pair_counts", count)
     for (call, _), value in zip(calls, got):
