@@ -10,7 +10,7 @@ every estimator is validated against.
 from . import binary, estimators, limits, seeding, series, systems, words
 from .binary import (
     BinaryPoint,
-    ExactCylinderMeasure,
+    ball_measure,
     exact_series,
     s_count,
 )

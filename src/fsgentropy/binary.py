@@ -23,11 +23,11 @@ For a word omega over {1: shift, 2: odometer} and horizon k, the Bowen
 ball of radius 2**(-t) is the cylinder on the first t + s coordinates,
 where s counts the shift symbols among the first k-1 letters: each
 shift stage sharpens the effective radius by one halving, each odometer
-stage (an isometry) leaves it unchanged.  Averaging the cylinder length
-over fair words turns every entropy series into the closed form
-(t + (k-1)/2) * log 2 / k, with limit (log 2) / 2: one function,
-exact_series(flavour, t, k_max, q, power), gives the topological,
-correlation (any q) and partition-entropy series alike.
+stage (an isometry) leaves it unchanged.  ball_measure(eps, omega, k)
+is this one closed form, 2**-(t + s) at every centre.  Averaged over
+fair words, it gives every entropy series as (t + (k-1)/2) * log 2 / k,
+with limit (log 2) / 2; exact_series gives the topological, correlation
+(any q) and partition-entropy series alike.
 
 Windows
 -------
@@ -52,7 +52,6 @@ looked risky.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -349,32 +348,26 @@ def s_count(omega: SymbolWord, k: int) -> int:
     return syms.count(1)
 
 
-def exact_correlation_integral(t: int, k: int, power: int = 1) -> float:
-    """Closed-form correlation integral c at radius 2**(-t), any order q.
-
-    The Bowen-ball measure 2**(-(t + s)) does not depend on the center,
-    so the q-dependence cancels and the word average reduces to the
-    binomial mean of s over power*(k-1) fair letters:
-
-        c = -(t + power*(k-1)/2) * log 2
-
-    `power` is the composition depth of the acting generators (1 for the
-    base pair, p for the p-fold power system whose stage j touches base
-    letters up to p*(k-1)).
-    """
-    if t < 1 or k < 1 or power < 1:
-        raise ValueError("t, k and power must all be >= 1")
-    return -(t + power * (k - 1) / 2.0) * LOG2
+def ball_measure(eps: float, omega: SymbolWord, k: int) -> float:
+    """The fair-coin measure of the Bowen eps-ball along omega at horizon
+    k, at every centre: the cylinder on prefix_length_for(eps) +
+    s_count(omega, k) coordinates, the backend's one closed form of a
+    ball measure."""
+    return 2.0 ** -(prefix_length_for(eps) + s_count(omega, k))
 
 
 EXACT_FLAVOURS = ("top", "corr", "measure")
 
 
 def exact_series(
-    flavour: str, t: int, k_max: int, q: float = 2.0, power: int = 1
+    flavour: str, t: int, k_max: int, q: float = 2.0, power: int = 1, shift_weight: float = 0.5
 ) -> EntropySeries:
-    """Rows (k, -c/k), k = 1..k_max, of a closed-form entropy series,
-    c = exact_correlation_integral(t, k, power), for every flavour.
+    """Rows (k, (t + s) * log 2 / k), k = 1..k_max, for every flavour:
+    ball_measure is 2**-(t + s) at every centre, so q cancels and s is
+    the binomial mean shift_weight * power * (k-1) of the shifts among
+    power * (k-1) letters.  `power` is the composition depth of the
+    acting generators (1 for the base pair, p for the p-fold power
+    system whose stage j touches base letters up to p*(k-1)).
 
     "corr" is the correlation-integral series at radius 2**(-t),
     identical for every q, which is kept in its q field so emitted
@@ -384,37 +377,16 @@ def exact_series(
     partition-entropy series of the partition into cylinders of length
     t (epsilon 0.0): the join of its first k pullbacks along a word
     consists of cylinders of length t + s.  All share the limit
-    power * (log 2) / 2.
+    shift_weight * power * log 2, (log 2) / 2 for the fair base pair.
     """
     if flavour not in EXACT_FLAVOURS:
         raise ValueError(f"flavour must be one of {EXACT_FLAVOURS}, got {flavour!r}")
     if min(t, k_max, power) < 1:
         raise ValueError("t, k_max and power must all be >= 1")
-    rows = [(k, -exact_correlation_integral(t, k, power) / k) for k in range(1, k_max + 1)]
+    rows = [(k, (t + shift_weight * power * (k - 1)) * LOG2 / k) for k in range(1, k_max + 1)]
     return EntropySeries(
         epsilon=0.0 if flavour == "measure" else 2.0 ** (-t),
         rows=rows,
         q=q if flavour == "corr" else None,
         exact=True,
     )
-
-
-@dataclass(frozen=True)
-class ExactCylinderMeasure:
-    """Closed-form stand-in for an empirical measure on this backend.
-
-    Ball measures are evaluated exactly as 2**(-(L(eps) + s)), where
-    L(eps) is the cylinder length resolved by eps; they do not depend on
-    the center.  Sample points are still carried so the object is a
-    drop-in replacement wherever an empirical measure is expected.
-    """
-
-    points: tuple[BinaryPoint, ...]
-
-    @classmethod
-    def draw(cls, depth: int, n_points: int, rng: np.random.Generator):
-        return cls(tuple(random_points(depth, n_points, rng)))
-
-    def ball_measures(self, sys, omega, k, eps) -> np.ndarray:
-        level = prefix_length_for(eps)
-        return np.full(len(self.points), 2.0 ** (-(level + s_count(omega, k))))

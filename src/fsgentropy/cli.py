@@ -15,7 +15,8 @@ comma-separated, `#` comments allowed.  Keys:
     n_points    empirical-measure sample size (default 1024)
     seed        master seed, >= 0 (default 42, recorded in every row)
     weights     symbol probabilities, e.g. 0.3,0.7 (default uniform)
-    exact       true to use the closed-form binary backend measures
+    exact       true to read binary.ball_measure, the closed form, for every
+                ball measure: no point is drawn, n_points is unused
                 (not with corr-sum or local-corr-entropy)
     series      exact-series flavour: top | corr | measure (default top)
     power       composition depth for power-test (default 2)
@@ -217,9 +218,7 @@ def _build_system(cfg: ExperimentConfig) -> systems.GeneratorSystem:
 
 def _measure(cfg: ExperimentConfig, sys_: systems.GeneratorSystem):
     if cfg.exact:
-        return binary.ExactCylinderMeasure.draw(
-            _depth(cfg), min(cfg.n_points, 64), substream(cfg.seed, 0)
-        )
+        return binary.ball_measure
     return estimators.EmpiricalMeasure.draw(sys_, cfg.n_points, cfg.seed)
 
 
@@ -283,21 +282,21 @@ def _run_local_corr_entropy(cfg, sys_):
     )
 
 
-def _closed_form_series(cfg, flavour: str) -> list[EntropySeries]:
+def _closed_form_series(cfg, sys_, flavour: str) -> list[EntropySeries]:
     """The closed-form binary series of one flavour (top | corr |
-    measure), one per radius (the measure flavour: one, for the
-    first-coordinate partition), cut to the rows at cfg.ks."""
+    measure) at the config's shift weight, one per radius (the measure
+    flavour: one, for the first-coordinate partition), cut to cfg.ks."""
     ts = [1] if flavour == "measure" else [_dyadic_exponent(eps) for eps in cfg.epsilons]
-    wanted = set(cfg.ks)
+    shift, wanted = _weights(cfg, sys_).weights[0], set(cfg.ks)
     return [
         replace(s, rows=[(k, v) for k, v in s.rows if k in wanted])
-        for s in (binary.exact_series(flavour, t, max(cfg.ks), cfg.q) for t in ts)
+        for s in (binary.exact_series(flavour, t, max(cfg.ks), cfg.q, 1, shift) for t in ts)
     ]
 
 
 def _run_top_entropy(cfg, sys_):
     if cfg.exact:
-        return _closed_form_series(cfg, "top")
+        return _closed_form_series(cfg, sys_, "top")
     return estimators.top_entropy_series(
         _measure(cfg, sys_), sys_, cfg.epsilons, cfg.ks, cfg.m_omega, cfg.seed,
         weights=_weights(cfg, sys_),
@@ -307,9 +306,8 @@ def _run_top_entropy(cfg, sys_):
 def _run_local_entropy(cfg, sys_):
     measure = _measure(cfg, sys_)
     omega = _sample_omega(cfg, sys_, max(cfg.ks) - 1)
-    return estimators.local_entropy_series(
-        measure, sys_, omega, measure.points[0], cfg.epsilons, cfg.ks
-    )
+    center = None if cfg.exact else measure.points[0]
+    return estimators.local_entropy_series(measure, sys_, omega, center, cfg.epsilons, cfg.ks)
 
 
 def _run_doubling(cfg, sys_):
@@ -318,7 +316,7 @@ def _run_doubling(cfg, sys_):
 
 
 def _run_exact_series(cfg, sys_):
-    return _closed_form_series(cfg, cfg.series)
+    return _closed_form_series(cfg, sys_, cfg.series)
 
 
 def _run_power_test(cfg, sys_):
@@ -330,9 +328,9 @@ def _run_power_test(cfg, sys_):
         t = _dyadic_exponent(eps)
         # horizons run to at least 5, so the default window (the upper
         # half) holds the 3 rows a slope fit needs, as in the branch below
-        kmax = max(5, max(cfg.ks))
+        kmax, shift = max(5, max(cfg.ks)), _weights(cfg, sys_).weights[0]
         base, powr = (
-            limits.k_limit(binary.exact_series("corr", t, kmax, cfg.q, power=p))
+            limits.k_limit(binary.exact_series("corr", t, kmax, cfg.q, p, shift))
             for p in (1, cfg.power)
         )
     else:
@@ -465,8 +463,6 @@ def emit_results(result: ExperimentResult, path: str | None, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 # Commands
 
-LOG2 = math.log(2.0)
-
 
 def _cmd_run(args) -> int:
     try:
@@ -516,7 +512,7 @@ def reproduce_paper_example(seed: int = 42) -> bool:
         m_omega=128, n_points=4096, seed=seed,
     )
     cfg.validate()
-    target = LOG2 / 2.0
+    target = binary.LOG2 / 2.0
     ok = True
     print(f"target: log(2)/2 = {target:.10f}")
     for t in (2, 3):

@@ -737,15 +737,15 @@ def _center_index(measure, center) -> int:
 def _cell_measures(measure, sys, eps, cells, reduce=lambda m: m, center=None) -> list:
     """reduce(the Bowen eps-ball measures at the sample points, or at the
     point of index center alone) of every (k, word) cell: an empirical
-    measure counts all the cells in one walk, and any other measure
-    (ExactCylinderMeasure) answers per cell."""
+    measure counts all the cells in one walk, and a closed form
+    measure(eps, word, k) (binary.ball_measure) answers per cell."""
     if isinstance(measure, EmpiricalMeasure):
         pset, n = measure._point_set(sys), measure.n
         return _count_cells(
             sys, pset, eps, cells, "balls", lambda counts: reduce(counts / n), center=center
         )
     at = slice(None) if center is None else center
-    return [reduce(np.asarray(measure.ball_measures(sys, w, k, eps), float)[at]) for k, w in cells]
+    return [reduce(np.full(1, measure(eps, w, k))[at]) for k, w in cells]
 
 
 # ---------------------------------------------------------------------------
@@ -989,9 +989,9 @@ def corr_entropy_series(
 ) -> list[EntropySeries]:
     """One series per epsilon with rows (k, -c/k), c the correlation
     integral; the limit extraction over k and the epsilon trend are left
-    to the limits module.  Exact ball measures (any measure but an
-    EmpiricalMeasure) make the rows affine in 1/k, so their series are
-    marked exact, which k_limit slope-fits."""
+    to the limits module.  A closed-form measure (binary.ball_measure,
+    any measure but an EmpiricalMeasure) makes the rows affine in 1/k,
+    so its series are marked exact, which k_limit slope-fits."""
     _check_grids(eps_list, k_list)
     if not math.isfinite(q):
         raise ConfigInvalid("q", "must be finite")
@@ -1139,10 +1139,12 @@ def local_entropy_series(
 ) -> list[EntropySeries]:
     """Decay rate of the ball measure at a fixed center x along a fixed
     word: rows (k, -(1/k) log measure(Bowen ball)).  Every horizon of a
-    radius is counted in one walk that reads x's ball alone."""
+    radius is counted in one walk that reads x's ball alone (a closed
+    form, the same at every centre, ignores x)."""
     _check_grids(eps_list, k_list)
     _check_word(sys, omega, k_list[-1])
-    cells, at = [(k, omega) for k in k_list], _center_index(measure, x)
+    cells = [(k, omega) for k in k_list]
+    at = _center_index(measure, x) if isinstance(measure, EmpiricalMeasure) else 0
     out = []
     for eps in eps_list:
         found = _cell_measures(measure, sys, eps, cells, center=at)

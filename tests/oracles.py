@@ -8,6 +8,10 @@ binary.orbit_windows stepping each word's carry in a Python loop, and
 odometer_undecided binary.window_stage's odometer check point by point.
 net and ball_measure read one (k, word) cell straight from the counting
 kernel; doubling_ratio and corr_integral read a one-horizon series.
+ExactCylinderMeasure is the reference for binary.ball_measure: a sample
+of points whose ball measures are all the cylinder measure, which
+cylinder_cell_measures hands to the estimators as they took it before
+they read binary.ball_measure.
 orbit_pair_counts counts correlation_sum's driving-word orbits with one
 walk per orbit, along sample_word's words.
 """
@@ -22,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from fsgentropy import binary, estimators
-from fsgentropy.binary import BinaryPoint, s_count
+from fsgentropy.binary import BinaryPoint, prefix_length_for, random_points, s_count
 from fsgentropy.errors import AlphabetMismatch, DepthExhausted, InvalidEpsilon
 from fsgentropy.seeding import UPSILON, substream
 from fsgentropy.words import SymbolWord, sample_word, symbol_digits, uniform_spec
@@ -92,6 +96,35 @@ def exact_bowen_ball(omega: SymbolWord, k: int, x: BinaryPoint, t: int) -> Cylin
     if x.depth < length:
         raise DepthExhausted(f"need {length} coordinates, have {x.depth}")
     return Cylinder(x.bits[:length])
+
+
+@dataclass(frozen=True)
+class ExactCylinderMeasure:
+    """Closed-form stand-in for an empirical measure on this backend.
+
+    Ball measures are evaluated exactly as 2**(-(L(eps) + s)), where
+    L(eps) is the cylinder length resolved by eps; they do not depend on
+    the center.  Sample points are still carried so the object is a
+    drop-in replacement wherever an empirical measure is expected.
+    """
+
+    points: tuple[BinaryPoint, ...]
+
+    @classmethod
+    def draw(cls, depth: int, n_points: int, rng: np.random.Generator):
+        return cls(tuple(random_points(depth, n_points, rng)))
+
+    def ball_measures(self, sys, omega, k, eps) -> np.ndarray:
+        level = prefix_length_for(eps)
+        return np.full(len(self.points), 2.0 ** (-(level + s_count(omega, k))))
+
+
+def cylinder_cell_measures(measure, sys, eps, cells, reduce=lambda m: m, center=None) -> list:
+    """estimators._cell_measures for an ExactCylinderMeasure: reduce(its
+    ball measures at every sample point, or at the point of index center
+    alone) of every (k, word) cell."""
+    at = slice(None) if center is None else center
+    return [reduce(np.asarray(measure.ball_measures(sys, w, k, eps), float)[at]) for k, w in cells]
 
 
 def power_word_map(w: SymbolWord, m: int, t: int) -> SymbolWord:

@@ -13,12 +13,7 @@ import numpy as np
 import pytest
 
 import test_properties
-from fsgentropy.binary import (
-    ExactCylinderMeasure,
-    exact_correlation_integral,
-    exact_series,
-    s_count,
-)
+from fsgentropy.binary import ball_measure, exact_series, s_count
 from fsgentropy.cli import ExperimentConfig, reproduce_paper_example, run_experiment
 from fsgentropy.estimators import (
     EmpiricalMeasure,
@@ -136,7 +131,7 @@ def test_correlation_integral_order_invariance_on_homogeneous_system():
     bit-for-bit per (radius, k) and slope-fit to log(2)/2 within
     1e-9."""
     sys_ = binary_shift_odometer(depth=64)
-    em = ExactCylinderMeasure.draw(64, 16, substream(3, 0))
+    em = ball_measure
     ks = list(range(2, 14))
     worst = 0.0
     for eps in (0.25, 0.125):
@@ -252,13 +247,15 @@ def test_property_suite_zero_violations():
 
 def test_power_system_series_correspondence():
     """A 2-fold power horizon k spans base letters up to 2(k-1), so
-    its exact series row equals the base series at horizon 2k-1,
-    bit-for-bit; the sampled entropy ratio lands in [1.9, 2.1]."""
+    its exact series row is the base series row at horizon 2k-1 with
+    the same correlation integral c, bit-for-bit; the sampled entropy
+    ratio lands in [1.9, 2.1]."""
     t = 2
+    power2, base = exact_series("corr", t, 16, power=2), exact_series("corr", t, 31)
     for k in range(1, 17):
-        lhs = exact_correlation_integral(t, k, power=2)
-        rhs = exact_correlation_integral(t, 2 * k - 1, power=1)
-        assert lhs == rhs, f"horizon correspondence broken at k={k}"
+        c = (t + (k - 1)) * LOG2  # the mean cylinder length t + s, times log 2
+        assert power2.value_at(k) == c / k, f"power row broken at k={k}"
+        assert base.value_at(2 * k - 1) == c / (2 * k - 1), f"base row broken at k={k}"
     cfg = ExperimentConfig(
         estimator="power-test",
         exact=False,
@@ -335,7 +332,7 @@ def test_doubling_diagnostic():
     and decays to zero.  Circle systems: values for k <= 12 are
     reported against the (log 4)/k envelope, non-gating."""
     sys_ = binary_shift_odometer(depth=64)
-    em = ExactCylinderMeasure.draw(64, 8, substream(8, 0))
+    em = ball_measure
     omega = sample_word(uniform_spec(2), 64, substream(8, 1))
     values = []
     for t in (2, 3, 4):

@@ -11,12 +11,11 @@ import pytest
 from fsgentropy.binary import (
     EXACT_FLAVOURS,
     BinaryPoint,
-    ExactCylinderMeasure,
     add_one,
     ball_key,
+    ball_measure,
     distance,
     drop_head,
-    exact_correlation_integral,
     exact_series,
     prefix_length_for,
     random_point,
@@ -24,6 +23,7 @@ from fsgentropy.binary import (
     s_count,
 )
 from fsgentropy.errors import (
+    AlphabetMismatch,
     CarryOverflow,
     DepthExhausted,
     InvalidEpsilon,
@@ -33,7 +33,7 @@ from fsgentropy.errors import (
 from fsgentropy.seeding import substream
 from fsgentropy.systems import binary_shift_odometer, bowen_distance
 from fsgentropy.words import word
-from oracles import Cylinder, all_points, exact_bowen_ball
+from oracles import Cylinder, ExactCylinderMeasure, all_points, exact_bowen_ball
 
 LOG2 = math.log(2.0)
 
@@ -243,11 +243,14 @@ def test_exact_series_deviation_structure():
 def test_exact_series_rows_are_the_one_closed_form(flavour):
     for t, power in itertools.product(range(1, 5), range(1, 4)):
         s = exact_series(flavour, t, 40, q=3.0, power=power)
-        assert s.rows == [
-            (k, -exact_correlation_integral(t, k, power) / k) for k in range(1, 41)
-        ]
         # bit for bit the cylinder-length formula (t + power*(k-1)/2) log 2 / k
         assert s.values == [(t + power * (k - 1) / 2.0) * LOG2 / k for k in range(1, 41)]
+        # and the word average of -log ball_measure over all prefixes (power 1)
+        if power == 1 and flavour != "measure":
+            for k in range(1, 11):
+                words = [word(w, 2) for w in itertools.product((1, 2), repeat=k - 1)]
+                logs = [-math.log(ball_measure(2.0**-t, w, k)) for w in words]
+                assert s.value_at(k) == pytest.approx(math.fsum(logs) / len(logs) / k, rel=1e-12)
         assert s.epsilon == (0.0 if flavour == "measure" else 2.0 ** (-t))
         assert s.q == (3.0 if flavour == "corr" else None)
         assert s.exact is True
@@ -316,20 +319,56 @@ def test_all_exact_series_share_one_limit():
 def test_power_series_closed_form():
     # a p-fold power system spans p*(k-1) base letters by horizon k
     for t in (1, 2):
+        s = exact_series("corr", t, 5, power=2)
         for k in (1, 2, 5):
-            c2 = exact_correlation_integral(t, k, power=2)
-            assert c2 == -(t + (k - 1)) * LOG2
+            assert s.value_at(k) == (t + (k - 1)) * LOG2 / k
 
 
-def test_exact_cylinder_measure():
-    em = ExactCylinderMeasure.draw(32, 8, substream(1))
-    sys_ = binary_shift_odometer(depth=32)
+@pytest.mark.parametrize("shift_weight", [0.9, 0.25])
+def test_exact_series_takes_the_shift_weight(shift_weight):
+    for power in (1, 3):
+        s = exact_series("top", 2, 12, power=power, shift_weight=shift_weight)
+        assert s.values == [
+            (2 + shift_weight * power * (k - 1)) * LOG2 / k for k in range(1, 13)
+        ]
+    # the fair default is the weight 0.5, byte for byte
+    fair = exact_series("corr", 3, 20, power=2)
+    assert exact_series("corr", 3, 20, power=2, shift_weight=0.5) == fair
+
+
+def test_ball_measure():
     omega = word((1, 2, 1), 2)
-    ms = em.ball_measures(sys_, omega, 3, 0.25)
-    assert ms.shape == (8,)
     # length = 2 resolved + 1 shift among the first two letters
-    assert all(m == 2.0**-3 for m in ms)
-    assert em.ball_measures(sys_, omega, 3, 0.125)[0] == 2.0**-4
+    assert ball_measure(0.25, omega, 3) == 2.0**-3
+    assert ball_measure(0.125, omega, 3) == 2.0**-4
+    assert ball_measure(0.3, omega, 1) == 2.0**-2
+    assert ball_measure(2.0**-30, word((1,) * 11, 2), 12) == 2.0**-41
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        ((0.0, word((1,), 2), 2), InvalidEpsilon),
+        ((0.25, word((1,), 2), 0), KZero),
+        ((0.25, word((1,), 2), 3), WordTooShort),
+        ((0.25, word((3, 1), 3), 3), AlphabetMismatch),
+    ],
+)
+def test_ball_measure_raises_what_its_two_calls_raise(args, error):
+    with pytest.raises(error):
+        ball_measure(*args)
+
+
+def test_ball_measure_equals_the_cylinder_oracle_at_every_sample_point():
+    oracle = ExactCylinderMeasure.draw(80, 16, substream(1))
+    sys_ = binary_shift_odometer(depth=80)
+    for t in (1, 2, 30, 31):
+        for syms in itertools.product((1, 2), repeat=4):
+            omega = word(syms, 2)
+            for k in range(1, 6):
+                ms = oracle.ball_measures(sys_, omega, k, 2.0**-t)
+                assert ms.shape == (16,)
+                assert ms.tolist() == [ball_measure(2.0**-t, omega, k)] * 16
 
 
 def test_random_point_depth_and_determinism():

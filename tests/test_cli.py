@@ -157,6 +157,40 @@ def test_power_test_exact_ratio_is_two():
     assert row.value == pytest.approx(2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("weights", [[0.9, 0.1], [0.3, 0.7]])
+def test_closed_forms_take_the_shift_weight(weights):
+    """Under skewed weights the closed-form top-entropy rows are the word
+    average of exact corr-entropy over all prefixes, (t + p (k-1)) log 2
+    / k with p the shift's weight, and the exact power-test ratio stays
+    the power."""
+    grid = dict(exact=True, epsilons=[0.25, 0.125], ks=[1, 2, 3, 4, 6], weights=weights)
+    top = run_experiment(ExperimentConfig(estimator="top-entropy", **grid)).rows
+    corr = run_experiment(ExperimentConfig(estimator="corr-entropy", **grid)).rows
+    assert [(r.epsilon, r.k) for r in top] == [(r.epsilon, r.k) for r in corr]
+    for a, b in zip(top, corr):
+        t = binary.prefix_length_for(a.epsilon)
+        assert a.value == pytest.approx((t + weights[0] * (a.k - 1)) * LOG2 / a.k, abs=1e-12)
+        assert a.value == pytest.approx(b.value, abs=1e-12)
+    for power in (2, 3):
+        cfg = ExperimentConfig(estimator="power-test", power=power, **grid)
+        (row,) = run_experiment(cfg).rows
+        assert row.value == pytest.approx(power, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "estimator", ["corr-entropy", "doubling", "local-entropy", "top-entropy", "power-test"]
+)
+def test_exact_runs_draw_no_point(monkeypatch, estimator):
+    """An exact run reads binary.ball_measure and draws no sample point."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("an exact run drew a point")
+
+    monkeypatch.setattr(binary, "random_points", no_draw)
+    monkeypatch.setattr(estimators.EmpiricalMeasure, "draw", no_draw)
+    cfg = ExperimentConfig(estimator=estimator, exact=True, epsilons=[0.25, 0.125], ks=[1, 2, 3, 5])
+    assert run_experiment(cfg).rows
+
+
 def test_power_test_monte_carlo_short_horizons_exit_zero(tmp_path, capsys):
     """ks up to 5 at power 2 still gives the power series the three
     horizons its slope fit needs."""

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fsgentropy import binary, estimators
-from fsgentropy.binary import ExactCylinderMeasure, s_count
+from fsgentropy.binary import ball_measure as closed_form, s_count
 from fsgentropy.errors import (
     AlphabetMismatch,
     CenterNotInSample,
@@ -37,7 +37,15 @@ from fsgentropy.systems import (
     circle_double_rotate,
 )
 from fsgentropy.words import BernoulliSpec, word
-from oracles import all_points, ball_measure, corr_integral, doubling_ratio, net
+from oracles import (
+    ExactCylinderMeasure,
+    all_points,
+    ball_measure,
+    corr_integral,
+    cylinder_cell_measures,
+    doubling_ratio,
+    net,
+)
 
 LOG2 = math.log(2.0)
 BIN = binary_shift_odometer(depth=60)
@@ -279,15 +287,34 @@ def test_corr_integral_against_closed_form():
 
 
 def test_corr_integral_exact_measure_matches_series():
-    em = ExactCylinderMeasure.draw(60, 8, substream(12))
     for k in (1, 2, 5, 9):
-        c = corr_integral(em, BIN, 0.125, k, 2.0, 4096, seed=0)
+        c = corr_integral(closed_form, BIN, 0.125, k, 2.0, 4096, seed=0)
         assert c == pytest.approx(-(3 + (k - 1) / 2) * LOG2, rel=1e-12)
 
 
+def test_closed_form_rows_equal_the_cylinder_oracle_bit_for_bit(monkeypatch):
+    """corr-entropy (q = 0..3), doubling and local entropy read through
+    binary.ball_measure give the rows, byte for byte, of the same
+    estimators handed 64 sample points whose ball measures are all the
+    cylinder measure, at cylinder lengths L + s of 30 to 42."""
+    eps_list, ks = [2.0**-30, 2.0**-31], [1, 2, 4, 6, 8, 10, 12]
+    oracle = ExactCylinderMeasure.draw(80, 64, substream(41))
+    omega = word((1, 1, 2, 1, 1, 1, 2, 1, 1, 1, 1), 2)
+
+    def rows(measure, center):
+        return repr([
+            *(corr_entropy_series(measure, BIN, eps_list, ks, q, 64, 41) for q in (0, 1, 2, 3)),
+            doubling_series(measure, BIN, omega, eps_list, ks),
+            local_entropy_series(measure, BIN, omega, center, eps_list, ks),
+        ])
+
+    got = rows(closed_form, None)
+    monkeypatch.setattr(estimators, "_cell_measures", cylinder_cell_measures)
+    assert got == rows(oracle, oracle.points[0])
+
+
 def test_corr_entropy_series_rows_vs_exact():
-    em = ExactCylinderMeasure.draw(60, 8, substream(13))
-    series = corr_entropy_series(em, BIN, [0.25, 0.125], [1, 2, 3, 4], 2.0, 4096, seed=0)
+    series = corr_entropy_series(closed_form, BIN, [0.25, 0.125], [1, 2, 3, 4], 2.0, 4096, seed=0)
     for s in series:
         t = binary.prefix_length_for(s.epsilon)
         for k, v in s.rows:
@@ -297,9 +324,8 @@ def test_corr_entropy_series_rows_vs_exact():
 def test_corr_entropy_series_q_ordering_exact_mode():
     # the q-mean is non-decreasing in q, so the entropy rows are
     # non-increasing; on constant measures they coincide
-    em = ExactCylinderMeasure.draw(60, 8, substream(14))
-    s0 = corr_entropy_series(em, BIN, [0.25], [2, 3, 4], 0.0, 4096, seed=0)[0]
-    s2 = corr_entropy_series(em, BIN, [0.25], [2, 3, 4], 2.0, 4096, seed=0)[0]
+    s0 = corr_entropy_series(closed_form, BIN, [0.25], [2, 3, 4], 0.0, 4096, seed=0)[0]
+    s2 = corr_entropy_series(closed_form, BIN, [0.25], [2, 3, 4], 2.0, 4096, seed=0)[0]
     assert all(a >= b - 1e-12 for a, b in zip(s0.values, s2.values))
 
 
@@ -566,19 +592,17 @@ def test_doubling_ratio_trivials():
 
 
 def test_doubling_ratio_exact_backend_bitwise():
-    em = ExactCylinderMeasure.draw(60, 8, substream(25))
     for k in (1, 2, 5, 12):
-        got = doubling_ratio(em, BIN, word((1, 2) * 6, 2), k, 2.0**-3)
+        got = doubling_ratio(closed_form, BIN, word((1, 2) * 6, 2), k, 2.0**-3)
         assert got == math.log(2.0) / k
 
 
 def test_doubling_series_on_the_exact_backend_equals_per_cell_ratios():
-    em = ExactCylinderMeasure.draw(60, 8, substream(25))
     omega = word((1, 2) * 6, 2)
     ks = [1, 2, 5, 12]
-    for series in doubling_series(em, BIN, omega, [0.25, 2.0**-3], ks):
+    for series in doubling_series(closed_form, BIN, omega, [0.25, 2.0**-3], ks):
         assert series.rows == [
-            (k, doubling_ratio(em, BIN, omega, k, series.epsilon)) for k in ks
+            (k, doubling_ratio(closed_form, BIN, omega, k, series.epsilon)) for k in ks
         ]
         assert series.values == [math.log(2.0) / k for k in ks]
 
@@ -781,10 +805,9 @@ def test_word_symbols_beyond_the_maps_raise_on_every_path(counting_path):
     assert np.array_equal(late, em.ball_measures(sys_, word((1, 2), 2), 3, 0.25))
 
 
-def test_exact_cylinder_measure_rejects_word_symbols_beyond_the_maps():
-    em = ExactCylinderMeasure.draw(60, 4, substream(1))
+def test_closed_form_ball_measure_rejects_word_symbols_beyond_the_maps():
     with pytest.raises(AlphabetMismatch):
-        em.ball_measures(binary_shift_odometer(60), word((3, 1), 3), 3, 0.25)
+        closed_form(0.25, word((3, 1), 3), 3)
     with pytest.raises(AlphabetMismatch):
         s_count(word((1, 2, 3), 3), 4)
     # only the first k-1 symbols are read: a later one may name no map
@@ -820,7 +843,7 @@ def test_k_zero_raises_kzero_on_every_path(counting_path):
 
 
 def test_corr_entropy_series_marks_exact_measures_for_a_slope_fit():
-    exact = ExactCylinderMeasure.draw(60, 8, substream(5))
+    exact = closed_form
     empirical = EmpiricalMeasure.draw(BIN, 64, seed=5)
     ks = list(range(1, 9))
     s_exact, = corr_entropy_series(exact, BIN, [0.25], ks, 2.0, 256, 5)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from fsgentropy import binary
-from fsgentropy.binary import ExactCylinderMeasure
 from fsgentropy.estimators import EmpiricalMeasure, correlation_sum, omega_words
 from fsgentropy.seeding import substream
 from fsgentropy.systems import binary_shift_odometer, circle_double_rotate
@@ -78,7 +77,7 @@ def check_corr_integral_epsilon_monotone():
 
 def check_corr_integral_q_monotone_exact_mode():
     bad = []
-    em = ExactCylinderMeasure.draw(80, 8, substream(0, 94))
+    em = binary.ball_measure
     for seed in range(N_INSTANCES):
         rng = substream(seed, 95)
         k = int(rng.integers(1, 6))
@@ -134,7 +133,7 @@ def check_averaged_k_monotone():
     (common driving words), and exact-mode correlation integrals fall
     likewise."""
     bad = []
-    em = ExactCylinderMeasure.draw(80, 8, substream(0, 98))
+    em = binary.ball_measure
     for seed in range(N_INSTANCES):
         rng = substream(seed, 99)
         k1 = int(rng.integers(1, 4))
