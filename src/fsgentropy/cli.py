@@ -16,8 +16,8 @@ comma-separated, `#` comments allowed.  Keys:
     seed        master seed, >= 0 (default 42, recorded in every row)
     weights     symbol probabilities, e.g. 0.3,0.7 (default uniform)
     exact       true to read binary.ball_measure, the closed form, for every
-                ball measure: no point is drawn, n_points is unused
-                (not with corr-sum or local-corr-entropy)
+                ball measure, and its word averages: no point is drawn, n_points
+                is unused (not with corr-sum or local-corr-entropy)
     series      exact-series flavour: top | corr | measure (default top)
     power       composition depth for power-test (default 2)
     depth       binary truncation depth override
@@ -190,8 +190,11 @@ DEPTH_HEADROOM = 40
 
 def _min_depth(cfg: ExperimentConfig) -> int:
     """The binary coordinates a run reads: the finest radius's resolution
-    + the longest horizon (+ n for orbits)."""
-    horizon = max(cfg.ks) * (cfg.power if cfg.estimator == "power-test" else 1)
+    + the longest horizon (+ n for orbits); a power test counts power times
+    that or the base letters its matched horizons read, whichever is more."""
+    horizon = max(cfg.ks)
+    if cfg.estimator == "power-test":
+        horizon = max(horizon * cfg.power, _power_horizons(cfg.ks, cfg.power)[0][-1] - 1)
     depth = _resolution(cfg.epsilons) + horizon
     if cfg.estimator in ("corr-sum", "local-corr-entropy"):
         depth += cfg.n
@@ -268,6 +271,11 @@ def _run_corr_sum(cfg, sys_):
 
 
 def _run_corr_entropy(cfg, sys_):
+    if cfg.exact:  # the word average of -log 2**-(L + s) in closed form, at every horizon
+        p = _weights(cfg, sys_).weights[0]
+        rate = lambda eps, k: (binary.prefix_length_for(eps) + p * (k - 1)) * binary.LOG2 / k
+        return [EntropySeries(e, [(k, rate(e, k)) for k in cfg.ks], q=cfg.q, exact=True)
+                for e in cfg.epsilons]
     return estimators.corr_entropy_series(
         _measure(cfg, sys_), sys_, cfg.epsilons, cfg.ks, cfg.q, cfg.m_omega, cfg.seed,
         weights=_weights(cfg, sys_),
@@ -319,6 +327,16 @@ def _run_exact_series(cfg, sys_):
     return _closed_form_series(cfg, sys_, cfg.series)
 
 
+def _power_horizons(ks, power: int) -> tuple[list[int], list[int]]:
+    """The base and power-system horizons of a sampled power test: a
+    power horizon kp spans power*(kp-1)+1 base letters, the base series's
+    horizon.  kp stays shallow, so that cell measures stay well above the
+    1/N sample floor, and runs to at least 4, so the slope fit over
+    2..kp_max has the 3 rows it needs."""
+    kp_max = max(4, (max(ks) - 1) // power + 1)
+    return list(range(2, power * (kp_max - 1) + 2)), list(range(2, kp_max + 1))
+
+
 def _run_power_test(cfg, sys_):
     """One row (0, ratio): the power-system entropy over the base
     entropy, which the composition-depth scaling law predicts to be
@@ -334,17 +352,9 @@ def _run_power_test(cfg, sys_):
             for p in (1, cfg.power)
         )
     else:
-        # Matched base-letter horizons: a power-system horizon kp spans
-        # power*(kp-1)+1 base letters, so the base series is fit out to
-        # that horizon.  Horizons stay shallow enough that typical cell
-        # measures remain well above the 1/N sample floor; kp runs to at
-        # least 4, so the slope fit over 2..kp_max has the 3 rows it needs.
         measure = _measure(cfg, sys_)
         power_sys = systems.build_power_system(sys_, cfg.power)
-        ks_base = [k for k in cfg.ks if k >= 2] or [2, 3, 4]
-        kp_max = max(4, (max(ks_base) - 1) // cfg.power + 1)
-        ks_power = list(range(2, kp_max + 1))
-        ks_base = list(range(2, cfg.power * (kp_max - 1) + 2))
+        ks_base, ks_power = _power_horizons(cfg.ks, cfg.power)
         base_weights = _weights(cfg, sys_)
         base, powr = (
             limits.k_limit(

@@ -426,16 +426,12 @@ def _pair_walk(sys: GeneratorSystem, arr, chunks, eps, root, tally=None):
     kid reads off the distances close leaves.  That is exact for points
     in [0, 1] (see SURE_STAGES), where PAIR_MARGIN is stage 0's margin
     and every mapped array lies, as % 1.0 returns nothing above 1.  Only
-    nodes where cells end tally.  Each pair set carries the tally of its
-    nearest tallied ancestor, the base, while more than half the base's
-    pairs survive, with the pieces dropped since: a node where cells end
-    then takes the base's tally minus that of the dropped pieces (exact
-    for integer counts), any other the tally of what it keeps.  So no
-    node tallies more pairs than it keeps, a node that drops nothing (an
-    isometry) tallies none, and one ending right below a tallied node at
-    most half of that node's.  Gathers reuse two arrays of PAIR_CHUNK per
-    walk and positions are views of one array, as fresh ones get faulted
-    in anew, more often for some words than for others."""
+    nodes where cells end tally, and a pair set carries the tally of its
+    nearest tallied ancestor only while no pair drops (a sure skip, a test
+    that keeps every pair): a node where cells end takes a carried tally
+    as it is and else tallies its survivors.  Gathers reuse two arrays of
+    PAIR_CHUNK per walk and positions are views of one array, as fresh
+    ones get faulted in anew, more often for some words than for others."""
     apply, close, iso = sys.array_ops.apply, sys.pair_ops.close, sys.isometries
     unit = np.all((0.0 <= arr) & (arr <= 1.0))  # else no stage-0 pair is sure
     arrays = {}  # stage array per node and whether a kid is isometric, freed with the walk
@@ -451,9 +447,9 @@ def _pair_walk(sys: GeneratorSystem, arr, chunks, eps, root, tally=None):
     for i0, j0, sure in chunks:
         left = SURE_STAGES if unit and sure else 0
         cols = (i0, j0) if at is None else (i0, j0, at[:len(i0)])
-        stack = [(root, cols, None, [], 0, left)]  # base tally, pieces dropped since, their size
+        stack = [(root, cols, None, left)]  # the tally carried while no pair drops
         while stack:
-            node, cols, got, dropped, gone, left = stack.pop()
+            node, cols, got, left = stack.pop()
             sym, kids, ends = node
             if left and sym in iso:  # the filter would keep every pair
                 left -= 1
@@ -467,24 +463,14 @@ def _pair_walk(sys: GeneratorSystem, arr, chunks, eps, root, tally=None):
                     continue
                 left = SURE_STAGES if check and np.count_nonzero(a <= inside) == kept else 0
                 if kept < n:
-                    gone += n - kept
-                    if got is not None and gone < kept:
-                        drop = ~keep
-                        dropped = dropped + [(cols[0][drop], cols[1][drop])]
-                    else:
-                        got, dropped = None, []
-                    cols = tuple(c[keep] for c in cols)
+                    got, cols = None, tuple(c[keep] for c in cols)
             if ends:
                 if tally is None:
                     got = cols[2]
                 elif got is None:
                     got = tally(*cols)
-                else:
-                    for i, j in dropped:
-                        got = got - tally(i, j)
-                dropped, gone = [], 0
                 yield ends[0], lo, got
-            stack.extend((kid, cols, got, dropped, gone, left) for kid in kids.values())
+            stack.extend((kid, cols, got, left) for kid in kids.values())
         lo += len(i0)
 
 
@@ -990,8 +976,9 @@ def corr_entropy_series(
     """One series per epsilon with rows (k, -c/k), c the correlation
     integral; the limit extraction over k and the epsilon trend are left
     to the limits module.  A closed-form measure (binary.ball_measure,
-    any measure but an EmpiricalMeasure) makes the rows affine in 1/k,
-    so its series are marked exact, which k_limit slope-fits."""
+    any measure but an EmpiricalMeasure) makes the rows affine in 1/k
+    when every horizon's words are enumerated: such series are marked
+    exact, which k_limit slope-fits."""
     _check_grids(eps_list, k_list)
     if not math.isfinite(q):
         raise ConfigInvalid("q", "must be finite")
@@ -1000,7 +987,8 @@ def corr_entropy_series(
         lambda eps, cells: _cell_measures(
             measure, sys, eps, cells, lambda m: -_q_log_mean(np.log(m), q)
         ),
-        q=q, exact=not isinstance(measure, EmpiricalMeasure),
+        q=q, exact=not isinstance(measure, EmpiricalMeasure)
+        and all(exhaustive_omega(sys.m, k, m_omega) for k in k_list),
     )
 
 

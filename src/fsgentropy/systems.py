@@ -209,9 +209,11 @@ def build_power_system(sys: GeneratorSystem, t: int) -> GeneratorSystem:
 
 def binary_shift_odometer(depth: int = 64) -> GeneratorSystem:
     """Shift and odometer on truncated binary sequences with the fair
-    product measure.  `depth` is the truncation of sampled points; pick
-    at least resolution + horizon + 8 for ball estimators, and at least
-    orbit length + resolution + horizon + 8 when driving long orbits.
+    product measure.  `depth` is the truncation of sampled points; the
+    CLI's rule (README "Truncation depths") reads resolution + horizon
+    (+ orbit length when driving orbits) coordinates and adds
+    cli.DEPTH_HEADROOM = 40 more, as a thin margin leaves the odometer's
+    carries little room.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")

@@ -191,6 +191,33 @@ def test_exact_runs_draw_no_point(monkeypatch, estimator):
     assert run_experiment(cfg).rows
 
 
+@pytest.mark.parametrize("depth, code", [(7, 2), (8, 0)])
+def test_power_test_depth_floor_counts_the_base_horizons(tmp_path, capsys, depth, code):
+    """ks = 2 at power 2 fits the base series out to horizon
+    2 * (4 - 1) + 1 = 7, which reads 6 shifts past the radius's 2
+    coordinates: the floor is 8, so depth 7 is a config error, not a
+    run that stops with DepthExhausted, and depth 8 runs."""
+    cfg = tmp_path / "power.cfg"
+    cfg.write_text(
+        "system = binary-shift-odometer\n"
+        "estimator = power-test\n"
+        "epsilons = 0.25\n"
+        "ks = 2\n"
+        "n_points = 64\n"
+        "m_omega = 8\n"
+        "power = 2\n"
+        "weights = 0.999,0.001\n"
+        f"depth = {depth}\n"
+    )
+    assert main(["run", str(cfg)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and "config error" in captured.err
+        assert "depth" in captured.err and ">= 8" in captured.err
+    else:
+        assert captured.out.startswith(CSV_HEADER)
+
+
 def test_power_test_monte_carlo_short_horizons_exit_zero(tmp_path, capsys):
     """ks up to 5 at power 2 still gives the power series the three
     horizons its slope fit needs."""
@@ -274,6 +301,31 @@ def test_exact_corr_entropy_at_radius_one_runs(tmp_path, capsys):
     for r in rows:
         assert r.value == pytest.approx((r.k - 1) / 2 * LOG2 / r.k, abs=1e-12)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.3, 1.0])
+@pytest.mark.parametrize("weights", [None, [0.999, 0.001], [0.3, 0.7]])
+def test_exact_corr_entropy_is_the_closed_form_past_the_word_budget(eps, weights):
+    """Past the word budget (2**(k-1) > m_omega = 8 from k = 5) the rows
+    of exact corr-entropy stay the closed form (L + p (k-1)) log 2 / k,
+    bit for bit, with L the radius's cylinder length and p the shift's
+    weight, at the config's own radius (0.3 is not dyadic, 1.0 has
+    L = 0) with stderr 0.0, and the series is slope-fit; at a dyadic
+    radius they are the rows of exact_series."""
+    ks = list(range(1, 13))
+    cfg = ExperimentConfig(
+        estimator="corr-entropy", exact=True, epsilons=[eps], ks=ks, m_omega=8, q=3.0,
+        weights=weights,
+    )
+    result = run_experiment(cfg)
+    p, t = 0.5 if weights is None else weights[0], binary.prefix_length_for(eps)
+    want = [(eps, k, (t + p * (k - 1)) * LOG2 / k, 0.0) for k in ks]
+    assert [(r.epsilon, r.k, r.value, r.stderr) for r in result.rows] == want
+    ((_, est),) = result.summary
+    assert est.method == "slope-fit"
+    if eps == 0.25:
+        series = binary.exact_series("corr", t, max(ks), 3.0, 1, p)
+        assert [r.value for r in result.rows] == [v for _, v in series.rows]
 
 
 def test_power_test_exact_short_horizons_exit_zero(tmp_path, capsys):

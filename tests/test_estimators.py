@@ -321,6 +321,15 @@ def test_corr_entropy_series_rows_vs_exact():
             assert v == pytest.approx((t + (k - 1) / 2) * LOG2 / k, rel=1e-12)
 
 
+def test_closed_form_series_with_sampled_words_is_not_exact():
+    """A closed-form measure's rows are affine in 1/k only where every
+    word is enumerated: one Monte Carlo horizon (k = 5, 16 words > 8)
+    leaves the series unmarked, so k_limit does not slope-fit it."""
+    enumerated = corr_entropy_series(closed_form, BIN, [0.25], [1, 2, 3, 4], 2.0, 8, seed=0)[0]
+    sampled = corr_entropy_series(closed_form, BIN, [0.25], [1, 2, 3, 4, 5], 2.0, 8, seed=0)[0]
+    assert enumerated.exact and not sampled.exact
+
+
 def test_corr_entropy_series_q_ordering_exact_mode():
     # the q-mean is non-decreasing in q, so the entropy rows are
     # non-increasing; on constant measures they coincide

@@ -399,12 +399,12 @@ SHARES = {
 
 @pytest.mark.parametrize("share", list(SHARES))
 @pytest.mark.parametrize("kind", ["balls", "pairs"])
-def test_tally_by_difference_matches_oracle(chunk, kind, share):
+def test_carried_tally_matches_oracle(chunk, kind, share):
     """A node that keeps all its parent's pairs (every rotation node, and
-    here every doubling node for "all") takes its parent's tally, one that
-    keeps most takes it minus the tally of the pairs it drops, and any
-    other tallies what it keeps; the counts equal the oracle's in every
-    case, with one, seven or all pairs per chunk."""
+    here every doubling node for "all") takes its parent's tally, and
+    one that drops some, most or all of them tallies what it keeps; the
+    counts equal the oracle's in every case, with one, seven or all
+    pairs per chunk."""
     base = SYSTEMS["circle"]
     fast, oracle = _sparse(base, []), _generic(base)
     pts, eps = SHARES[share], 0.125
@@ -466,6 +466,61 @@ def test_tally_takes_at_most_half_its_parents_pairs(monkeypatch):
     tallied = sum(passed for passed, _, _ in log)
     stage0 = len(_stage0(np.array(em.points), 0.125)[0])
     assert stage0 < tallied <= 0.5 * sum(survivors)
+
+
+def _pair_masks(sys_, arr, eps, i, j, root):
+    """Per trie node where cells end, keyed by its first cell: the first
+    cell of its nearest such ancestor (None at the top) and the mask of
+    the pairs (i, j) within eps at every stage along its prefix, each
+    stage tested with pair_ops.close."""
+    out, todo = {}, [(root, arr, np.ones(len(i), dtype=bool), None)]
+    while todo:
+        (_, kids, ends), x, mask, above = todo.pop()
+        if ends:
+            out[ends[0]], above = (above, mask), ends[0]
+        for sym, kid in kids.items():
+            y = sys_.array_ops.apply(sym, x)
+            todo.append((kid, y, mask & sys_.pair_ops.close(y[i], y[j], eps), above))
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, n, eps, ks, m_omega",
+    [("circle", 2048, 0.125, [1, 2, 3, 4, 5], 4), ("torus", 1024, 0.0625, [1, 2, 3, 4, 5], 4)],
+)
+def test_tally_is_carried_only_past_nodes_that_drop_no_pair(monkeypatch, name, n, eps, ks, m_omega):
+    """On the benchmark's circle corr-entropy shape and on a torus series
+    (no isometries), every node where cells end passes the tally, per
+    chunk, either no pair or exactly its survivors (counted here by
+    testing every stage), and no pair exactly when none was dropped
+    since the last count on its path."""
+    pair_ops, log = _counting_walk(monkeypatch)
+    fast = replace(SYSTEMS[name], pair_ops=pair_ops)
+    walk, seen = estimators._pair_walk, []
+
+    def seeing_walk(sys_, arr, chunks, eps, root, tally=None):
+        for c, lo, got in walk(sys_, arr, chunks, eps, root, tally):
+            seen.append((c, lo, root))
+            yield c, lo, got
+
+    monkeypatch.setattr(estimators, "_pair_walk", seeing_walk)
+    em = EmpiricalMeasure.draw(fast, n, 11)
+    corr_entropy_series(em, fast, [eps], ks, 2.0, m_omega, seed=11)
+    arr = np.array(em.points)
+    sizes = [len(i) for i, _, _ in systems._circle_stage0(arr, eps)]
+    stop = dict(zip(np.cumsum([0] + sizes[:-1]).tolist(), np.cumsum(sizes).tolist()))
+    i, j, _ = _stage0(arr, eps)
+    masks = _pair_masks(SYSTEMS[name], arr, eps, i, j, seen[0][2])
+    assert all(root is seen[0][2] for _, _, root in seen) and len(seen) == len(log)
+    carried = 0
+    for (c, lo, _), (passed, _, got) in zip(seen, log):
+        above, mask = masks[c]
+        alive = int(np.count_nonzero(mask[lo:stop[lo]]))
+        assert alive and int(got.sum()) == 2 * alive  # two ball counts per pair
+        same = above is not None and alive == np.count_nonzero(masks[above][1][lo:stop[lo]])
+        assert passed == (0 if same else alive), (c, lo)
+        carried += same
+    assert carried < len(log) and (carried > 0 or name == "torus")  # a rotation carries
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])
