@@ -14,20 +14,21 @@ d(x, y) = 2**(-L) where L is the number of leading coordinates on which
 x and y agree (d = 1 when they differ at the first coordinate, 0 when
 the prefixes are identical, known only up to the depth: see distance).
 With the non-strict ball rule d <= eps this makes the ball of radius
-2**(-t) exactly the cylinder on the first t coordinates, which is the
-convention all closed-form series here are built on.  Under the
-fair-coin measure the cylinder on L coordinates has measure exactly
-2**(-L).
+eps the cylinder on the first L = prefix_length_for(eps) coordinates
+(the whole space when eps >= 1, L = 0), which is the convention all
+closed-form series here are built on.  Under the fair-coin measure the
+cylinder on L coordinates has measure exactly 2**(-L).
 
 For a word omega over {1: shift, 2: odometer} and horizon k, the Bowen
-ball of radius 2**(-t) is the cylinder on the first t + s coordinates,
+eps-ball with L >= 1 is the cylinder on the first L + s coordinates,
 where s counts the shift symbols among the first k-1 letters: each
 shift stage sharpens the effective radius by one halving, each odometer
-stage (an isometry) leaves it unchanged.  ball_measure(eps, omega, k)
-is this one closed form, 2**-(t + s) at every centre.  Averaged over
-fair words, it gives every entropy series as (t + (k-1)/2) * log 2 / k,
-with limit (log 2) / 2; exact_series gives the topological, correlation
-(any q) and partition-entropy series alike.
+stage (an isometry) leaves it unchanged; with L = 0 it is the whole
+space.  ball_measure(eps, omega, k) is this one closed form at every
+centre.  Averaged over fair words, it gives every entropy series as
+(L + (k-1)/2) * log 2 / k (0 when L = 0), with limit (log 2) / 2;
+exact_series gives the topological, correlation (any q) and
+partition-entropy series alike.
 
 Windows
 -------
@@ -350,10 +351,11 @@ def s_count(omega: SymbolWord, k: int) -> int:
 
 def ball_measure(eps: float, omega: SymbolWord, k: int) -> float:
     """The fair-coin measure of the Bowen eps-ball along omega at horizon
-    k, at every centre: the cylinder on prefix_length_for(eps) +
-    s_count(omega, k) coordinates, the backend's one closed form of a
-    ball measure."""
-    return 2.0 ** -(prefix_length_for(eps) + s_count(omega, k))
+    k, at every centre, the backend's one closed form of a ball measure:
+    the cylinder on L + s_count(omega, k) coordinates, with L =
+    prefix_length_for(eps), or the whole space when L = 0."""
+    level, shifts = prefix_length_for(eps), s_count(omega, k)
+    return 2.0 ** -(level + shifts) if level else 1.0
 
 
 EXACT_FLAVOURS = ("top", "corr", "measure")
@@ -363,27 +365,31 @@ def exact_series(
     flavour: str, t: int, k_max: int, q: float = 2.0, power: int = 1, shift_weight: float = 0.5
 ) -> EntropySeries:
     """Rows (k, (t + s) * log 2 / k), k = 1..k_max, for every flavour:
-    ball_measure is 2**-(t + s) at every centre, so q cancels and s is
-    the binomial mean shift_weight * power * (k-1) of the shifts among
-    power * (k-1) letters.  `power` is the composition depth of the
-    acting generators (1 for the base pair, p for the p-fold power
-    system whose stage j touches base letters up to p*(k-1)).
+    at a radius eps with prefix_length_for(eps) = t, ball_measure is
+    2**-(t + s) at every centre, so q cancels and s is the binomial mean
+    shift_weight * power * (k-1) of the shifts among power * (k-1)
+    letters; t = 0 (every ball the whole space) gives 0.0 rows.  `power`
+    is the composition depth of the acting generators (1 for the base
+    pair, p for the p-fold power system whose stage j touches base
+    letters up to p*(k-1)).
 
-    "corr" is the correlation-integral series at radius 2**(-t),
-    identical for every q, which is kept in its q field so emitted
-    results stay self-describing.  "top" is the topological-entropy
-    series at that radius: a maximal separated set holds one point per
-    Bowen cylinder, so log #E = (t + s) * log 2.  "measure" is the
-    partition-entropy series of the partition into cylinders of length
-    t (epsilon 0.0): the join of its first k pullbacks along a word
-    consists of cylinders of length t + s.  All share the limit
-    shift_weight * power * log 2, (log 2) / 2 for the fair base pair.
+    "corr" is the correlation-integral series at those radii (epsilon
+    2**(-t)), identical for every q, which is kept in its q field so
+    emitted results stay self-describing.  "top" is the
+    topological-entropy series there: a maximal separated set holds one
+    point per Bowen cylinder, so log #E = (t + s) * log 2.  "measure" is
+    the partition-entropy series of the partition into cylinders of
+    length t (epsilon 0.0): the join of its first k pullbacks along a
+    word consists of cylinders of length t + s.  For t >= 1 all share
+    the limit shift_weight * power * log 2, (log 2) / 2 for the fair
+    base pair.
     """
     if flavour not in EXACT_FLAVOURS:
         raise ValueError(f"flavour must be one of {EXACT_FLAVOURS}, got {flavour!r}")
-    if min(t, k_max, power) < 1:
-        raise ValueError("t, k_max and power must all be >= 1")
-    rows = [(k, (t + shift_weight * power * (k - 1)) * LOG2 / k) for k in range(1, k_max + 1)]
+    if t < 0 or min(k_max, power) < 1:
+        raise ValueError("t must be >= 0, k_max and power >= 1")
+    rows = [(k, (t + shift_weight * power * (k - 1)) * LOG2 / k if t else 0.0)
+            for k in range(1, k_max + 1)]
     return EntropySeries(
         epsilon=0.0 if flavour == "measure" else 2.0 ** (-t),
         rows=rows,

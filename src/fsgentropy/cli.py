@@ -15,8 +15,8 @@ comma-separated, `#` comments allowed.  Keys:
     n_points    empirical-measure sample size (default 1024)
     seed        master seed, >= 0 (default 42, recorded in every row)
     weights     symbol probabilities, e.g. 0.3,0.7 (default uniform)
-    exact       true to read binary.ball_measure, the closed form, for every
-                ball measure, and its word averages: no point is drawn, n_points
+    exact       true to read the binary closed forms, ball_measure or its word
+                averages exact_series, at any radius: no point is drawn, n_points
                 is unused (not with corr-sum or local-corr-entropy)
     series      exact-series flavour: top | corr | measure (default top)
     power       composition depth for power-test (default 2)
@@ -225,15 +225,6 @@ def _measure(cfg: ExperimentConfig, sys_: systems.GeneratorSystem):
     return estimators.EmpiricalMeasure.draw(sys_, cfg.n_points, cfg.seed)
 
 
-def _dyadic_exponent(eps: float) -> int:
-    t = binary.prefix_length_for(eps)
-    if 2.0 ** (-t) != eps:
-        raise ConfigInvalid("epsilons", f"{eps!r} is not a dyadic 2**-t radius")
-    if t < 1:
-        raise ConfigInvalid("epsilons", f"closed forms need t >= 1 in 2**-t, got {eps!r}")
-    return t
-
-
 def _weights(cfg: ExperimentConfig, sys_) -> BernoulliSpec:
     if cfg.weights is None:
         return uniform_spec(sys_.m)
@@ -271,11 +262,8 @@ def _run_corr_sum(cfg, sys_):
 
 
 def _run_corr_entropy(cfg, sys_):
-    if cfg.exact:  # the word average of -log 2**-(L + s) in closed form, at every horizon
-        p = _weights(cfg, sys_).weights[0]
-        rate = lambda eps, k: (binary.prefix_length_for(eps) + p * (k - 1)) * binary.LOG2 / k
-        return [EntropySeries(e, [(k, rate(e, k)) for k in cfg.ks], q=cfg.q, exact=True)
-                for e in cfg.epsilons]
+    if cfg.exact:
+        return _closed_form_series(cfg, sys_, "corr")
     return estimators.corr_entropy_series(
         _measure(cfg, sys_), sys_, cfg.epsilons, cfg.ks, cfg.q, cfg.m_omega, cfg.seed,
         weights=_weights(cfg, sys_),
@@ -293,12 +281,15 @@ def _run_local_corr_entropy(cfg, sys_):
 def _closed_form_series(cfg, sys_, flavour: str) -> list[EntropySeries]:
     """The closed-form binary series of one flavour (top | corr |
     measure) at the config's shift weight, one per radius (the measure
-    flavour: one, for the first-coordinate partition), cut to cfg.ks."""
-    ts = [1] if flavour == "measure" else [_dyadic_exponent(eps) for eps in cfg.epsilons]
+    flavour: one, epsilon 0.0, for the first-coordinate partition), cut
+    to cfg.ks."""
+    radii = ([(0.0, 1)] if flavour == "measure"
+             else [(eps, binary.prefix_length_for(eps)) for eps in cfg.epsilons])
     shift, wanted = _weights(cfg, sys_).weights[0], set(cfg.ks)
+    series = [binary.exact_series(flavour, t, max(cfg.ks), cfg.q, 1, shift) for _, t in radii]
     return [
-        replace(s, rows=[(k, v) for k, v in s.rows if k in wanted])
-        for s in (binary.exact_series(flavour, t, max(cfg.ks), cfg.q, 1, shift) for t in ts)
+        replace(s, epsilon=eps, rows=[(k, v) for k, v in s.rows if k in wanted])
+        for (eps, _), s in zip(radii, series)
     ]
 
 
@@ -343,7 +334,7 @@ def _run_power_test(cfg, sys_):
     exactly the power."""
     eps = cfg.epsilons[0]
     if cfg.exact:
-        t = _dyadic_exponent(eps)
+        t = binary.prefix_length_for(eps)
         # horizons run to at least 5, so the default window (the upper
         # half) holds the 3 rows a slope fit needs, as in the branch below
         kmax, shift = max(5, max(cfg.ks)), _weights(cfg, sys_).weights[0]
@@ -369,6 +360,8 @@ def _run_power_test(cfg, sys_):
                 (power_sys, ks_power, power_weights(base_weights, cfg.power)),
             )
         )
+    if base.value == 0.0:
+        raise FsgError(f"power-test base limit is 0 at epsilon {eps!r}: no ratio")
     ratio = powr.value / base.value
     if not math.isfinite(ratio):
         raise FsgError(f"non-finite power-test ratio {ratio!r}")

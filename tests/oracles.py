@@ -8,6 +8,7 @@ binary.orbit_windows stepping each word's carry in a Python loop, and
 odometer_undecided binary.window_stage's odometer check point by point.
 net and ball_measure read one (k, word) cell straight from the counting
 kernel; doubling_ratio and corr_integral read a one-horizon series.
+generic_system strips a system down to the generic pairwise loop.
 ExactCylinderMeasure is the reference for binary.ball_measure: a sample
 of points whose ball measures are all the cylinder measure, which
 cylinder_cell_measures hands to the estimators as they took it before
@@ -19,7 +20,7 @@ walk per orbit, along sample_word's words.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import partial
 
@@ -30,6 +31,12 @@ from fsgentropy.binary import BinaryPoint, prefix_length_for, random_points, s_c
 from fsgentropy.errors import AlphabetMismatch, DepthExhausted, InvalidEpsilon
 from fsgentropy.seeding import UPSILON, substream
 from fsgentropy.words import SymbolWord, sample_word, symbol_digits, uniform_spec
+
+
+def generic_system(sys_):
+    """The generic pairwise oracle: sys_ with every optional fast-path
+    capability (ball_key, window_ops, array_ops, ...) stripped."""
+    return replace(sys_, **{f.name: None for f in fields(sys_) if f.default is None})
 
 
 def all_points(depth: int, pad: int = 0) -> list[BinaryPoint]:
@@ -103,9 +110,10 @@ class ExactCylinderMeasure:
     """Closed-form stand-in for an empirical measure on this backend.
 
     Ball measures are evaluated exactly as 2**(-(L(eps) + s)), where
-    L(eps) is the cylinder length resolved by eps; they do not depend on
-    the center.  Sample points are still carried so the object is a
-    drop-in replacement wherever an empirical measure is expected.
+    L(eps) is the cylinder length resolved by eps, and as 1.0, the whole
+    space, when L(eps) = 0; they do not depend on the center.  Sample
+    points are still carried so the object is a drop-in replacement
+    wherever an empirical measure is expected.
     """
 
     points: tuple[BinaryPoint, ...]
@@ -115,8 +123,8 @@ class ExactCylinderMeasure:
         return cls(tuple(random_points(depth, n_points, rng)))
 
     def ball_measures(self, sys, omega, k, eps) -> np.ndarray:
-        level = prefix_length_for(eps)
-        return np.full(len(self.points), 2.0 ** (-(level + s_count(omega, k))))
+        level, shifts = prefix_length_for(eps), s_count(omega, k)
+        return np.full(len(self.points), 2.0 ** (-(level + shifts)) if level else 1.0)
 
 
 def cylinder_cell_measures(measure, sys, eps, cells, reduce=lambda m: m, center=None) -> list:

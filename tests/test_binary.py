@@ -258,11 +258,21 @@ def test_exact_series_rows_are_the_one_closed_form(flavour):
 
 @pytest.mark.parametrize(
     "args",
-    [("entropy", 2, 8), ("Top", 2, 8), ("top", 0, 8), ("corr", 2, 0), ("measure", 1, 8, 2.0, 0)],
+    [("entropy", 2, 8), ("Top", 2, 8), ("top", -1, 8), ("corr", 2, 0), ("measure", 1, 8, 2.0, 0)],
 )
 def test_exact_series_rejects_bad_arguments(args):
     with pytest.raises(ValueError):
         exact_series(*args)
+
+
+@pytest.mark.parametrize("flavour", EXACT_FLAVOURS)
+def test_exact_series_at_cylinder_length_zero_is_zero(flavour):
+    """t = 0 (radius >= 1): every Bowen ball is the whole space, so every
+    row is 0.0 at any power and shift weight."""
+    for power, shift_weight in ((1, 0.5), (3, 0.9)):
+        s = exact_series(flavour, 0, 6, q=3.0, power=power, shift_weight=shift_weight)
+        assert [(k, str(v)) for k, v in s.rows] == [(k, "0.0") for k in range(1, 7)]
+        assert s.epsilon == (0.0 if flavour == "measure" else 1.0) and s.exact is True
 
 
 def test_exact_measure_entropy_first_rows():
@@ -343,6 +353,24 @@ def test_ball_measure():
     assert ball_measure(0.125, omega, 3) == 2.0**-4
     assert ball_measure(0.3, omega, 1) == 2.0**-2
     assert ball_measure(2.0**-30, word((1,) * 11, 2), 12) == 2.0**-41
+
+
+def test_ball_measure_is_the_brute_force_count_at_any_radius():
+    """The fraction of all depth-6 prefixes (zero-padded, so the odometer
+    never carries out) within Bowen distance eps of a centre is
+    ball_measure, and the cylinder oracle's measure, at dyadic and
+    non-dyadic radii below 1 and at radii 1 and 2, where it is 1."""
+    sys_ = binary_shift_odometer(depth=14)
+    pts = all_points(6, pad=8)
+    oracle = ExactCylinderMeasure(tuple(pts[:3]))
+    for eps, k in itertools.product((0.3, 0.5, 1.0, 2.0), range(1, 5)):
+        for syms in itertools.product((1, 2), repeat=k - 1):
+            omega = word(syms, 2)
+            want = ball_measure(eps, omega, k)
+            assert oracle.ball_measures(sys_, omega, k, eps).tolist() == [want] * 3
+            for x in (pts[0], pts[37], pts[-1]):
+                inside = sum(bowen_distance(sys_, omega, k, x, y) <= eps for y in pts)
+                assert Fraction(inside, len(pts)) == want, (eps, syms, x)
 
 
 @pytest.mark.parametrize(

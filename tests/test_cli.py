@@ -279,27 +279,40 @@ def test_exact_without_a_closed_form_is_a_config_error(tmp_path, capsys, estimat
     ],
     ids=["exact-series", "top-entropy", "power-test"],
 )
-def test_closed_form_at_radius_one_is_a_config_error(tmp_path, capsys, body):
-    """The closed-form series start at radius 2**-1: radius 1 (t = 0)
-    names epsilons instead of ending in a traceback."""
+def test_closed_form_at_radius_one_reads_the_whole_space(tmp_path, capsys, body):
+    """At radius 1 (L = 0) every Bowen ball is the whole space: the
+    closed-form series print 0.0 rows at the config's radius, and the
+    power test, whose base limit is then 0, exits 3 naming it instead
+    of ending in a traceback."""
     cfg = tmp_path / "exact.cfg"
     cfg.write_text(body + "epsilons = 1.0\nks = 1,2,3,4\n")
-    assert main(["run", str(cfg)]) == 2
+    code = main(["run", str(cfg)])
     captured = capsys.readouterr()
-    assert captured.out == "" and "config error" in captured.err
-    assert "epsilons" in captured.err
+    if "power-test" in body:
+        assert code == 3 and captured.out == ""
+        assert captured.err == (
+            "runtime error: power-test base limit is 0 at epsilon 1.0: no ratio\n"
+        )
+    else:
+        assert code == 0
+        rows = parse_rows(captured.out)
+        want = [(1.0, k, "0.0") for k in range(1, 5)]
+        assert [(r.epsilon, r.k, str(r.value)) for r in rows] == want
 
 
 def test_exact_corr_entropy_at_radius_one_runs(tmp_path, capsys):
-    """Exact corr-entropy reads the cylinder measures 2**-s at radius 1."""
+    """Exact corr-entropy at radius 1 reads balls that are the whole
+    space, so every row is 0.0, as the sampled run prints."""
     cfg = tmp_path / "exact.cfg"
     cfg.write_text("estimator = corr-entropy\nexact = true\nepsilons = 1.0\nks = 1,2,3,4\n")
     out = tmp_path / "rows.csv"
     assert main(["run", str(cfg), "--out", str(out)]) == 0
     rows = parse_rows(out.read_text())
     assert [r.k for r in rows] == [1, 2, 3, 4]
-    for r in rows:
-        assert r.value == pytest.approx((r.k - 1) / 2 * LOG2 / r.k, abs=1e-12)
+    assert [str(r.value) for r in rows] == ["0.0"] * 4
+    cfg.write_text("estimator = corr-entropy\nepsilons = 1.0\nks = 1,2,3,4\nn_points = 64\n")
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert [str(r.value) for r in parse_rows(out.read_text())] == ["0.0"] * 4
     capsys.readouterr()
 
 
@@ -309,9 +322,9 @@ def test_exact_corr_entropy_is_the_closed_form_past_the_word_budget(eps, weights
     """Past the word budget (2**(k-1) > m_omega = 8 from k = 5) the rows
     of exact corr-entropy stay the closed form (L + p (k-1)) log 2 / k,
     bit for bit, with L the radius's cylinder length and p the shift's
-    weight, at the config's own radius (0.3 is not dyadic, 1.0 has
-    L = 0) with stderr 0.0, and the series is slope-fit; at a dyadic
-    radius they are the rows of exact_series."""
+    weight, and 0.0 where L = 0 (radius 1), at the config's own radius
+    (0.3 is not dyadic) with stderr 0.0, and the series is slope-fit;
+    they are the rows of exact_series at L."""
     ks = list(range(1, 13))
     cfg = ExperimentConfig(
         estimator="corr-entropy", exact=True, epsilons=[eps], ks=ks, m_omega=8, q=3.0,
@@ -319,13 +332,47 @@ def test_exact_corr_entropy_is_the_closed_form_past_the_word_budget(eps, weights
     )
     result = run_experiment(cfg)
     p, t = 0.5 if weights is None else weights[0], binary.prefix_length_for(eps)
-    want = [(eps, k, (t + p * (k - 1)) * LOG2 / k, 0.0) for k in ks]
+    want = [(eps, k, (t + p * (k - 1)) * LOG2 / k if t else 0.0, 0.0) for k in ks]
     assert [(r.epsilon, r.k, r.value, r.stderr) for r in result.rows] == want
     ((_, est),) = result.summary
     assert est.method == "slope-fit"
-    if eps == 0.25:
-        series = binary.exact_series("corr", t, max(ks), 3.0, 1, p)
-        assert [r.value for r in result.rows] == [v for _, v in series.rows]
+    series = binary.exact_series("corr", t, max(ks), 3.0, 1, p)
+    assert [r.value for r in result.rows] == [v for _, v in series.rows]
+
+
+@pytest.mark.parametrize("eps", [2.0, 1.0, 0.5, 0.3])
+def test_exact_top_entropy_equals_a_sample_that_fills_every_cylinder(eps):
+    """4096 sampled points fill every cylinder of length L + s <= 4 that
+    ks 1..3 read, so the sampled top-entropy rows (exhaustive words) are
+    the closed form at every radius, dyadic or not, below 1 or not."""
+    grid = dict(estimator="top-entropy", epsilons=[eps], ks=[1, 2, 3], n_points=4096)
+    exact = run_experiment(ExperimentConfig(exact=True, **grid)).rows
+    sampled = run_experiment(ExperimentConfig(**grid)).rows
+    assert [(r.epsilon, r.k) for r in exact] == [(r.epsilon, r.k) for r in sampled]
+    for a, b in zip(exact, sampled):
+        assert a.value == pytest.approx(b.value, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "epsilons = 1.0\n",
+        "epsilons = 1.0\nexact = true\n",
+        "epsilons = 2.0\nexact = true\n",
+        "system = circle-double-rotate\nepsilons = 0.5\n",
+    ],
+    ids=["binary-sampled", "binary-exact", "binary-exact-radius-two", "circle-sampled"],
+)
+def test_power_test_with_a_zero_base_limit_exits_3(tmp_path, capsys, body):
+    """Where every ball is the whole space (radius >= 1 on the binary
+    system, the circle's diameter 0.5) the base entropy limit is 0: the
+    run names it and exits 3, not a ZeroDivisionError traceback."""
+    cfg = tmp_path / "power.cfg"
+    cfg.write_text("estimator = power-test\nks = 1,2,3,4\nn_points = 128\n" + body)
+    assert main(["run", str(cfg)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("runtime error: power-test base limit is 0 at epsilon")
 
 
 def test_power_test_exact_short_horizons_exit_zero(tmp_path, capsys):

@@ -3,7 +3,7 @@ their own fallback code paths."""
 
 import itertools
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,18 +44,13 @@ from oracles import (
     corr_integral,
     cylinder_cell_measures,
     doubling_ratio,
+    generic_system,
     net,
 )
 
 LOG2 = math.log(2.0)
 BIN = binary_shift_odometer(depth=60)
 CIRCLE = circle_double_rotate()
-
-
-def _generic(sys_):
-    """The generic pairwise oracle: sys_ with every optional fast-path
-    capability (ball_key, window_ops, array_ops, ...) stripped."""
-    return replace(sys_, **{f.name: None for f in fields(sys_) if f.default is None})
 
 
 @pytest.fixture
@@ -129,8 +124,8 @@ def test_correlation_sum_errors():
         correlation_sum(BIN, x, 0.5, word((1,), 2), 3, 10, 2, seed=0)
 
 
-def test_correlation_sum_key_path_equals_generic(windows_only):
-    generic = _generic(BIN)
+def test_correlation_sum_key_path_equalsgeneric_system(windows_only):
+    generic = generic_system(BIN)
     x = binary.random_point(60, substream(7))
     for eps in (0.5, 3 * 2.0**-5):
         fast = correlation_sum(BIN, x, eps, word((1, 2), 2), 3, 30, 4, seed=8)
@@ -140,8 +135,8 @@ def test_correlation_sum_key_path_equals_generic(windows_only):
         assert fast.stderr == slow.stderr
 
 
-def test_correlation_sum_array_path_equals_generic():
-    generic = _generic(CIRCLE)
+def test_correlation_sum_array_path_equalsgeneric_system():
+    generic = generic_system(CIRCLE)
     for eps in (0.21, 0.05):
         fast = correlation_sum(CIRCLE, 0.3, eps, word((1, 2), 2), 3, 30, 4, seed=9)
         slow = correlation_sum(generic, 0.3, eps, word((1, 2), 2), 3, 30, 4, seed=9)
@@ -216,9 +211,9 @@ def test_ball_measure_center_not_in_sample():
         ball_measure(em, BIN, word((1,), 2), 2, outsider, 0.25)
 
 
-def test_ball_measure_window_path_equals_generic(windows_only):
+def test_ball_measure_window_path_equalsgeneric_system(windows_only):
     em = EmpiricalMeasure(_rand_binary_points(96, 60, 31))
-    generic = _generic(BIN)
+    generic = generic_system(BIN)
     omega = word((1, 2, 2), 2)
     for eps in (0.5, 0.125):
         for center in em.points[:8]:
@@ -245,7 +240,7 @@ def test_ball_measure_binomial_band():
 def test_ball_measures_paths_agree(windows_only):
     pts = _rand_binary_points(64, 60, 5)
     em = EmpiricalMeasure(pts)
-    generic = _generic(BIN)
+    generic = generic_system(BIN)
     omega = word((2, 1, 2), 2)
     a = em.ball_measures(BIN, omega, 3, 0.25)
     b = em.ball_measures(generic, omega, 3, 0.25)
@@ -253,7 +248,7 @@ def test_ball_measures_paths_agree(windows_only):
     rng = substream(6)
     cpts = tuple(float(rng.random()) for _ in range(48))
     cem = EmpiricalMeasure(cpts)
-    nogen = _generic(CIRCLE)
+    nogen = generic_system(CIRCLE)
     a = cem.ball_measures(CIRCLE, omega, 3, 0.07)
     b = cem.ball_measures(nogen, omega, 3, 0.07)
     assert np.array_equal(a, b)
@@ -438,7 +433,7 @@ ORBIT_PATHS = {
     "binary-windows": (BIN, 0.25),
     "binary-exact": (replace(BIN, window_ops=None), 0.25),
     "circle-pairs": (CIRCLE, 0.2),
-    "generic": (_generic(CIRCLE), 0.2),
+    "generic": (generic_system(CIRCLE), 0.2),
 }
 
 
@@ -519,12 +514,12 @@ def test_separated_cardinality_full_prefix_sample():
 
 def test_greedy_net_paths_agree(windows_only):
     pts = list(_rand_binary_points(48, 60, 18))
-    generic = _generic(BIN)
+    generic = generic_system(BIN)
     omega = word((1, 2), 2)
     assert net(pts, BIN, omega, 3, 0.25) == net(pts, generic, omega, 3, 0.25)
     rng = substream(19)
     cpts = [float(rng.random()) for _ in range(80)]
-    nogen = _generic(CIRCLE)
+    nogen = generic_system(CIRCLE)
     assert net(cpts, CIRCLE, omega, 3, 0.04) == net(cpts, nogen, omega, 3, 0.04)
 
 
@@ -787,7 +782,7 @@ COUNTING_PATHS = {
     "binary-windows": BIN,
     "binary-exact": replace(BIN, window_ops=None),
     "circle-pairs": CIRCLE,
-    "generic": _generic(CIRCLE),
+    "generic": generic_system(CIRCLE),
 }
 
 

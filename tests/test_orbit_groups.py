@@ -5,7 +5,7 @@ as its first failing orbit, and a corr-sum run holds one copy of the
 windows and group-sized temporaries."""
 
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,14 +15,10 @@ from fsgentropy.errors import CarryOverflow, DepthExhausted
 from fsgentropy.seeding import UPSILON, substream
 from fsgentropy.systems import binary_shift_odometer, circle_double_rotate
 from fsgentropy.words import BernoulliSpec, sample_symbols, sample_word, uniform_spec, word
-from oracles import orbit_pair_counts
+from oracles import generic_system, orbit_pair_counts
 
 BIN = binary_shift_odometer(depth=60)
 CIRCLE = circle_double_rotate()
-
-
-def _generic(sys_):
-    return replace(sys_, **{f.name: None for f in fields(sys_) if f.default is None})
 
 
 @pytest.fixture
@@ -87,8 +83,8 @@ ORBIT_PATHS = {
     "binary-windows": (BIN, 0.25),
     "binary-exact": (replace(BIN, window_ops=None), 0.25),
     "circle-pairs": (CIRCLE, 0.2),
-    "circle-generic": (_generic(CIRCLE), 0.2),
-    "binary-generic": (_generic(BIN), 0.25),
+    "circle-generic": (generic_system(CIRCLE), 0.2),
+    "binary-generic": (generic_system(BIN), 0.25),
 }
 
 

@@ -8,7 +8,7 @@ so a test fails if the estimators fall through to the generic loop.
 
 import itertools
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +35,7 @@ from fsgentropy.systems import (
     torus_affine,
 )
 from fsgentropy.words import symbol_digits, word
-from oracles import ball_measure, doubling_ratio, net
+from oracles import ball_measure, doubling_ratio, generic_system, net
 
 EPS = (0.5, 0.5 - 1e-11, 0.125, 1e-3, 2.0**-20)
 
@@ -47,11 +47,6 @@ EDGE = (
     0.0, 1.0 - 2.0**-53, 0.25, 0.375, 0.375, 0.0625, 0.9375,
     2.0**-56, 0.125 + 2.0**-55, 1.5 * 2.0**-53, 0.875 + 2.0**-53,
 )
-
-
-def _generic(sys_):
-    """The generic pairwise oracle: every optional fast path stripped."""
-    return replace(sys_, **{f.name: None for f in fields(sys_) if f.default is None})
 
 
 def _sparse(sys_, calls):
@@ -85,9 +80,9 @@ def pair_systems(request):
     if request.param == "circle-power2":
         base = SYSTEMS["circle"]
         fast = build_power_system(_sparse(base, calls), 2)
-        return fast, _generic(build_power_system(base, 2)), calls
+        return fast, generic_system(build_power_system(base, 2)), calls
     base = SYSTEMS[request.param]
-    return _sparse(base, calls), _generic(base), calls
+    return _sparse(base, calls), generic_system(base), calls
 
 
 @pytest.fixture(params=[None, 1, 7], ids=["chunk-default", "chunk-1", "chunk-7"])
@@ -406,7 +401,7 @@ def test_carried_tally_matches_oracle(chunk, kind, share):
     counts equal the oracle's in every case, with one, seven or all
     pairs per chunk."""
     base = SYSTEMS["circle"]
-    fast, oracle = _sparse(base, []), _generic(base)
+    fast, oracle = _sparse(base, []), generic_system(base)
     pts, eps = SHARES[share], 0.125
     i, j, _ = _stage0(np.array(pts), eps)
     doubled = base.array_ops.apply(1, np.array(pts))
@@ -625,7 +620,7 @@ def test_doubling_series_walks_once_per_radius(monkeypatch):
         assert series.epsilon == eps
         assert [k for k, _ in series.rows] == ks
         for k, value in series.rows:
-            for s in (base, _generic(base)):
+            for s in (base, generic_system(base)):
                 assert value == doubling_ratio(EmpiricalMeasure(pts), s, omega, k, eps), (eps, k)
 
 
@@ -700,7 +695,7 @@ def test_rotation_nodes_keep_sure_pairs_untested(monkeypatch, chunk_size, inside
     tested = _tested_nodes(nodes, inside, stages or estimators.SURE_STAGES)
     assert count["close"] == len(tested) * chunks
     assert any(p[-1] == 2 for p in tested) == (not inside or stages is not None)
-    oracle = _generic(base)
+    oracle = generic_system(base)
     for g, cell in zip(got, cells):
         want = _count_cells(oracle, _as_point_set(oracle, pts), 0.5, [cell], "balls")[0]
         assert np.array_equal(g, want), cell
@@ -739,7 +734,7 @@ def test_sure_pairs_at_the_margin_match_oracle(monkeypatch, eps, outside):
     one rotation after stage 0 and rotation chains after a doubling
     equal the oracle's, with one, seven or all pairs per chunk, for pairs
     on both sides of eps - margin and of eps."""
-    fast, oracle = _sparse(SYSTEMS["circle"], []), _generic(SYSTEMS["circle"])
+    fast, oracle = _sparse(SYSTEMS["circle"], []), generic_system(SYSTEMS["circle"])
     pts = _boundary_points(eps, outside)
     if eps > 1e-3:  # a pair within eps at the stage before a rotation leaves it there
         i, j = np.triu_indices(len(pts), 1)
@@ -812,7 +807,7 @@ def test_walk_reads_sure_and_margin_chunks_like_the_oracle(monkeypatch, chunk, k
         return hit
 
     monkeypatch.setattr(systems, "_circle_close", close)  # stage 0's exact test only
-    fast, oracle = _sparse(SYSTEMS["circle"], []), _generic(SYSTEMS["circle"])
+    fast, oracle = _sparse(SYSTEMS["circle"], []), generic_system(SYSTEMS["circle"])
     cells = [
         (k, word(syms, 2))
         for syms in [(1, 2, 2, 2, 1, 2), (2, 1, 2, 2), (2, 2, 1)]

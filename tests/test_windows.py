@@ -5,7 +5,7 @@ exact path raises."""
 import math
 import weakref
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +33,7 @@ from oracles import (
     all_points,
     ball_measure,
     doubling_ratio,
+    generic_system,
     net,
     odometer_undecided,
     orbit_windows_loop,
@@ -235,13 +236,13 @@ def test_repeated_calls_share_lazily_built_orbit_points(exact_calls):
     assert estimators._upsilon_orbits.cache_info().hits == 1
     orbits = estimators._upsilon_orbits(sys_, x, 60, 3, 9, None)
     assert all(o.wins is not None and o._points is not None for o in orbits)
-    assert first == second == fn(_generic(sys_))
+    assert first == second == fn(generic_system(sys_))
 
 
 def test_orbit_failures_raise_on_every_call():
     x = binary.BinaryPoint((1 << 70) - 1, 70)
     sys_ = binary_shift_odometer(depth=70)
-    for s in (sys_, _generic(sys_)):
+    for s in (sys_, generic_system(sys_)):
         for _ in range(3):
             with pytest.raises(CarryOverflow):
                 _corr_sum(x, 0.25, word((2, 1), 2), 1, 40, 4)(s)
@@ -288,11 +289,6 @@ def test_local_corr_entropy_window_path_matches_exact_path(exact_calls):
 # the prefix-trie walk over all the cells of a series
 
 
-def _generic(sys_):
-    """The generic pairwise oracle: every optional fast path stripped."""
-    return replace(sys_, **{f.name: None for f in fields(sys_) if f.default is None})
-
-
 def _first_come(labels):
     index = {}
     return [index.setdefault(v, len(index)) for v in labels.tolist()]
@@ -332,7 +328,7 @@ def test_trie_falls_back_below_a_deciding_parent(exact_calls):
     assert decided.count(False) == 1 and len(exact_calls) == 1
     exact = replace(sys_, window_ops=None)
     assert labels == _label_walk(exact, _as_point_set(exact, points), eps, root, _first_come, key)
-    oracle = _generic(sys_)
+    oracle = generic_system(sys_)
     for kind in ("balls", "pairs", "net"):
         opts = _kind_options(kind, len(points))
         got = _count_cells(fast, _as_point_set(fast, points), eps, cells, kind, **opts)
@@ -352,11 +348,11 @@ def test_equal_depth_prefixes_raise_on_every_path(kind):
     sys_ = binary_shift_odometer(depth=6)
     cells = [(4, word((1, 1, 1), 2))]
     opts = _kind_options(kind, len(points))
-    for s in (sys_, replace(sys_, window_ops=None), _generic(sys_)):
+    for s in (sys_, replace(sys_, window_ops=None), generic_system(sys_)):
         with pytest.raises(DepthExhausted):
             _count_cells(s, _as_point_set(s, points), 2.0**-4, cells, kind, **opts)
     # one halving coarser, every path counts alike
-    oracle = _cells_outcome(_generic(sys_), points, 2.0**-3, cells, kind)
+    oracle = _cells_outcome(generic_system(sys_), points, 2.0**-3, cells, kind)
     assert oracle[0] == "ok"
     for s in (sys_, replace(sys_, window_ops=None)):
         assert _cells_outcome(s, points, 2.0**-3, cells, kind) == oracle
@@ -371,7 +367,7 @@ def test_trie_raises_at_the_first_failing_cell_like_the_oracle(kind):
     sys_ = binary_shift_odometer(depth=3)
     carry, depth = (2, word((2,), 2)), (4, word((1, 1, 1), 2))
     opts = _kind_options(kind, len(points))
-    systems_ = (sys_, replace(sys_, window_ops=None), _generic(sys_))
+    systems_ = (sys_, replace(sys_, window_ops=None), generic_system(sys_))
     # in the trie, the carry node is walked first either way
     for failing, error in (([carry, depth], CarryOverflow), ([depth, carry], DepthExhausted)):
         cells = [(1, word((), 2)), (2, word((1,), 2))] + failing
@@ -428,7 +424,7 @@ def test_doubling_series_takes_one_walk_per_radius():
         for k, value in series.rows:
             fresh = EmpiricalMeasure(em.points)
             assert value == doubling_ratio(fresh, base, omega, k, eps)
-            assert value == doubling_ratio(fresh, _generic(base), omega, k, eps)
+            assert value == doubling_ratio(fresh, generic_system(base), omega, k, eps)
 
 
 def test_local_entropy_series_takes_one_walk_per_radius(monkeypatch):
@@ -455,7 +451,7 @@ def test_local_entropy_series_takes_one_walk_per_radius(monkeypatch):
         assert series.epsilon == eps
         assert [k for k, _ in series.rows] == ks
         for k, value in series.rows:
-            for s in (base, _generic(base)):
+            for s in (base, generic_system(base)):
                 fresh = EmpiricalMeasure(tuple(points))
                 assert value == -math.log(ball_measure(fresh, s, omega, k, points[7], eps)) / k
 
@@ -527,7 +523,7 @@ def test_corr_sum_resumed_in_any_call_order_equals_fresh_walks(exact_calls, grou
     for (eps, k, _), value in zip(calls, got):
         estimators._upsilon_orbits.cache_clear()
         assert value == corr(base, eps, k), (eps, k)
-        assert value == corr(_generic(base), eps, k), (eps, k)
+        assert value == corr(generic_system(base), eps, k), (eps, k)
 
 
 @pytest.mark.parametrize(
@@ -633,7 +629,7 @@ def test_binary_isometries_are_the_odometer_and_no_power_symbol():
     assert sys_.isometries == {2}
     for t in (2, 3):
         assert build_power_system(sys_, t).isometries == frozenset()
-    power = _generic(build_power_system(sys_, 2))
+    power = generic_system(build_power_system(sys_, 2))
     points = _points(32, 64, 3)
     balls = [
         _count_cells(power, _as_point_set(power, points), 0.5, [cell], "balls")[0]
@@ -694,15 +690,16 @@ def _cells_outcome(s, points, eps, cells, kind):
 def test_isometric_nodes_count_and_fail_like_the_oracle(kind, points, eps, cells, error):
     cells = [(k, word(syms, 2)) for k, syms in cells]
     sys_ = binary_shift_odometer(depth=points[0].depth)
-    oracle = _cells_outcome(_generic(sys_), points, eps, cells, kind)
+    oracle = _cells_outcome(generic_system(sys_), points, eps, cells, kind)
     assert oracle[0] == ("ok" if error is None else "raised")
     if error is not None:
         assert oracle[1] is error
     for s in (sys_, replace(sys_, window_ops=None)):
         assert _cells_outcome(s, points, eps, cells, kind) == oracle
     # and the cells that do not raise count like the oracle's
-    fine = [c for c in cells if _cells_outcome(_generic(sys_), points, eps, [c], kind)[0] == "ok"]
-    oracle = _cells_outcome(_generic(sys_), points, eps, fine, kind)
+    generic = generic_system(sys_)
+    fine = [c for c in cells if _cells_outcome(generic, points, eps, [c], kind)[0] == "ok"]
+    oracle = _cells_outcome(generic, points, eps, fine, kind)
     for s in (sys_, replace(sys_, window_ops=None)):
         assert _cells_outcome(s, points, eps, fine, kind) == oracle
 
@@ -716,7 +713,7 @@ def test_radius_past_the_diameter_with_an_odometer_first_letter(kind, eps):
     sys_ = binary_shift_odometer(depth=64)
     cells = [(k, word(syms, 2)) for k, syms in
              [(2, (2,)), (3, (2, 2)), (3, (2, 1)), (4, (2, 1, 2)), (4, (1, 2, 2))]]
-    oracle = _cells_outcome(_generic(sys_), points, eps, cells, kind)
+    oracle = _cells_outcome(generic_system(sys_), points, eps, cells, kind)
     assert oracle[0] == "ok"
     for s in (sys_, replace(sys_, window_ops=None)):
         assert _cells_outcome(s, points, eps, cells, kind) == oracle
@@ -844,7 +841,7 @@ def test_corr_sum_reuses_reads_across_resumed_calls_in_any_order(
         if call[0] == "other":
             assert value == other_read(a, call[1]), call
         else:
-            assert value == corr(_generic(base), *call), call
+            assert value == corr(generic_system(base), *call), call
 
 
 # ---------------------------------------------------------------------------
@@ -872,7 +869,7 @@ def test_shared_reads_equal_the_unshared_walk_and_the_oracle(kind, system, m_ome
     ks = [1, 2, 3, 4] if sys_.m == 4 else [1, 2, 3, 4, 5, 6, 7]
     _, cells = estimators._series_cells(sys_.m, ks, None, m_omega, 25)
     opts = _kind_options(kind, len(points))
-    plain, oracle = _unshared(sys_), _generic(sys_)
+    plain, oracle = _unshared(sys_), generic_system(sys_)
     got = _count_cells(sys_, _as_point_set(sys_, points), 0.5, cells, kind, **opts)
     want = _count_cells(plain, _as_point_set(plain, points), 0.5, cells, kind, **opts)
     for g, w, cell in zip(got, want, cells):
@@ -895,7 +892,7 @@ def test_corr_sum_run_with_shared_reads_equals_the_unshared_walk_and_the_oracle(
         ]
 
     got = run(base)
-    assert got == run(_unshared(base)) == run(_generic(base))
+    assert got == run(_unshared(base)) == run(generic_system(base))
 
 
 def _tracked_walk(sys_, points, eps, cells):
