@@ -37,9 +37,11 @@ BinaryPoint objects: a window holds the low 64 bits of a point, next to
 its depth.  A stage key at radius 2**(-L) reads only the low L bits, the
 shift is `>> 1` (after s shifts the top s bits of the window are no
 longer the point's), and the odometer is `+ 1`, whose carry only moves
-upward.  Orbit windows are built straight from the starting point:
-after a shifts and carry c the orbit point is (x >> a) + c, so every
-orbit window holds 64 true bits however deep the orbit runs.
+upward, so a bound on the windows' low bits, carried from stage to
+stage, spares an odometer most carry scans.  Orbit windows are built
+straight from the starting point: after a shifts and carry c the orbit
+point is (x >> a) + c, so every orbit window holds 64 true bits however
+deep the orbit runs.
 Window functions return None, and the caller takes the exact
 BinaryPoint path from that stage on, whenever a window cannot decide a
 point the way the exact path would: the key needs more than the bits
@@ -306,34 +308,53 @@ def orbit_windows(x: BinaryPoint, words, n: int):
     return win, depth
 
 
+def _low_max(win, width: int) -> int:
+    """The largest low `width` bits of any window: one full-array carry scan."""
+    return int((win & _low_masks()[width]).max())
+
+
 def window_stage(wins, eps: float, state=None, sym: int = 1):
-    """One Bowen stage of a window form at a time: the stage-0 state,
-    ball keys (uint64, one per window) and their bit width when state is
-    None, else those of the stage after state along sym (1 shift, 2
-    odometer).  Two points are within eps at a stage exactly when their
-    keys agree.  Returns None when some window cannot decide this stage
-    (see the module docstring); a stage after one that returned None is
-    never asked for.
+    """One Bowen stage of a window form at a time: the stage-0 state when
+    state is None, else that of the stage after state along sym (1 shift,
+    2 odometer), whose keys window_key reads; None when some window
+    cannot decide the stage (see the module docstring), and a stage after
+    a None is never asked for.  With one width for all windows, the state
+    bounds their low reach - shifts bits (None: unknown): a shift halves
+    the bound exactly, an odometer adds one, and it scans the windows for
+    a carry only while the bound allows one.
     """
     win, depth = wins
     if state is None:
         reach = np.minimum(depth, WINDOW_BITS)  # the bits a carry may run through
         if len(reach) and reach.min() == reach.max():
             reach = int(reach[0])  # one width, one mask
-        state = (win, 0, int(depth.min()) if len(depth) else WINDOW_BITS + 1, reach)
+        state = (win, 0, int(depth.min()) if len(depth) else WINDOW_BITS + 1, reach, None)
     else:
-        win, shifts, lowest, reach = state
+        win, shifts, lowest, reach, bound = state
         if sym == 1:
-            state = (win >> _ONE, shifts + 1, lowest, reach)
-        elif _carry_may_leave(win, reach - shifts):  # less the shifted-in top
+            state = (win >> _ONE, shifts + 1, lowest, reach, bound and bound >> 1)
+        elif isinstance(reach, int):  # less the shifted-in top
+            edge = (1 << (reach - shifts)) - 1
+            if bound is None or bound >= edge:
+                bound = _low_max(win, reach - shifts)
+            if bound == edge:
+                return None
+            state = (win + _ONE, shifts, lowest, reach, bound + 1)
+        elif _carry_may_leave(win, reach - shifts):
             return None
         else:
-            state = (win + _ONE, shifts, lowest, reach)
+            state = (win + _ONE, shifts, lowest, reach, None)
     level = prefix_length_for(eps)
-    _, shifts, lowest, _ = state
+    _, shifts, lowest, _, _ = state
     if level + shifts > WINDOW_BITS or lowest < max(level + shifts, shifts + 1):
         return None
-    return state, state[0] & _low_masks()[level], level
+    return state
+
+
+def window_key(state, eps: float):
+    """The uint64 ball keys of a window_stage state at eps and their bit
+    width: two points are within eps at the stage exactly when keys agree."""
+    return state[0] & _low_masks()[prefix_length_for(eps)], prefix_length_for(eps)
 
 
 def s_count(omega: SymbolWord, k: int) -> int:

@@ -223,11 +223,13 @@ def _has_pairs(sys: GeneratorSystem) -> bool:
     return sys.pair_ops is not None and sys.array_ops is not None
 
 
-def _trie(cells):
+@lru_cache(maxsize=1)
+def _trie(cells: tuple):
     """Prefix trie of cells (k, word): a node is [symbol, children by
     symbol, indices of the cells ending there], and a cell ends at the
     node of its word's first k-1 symbols.  Also returns, per cell, the
-    first cell ending at its node, which names the node's result."""
+    first cell ending at its node, which names the node's result.  Equal
+    cells (every radius of a series) share one trie, which nothing changes."""
     root = [None, {}, []]
     first = []
     for c, (k, omega) in enumerate(cells):
@@ -236,7 +238,7 @@ def _trie(cells):
             node = node[1].setdefault(s, [s, {}, []])
         node[2].append(c)
         first.append(node[2][0])
-    return root, first
+    return root, tuple(first)
 
 
 def _bowen_keys(sys: GeneratorSystem, points, syms, eps):
@@ -391,19 +393,19 @@ def _resume_node(root, eps, labelled):
 
 def _label_stage(sys, pset, eps, node, path, state, points, labels, row, bits, taken):
     """One node of the label walk: its window state (or exact points),
-    labels and pending row, from its parent's.  An isometry packs no
-    key; a node that takes its signature's labels (taken) packs none
-    either and drops what is pending."""
+    labels and pending row, from its parent's.  Window keys are made only
+    where packed: an isometry packs none, nor does a node that takes its
+    signature's labels (taken), which drops what is pending."""
     windows = points is None and pset.wins is not None
-    got = sys.window_ops.stage(pset.wins, eps, state, node[0]) if windows else None
-    if got is None:  # exact stage keys from here on
+    state = sys.window_ops.stage(pset.wins, eps, state, node[0]) if windows else None
+    if state is None:  # exact stage keys from here on
         start, syms = (pset.points, path) if points is None else (points, path[-1:])
         points, key, width = _bowen_keys(sys, start, syms, eps)
-    else:
-        state, key, width = got
     if taken is not None:
         return state, points, taken, 0, 0
     if node[0] not in sys.isometries:
+        if state is not None:
+            key, width = sys.window_ops.key(state, eps)
         if bits + width > 64:
             labels, row, bits = _fold(labels, row, bits), 0, 0
         row, bits = row | (key << np.uint64(bits)), bits + width
@@ -612,7 +614,7 @@ def _count_cells(
             reduce(_generic_result(sys, pset.points, eps, k, omega, kind, blocks))
             for k, omega in cells
         ]
-    root, first = _trie(cells)
+    root, first = _trie(tuple(cells))
     if sys.ball_key is not None:
         read = {
             "balls": lambda labels: np.bincount(labels)[labels].astype(float),
@@ -947,11 +949,11 @@ def _word_mean(values, words, exhaustive) -> tuple[float, float]:
 
 def _word_averaged(sys, eps_list, k_list, m_omega, seed, weights, values, **series):
     """One series per radius with rows (k, a / k): a is the word average
-    of values(eps, cells) over the horizon's (k, word) cells, and its
-    standard error over k is the row's."""
+    of values(eps, cells) over the horizon's (k, word) cells, drawn once
+    for every radius, and its standard error over k is the row's."""
+    word_sets, cells = _series_cells(sys.m, k_list, weights, m_omega, seed)
     out = []
     for eps in eps_list:
-        word_sets, cells = _series_cells(sys.m, k_list, weights, m_omega, seed)
         per_k = _by_horizon(values(eps, cells), word_sets)
         found = [
             _word_mean(vals, words, exhaustive_omega(sys.m, k, m_omega))
@@ -1045,9 +1047,9 @@ def local_corr_entropy_series(
     orbits = _upsilon_orbits(sys, x, n, m_upsilon, seed, weights)
     h = max(1, n // 2)
     halves = _blocks((np.arange(n) >= h).astype(np.intp), 2)
+    word_sets, cells = _series_cells(sys.m, k_list, weights, m_omega, seed)
     out = []
     for eps in eps_list:
-        word_sets, cells = _series_cells(sys.m, k_list, weights, m_omega, seed)
         close = _orbit_pair_counts(sys, orbits, eps, cells, halves)
         full = _by_horizon(((n + close.sum(axis=(2, 3))) / n**2).tolist(), word_sets)
         half = _by_horizon(((h + close[:, :, 0, 0]) / h**2).tolist(), word_sets)

@@ -13,11 +13,11 @@ Systems may advertise four optional fast-path capabilities:
   partition the space (the binary backend and its power systems); the
   estimators fold the stage keys along a word into one integer Bowen
   label per point, so pair and ball counting run in linear time.
-* window_ops: the same stage keys computed for a whole point set at
-  once on uint64 windows (the binary backend), one stage at a time.  A
-  stage returns None when it cannot decide every point, and the
-  estimators then use ball_key from that stage on, which raises exactly
-  where the point maps raise.
+* window_ops: the same stage keys for a whole point set at once on
+  uint64 windows (the binary backend and its power systems), one stage
+  at a time, keys only where the estimators pack them.  A stage returns
+  None when it cannot decide every point, and the estimators then use
+  ball_key from that stage on, which raises where the point maps raise.
 * array_ops: vectorised point array conversion, generator application
   and a center-by-sample threshold test (read only by the benchmark's
   tracer), for scalar systems (the circle family).
@@ -77,9 +77,9 @@ class WindowOps:
     # (x, driving words, n) -> one window form of all the orbits, orbit o
     # at o * n, or None
     orbit_windows: Callable[[Point, Sequence[Sequence[int]], int], Optional[tuple]]
-    # (window form, eps, state of the previous stage or None, symbol)
-    # -> (state, uint64 ball keys, their bit width) of the next stage, or None
-    stage: Callable[[Any, float, Any, int], Optional[tuple]]
+    # (window form, eps, previous stage's state or None, symbol) -> next state or None
+    stage: Callable[[Any, float, Any, int], Any]
+    key: Callable[[Any, float], tuple]  # (state, eps) -> uint64 ball keys, bit width
 
 
 @dataclass(frozen=True)
@@ -159,9 +159,10 @@ def build_power_system(sys: GeneratorSystem, t: int) -> GeneratorSystem:
     """System generated by all t-fold compositions of the base maps.
 
     Generator j applies the digit maps of j in order: first digit first.
-    Points, metric, diameter, sampler, ball_key, array_ops and pair_ops
-    carry over unchanged (same space, same measure); window_ops does
-    not, so power systems of the binary backend count through ball_key.
+    Points, metric, diameter, sampler, ball_key and pair_ops carry over
+    unchanged (same space, same measure); array_ops and window_ops apply
+    j digit by digit (a window stage is None if a digit's is, and orbit
+    windows keep every t-th point of the base orbit along the digits).
     j is an isometry exactly when all its digits are, but with ball_key
     none is: shift(shift(x + 2)) = shift(shift(x)) + x_2 does not
     commute on a ball of radius 1/2.
@@ -185,21 +186,33 @@ def build_power_system(sys: GeneratorSystem, t: int) -> GeneratorSystem:
 
     digits = [symbol_digits(j, sys.m, t) for j in range(1, sys.m ** t + 1)]
     power_maps = tuple(map(composed, digits))
-    array_ops = None
-    if sys.array_ops is not None:
-        base_ops = sys.array_ops
+    base_arr, base_win = sys.array_ops, sys.window_ops
 
-        def apply_arr(j, arr, _m=sys.m, _t=t, _base=base_ops):
-            for d in symbol_digits(j, _m, _t):
-                arr = _base.apply(d, arr)
-            return arr
+    def apply_arr(j, arr):
+        for d in symbol_digits(j, sys.m, t):
+            arr = base_arr.apply(d, arr)
+        return arr
 
-        array_ops = ArrayOps(base_ops.to_array, apply_arr, base_ops.within)
+    def stage(wins, eps, state=None, j=1):
+        if state is None:
+            return base_win.stage(wins, eps)
+        for d in digits[j - 1]:
+            state = state and base_win.stage(wins, eps, state, d)
+        return state
+
+    def orbits(x, words, n):
+        table = np.array(digits)
+        base = [table[np.asarray(w[:n - 1], dtype=np.intp) - 1].ravel() for w in words]
+        got = base_win.orbit_windows(x, base, t * (n - 1) + 1)
+        return got and tuple(a.reshape(-1, t * (n - 1) + 1)[:, ::t].ravel() for a in got)
+
+    array_ops = base_arr and ArrayOps(base_arr.to_array, apply_arr, base_arr.within)
+    window_ops = base_win and WindowOps(base_win.to_windows, orbits, stage, base_win.key)
     iso = frozenset() if sys.ball_key else sys.isometries
     isometries = frozenset(j for j, d in enumerate(digits, 1) if iso.issuperset(d))
     return replace(
         sys, name=f"{sys.name}-power{t}", maps=power_maps, array_ops=array_ops,
-        window_ops=None, isometries=isometries,
+        window_ops=window_ops, isometries=isometries,
     )
 
 
@@ -224,7 +237,9 @@ def binary_shift_odometer(depth: int = 64) -> GeneratorSystem:
         diameter=1.0,
         mu_sampler=lambda rng, n: binary.random_points(depth, n, rng),
         ball_key=binary.ball_key,
-        window_ops=WindowOps(binary.to_windows, binary.orbit_windows, binary.window_stage),
+        window_ops=WindowOps(
+            binary.to_windows, binary.orbit_windows, binary.window_stage, binary.window_key
+        ),
         isometries=frozenset({2}),  # the odometer: + 1 keeps every common prefix
     )
 

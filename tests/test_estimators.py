@@ -856,3 +856,29 @@ def test_corr_entropy_series_marks_exact_measures_for_a_slope_fit():
     assert k_limit(s_exact).method == "slope-fit"
     assert k_limit(s_exact).value == pytest.approx(LOG2 / 2, abs=1e-9)
     assert k_limit(s_emp).method == "tail-mean"
+
+
+def test_series_draw_their_words_once_for_every_radius(monkeypatch):
+    # two radii, exhaustive words for ks 1..4 and Monte Carlo ones for 5:
+    # one omega_words call per horizon, and the rows of one-radius runs
+    calls = []
+    original = estimators.omega_words
+
+    def counting(m, k, *rest):
+        calls.append(k)
+        return original(m, k, *rest)
+
+    monkeypatch.setattr(estimators, "omega_words", counting)
+    sys_ = binary_shift_odometer(depth=64)
+    em = EmpiricalMeasure.draw(sys_, 64, 7)
+    eps_list, ks = [0.25, 0.125], [1, 2, 3, 4, 5]
+    runs = {
+        "top": lambda e: top_entropy_series(em, sys_, e, ks, 8, seed=7),
+        "corr": lambda e: corr_entropy_series(em, sys_, e, ks, 2.0, 8, seed=7),
+        "local corr": lambda e: local_corr_entropy_series(sys_, em.points[0], e, ks, 40, 3, 8, 7),
+    }
+    for name, run in runs.items():
+        del calls[:]
+        both = run(eps_list)
+        assert calls == ks, name
+        assert both == [run([eps])[0] for eps in eps_list], name

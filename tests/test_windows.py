@@ -132,7 +132,7 @@ def test_deep_key_beyond_the_window_falls_back(exact_calls):
     omega = word((1, 1, 2, 1, 1, 2, 1), 2)
     wins, state = to_windows(points), None
     for sym in (None,) + omega.symbols[:-1]:
-        state = window_stage(wins, 2.0**-60, state, sym)[0]
+        state = window_stage(wins, 2.0**-60, state, sym)
     assert window_stage(wins, 2.0**-60, state, omega.symbols[-1]) is None
     _assert_parity(points, omega, 8, 2.0**-60, exact_calls, window_ran=False)
 
@@ -164,14 +164,37 @@ def test_window_carry_into_unknown_bits_falls_back_with_equal_results(exact_call
     _assert_parity(points, word((2, 1), 2), 2, 0.25, exact_calls, window_ran=False)
 
 
-def test_power_system_counts_through_ball_keys():
-    power = build_power_system(binary_shift_odometer(depth=80), 2)
-    assert power.window_ops is None
-    oracle = replace(power, ball_key=None)
-    points = _points(48, 80, 4)
-    omega = word((3, 2, 4, 1), 4)
-    for name, fn in _consumers(points, omega, 4, 0.25).items():
-        assert _outcome(fn, power) == _outcome(fn, oracle), name
+@pytest.mark.parametrize("t", [2, 3])
+def test_power_systems_count_through_windows_like_the_oracle(t, exact_calls):
+    # a power stage runs its base digits on the windows: the counts of the
+    # exact keys and the pairwise oracle, and where a digit cannot decide,
+    # the exact keys' error, whose type the oracle raises too
+    power = build_power_system(binary_shift_odometer(depth=80), t)
+    assert power.window_ops is not None and power.isometries == frozenset()
+    keys, oracle, m = replace(power, window_ops=None), generic_system(power), power.m
+    rng = substream(40 + t)
+    deep = _points(48, 80, 4)
+    x = deep[0]
+    cases = [  # points, word, k, eps, whether the windows decide
+        (deep, tuple(rng.integers(1, m + 1, size=5).tolist()), 6, 0.25, True),
+        (deep, tuple(rng.integers(1, m + 1, size=5).tolist()), 4, 2.0**-5, True),
+        (all_points(4), (m, 1), 2, 0.5, False),  # all odometers: 0b1111 overflows
+        (_points(16, 6, 2), (1, 1), 3, 2.0**-4, False),  # 4 + 2t coordinates of 6
+    ]
+    for points, syms, k, eps, decided in cases:
+        omega = word(syms, m)
+        fns = dict(_consumers(points, omega, k, eps), corr_sum=_corr_sum(x, eps, omega, k, 30, 3))
+        for name, fn in fns.items():
+            del exact_calls[:]
+            got = _outcome(fn, power)
+            assert (not exact_calls) == decided or name == "corr_sum", (syms, name)
+            assert got == _outcome(fn, keys) and got[:2] == _outcome(fn, oracle)[:2], (syms, name)
+            assert got[0] == "ok" or got[1] in (CarryOverflow, DepthExhausted), (syms, name)
+    # orbits along odometers only run into the all-ones prefix
+    top = binary.BinaryPoint((1 << 80) - 3, 80)
+    fn = _corr_sum(top, 0.25, word((m,) * 4, m), 5, 30, 3)
+    got = _outcome(fn, power)
+    assert got == _outcome(fn, keys) == _outcome(fn, oracle) and got[1] is CarryOverflow
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +345,7 @@ def test_trie_falls_back_below_a_deciding_parent(exact_calls):
         ]
     ]
     eps = 2.0**-60
-    root, _ = _trie(cells)
+    root, _ = _trie(tuple(cells))
     key = (_first_come,)
     labels = _label_walk(fast, _as_point_set(fast, points), eps, root, _first_come, key)
     assert decided.count(False) == 1 and len(exact_calls) == 1
@@ -907,7 +930,7 @@ def _tracked_walk(sys_, points, eps, cells):
         refs.append(weakref.ref(got))
         return got
 
-    root, _ = _trie(cells)
+    root, _ = _trie(tuple(cells))
     out = _label_walk(sys_, _as_point_set(sys_, points), eps, root, read, (read,))
     return [int(v[0]) for v in out.values()], alive, refs
 
@@ -941,25 +964,64 @@ def test_power_walk_holds_no_read_past_its_node():
 
 def test_odometer_carry_check_matches_the_per_point_check():
     # windows of mixed and equal depths, shallow and past 64 bits, with
-    # runs of ones at the bottom, walked along random words
+    # runs of ones at the bottom or a few units short of all ones, walked
+    # along words of 12 and 48 letters; where the windows share one width
+    # the carried bound holds at every stage, and an odometer is proved
+    # by it, decided by a scan or stopped by a scan
     rng = substream(30)
     masks = binary._low_masks()
     seen = Counter()
-    for case in range(400):
+    for case in range(600):
         n = int(rng.integers(1, 30))
-        choices = [[3, 5, 9], [40, 63, 64, 65], [64, 70, 300], [6], [66]][case % 5]
+        choices = [[3, 5, 9], [40, 63, 64, 65], [64, 70, 300], [6], [66], [50]][case % 6]
         depth = rng.choice(choices, size=n).astype(np.int64)
-        win = rng.integers(0, 2**64 - 1, size=n, dtype=np.uint64, endpoint=True)
-        win |= masks[rng.integers(0, 65, size=n)]
-        wins = (win & masks[np.minimum(depth, 64)], depth)
+        top = masks[np.minimum(depth, 64)]
+        if case % 4 == 3:
+            win = top - rng.integers(0, 4, size=n).astype(np.uint64)
+        else:
+            win = rng.integers(0, 2**64 - 1, size=n, dtype=np.uint64, endpoint=True)
+            win |= masks[rng.integers(0, 65, size=n)]
+        wins = (win & top, depth)
         eps = 2.0 ** -int(rng.integers(0, 4))
-        got = window_stage(wins, eps)
-        for sym in rng.integers(1, 3, size=12).tolist():
-            if got is None:
+        state = window_stage(wins, eps)
+        for sym in rng.integers(1, 3, size=12 if case % 2 else 48).tolist():
+            if state is None:
                 break
+            win, shifts, _, reach, bound = state
+            how = "per point"
+            if isinstance(reach, int):
+                edge = (1 << (reach - shifts)) - 1
+                assert bound is None or int((win & np.uint64(edge)).max()) <= bound, case
+                how = "proved" if bound is not None and bound < edge else "scanned"
+            got = window_stage(wins, eps, state, sym)
             if sym == 2:
-                undecided = odometer_undecided(wins, eps, got[0])
-                seen[undecided] += 1
-                assert (window_stage(wins, eps, got[0], 2) is None) == undecided, case
-            got = window_stage(wins, eps, got[0], sym)
-    assert seen[True] > 100 and seen[False] > 100
+                assert (got is None) == odometer_undecided(wins, eps, state), case
+                seen[how, got is None] += 1
+            state = got
+    assert not seen["proved", True]
+    for how in ("proved", "scanned", "per point"):
+        assert seen[how, False] > 50, how
+    assert seen["scanned", True] > 50 and seen["per point", True] > 50
+
+
+def test_walk_scans_for_a_carry_at_most_once_per_shift_count(monkeypatch):
+    # the shape of the top-entropy benchmark: 4096 points of depth 49,
+    # exhaustive words for ks 2..6; the walk has 31 odometer nodes per
+    # radius, and the carried bound leaves a full-array scan only to the
+    # first odometer of each shift count (the points share one depth, so
+    # no per-point check runs)
+    scans = Counter()
+    for name in ("_low_max", "_carry_may_leave"):
+        original = getattr(binary, name)
+
+        def counting(*args, _name=name, _original=original):
+            scans[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(binary, name, counting)
+    sys_ = binary_shift_odometer(depth=49)
+    em = EmpiricalMeasure.draw(sys_, 4096, 31)
+    for eps in (0.25, 0.125):
+        scans.clear()
+        top_entropy_series(em, sys_, [eps], [2, 3, 4, 5, 6], 128, seed=31)
+        assert scans["_low_max"] <= 6 and not scans["_carry_may_leave"], eps
