@@ -27,10 +27,16 @@ Conventions shared by everything here:
   partition share, from uint64 windows on the binary backend, kept
   where a walk ends so that the nested horizons of a corr-sum run, one
   call per (eps, k), label one more stage each.
-* On the circle family (pair_ops) a sort-sweep streams the pairs within
-  eps at stage 0, PAIR_CHUNK at most at a time, and every node filters
-  its parent's surviving pairs through its own stage (_pair_walk); no
-  N x N matrix is built, nor a whole pair list but for a greedy net.
+* On the circle family (pair_ops), below eps < 1/(1 + the largest
+  slope), a cell's Bowen balls are arcs of radius eps / (the product of
+  its word's slopes): cells are grouped by that product and counted from
+  one sorted copy of the point set, whose pairs in a thin band around
+  the arc's edge alone are tested along each cell's word (_arc_results).
+  At larger radii, or for points outside [0, 1], a sort-sweep streams
+  the pairs within eps at stage 0, PAIR_CHUNK at most at a time, and
+  every trie node filters its parent's surviving pairs through its own
+  stage (_pair_walk).  No N x N matrix is built, nor a whole pair list
+  but for a greedy net.
 * Both orbit estimators count Bowen-close pairs through one counter,
   one group of orbits at a time (ORBIT_GROUP orbits with ball keys, one
   with pair lists), which tallies each orbit's ordered off-diagonal
@@ -95,6 +101,12 @@ ORBIT_GROUP = 4
 # flags per point: filling and summing the table then costs more than
 # sorting the keys (about 4 flags per point breaks even for 4000 points).
 RANK_TABLE_RATIO = 4
+
+# Margin of the closed-form arc count per unit of a cell's slope product
+# Λ: above the rounding of the sweep keys v + r (2**-51 of a stage-0
+# distance, so 2**-51 Λ at the last stage) and of the metric's float
+# expression (2**-52), and added to what the maps round (see _arc_groups).
+ARC_MARGIN = 2.0**-48
 
 # Isometric trie nodes a sure pair set passes untested in a row (see
 # _pair_walk).  A rotation rounds fl(x + a), and % 1.0 only 1.0 plus a
@@ -187,7 +199,8 @@ class _PointSet:
     orbits lies one orbit after another (see _upsilon_orbits).
     `labelled` is the end of the latest label walk that kept its labels,
     (eps, path, carried), for the next walk at eps to resume from (see
-    _label_walk), or None."""
+    _label_walk), or None.  `arrays` holds the points as a pair system's
+    array, with its sort, per to_array (see _sorted_array)."""
 
     def __init__(self, wins, points=None, make=None, orbits=1):
         self.wins = wins
@@ -195,6 +208,7 @@ class _PointSet:
         self._make = make
         self.orbits = orbits
         self.labelled = None
+        self.arrays = {}
 
     @property
     def points(self):
@@ -221,6 +235,19 @@ def _as_point_set(sys: GeneratorSystem, points) -> _PointSet:
 
 def _has_pairs(sys: GeneratorSystem) -> bool:
     return sys.pair_ops is not None and sys.array_ops is not None
+
+
+def _sorted_array(sys: GeneratorSystem, pset: _PointSet) -> tuple:
+    """(arr, order, v): the point set as sys's point array, its stable
+    sort order (int32) and the sorted values, made once per point set
+    and to_array, so every radius, word and system that shares them (a
+    power system and its base) reads one sort."""
+    to_array = sys.array_ops.to_array
+    if to_array not in pset.arrays:
+        arr = to_array(pset.points)
+        order = np.argsort(arr, kind="stable").astype(np.int32)
+        pset.arrays[to_array] = arr, order, arr[order]
+    return pset.arrays[to_array]
 
 
 @lru_cache(maxsize=1)
@@ -522,27 +549,154 @@ def _net_from_pairs(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return np.flatnonzero(kept)
 
 
-def _pair_results(sys, pset, eps, root, nodes, kind, reduce, blocks, center) -> dict:
+def _stage0(sys, arr, order, v, eps):
+    """Every pair i < j of arr that pair_ops.close keeps at eps, as chunks
+    (i, j, sure) of at most PAIR_CHUNK pairs, the sure chunks first: those
+    whose pairs pass close at eps - margin, margin being PAIR_MARGIN per
+    unit of the largest |point|; only the bands past them are tested."""
+    margin = systems.PAIR_MARGIN * max(1.0, abs(float(v[0])), abs(float(v[-1])))
+    bands = sys.pair_ops.bands(v, eps - 2 * margin, eps + margin)
+    for i, j in systems.pair_chunks(order, bands[:2]):
+        yield i, j, True
+    for i, j in systems.pair_chunks(order, bands[2:]):
+        keep = sys.pair_ops.close(arr[i], arr[j], eps)
+        if keep.any():
+            yield i[keep], j[keep], False
+
+
+def _arc_groups(sys, arr, eps, cells) -> dict:
+    """The cells whose Bowen balls are arcs, grouped by the slope product
+    Λ of their k - 1 letters, as {Λ: (lo, hi, cell indices)}; none unless
+    arr lies in [0, 1].
+
+    A letter maps x to λ x + c mod 1, so two points δ apart lie Λ_j δ
+    apart, mod 1, at stage j.  If Λ_j δ <= eps, then Λ_(j+1) δ <= λ eps
+    < 1 - eps for eps < 1/(1 + λ), so stage j + 1 is within eps exactly
+    when Λ_(j+1) δ <= eps: the Bowen ball is the arc δ <= eps / Λ.  The
+    stages round: a letter moves a distance by pair_ops.rounding times
+    the slopes after it, so by Λ (k - 1) rounding at most, and the keys
+    and the metric by less than Λ ARC_MARGIN.  With margin = Λ
+    (ARC_MARGIN + (k - 1) rounding), a group's longest k, a pair within
+    lo = (eps - margin) / Λ by the sweep keys passes every stage, and one
+    past hi = (eps + margin) / Λ fails the first stage past eps + margin,
+    while (1 + λ_max) (eps + margin) < 1."""
+    ops = sys.pair_ops
+    if not (0.0 <= arr.min() and arr.max() <= 1.0):
+        return {}
+    by_slope = {}
+    for c, (k, omega) in enumerate(cells):
+        lam = math.prod(ops.slopes[s - 1] for s in omega.symbols[: k - 1])
+        by_slope.setdefault(lam, []).append(c)
+    out, top = {}, 1 + max(ops.slopes)
+    for lam, group in by_slope.items():
+        if lam < 2**52:  # a larger Λ makes the margin exceed any radius
+            margin = lam * (ARC_MARGIN + (max(cells[c][0] for c in group) - 1) * ops.rounding)
+            if top * (eps + margin) < 1.0:
+                out[lam] = (eps - margin) / lam, (eps + margin) / lam, group
+    return out
+
+
+def _joined(chunks) -> tuple:
+    """The pairs of a stream of chunks (i, j) as one (i, j)."""
+    i, j = zip(*chunks, (np.empty(0, np.int32),) * 2)
+    return np.concatenate(i), np.concatenate(j)
+
+
+def _band_keep(sys, arr, i, j, eps, syms) -> np.ndarray:
+    """Which pairs (i, j) of arr pair_ops.close keeps at eps at every stage
+    along syms, stage 0 included."""
+    a, b = arr[i], arr[j]
+    keep = sys.pair_ops.close(a, b, eps)
+    for s in syms:
+        if not keep.any():
+            break
+        a, b = sys.array_ops.apply(s, a), sys.array_ops.apply(s, b)
+        keep &= sys.pair_ops.close(a, b, eps)
+    return keep
+
+
+def _arc_results(sys, arr, order, v, eps, cells, groups, kind, reduce, blocks, center,
+                 first) -> dict:
+    """The reduced result of the kind per cell of groups (see _arc_groups),
+    keyed by cell, where no earlier cell of its group shares it: first
+    gets, per cell, the cell whose result it takes.  A group reads its
+    pairs within lo untested: ranges of the sorted array (PairOps.bands),
+    whose lengths and cover count the balls; only those out to hi are
+    tested along each cell's word, and cells whose tests agree share a
+    result.  A center's arc is read off its distances to the points."""
+    n, out = len(arr), {}
+    size = n if kind == "balls" else blocks and blocks.n_blocks**2
+    if center is not None:
+        dist = np.empty_like(arr)
+        sys.pair_ops.close(arr[center], arr, eps, out=dist)
+    for lo, hi, group in groups.values():
+        if center is not None:  # the center itself lies within lo or in the band
+            j = np.flatnonzero(dist <= hi)
+            sure, j = np.count_nonzero(dist[j] <= lo), j[dist[j] > lo]
+            i = np.full_like(j, center)
+        else:
+            bands = sys.pair_ops.bands(v, lo, hi)
+            i, j = _joined(systems.pair_chunks(order, bands[2:]))
+            if kind == "balls":  # per point, its ranges' lengths and the ranges holding it
+                got = np.zeros(n + 1, dtype=np.int64)
+                for start, stop in bands[:2]:
+                    got[:n] += stop - start
+                    got += np.cumsum(np.bincount(start, minlength=n + 1))
+                    got -= np.cumsum(np.bincount(stop, minlength=n + 1))
+                sure = np.empty(n, dtype=np.int64)
+                sure[order] = got[:n]
+            elif kind == "pairs":
+                sure = sum((_tally(kind, size, blocks, *c)
+                            for c in systems.pair_chunks(order, bands[:2])), np.zeros(size, int))
+            else:
+                sure = _joined(systems.pair_chunks(order, bands[:2]))
+        seen = {}
+        for c in group:
+            k, omega = cells[c]
+            keep = _band_keep(sys, arr, i, j, eps, omega.symbols[: k - 1])
+            first[c] = seen.setdefault(keep.tobytes(), c)
+            if first[c] != c:
+                continue
+            i1, j1 = i[keep], j[keep]
+            if center is not None:
+                out[c] = reduce(float(sure + len(i1)))
+            elif kind == "net":
+                out[c] = reduce(_net_from_pairs(n, np.concatenate((sure[0], i1)),
+                                                np.concatenate((sure[1], j1))))
+            else:
+                out[c] = reduce(_tallied(kind, sure + _tally(kind, size, blocks, i1, j1), blocks))
+    return out
+
+
+def _pair_results(sys, pset, eps, cells, kind, reduce, blocks, center) -> tuple:
+    """(results, first) of _arc_results for the cells whose balls are arcs
+    (_arc_groups) and for a center's other cells, whose pairs within eps
+    are all tested along their words, and of one pair walk over the trie
+    of the remaining cells."""
+    arr, order, v = _sorted_array(sys, pset)
+    groups = _arc_groups(sys, arr, eps, cells)
+    arcs = {c for *_, group in groups.values() for c in group}
+    walk = [c for c in range(len(cells)) if c not in arcs]
+    if center is not None and walk:
+        groups[None], walk = (-1.0, eps, walk), []
+    first = list(range(len(cells)))
+    got = _arc_results(sys, arr, order, v, eps, cells, groups, kind, reduce, blocks, center, first)
+    if walk:
+        root, sub = _trie(tuple(cells[c] for c in walk))
+        for c, f in zip(walk, sub):
+            first[c] = walk[f]
+        found = _walk_results(sys, arr, order, v, eps, root, set(sub), kind, reduce, blocks)
+        got.update((walk[c], r) for c, r in found.items())
+    return got, first
+
+
+def _walk_results(sys, arr, order, v, eps, root, nodes, kind, reduce, blocks) -> dict:
     """The reduced result of the kind at every trie node where cells
     end, keyed by its first cell (listed in nodes), from one pair walk;
-    results are made and reduced one node at a time.  The point array is
-    made once per call and its stage-0 pairs streamed once (twice for a
-    net).  With a center, the walk's array is the center and the points
-    that pair_ops.close keeps with it, its pairs (0, b), and a count is
-    one plus the center's surviving pairs."""
-    arr = sys.array_ops.to_array(pset.points)
-    if center is not None:
-        near = sys.pair_ops.close(arr[center], arr, eps)
-        near[center] = False
-        arr = np.concatenate((arr[center:center + 1], arr[near]))
-        b, size = np.arange(1, len(arr), dtype=np.int32), systems.PAIR_CHUNK
-        chunks = ((0 * b[lo:lo + size], b[lo:lo + size], False) for lo in range(0, len(b), size))
-        count = dict.fromkeys(nodes, 1)  # the center itself
-        for c, _, got in _pair_walk(sys, arr, chunks, eps, root, lambda i, j: len(i)):
-            count[c] += got
-        return {c: reduce(float(count[c])) for c in nodes}
+    results are made and reduced one node at a time.  The stage-0 pairs
+    are streamed once (twice for a net)."""
     n = len(arr)
-    chunks = sys.pair_ops.stage0(arr, eps)
+    chunks = _stage0(sys, arr, order, v, eps)
     if kind != "net":
         size, dtype = (n, np.int32) if kind == "balls" else (blocks.n_blocks**2, np.int64)
         acc = {c: np.zeros(size, dtype=dtype) for c in nodes}
@@ -555,7 +709,7 @@ def _pair_results(sys, pset, eps, root, nodes, kind, reduce, blocks, center) -> 
     # and walked as views, one bit per pair and node; then node by node
     i0, j0 = np.empty((2, sum(len(i) for i, _, _ in chunks)), dtype=np.int32)
     views, lo = [], 0
-    for i, j, sure in sys.pair_ops.stage0(arr, eps):
+    for i, j, sure in _stage0(sys, arr, order, v, eps):
         i0[lo:lo + len(i)], j0[lo:lo + len(i)] = i, j
         views.append((i0[lo:lo + len(i)], j0[lo:lo + len(i)], sure))
         lo += len(i)
@@ -614,8 +768,8 @@ def _count_cells(
             reduce(_generic_result(sys, pset.points, eps, k, omega, kind, blocks))
             for k, omega in cells
         ]
-    root, first = _trie(tuple(cells))
     if sys.ball_key is not None:
+        root, first = _trie(tuple(cells))
         read = {
             "balls": lambda labels: np.bincount(labels)[labels].astype(float),
             "pairs": lambda labels: _label_pair_counts(labels, blocks),
@@ -623,7 +777,7 @@ def _count_cells(
         }[kind]
         got = _label_walk(sys, pset, eps, root, lambda labels: reduce(read(labels)), key)
     else:
-        got = _pair_results(sys, pset, eps, root, set(first), kind, reduce, blocks, center)
+        got, first = _pair_results(sys, pset, eps, cells, kind, reduce, blocks, center)
     out = [got[c] if c == at else copy.copy(got[c]) for at, c in enumerate(first)]
     for v in out:
         if isinstance(v, Exception):
@@ -701,11 +855,12 @@ class EmpiricalMeasure:
 
     def _point_set(self, sys) -> _PointSet:
         """The sample as a point set of sys, converted once per measure
-        and window_ops."""
+        and to_windows (a power system keeps its base's)."""
         memo = self.__dict__.setdefault("_point_sets", {})
-        if sys.window_ops not in memo:
-            memo[sys.window_ops] = _as_point_set(sys, self.points)
-        return memo[sys.window_ops]
+        key = sys.window_ops and sys.window_ops.to_windows
+        if key not in memo:
+            memo[key] = _as_point_set(sys, self.points)
+        return memo[key]
 
     def ball_measures(self, sys, omega, k, eps) -> np.ndarray:
         """Empirical Bowen-ball measure centered at every sample point."""

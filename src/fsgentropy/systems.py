@@ -21,16 +21,17 @@ Systems may advertise four optional fast-path capabilities:
 * array_ops: vectorised point array conversion, generator application
   and a center-by-sample threshold test (read only by the benchmark's
   tracer), for scalar systems (the circle family).
-* pair_ops: sparse Bowen pair lists on the arc metric of R/Z (the circle
-  family and its power systems).  stage0 streams every pair of a point
-  array within eps, in chunks, by sorting it once and reading each
-  centre's band of eps plus a small margin, wrap-around band included,
-  from the sorted order: only the margin's thin edge goes through the
-  exact test, and close keeps a pair exactly when the metric would; the
-  estimators filter each stage-0 chunk stage by stage down the prefix
-  trie of a series' words with close, so no N x N matrix and no whole
-  pair list is ever built, and keep stage0's sure chunks untested
-  through the isometries (the rotation).
+* pair_ops: Bowen pairs on the arc metric of R/Z (the circle family
+  and its power systems).  bands reads, from one sorted copy of a point
+  array, each row's partners within a sure radius and out to an outer
+  one, wrap-around included, so only the thin band between the two
+  needs the exact test, close, which keeps a pair exactly when the
+  metric would.  Each generator declares its integer slope: it maps
+  x to slope x + c mod 1.  Below eps < 1/(1 + largest slope), the Bowen
+  ball of a point along a word is then the arc of radius eps / (the
+  product of the word's slopes), so the estimators count it from the
+  sorted array and test only the band's pairs along the word; at
+  larger radii they filter the pairs within eps stage by stage.
   pair_ops needs array_ops for the stage arrays.
 
 Estimators fall back to the generic pairwise path when none is present;
@@ -84,13 +85,17 @@ class WindowOps:
 
 @dataclass(frozen=True)
 class PairOps:
-    """Sparse pair lists over a point array of a scalar metric space."""
+    """Bowen pairs over a point array of the arc metric of R/Z."""
 
-    # (array, eps) -> every pair i < j within eps, as chunks (i, j, sure)
-    # of at most PAIR_CHUNK int32 pairs, sure when all lie within eps -
-    # margin; the sure chunks come first
-    stage0: Callable[[np.ndarray, float], Iterator[tuple[np.ndarray, np.ndarray, bool]]]
+    # (sorted array, sure radius, outer radius) -> four (start, stop) row
+    # ranges per sorted row a, of partners b > a: two whose pairs lie
+    # within the sure radius, then two out to the outer radius
+    bands: Callable[[np.ndarray, float, float], tuple]
     close: Callable[..., np.ndarray]  # (a, b, eps, out=None): bool; distances into out
+    slopes: tuple[int, ...]  # generator j maps x to slopes[j - 1] x + c mod 1
+    # bound on what one generator's rounding adds to the computed distance
+    # of two points of [0, 1], per unit of the slope product from it on
+    rounding: float
 
 
 @dataclass(frozen=True)
@@ -159,10 +164,13 @@ def build_power_system(sys: GeneratorSystem, t: int) -> GeneratorSystem:
     """System generated by all t-fold compositions of the base maps.
 
     Generator j applies the digit maps of j in order: first digit first.
-    Points, metric, diameter, sampler, ball_key and pair_ops carry over
-    unchanged (same space, same measure); array_ops and window_ops apply
-    j digit by digit (a window stage is None if a digit's is, and orbit
-    windows keep every t-th point of the base orbit along the digits).
+    Points, metric, diameter, sampler and ball_key carry over unchanged
+    (same space, same measure); array_ops and window_ops apply j digit
+    by digit (a window stage is None if a digit's is, and orbit windows
+    keep every t-th point of the base orbit along the digits).  j's
+    slope in pair_ops is the product of its digits' slopes, and its
+    rounding t times the base's, as each digit's rounding is scaled by
+    at most the slopes from it on.
     j is an isometry exactly when all its digits are, but with ball_key
     none is: shift(shift(x + 2)) = shift(shift(x)) + x_2 does not
     commute on a ball of radius 1/2.
@@ -207,12 +215,16 @@ def build_power_system(sys: GeneratorSystem, t: int) -> GeneratorSystem:
         return got and tuple(a.reshape(-1, t * (n - 1) + 1)[:, ::t].ravel() for a in got)
 
     array_ops = base_arr and ArrayOps(base_arr.to_array, apply_arr, base_arr.within)
+    pair_ops = sys.pair_ops and replace(
+        sys.pair_ops, rounding=t * sys.pair_ops.rounding,
+        slopes=tuple(math.prod(sys.pair_ops.slopes[d - 1] for d in ds) for ds in digits),
+    )
     window_ops = base_win and WindowOps(base_win.to_windows, orbits, stage, base_win.key)
     iso = frozenset() if sys.ball_key else sys.isometries
     isometries = frozenset(j for j, d in enumerate(digits, 1) if iso.issuperset(d))
     return replace(
         sys, name=f"{sys.name}-power{t}", maps=power_maps, array_ops=array_ops,
-        window_ops=window_ops, isometries=isometries,
+        window_ops=window_ops, pair_ops=pair_ops, isometries=isometries,
     )
 
 
@@ -259,82 +271,84 @@ def _circle_close(a: np.ndarray, b: np.ndarray, eps: float, out=None) -> np.ndar
     return np.minimum(d, 1.0 - d, out=d) <= eps
 
 
-# Pairs of stage0 candidates handled at once, in stage0 and in the
+# Pairs read at once from the bands, in pair_chunks and in the
 # estimators' stage filter; bounds every pair-list temporary and every
-# chunk that stage0 yields.
+# chunk that pair_chunks yields.
 PAIR_CHUNK = 1 << 14
 
-# Slack of the stage0 sweep band per unit of the largest |point|: far
-# above the rounding of the metric's float expression, so the candidates
-# hold every pair that _circle_close accepts.
+# Slack of a pair walk's stage-0 sweep band per unit of the largest
+# |point|: far above the rounding of the metric's float expression, so
+# the bands out to eps + margin hold every pair that _circle_close
+# accepts at eps, and those within eps - 2 margin pass it.
 PAIR_MARGIN = 1e-9
 
 
-def _circle_stage0(arr: np.ndarray, eps: float) -> Iterator[tuple[np.ndarray, np.ndarray, bool]]:
-    """Every pair i < j of arr with _circle_close(arr[i], arr[j], eps),
-    as a stream of chunks (i, j, sure) of at most PAIR_CHUNK pairs in
-    fresh int32 arrays, the sure chunks first: those whose pairs all
-    pass _circle_close(..., eps - margin).
-
-    min(d, 1 - d) <= eps holds exactly when d <= eps or d >= 1 - eps, so
-    after one sort the candidates of sorted row a are a near band (a, near)
-    and a wrap-around band [wrap, n), both widened by the margin (where
-    they meet, every pair is a candidate).  Only their margin parts, within
-    two margins of eps or of 1 - eps, go through the exact test; the sure
-    parts, kept whole and read first, end a margin short of eps - margin,
-    past the sweep keys' rounding.  The bands of all rows are laid end to
-    end, sure parts first, and read in PAIR_CHUNK slices (sure parts,
-    then margin parts), a candidate's row repeated from the band lengths,
-    in int32, whose temporaries the heap reuses without faulting in
-    pages: a slice's kept pairs are a chunk (none if the test keeps none).
-    """
-    n = len(arr)
-    order = np.argsort(arr, kind="stable").astype(np.int32)
-    v = arr[order]
-    margin = PAIR_MARGIN * max(1.0, float(np.abs(v).max(initial=0.0)))
+def _circle_bands(v: np.ndarray, sure: float, outer: float) -> tuple:
+    """The partners b > a of every row a of the sorted array v, as four
+    (start, stop) row ranges per row: two sure ones, of partners whose
+    arc distance lies within sure by the sweep keys, then two out to
+    outer, by the keys too.  In each pair, the first range is near,
+    rows up to v + r, and the second wraps around, rows from v + 1 - r;
+    where the outer ones meet, all rows between the sure ones are out
+    to outer.  The keys v + r round, so callers keep the radii clear of
+    what they decide by a margin above that rounding."""
+    n = len(v)
     row = np.arange(n)
-    sure_near = np.maximum(np.searchsorted(v, v + (eps - 2 * margin), side="right"), row + 1)
-    sure_wrap = np.searchsorted(v, v + (1.0 - eps + 2 * margin))
-    if eps + margin < 0.5:
-        near = np.searchsorted(v, v + (eps + margin), side="right")
-        wrap = np.maximum(np.searchsorted(v, v + (1.0 - eps - margin)), near)
-    else:  # the bands meet: one margin band between the sure ones
+    sure_near = np.maximum(np.searchsorted(v, v + sure, side="right"), row + 1)
+    sure_wrap = np.searchsorted(v, v + (1.0 - sure))
+    if outer < 0.5:
+        near = np.searchsorted(v, v + outer, side="right")
+        wrap = np.maximum(np.searchsorted(v, v + (1.0 - outer)), near)
+    else:  # the bands meet: one outer band between the sure ones
         near = wrap = np.maximum(sure_wrap, sure_near)
     sure_near, sure_wrap = np.minimum(sure_near, near), np.maximum(sure_wrap, wrap)
-    # the bands [first, stop) of every sorted row, two sure then two
-    # margin: band k of row a is range r = k n + a, [edges[r], edges[r + 1])
-    bands = ((row + 1, sure_near), (sure_wrap, n), (sure_near, near), (wrap, sure_wrap))
-    first = np.concatenate([start for start, _ in bands], dtype=np.int32)
-    edges = np.cumsum(np.concatenate([[0], *(stop - start for start, stop in bands)]))
-    size, sure = int(edges[-1]), int(edges[2 * n])
-    for lo in [*range(0, sure, PAIR_CHUNK), *range(sure, size, PAIR_CHUNK)]:
-        hi = min(lo + PAIR_CHUNK, sure if lo < sure else size)
+    return (row + 1, sure_near), (sure_wrap, np.full(n, n)), (sure_near, near), (wrap, sure_wrap)
+
+
+def pair_chunks(order: np.ndarray, ranges) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every pair (order[a], order[b]) of a sorted row a and a row b in
+    one of its ranges, a sequence of (start, stop) arrays one row each,
+    as chunks (i, j), i < j, of at most PAIR_CHUNK pairs in fresh int32
+    arrays.  The ranges of all rows are laid end to end and read in
+    PAIR_CHUNK slices, a pair's row repeated from the range lengths, in
+    int32, whose temporaries the heap reuses without faulting in pages."""
+    n = len(order)
+    first = np.concatenate([start for start, _ in ranges], dtype=np.int32)
+    edges = np.cumsum(np.concatenate([[0], *(stop - start for start, stop in ranges)]))
+    size = int(edges[-1])
+    for lo in range(0, size, PAIR_CHUNK):
+        hi = min(lo + PAIR_CHUNK, size)
         bot, top = np.searchsorted(edges, (lo, hi - 1), side="right") - 1
         begin, end = edges[bot:top + 1], edges[bot + 1:top + 2]
         cut = np.minimum(end, hi) - np.maximum(begin, lo)
         a = np.repeat(np.arange(bot, top + 1, dtype=np.int32) % n, cut)
         shift = (first[bot:top + 1] - (begin - lo)).astype(np.int32)  # partner - (position - lo)
         b = np.arange(hi - lo, dtype=np.int32) + np.repeat(shift, cut)
-        if lo >= sure:  # the margin bands: the exact test decides
-            hit = _circle_close(v[a], v[b], eps)
-            a, b = a[hit], b[hit]
-        if len(a):
-            a, b = order[a], order[b]
-            yield np.minimum(a, b), np.maximum(a, b), lo < sure
+        a, b = order[a], order[b]
+        yield np.minimum(a, b), np.maximum(a, b)
 
 
-def _circle_system(name: str, maps, apply_arr, isometries=frozenset()) -> GeneratorSystem:
-    """maps on the unit circle, with Lebesgue measure, the arc metric and
-    the circle family's array and pair paths; apply_arr(j, arr) applies
-    map j to a point array, and the maps of isometries are isometries."""
+def _circle_array(pts) -> np.ndarray:
+    return np.asarray(pts, dtype=float)
+
+
+def _circle_system(name, maps, apply_arr, slopes, offsets, isometries=frozenset()):
+    """maps x -> slopes[j] x + offsets[j] mod 1 on the unit circle, with
+    Lebesgue measure, the arc metric and the circle family's array and
+    pair paths; apply_arr(j, arr) applies map j to a point array, and the
+    maps of isometries are isometries.  fl(fl(slope x) + c) % 1.0 moves a
+    point of [0, 1] by 2 slope + |c| + 1 half-ulps of 1 at most (the %
+    rounds only 1.0 plus a negative remainder): the pair rounding is twice
+    that."""
+    rounding = max((2 * s + abs(c) + 1) * 2.0**-52 for s, c in zip(slopes, offsets))
     return GeneratorSystem(
         name=name,
         maps=maps,
         metric=_circle_metric,
         diameter=0.5,
         mu_sampler=lambda rng, n: rng.random(n).tolist(),
-        array_ops=ArrayOps(lambda pts: np.asarray(pts, dtype=float), apply_arr, _circle_within),
-        pair_ops=PairOps(_circle_stage0, _circle_close),
+        array_ops=ArrayOps(_circle_array, apply_arr, _circle_within),
+        pair_ops=PairOps(_circle_bands, _circle_close, slopes, rounding),
         isometries=isometries,
     )
 
@@ -349,7 +363,9 @@ def circle_double_rotate(alpha: float = GOLDEN_ROTATION) -> GeneratorSystem:
         return (2.0 * arr) % 1.0 if j == 1 else (arr + _a) % 1.0
 
     isometries = frozenset({2}) if abs(alpha) <= 1.0 else frozenset()
-    return _circle_system("circle-double-rotate", maps, apply_arr, isometries)
+    return _circle_system(
+        "circle-double-rotate", maps, apply_arr, (2, 1), (0.0, alpha), isometries
+    )
 
 
 def torus_affine(constants: tuple[float, ...] = (0.0, GOLDEN_ROTATION)) -> GeneratorSystem:
@@ -366,7 +382,7 @@ def torus_affine(constants: tuple[float, ...] = (0.0, GOLDEN_ROTATION)) -> Gener
     def apply_arr(j, arr, _cs=tuple(constants)):
         return (2.0 * arr + _cs[j - 1]) % 1.0
 
-    return _circle_system("torus-affine", maps, apply_arr)
+    return _circle_system("torus-affine", maps, apply_arr, (2,) * len(constants), constants)
 
 
 BUILTIN_SYSTEMS = {

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from fsgentropy import binary, cli, estimators, words
+from fsgentropy import binary, cli, estimators, systems, words
 from fsgentropy.cli import (
     CSV_HEADER,
     ExperimentConfig,
@@ -123,6 +123,44 @@ def test_corr_sum_run_builds_its_driving_orbits_once(monkeypatch):
     )
     assert len(run_experiment(cfg).rows) == 6
     assert calls == {"orbit_windows": 1, "sample_symbols": 5, "sample_word": 1}
+
+
+def _counted(calls, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(len(args[0]))
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+POWER_TEST = """
+estimator = power-test
+epsilons = {eps}
+ks = 2,3,4,5,6,7
+n_points = 256
+m_omega = 8
+power = 2
+"""
+
+
+@pytest.mark.parametrize("eps", [0.125, 0.4])
+def test_circle_power_test_sorts_its_sample_once(monkeypatch, eps):
+    # the base and the power system share one point set, and with it one
+    # sorted array, as arcs (eps 1/8) and past the domain edge (eps 0.4)
+    calls = []
+    monkeypatch.setattr(systems, "_circle_array", _counted(calls, systems._circle_array))
+    cfg = parse_config("system = circle-double-rotate" + POWER_TEST.format(eps=eps))
+    assert len(run_experiment(cfg).rows) == 1
+    assert calls == [256]
+
+
+def test_binary_power_test_converts_its_sample_to_windows_once(monkeypatch):
+    # a power system keeps its base's to_windows, so its point set too
+    calls = []
+    monkeypatch.setattr(binary, "to_windows", _counted(calls, binary.to_windows))
+    cfg = parse_config("system = binary-shift-odometer" + POWER_TEST.format(eps=0.25))
+    assert len(run_experiment(cfg).rows) == 1
+    assert calls == [256]
 
 
 def test_exact_series_summary_hits_half_log2():
