@@ -57,11 +57,10 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from operator import is_
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from . import systems
 from .errors import (
     AlphabetMismatch,
     CenterNotInSample,
@@ -102,18 +101,17 @@ ORBIT_GROUP = 4
 # sorting the keys (about 4 flags per point breaks even for 4000 points).
 RANK_TABLE_RATIO = 4
 
-# Margin of the closed-form arc count per unit of a cell's slope product
-# Λ: above the rounding of the sweep keys v + r (2**-51 of a stage-0
-# distance, so 2**-51 Λ at the last stage) and of the metric's float
-# expression (2**-52), and added to what the maps round (see _arc_groups).
-ARC_MARGIN = 2.0**-48
+# Pairs read at once from the bands, in _pair_chunks and in the pair
+# walk's stage filter; bounds every pair-list temporary and every chunk
+# that _pair_chunks yields.
+PAIR_CHUNK = 1 << 14
 
-# Isometric trie nodes a sure pair set passes untested in a row (see
-# _pair_walk).  A rotation rounds fl(x + a), and % 1.0 only 1.0 plus a
-# negative remainder, so it moves the computed distance of two points of
-# [0, 1] by 2**-51 at most, times the rotations a symbol composes (<= 20,
-# by MAX_ALPHABET): 2**14 such nodes stay below 1.5e-10 < PAIR_MARGIN.
-SURE_STAGES = 1 << 14
+# Margin of a band's radii per unit of the largest |point| (a pair
+# walk's stage 0) or of a cell's slope product Λ (an arc count): above
+# the rounding of the sweep keys v + r (2**-51 of a stage-0 distance, so
+# 2**-51 Λ at an arc's last stage) and of the metric's float expression
+# (2**-52); an arc adds what the maps round (see _arc_groups).
+PAIR_MARGIN = 2.0**-48
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +196,10 @@ class _PointSet:
     decide every stage never exist as points; a group of `orbits` equal
     orbits lies one orbit after another (see _upsilon_orbits).
     `labelled` is the end of the latest label walk that kept its labels,
-    (eps, path, carried), for the next walk at eps to resume from (see
-    _label_walk), or None.  `arrays` holds the points as a pair system's
-    array, with its sort, per to_array (see _sorted_array)."""
+    ((window_ops, eps), path, carried), for the next walk of that
+    system's stages at eps to resume from (see _label_walk), or None.
+    `arrays` holds the points as a pair system's array, with its sort,
+    per to_array (see _sorted_array)."""
 
     def __init__(self, wins, points=None, make=None, orbits=1):
         self.wins = wins
@@ -237,17 +236,18 @@ def _has_pairs(sys: GeneratorSystem) -> bool:
     return sys.pair_ops is not None and sys.array_ops is not None
 
 
-def _sorted_array(sys: GeneratorSystem, pset: _PointSet) -> tuple:
+def _sorted_array(sys: GeneratorSystem, pset: _PointSet, sort=True) -> tuple:
     """(arr, order, v): the point set as sys's point array, its stable
-    sort order (int32) and the sorted values, made once per point set
-    and to_array, so every radius, word and system that shares them (a
-    power system and its base) reads one sort."""
+    sort order (int32) and the sorted values (None unless sort), made
+    once per point set and to_array, so every radius, word and system
+    that shares them (a power system and its base) reads one sort."""
     to_array = sys.array_ops.to_array
-    if to_array not in pset.arrays:
-        arr = to_array(pset.points)
+    arr, order, v = pset.arrays.get(to_array) or (to_array(pset.points), None, None)
+    if sort and order is None:
         order = np.argsort(arr, kind="stable").astype(np.int32)
-        pset.arrays[to_array] = arr, order, arr[order]
-    return pset.arrays[to_array]
+        v = arr[order]
+    pset.arrays[to_array] = arr, order, v
+    return arr, order, v
 
 
 @lru_cache(maxsize=1)
@@ -337,19 +337,21 @@ def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, read, key) -> 
     backend, which have no isometries).
 
     The walk resumes where the point set's kept walk ended
-    (pset.labelled) when that walk was at eps and the trie runs down its
-    node's prefix from the root without branching and without a cell
-    ending above it, as the nested horizons of one word do; otherwise it
-    starts at stage 0 and drops the kept labels.  Its own last node where
-    cells end is kept, with its read and key, unless that node's labels
-    came from exact points or its stage raised; a resumed walk takes the
-    kept read for the node's signature if the kept key, the objects read
-    depends on, is key by identity.
+    (pset.labelled) when that walk was at eps, with sys's window_ops (a
+    power system shares its base's point set, not its stages), and the
+    trie runs down its node's prefix from the root without branching and
+    without a cell ending above it, as the nested horizons of one word
+    do; otherwise it starts at stage 0 and drops the kept labels.  Its
+    own last node where cells end is kept, with its read and key, unless
+    that node's labels came from exact points or its stage raised; a
+    resumed walk takes the kept read for the node's signature if the
+    kept key, the objects read depends on, is key by identity.
     Folding stage by stage makes the same partition as one wide fold,
     and the readers see only the partition, so no result depends on
     where a walk started or which node of a signature read first."""
     out, last, shared, iso = {}, None, {}, sys.isometries
-    resumed = _resume_node(root, eps, pset.labelled)
+    at = sys.window_ops, eps
+    resumed = _resume_node(root, at, pset.labelled)
     if resumed is None:
         pset.labelled = None  # its end replaces them: free them for its stages
         start = None  # a group's ranks start from the orbit index, in int32: half the bytes
@@ -388,7 +390,7 @@ def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, read, key) -> 
         stack.extend((kid, path + (kid[0],), sig if kid[0] in iso else sig + (kid[0],), carried,
                       failed or None) for kid in node[1].values())
     if last is not None and not last[2] and last[1][1] is None:  # window labels
-        pset.labelled = eps, last[0], last[1] + ((key, last[3][1]),)
+        pset.labelled = at, last[0], last[1] + ((key, last[3][1]),)
     return out
 
 
@@ -403,11 +405,12 @@ def _signature_uses(top, sig, iso):
     return uses
 
 
-def _resume_node(root, eps, labelled):
-    """(node, path, carried) for labelled = (eps, path, carried): the
+def _resume_node(root, at, labelled):
+    """(node, path, carried) for labelled = (at, path, carried): the
     trie node at path, if every node above it has one child and no cell
-    ending there; else None, as for labels kept at another radius."""
-    if labelled is None or labelled[0] != eps:
+    ending there; else None, as for labels kept at another radius or by
+    another system's stages."""
+    if labelled is None or labelled[0] != at:
         return None
     _, path, carried = labelled
     node = root
@@ -441,65 +444,44 @@ def _label_stage(sys, pset, eps, node, path, state, points, labels, row, bits, t
 
 def _pair_walk(sys: GeneratorSystem, arr, chunks, eps, root, tally=None):
     """Yield (first cell, chunk start, got) at every trie node where cells
-    end and pairs survive, per chunk (i0, j0, sure) of the stage-0 pairs
-    of the point array arr, read from the stream chunks as it yields them
-    (the start counts the pairs before): got is tally(i, j) of the chunk's
+    end and pairs survive, per chunk (i0, j0) of the stage-0 pairs of the
+    point array arr, read from the stream chunks as it yields them (the
+    start counts the pairs before): got is tally(i, j) of the chunk's
     pairs Bowen-within eps along the node's prefix, or without a tally
     their positions in the chunk.  Each node makes its stage array once and,
     per chunk, keeps those of its parent's surviving pairs that
-    pair_ops.close keeps there, but an isometric node keeps a sure pair
-    set whole, with no gather, test or tally, at most SURE_STAGES times
-    in a row.  A set is sure while every pair's computed distance at the
-    last stage tested is <= eps - PAIR_MARGIN: at the root, a sure chunk
-    if arr lies in [0, 1], below it as a tested node with an isometric
-    kid reads off the distances close leaves.  That is exact for points
-    in [0, 1] (see SURE_STAGES), where PAIR_MARGIN is stage 0's margin
-    and every mapped array lies, as % 1.0 returns nothing above 1.  Only
-    nodes where cells end tally, and a pair set carries the tally of its
-    nearest tallied ancestor only while no pair drops (a sure skip, a test
-    that keeps every pair): a node where cells end takes a carried tally
-    as it is and else tallies its survivors.  Gathers reuse two arrays of
-    PAIR_CHUNK per walk and positions are views of one array, as fresh
-    ones get faulted in anew, more often for some words than for others."""
-    apply, close, iso = sys.array_ops.apply, sys.pair_ops.close, sys.isometries
-    unit = np.all((0.0 <= arr) & (arr <= 1.0))  # else no stage-0 pair is sure
-    arrays = {}  # stage array per node and whether a kid is isometric, freed with the walk
+    pair_ops.close keeps there; only nodes where cells end tally.
+    Gathers reuse two arrays of PAIR_CHUNK per walk and positions are
+    views of one array, as fresh ones get faulted in anew, more often for
+    some words than for others."""
+    apply, close = sys.array_ops.apply, sys.pair_ops.close
+    arrays = {}  # stage array per node, freed with the walk
     todo = [(root, arr)]
     while todo:
         node, arr = todo.pop()
-        arrays[id(node)] = arr, not iso.isdisjoint(node[1])
+        arrays[id(node)] = arr
         todo.extend((kid, apply(kid[0], arr)) for kid in node[1].values())
-    size, inside = systems.PAIR_CHUNK, eps - systems.PAIR_MARGIN
-    ta, tb = np.empty((2, size), dtype=arrays[id(root)][0].dtype)
-    at = np.arange(size, dtype=np.int32) if tally is None else None  # copies half as big
+    ta, tb = np.empty((2, PAIR_CHUNK), dtype=arr.dtype)
+    at = np.arange(PAIR_CHUNK, dtype=np.int32) if tally is None else None  # copies half as big
     lo = 0
-    for i0, j0, sure in chunks:
-        left = SURE_STAGES if unit and sure else 0
-        cols = (i0, j0) if at is None else (i0, j0, at[:len(i0)])
-        stack = [(root, cols, None, left)]  # the tally carried while no pair drops
+    for i0, j0 in chunks:
+        stack = [(root, (i0, j0) if at is None else (i0, j0, at[:len(i0)]))]
         while stack:
-            node, cols, got, left = stack.pop()
+            node, cols = stack.pop()
             sym, kids, ends = node
-            if left and sym in iso:  # the filter would keep every pair
-                left -= 1
-            elif sym is not None:  # the root is stage 0, which every pair passes
-                (arr, check), n = arrays[id(node)], len(cols[0])
+            if sym is not None:  # the root is stage 0, which every pair passes
+                arr, n = arrays[id(node)], len(cols[0])
                 a = arr.take(cols[0], out=ta[:n], mode="clip")  # "raise" would buffer out
                 b = arr.take(cols[1], out=tb[:n], mode="clip")
-                keep = close(a, b, eps, out=a)  # a: the distances
+                keep = close(a, b, eps, out=a)
                 kept = np.count_nonzero(keep)
                 if not kept:  # nothing to count here or below
                     continue
-                left = SURE_STAGES if check and np.count_nonzero(a <= inside) == kept else 0
                 if kept < n:
-                    got, cols = None, tuple(c[keep] for c in cols)
+                    cols = tuple(c[keep] for c in cols)
             if ends:
-                if tally is None:
-                    got = cols[2]
-                elif got is None:
-                    got = tally(*cols)
-                yield ends[0], lo, got
-            stack.extend((kid, cols, got, left) for kid in kids.values())
+                yield ends[0], lo, cols[2] if tally is None else tally(*cols)
+            stack.extend((kid, cols) for kid in kids.values())
         lo += len(i0)
 
 
@@ -549,19 +531,42 @@ def _net_from_pairs(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return np.flatnonzero(kept)
 
 
+def _pair_chunks(order: np.ndarray, ranges) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every pair (order[a], order[b]) of a sorted row a and a row b in
+    one of its ranges, a sequence of (start, stop) arrays one row each
+    (PairOps.bands), as chunks (i, j), i < j, of at most PAIR_CHUNK pairs
+    in fresh int32 arrays.  The ranges of all rows are laid end to end and
+    read in PAIR_CHUNK slices, a pair's row repeated from the range
+    lengths, in int32, whose temporaries the heap reuses without faulting
+    in pages."""
+    n = len(order)
+    first = np.concatenate([start for start, _ in ranges], dtype=np.int32)
+    edges = np.cumsum(np.concatenate([[0], *(stop - start for start, stop in ranges)]))
+    size = int(edges[-1])
+    for lo in range(0, size, PAIR_CHUNK):
+        hi = min(lo + PAIR_CHUNK, size)
+        bot, top = np.searchsorted(edges, (lo, hi - 1), side="right") - 1
+        begin, end = edges[bot:top + 1], edges[bot + 1:top + 2]
+        cut = np.minimum(end, hi) - np.maximum(begin, lo)
+        a = np.repeat(np.arange(bot, top + 1, dtype=np.int32) % n, cut)
+        shift = (first[bot:top + 1] - (begin - lo)).astype(np.int32)  # partner - (position - lo)
+        b = np.arange(hi - lo, dtype=np.int32) + np.repeat(shift, cut)
+        a, b = order[a], order[b]
+        yield np.minimum(a, b), np.maximum(a, b)
+
+
 def _stage0(sys, arr, order, v, eps):
     """Every pair i < j of arr that pair_ops.close keeps at eps, as chunks
-    (i, j, sure) of at most PAIR_CHUNK pairs, the sure chunks first: those
-    whose pairs pass close at eps - margin, margin being PAIR_MARGIN per
-    unit of the largest |point|; only the bands past them are tested."""
-    margin = systems.PAIR_MARGIN * max(1.0, abs(float(v[0])), abs(float(v[-1])))
-    bands = sys.pair_ops.bands(v, eps - 2 * margin, eps + margin)
-    for i, j in systems.pair_chunks(order, bands[:2]):
-        yield i, j, True
-    for i, j in systems.pair_chunks(order, bands[2:]):
+    (i, j): first those within eps - margin by the sweep keys, untested,
+    then those of the bands out to eps + margin that close keeps, margin
+    being PAIR_MARGIN per unit of the largest |point|."""
+    margin = PAIR_MARGIN * max(1.0, abs(float(v[0])), abs(float(v[-1])))
+    bands = sys.pair_ops.bands(v, eps - margin, eps + margin)
+    yield from _pair_chunks(order, bands[:2])
+    for i, j in _pair_chunks(order, bands[2:]):
         keep = sys.pair_ops.close(arr[i], arr[j], eps)
         if keep.any():
-            yield i[keep], j[keep], False
+            yield i[keep], j[keep]
 
 
 def _arc_groups(sys, arr, eps, cells) -> dict:
@@ -575,8 +580,8 @@ def _arc_groups(sys, arr, eps, cells) -> dict:
     when Λ_(j+1) δ <= eps: the Bowen ball is the arc δ <= eps / Λ.  The
     stages round: a letter moves a distance by pair_ops.rounding times
     the slopes after it, so by Λ (k - 1) rounding at most, and the keys
-    and the metric by less than Λ ARC_MARGIN.  With margin = Λ
-    (ARC_MARGIN + (k - 1) rounding), a group's longest k, a pair within
+    and the metric by less than Λ PAIR_MARGIN.  With margin = Λ
+    (PAIR_MARGIN + (k - 1) rounding), a group's longest k, a pair within
     lo = (eps - margin) / Λ by the sweep keys passes every stage, and one
     past hi = (eps + margin) / Λ fails the first stage past eps + margin,
     while (1 + λ_max) (eps + margin) < 1."""
@@ -590,7 +595,7 @@ def _arc_groups(sys, arr, eps, cells) -> dict:
     out, top = {}, 1 + max(ops.slopes)
     for lam, group in by_slope.items():
         if lam < 2**52:  # a larger Λ makes the margin exceed any radius
-            margin = lam * (ARC_MARGIN + (max(cells[c][0] for c in group) - 1) * ops.rounding)
+            margin = lam * (PAIR_MARGIN + (max(cells[c][0] for c in group) - 1) * ops.rounding)
             if top * (eps + margin) < 1.0:
                 out[lam] = (eps - margin) / lam, (eps + margin) / lam, group
     return out
@@ -636,7 +641,7 @@ def _arc_results(sys, arr, order, v, eps, cells, groups, kind, reduce, blocks, c
             i = np.full_like(j, center)
         else:
             bands = sys.pair_ops.bands(v, lo, hi)
-            i, j = _joined(systems.pair_chunks(order, bands[2:]))
+            i, j = _joined(_pair_chunks(order, bands[2:]))
             if kind == "balls":  # per point, its ranges' lengths and the ranges holding it
                 got = np.zeros(n + 1, dtype=np.int64)
                 for start, stop in bands[:2]:
@@ -647,9 +652,9 @@ def _arc_results(sys, arr, order, v, eps, cells, groups, kind, reduce, blocks, c
                 sure[order] = got[:n]
             elif kind == "pairs":
                 sure = sum((_tally(kind, size, blocks, *c)
-                            for c in systems.pair_chunks(order, bands[:2])), np.zeros(size, int))
+                            for c in _pair_chunks(order, bands[:2])), np.zeros(size, int))
             else:
-                sure = _joined(systems.pair_chunks(order, bands[:2]))
+                sure = _joined(_pair_chunks(order, bands[:2]))
         seen = {}
         for c in group:
             k, omega = cells[c]
@@ -670,31 +675,40 @@ def _arc_results(sys, arr, order, v, eps, cells, groups, kind, reduce, blocks, c
 
 def _pair_results(sys, pset, eps, cells, kind, reduce, blocks, center) -> tuple:
     """(results, first) of _arc_results for the cells whose balls are arcs
-    (_arc_groups) and for a center's other cells, whose pairs within eps
-    are all tested along their words, and of one pair walk over the trie
-    of the remaining cells."""
-    arr, order, v = _sorted_array(sys, pset)
+    (_arc_groups), and of one pair walk over the trie of the others."""
+    arr, order, v = _sorted_array(sys, pset, sort=center is None)  # a center reads no sort
     groups = _arc_groups(sys, arr, eps, cells)
     arcs = {c for *_, group in groups.values() for c in group}
     walk = [c for c in range(len(cells)) if c not in arcs]
-    if center is not None and walk:
-        groups[None], walk = (-1.0, eps, walk), []
     first = list(range(len(cells)))
     got = _arc_results(sys, arr, order, v, eps, cells, groups, kind, reduce, blocks, center, first)
     if walk:
         root, sub = _trie(tuple(cells[c] for c in walk))
         for c, f in zip(walk, sub):
             first[c] = walk[f]
-        found = _walk_results(sys, arr, order, v, eps, root, set(sub), kind, reduce, blocks)
+        found = _walk_results(sys, arr, order, v, eps, root, set(sub), kind, reduce, blocks, center)
         got.update((walk[c], r) for c, r in found.items())
     return got, first
 
 
-def _walk_results(sys, arr, order, v, eps, root, nodes, kind, reduce, blocks) -> dict:
+def _walk_results(sys, arr, order, v, eps, root, nodes, kind, reduce, blocks, center) -> dict:
     """The reduced result of the kind at every trie node where cells
     end, keyed by its first cell (listed in nodes), from one pair walk;
     results are made and reduced one node at a time.  The stage-0 pairs
-    are streamed once (twice for a net)."""
+    are streamed once (twice for a net).  With a center, the walk's array
+    is the center and the points that pair_ops.close keeps with it, its
+    pairs (0, b), and a count is one plus the center's surviving pairs."""
+    if center is not None:
+        near = sys.pair_ops.close(arr[center], arr, eps)
+        near[center] = False
+        arr = np.concatenate((arr[center:center + 1], arr[near]))
+        b = np.arange(1, len(arr), dtype=np.int32)
+        chunks = ((0 * b[lo:lo + PAIR_CHUNK], b[lo:lo + PAIR_CHUNK])
+                  for lo in range(0, len(b), PAIR_CHUNK))
+        count = dict.fromkeys(nodes, 1)  # the center itself
+        for c, _, got in _pair_walk(sys, arr, chunks, eps, root, lambda i, j: len(i)):
+            count[c] += got
+        return {c: reduce(float(count[c])) for c in nodes}
     n = len(arr)
     chunks = _stage0(sys, arr, order, v, eps)
     if kind != "net":
@@ -707,11 +721,11 @@ def _walk_results(sys, arr, order, v, eps, root, nodes, kind, reduce, blocks) ->
     # a net needs all of a node's pairs at once: counted, then streamed
     # again into one list of that size (no freed chunks left on the heap)
     # and walked as views, one bit per pair and node; then node by node
-    i0, j0 = np.empty((2, sum(len(i) for i, _, _ in chunks)), dtype=np.int32)
+    i0, j0 = np.empty((2, sum(len(i) for i, _ in chunks)), dtype=np.int32)
     views, lo = [], 0
-    for i, j, sure in _stage0(sys, arr, order, v, eps):
+    for i, j in _stage0(sys, arr, order, v, eps):
         i0[lo:lo + len(i)], j0[lo:lo + len(i)] = i, j
-        views.append((i0[lo:lo + len(i)], j0[lo:lo + len(i)], sure))
+        views.append((i0[lo:lo + len(i)], j0[lo:lo + len(i)]))
         lo += len(i)
     acc = {c: np.zeros((len(i0) + 7) // 8, dtype=np.uint8) for c in nodes}
     for c, lo, pos in _pair_walk(sys, arr, views, eps, root):

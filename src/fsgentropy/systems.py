@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Hashable, Iterator, Optional, Sequence
+from typing import Any, Callable, Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -109,10 +109,10 @@ class GeneratorSystem:
     array_ops: Optional[ArrayOps] = None
     window_ops: Optional[WindowOps] = None
     pair_ops: Optional[PairOps] = None
-    # generators that keep every distance, up to 2**-52 a point of [0, 1]
-    # for pair_ops (hashable: memo keys); with ball_key exactly, and each
-    # commutes with every generator up to an isometry on every Bowen ball
-    # (binary: shift(x + 1) = shift(x) + x_1), which label sharing needs
+    # generators that keep every distance (hashable: memo keys), each
+    # commuting with every generator up to an isometry on every Bowen ball
+    # (binary: shift(x + 1) = shift(x) + x_1), which the label walk's
+    # sharing needs; read only with ball_key
     isometries: frozenset = frozenset()
 
     @property
@@ -171,9 +171,9 @@ def build_power_system(sys: GeneratorSystem, t: int) -> GeneratorSystem:
     slope in pair_ops is the product of its digits' slopes, and its
     rounding t times the base's, as each digit's rounding is scaled by
     at most the slopes from it on.
-    j is an isometry exactly when all its digits are, but with ball_key
-    none is: shift(shift(x + 2)) = shift(shift(x)) + x_2 does not
-    commute on a ball of radius 1/2.
+    It declares no isometries, which only ball_key systems read: there
+    shift(shift(x + 2)) = shift(shift(x)) + x_2 does not commute on a
+    ball of radius 1/2.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -220,11 +220,9 @@ def build_power_system(sys: GeneratorSystem, t: int) -> GeneratorSystem:
         slopes=tuple(math.prod(sys.pair_ops.slopes[d - 1] for d in ds) for ds in digits),
     )
     window_ops = base_win and WindowOps(base_win.to_windows, orbits, stage, base_win.key)
-    iso = frozenset() if sys.ball_key else sys.isometries
-    isometries = frozenset(j for j, d in enumerate(digits, 1) if iso.issuperset(d))
     return replace(
         sys, name=f"{sys.name}-power{t}", maps=power_maps, array_ops=array_ops,
-        window_ops=window_ops, pair_ops=pair_ops, isometries=isometries,
+        window_ops=window_ops, pair_ops=pair_ops, isometries=frozenset(),
     )
 
 
@@ -271,18 +269,6 @@ def _circle_close(a: np.ndarray, b: np.ndarray, eps: float, out=None) -> np.ndar
     return np.minimum(d, 1.0 - d, out=d) <= eps
 
 
-# Pairs read at once from the bands, in pair_chunks and in the
-# estimators' stage filter; bounds every pair-list temporary and every
-# chunk that pair_chunks yields.
-PAIR_CHUNK = 1 << 14
-
-# Slack of a pair walk's stage-0 sweep band per unit of the largest
-# |point|: far above the rounding of the metric's float expression, so
-# the bands out to eps + margin hold every pair that _circle_close
-# accepts at eps, and those within eps - 2 margin pass it.
-PAIR_MARGIN = 1e-9
-
-
 def _circle_bands(v: np.ndarray, sure: float, outer: float) -> tuple:
     """The partners b > a of every row a of the sorted array v, as four
     (start, stop) row ranges per row: two sure ones, of partners whose
@@ -305,41 +291,17 @@ def _circle_bands(v: np.ndarray, sure: float, outer: float) -> tuple:
     return (row + 1, sure_near), (sure_wrap, np.full(n, n)), (sure_near, near), (wrap, sure_wrap)
 
 
-def pair_chunks(order: np.ndarray, ranges) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every pair (order[a], order[b]) of a sorted row a and a row b in
-    one of its ranges, a sequence of (start, stop) arrays one row each,
-    as chunks (i, j), i < j, of at most PAIR_CHUNK pairs in fresh int32
-    arrays.  The ranges of all rows are laid end to end and read in
-    PAIR_CHUNK slices, a pair's row repeated from the range lengths, in
-    int32, whose temporaries the heap reuses without faulting in pages."""
-    n = len(order)
-    first = np.concatenate([start for start, _ in ranges], dtype=np.int32)
-    edges = np.cumsum(np.concatenate([[0], *(stop - start for start, stop in ranges)]))
-    size = int(edges[-1])
-    for lo in range(0, size, PAIR_CHUNK):
-        hi = min(lo + PAIR_CHUNK, size)
-        bot, top = np.searchsorted(edges, (lo, hi - 1), side="right") - 1
-        begin, end = edges[bot:top + 1], edges[bot + 1:top + 2]
-        cut = np.minimum(end, hi) - np.maximum(begin, lo)
-        a = np.repeat(np.arange(bot, top + 1, dtype=np.int32) % n, cut)
-        shift = (first[bot:top + 1] - (begin - lo)).astype(np.int32)  # partner - (position - lo)
-        b = np.arange(hi - lo, dtype=np.int32) + np.repeat(shift, cut)
-        a, b = order[a], order[b]
-        yield np.minimum(a, b), np.maximum(a, b)
-
-
 def _circle_array(pts) -> np.ndarray:
     return np.asarray(pts, dtype=float)
 
 
-def _circle_system(name, maps, apply_arr, slopes, offsets, isometries=frozenset()):
+def _circle_system(name, maps, apply_arr, slopes, offsets):
     """maps x -> slopes[j] x + offsets[j] mod 1 on the unit circle, with
     Lebesgue measure, the arc metric and the circle family's array and
-    pair paths; apply_arr(j, arr) applies map j to a point array, and the
-    maps of isometries are isometries.  fl(fl(slope x) + c) % 1.0 moves a
-    point of [0, 1] by 2 slope + |c| + 1 half-ulps of 1 at most (the %
-    rounds only 1.0 plus a negative remainder): the pair rounding is twice
-    that."""
+    pair paths; apply_arr(j, arr) applies map j to a point array.
+    fl(fl(slope x) + c) % 1.0 moves a point of [0, 1] by 2 slope + |c| +
+    1 half-ulps of 1 at most (the % rounds only 1.0 plus a negative
+    remainder): the pair rounding is twice that."""
     rounding = max((2 * s + abs(c) + 1) * 2.0**-52 for s, c in zip(slopes, offsets))
     return GeneratorSystem(
         name=name,
@@ -349,23 +311,18 @@ def _circle_system(name, maps, apply_arr, slopes, offsets, isometries=frozenset(
         mu_sampler=lambda rng, n: rng.random(n).tolist(),
         array_ops=ArrayOps(_circle_array, apply_arr, _circle_within),
         pair_ops=PairOps(_circle_bands, _circle_close, slopes, rounding),
-        isometries=isometries,
     )
 
 
 def circle_double_rotate(alpha: float = GOLDEN_ROTATION) -> GeneratorSystem:
     """Doubling map and rotation by alpha on the unit circle with
-    Lebesgue measure and the arc metric.  For |alpha| <= 1 the rotation
-    is an isometry up to rounding each point of [0, 1] by 2**-52 at most."""
+    Lebesgue measure and the arc metric."""
     maps = (lambda x: (2.0 * x) % 1.0, lambda x, _a=alpha: (x + _a) % 1.0)
 
     def apply_arr(j, arr, _a=alpha):
         return (2.0 * arr) % 1.0 if j == 1 else (arr + _a) % 1.0
 
-    isometries = frozenset({2}) if abs(alpha) <= 1.0 else frozenset()
-    return _circle_system(
-        "circle-double-rotate", maps, apply_arr, (2, 1), (0.0, alpha), isometries
-    )
+    return _circle_system("circle-double-rotate", maps, apply_arr, (2, 1), (0.0, alpha))
 
 
 def torus_affine(constants: tuple[float, ...] = (0.0, GOLDEN_ROTATION)) -> GeneratorSystem:

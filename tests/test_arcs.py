@@ -168,7 +168,7 @@ def test_samples_outside_the_unit_interval_walk(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["circle", "torus"])
 def test_long_words_widen_the_margin(monkeypatch, name):
-    """24 doublings make Λ = 2**24 and the margin Λ (ARC_MARGIN + (k - 1)
+    """24 doublings make Λ = 2**24 and the margin Λ (PAIR_MARGIN + (k - 1)
     rounding) over 1e-9; pairs a few ulps either side of eps / Λ, whose
     last stages round most, still count as the oracle counts them."""
     fast = SYSTEMS[name]
@@ -188,7 +188,7 @@ def test_long_words_widen_the_margin(monkeypatch, name):
 
 def test_offsets_far_past_a_turn_widen_the_margin(monkeypatch):
     """x -> 2x + 1000.3 rounds each point by up to 2**-44, far more than
-    ARC_MARGIN covers: pairs up to 200 float steps of 1 either side of
+    PAIR_MARGIN covers: pairs up to 200 float steps of 1 either side of
     eps / Λ count as the oracle counts them only through the declared
     rounding."""
     fast = torus_affine((0.0, 1000.3))
@@ -294,7 +294,7 @@ def test_arc_groups_by_slope_product_inside_the_domain():
     assert sorted(groups) == [1, 2, 4, 8]
     assert groups[4][2] == [2, 3]
     margins = [(groups[lam][1] - groups[lam][0]) * lam / 2 for lam in sorted(groups)]
-    assert margins == sorted(margins) and margins[0] >= estimators.ARC_MARGIN
+    assert margins == sorted(margins) and margins[0] >= estimators.PAIR_MARGIN
     assert all(lo < 0.125 / lam < hi for lam, (lo, hi, _) in groups.items())
     assert _arc_groups(CIRCLE, np.array([0.5, 1.5]), 0.125, cells) == {}
     shifted = replace(CIRCLE, pair_ops=replace(CIRCLE.pair_ops, slopes=(3, 1)))

@@ -5,8 +5,10 @@ the generic pairwise oracle.
 Every fast system here has an ArrayOps.within that raises, so a test
 fails if a dense N x N path runs, and a PairOps.bands that counts its
 calls, so a test fails if the estimators fall through to the generic
-loop.  Tests of the walk's own mechanisms run at radii past the domain
-edge (eps >= 1/3 on the circle), where the walk still runs.
+loop.  Tests of the walk's own mechanisms force the walk (the `walk`
+fixture: no cell is counted as an arc) at radii inside the domain, and
+run it past the domain edge (eps >= 1/3 on the circle), where it runs
+anyway.
 """
 
 import itertools
@@ -36,7 +38,7 @@ from fsgentropy.systems import (
     circle_double_rotate,
     torus_affine,
 )
-from fsgentropy.words import symbol_digits, word
+from fsgentropy.words import word
 from oracles import ball_measure, doubling_ratio, generic_system, net
 
 EPS = (0.5, 0.5 - 1e-11, 0.125, 1e-3, 2.0**-20)
@@ -90,7 +92,24 @@ def pair_systems(request):
 @pytest.fixture(params=[None, 1, 7], ids=["chunk-default", "chunk-1", "chunk-7"])
 def chunk(request, monkeypatch):
     if request.param is not None:
-        monkeypatch.setattr(systems, "PAIR_CHUNK", request.param)
+        monkeypatch.setattr(estimators, "PAIR_CHUNK", request.param)
+
+
+def _force_walk(monkeypatch):
+    """Count no cell as an arc: the pair walk counts every cell."""
+    monkeypatch.setattr(estimators, "_arc_groups", lambda *args: {})
+
+
+@pytest.fixture
+def walk(monkeypatch):
+    _force_walk(monkeypatch)
+
+
+@pytest.fixture(params=["auto", "walk"])
+def path(request, monkeypatch):
+    """Cells counted as arcs where they are, or all by the pair walk."""
+    if request.param == "walk":
+        _force_walk(monkeypatch)
 
 
 def _points(n, seed):
@@ -100,7 +119,7 @@ def _points(n, seed):
 
 def _stage0_chunks(arr, eps, close=systems._circle_close):
     """The pair walk's stage-0 stream of arr on circle-double-rotate, whose
-    close is close, as a list of chunks."""
+    close is close, as a list of chunks (i, j)."""
     sys_ = replace(SYSTEMS["circle"], pair_ops=replace(SYSTEMS["circle"].pair_ops, close=close))
     order = np.argsort(arr, kind="stable").astype(np.int32)
     return list(estimators._stage0(sys_, arr, order, arr[order], eps))
@@ -108,17 +127,22 @@ def _stage0_chunks(arr, eps, close=systems._circle_close):
 
 def _stage0(arr, eps, close=systems._circle_close):
     """The walk's stage-0 stream joined into (i, j, sure), sure one flag
-    per pair, after checking that each chunk holds 1 to PAIR_CHUNK pairs
-    i < j in fresh int32 arrays and that the sure chunks come first."""
-    chunks = _stage0_chunks(arr, eps, close)
-    for i, j, _ in chunks:
+    per pair, true for the pairs streamed untested (the first ones: the
+    others are those the exact test keeps), after checking that each
+    chunk holds 1 to PAIR_CHUNK pairs i < j in fresh int32 arrays."""
+    kept = []
+
+    def counting(a, b, e, out=None):
+        keep = close(a, b, e, out)
+        kept.append(int(np.count_nonzero(keep)))
+        return keep
+
+    chunks = _stage0_chunks(arr, eps, counting)
+    for i, j in chunks:
         assert i.dtype == j.dtype == np.int32 and i.base is None and j.base is None
-        assert 0 < len(i) == len(j) <= systems.PAIR_CHUNK and (i < j).all()
-    flags = [sure for _, _, sure in chunks]
-    assert flags == sorted(flags, reverse=True)
-    sizes = [len(i) for i, _, _ in chunks]
+        assert 0 < len(i) == len(j) <= estimators.PAIR_CHUNK and (i < j).all()
     i, j = (np.concatenate([np.empty(0, np.int32)] + [c[col] for c in chunks]) for col in (0, 1))
-    return i, j, np.repeat(np.array(flags, dtype=bool), sizes)
+    return i, j, np.arange(len(i)) < len(i) - sum(kept)
 
 
 def _words(sys_, k):
@@ -130,7 +154,7 @@ def _ball_counts(sys_, omega, k, eps, pset):
 
 
 @pytest.mark.parametrize("eps", EPS)
-def test_ball_counts_match_oracle(pair_systems, chunk, eps):
+def test_ball_counts_match_oracle(pair_systems, chunk, eps, path):
     fast, oracle, calls = pair_systems
     pts = _points(30, 1)
     fast_set = _as_point_set(fast, pts)
@@ -143,7 +167,7 @@ def test_ball_counts_match_oracle(pair_systems, chunk, eps):
 
 
 @pytest.mark.parametrize("eps", EPS)
-def test_separated_set_matches_oracle(pair_systems, chunk, eps):
+def test_separated_set_matches_oracle(pair_systems, chunk, eps, path):
     fast, oracle, calls = pair_systems
     pts = _points(30, 2)
     for k in (1, 2, 3):
@@ -154,7 +178,7 @@ def test_separated_set_matches_oracle(pair_systems, chunk, eps):
 
 @pytest.mark.parametrize("x", [0.0, 1.0 - 2.0**-53, 0.3])
 @pytest.mark.parametrize("eps", EPS)
-def test_correlation_sum_matches_oracle(pair_systems, chunk, x, eps):
+def test_correlation_sum_matches_oracle(pair_systems, chunk, x, eps, path):
     fast, oracle, calls = pair_systems
     w = word([1] + [fast.m] * 2, fast.m)
     got = correlation_sum(fast, x, eps, w, 3, 40, 3, seed=5)
@@ -164,7 +188,7 @@ def test_correlation_sum_matches_oracle(pair_systems, chunk, x, eps):
 
 
 @pytest.mark.parametrize("x", [0.0, 1.0 - 2.0**-53])
-def test_local_corr_entropy_matches_oracle(pair_systems, chunk, x):
+def test_local_corr_entropy_matches_oracle(pair_systems, chunk, x, path):
     fast, oracle, calls = pair_systems
     eps_list = [0.5, 0.125, 2.0**-20]
     got = local_corr_entropy_series(fast, x, eps_list, [1, 2, 3], 30, 3, 4, seed=7)
@@ -179,7 +203,7 @@ def test_local_corr_entropy_matches_oracle(pair_systems, chunk, x):
     "pts", [[0.4], [0.0, 1.0 - 2.0**-53], [0.3, 0.3], [0.25, 0.375]], ids=str
 )
 @pytest.mark.parametrize("eps", EPS)
-def test_one_and_two_points_match_oracle(pair_systems, eps, pts):
+def test_one_and_two_points_match_oracle(pair_systems, eps, pts, path):
     fast, oracle, calls = pair_systems
     for k in (1, 2):
         w = _words(fast, k)[-1]
@@ -197,7 +221,7 @@ def _margin_points(eps):
     sweep's own for this array: where the sure part of each stage-0 band
     ends, inside its margin part, and where that ends."""
     bases = (0.3, 0.97, 1.7)
-    margin = systems.PAIR_MARGIN * 2.49  # 2.49 is the largest |point|
+    margin = estimators.PAIR_MARGIN * 2.49  # 2.49 is the largest |point|
     pts = list(bases) + [2.49]
     for x in bases:
         for d in (e + t * margin for e in (eps, 1.0 - eps) for t in (-1, -0.5, 0, 0.5, 1)):
@@ -230,10 +254,10 @@ def test_stage0_is_exactly_the_close_pairs(chunk, eps):
 
 @pytest.mark.parametrize("eps", EPS + (0.75, 2.0))
 def test_stage0_counts_its_sure_pairs_first(chunk, eps):
-    """The pairs of stage 0's sure chunks, which come first, pass the
-    exact test at eps - margin, margin the sweep's own, also for points
-    outside [0, 1) and on the edges of the bands; and every pair within
-    eps - 3 margin lies in a sure chunk."""
+    """The pairs that stage 0 streams untested, which come first, pass
+    the exact test at eps - margin / 2, margin the sweep's own, also for
+    points outside [0, 1) and on the edges of the bands; and every pair
+    within eps - 2 margin is streamed untested."""
     rng = substream(13)
     for pts in (
         _points(40, 3) + [-0.3, 1.7, 2.05, -1.95, 5.0, 1e6, 1e6 + 0.1],
@@ -243,18 +267,18 @@ def test_stage0_counts_its_sure_pairs_first(chunk, eps):
         arr = np.array(pts)
         arr = arr[rng.permutation(len(arr))]
         i, j, sure = _stage0(arr, eps)
-        margin = systems.PAIR_MARGIN * max(1.0, float(np.abs(arr).max()))
-        assert systems._circle_close(arr[i[sure]], arr[j[sure]], eps - margin).all()
-        deep = systems._circle_close(arr[i], arr[j], eps - 3 * margin)
+        margin = estimators.PAIR_MARGIN * max(1.0, float(np.abs(arr).max()))
+        assert systems._circle_close(arr[i[sure]], arr[j[sure]], eps - margin / 2).all()
+        deep = systems._circle_close(arr[i], arr[j], eps - 2 * margin)
         assert not deep[~sure].any()
 
 
 @pytest.mark.parametrize("eps", (0.5, 0.5 - 1e-11, 0.125, 2.0**-20))
-def test_one_center_walks_its_own_pairs_like_the_oracle(pair_systems, chunk, eps):
+def test_one_center_walks_its_own_pairs_like_the_oracle(pair_systems, chunk, eps, path):
     """A one-centre count reads its one arc off the centre's distances
-    below the domain edge, and tests the centre's pairs within eps, which
-    close picks from the whole array, along each word above it: no bands
-    and no dense within.
+    below the domain edge, and walks the centre's pairs within eps, which
+    close picks from the whole array, above it (and below it on the
+    walk path): no bands and no dense within.
     Centres sit on the edges of [0, 1), on a duplicate, at both ends of
     the pairs exactly 0.125 apart (directly and across 0) and of the
     rounding pairs."""
@@ -294,20 +318,21 @@ def test_stage0_memory_is_bounded(n, eps):
     try:
         pairs = 0
         order = np.argsort(arr, kind="stable").astype(np.int32)
-        for i, _, _ in estimators._stage0(SYSTEMS["circle"], arr, order, arr[order], eps):
+        for i, _ in estimators._stage0(SYSTEMS["circle"], arr, order, arr[order], eps):
             pairs += len(i)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert pairs > 0.9 * eps * n * (n - 1)  # about n^2 eps pairs
-    bound = 128 * n + 32 * systems.PAIR_CHUNK
+    bound = 128 * n + 32 * estimators.PAIR_CHUNK
     assert peak <= bound and 5 * bound < 8 * pairs
 
 
 @pytest.mark.parametrize("kind", ["balls", "pairs"])
-def test_walk_memory_does_not_grow_with_the_pairs(kind):
-    """A whole circle walk of N = 4096 points, at eps 0.45 and at eps
-    0.35, past the domain edge, peaks at no more than
+def test_walk_memory_does_not_grow_with_the_pairs(walk, kind):
+    """A whole circle walk of N = 4096 points, at eps 1/4 and at eps 1/32
+    (8 times fewer stage-0 pairs), and at eps 0.4, past the domain edge,
+    peaks at no more than
 
         8 N nodes + 4 N cells + 128 N + 96 PAIR_CHUNK bytes
 
@@ -316,15 +341,15 @@ def test_walk_memory_does_not_grow_with_the_pairs(kind):
     bincounts (under 16 int64 words per point), and the temporaries of
     one chunk (stage 0's slice, the gather buffers, and a filtered pair
     set per trie level on the walk's stack).  There is no term in the
-    pair count P: the pairs at either radius alone would take 8 P bytes,
-    more than 10 times the bound."""
+    pair count P: the pairs at eps 1/4 alone would take 8 P bytes, more
+    than 10 times the bound."""
     fast, n = SYSTEMS["circle"], 4096
     pts = substream(21).random(n).tolist()
     cells = _cells(fast)
     nodes = {w.symbols[:d] for k, w in cells for d in range(k)}
-    bound = 8 * n * len(nodes) + 4 * n * len(cells) + 128 * n + 96 * systems.PAIR_CHUNK
+    bound = 8 * n * len(nodes) + 4 * n * len(cells) + 128 * n + 96 * estimators.PAIR_CHUNK
     pairs = []
-    for eps in (0.45, 0.35):
+    for eps in (0.25, 1 / 32, 0.4):
         pairs.append(len(_stage0(np.array(pts), eps)[0]))
         pset = _as_point_set(fast, pts)
         tracemalloc.start()
@@ -334,19 +359,19 @@ def test_walk_memory_does_not_grow_with_the_pairs(kind):
         finally:
             tracemalloc.stop()
         assert peak <= bound, eps
-    assert pairs[0] > pairs[1] and 8 * pairs[1] > 10 * bound
+    assert pairs[0] >= 4 * pairs[1] and 8 * pairs[0] > 10 * bound
 
 
-def test_each_count_sweeps_stage0_once():
+def test_each_count_sweeps_stage0_once(walk):
     """A point set keeps no stage-0 pairs: every _count_cells call on a
-    pair system past the domain edge makes them anew, once, whatever its
-    cells and radius."""
+    pair system that walks makes them anew, once, whatever its cells and
+    radius."""
     calls = []
     fast = _sparse(SYSTEMS["circle"], calls)
     pts = _points(10, 4)
     pset = _as_point_set(fast, pts)
     cells = _cells(fast)
-    for n, eps in enumerate((0.45, 0.4, 0.45, 0.4, 0.35, 0.4), 1):
+    for n, eps in enumerate((0.25, 0.125, 0.25, 0.125, 0.0625, 0.125, 0.4), 1):
         _count_cells(fast, pset, eps, cells if n % 2 else cells[:1], "balls")
         assert calls == [len(pts)] * n
     assert estimators._has_pairs(fast)
@@ -379,7 +404,7 @@ def _kind_options(kind, n):
 
 @pytest.mark.parametrize("kind", ["balls", "pairs", "net"])
 @pytest.mark.parametrize("eps", EPS)
-def test_walk_matches_per_cell_oracle(pair_systems, chunk, kind, eps):
+def test_walk_matches_per_cell_oracle(pair_systems, chunk, kind, eps, path):
     fast, oracle, calls = pair_systems
     pts = _points(30, 6)
     cells = _cells(fast)
@@ -395,29 +420,28 @@ def test_walk_matches_per_cell_oracle(pair_systems, chunk, kind, eps):
     assert calls
 
 
-# Points whose stage-0 pairs at eps 0.4 the doubling map (symbol 1) keeps
-# all of (tight clusters), none of (a 1/4 grid: it drops pairs 0.2 to 0.3
-# apart), most of (two clusters half a turn apart, and two points a quarter
-# turn from each) and few of (the 1/4 grid with two tight pairs).
+# Points whose stage-0 pairs at eps 1/8 the doubling map (symbol 1) keeps
+# all of (tight clusters), none of (a 0.1 grid), most of (clusters with
+# one outlier each) and few of (a 0.07 grid with two tight pairs).
 SHARES = {
     "all": [c + 0.004 * t for c in (0.2, 0.7) for t in range(12)],
-    "none": [0.03 + 0.25 * t for t in range(4)],
-    "most": [c + 0.005 * t for c in (0.05, 0.55) for t in range(8)] + [0.3, 0.8],
-    "few": [0.03 + 0.25 * t for t in range(4)] + [0.031, 0.531],
+    "none": [0.03 + 0.1 * t for t in range(10)],
+    "most": [c + 0.005 * t for c in (0.05, 0.3, 0.55, 0.8) for t in range(6)]
+    + [c + 0.1 for c in (0.05, 0.3, 0.55, 0.8)],
+    "few": [0.07 * t for t in range(14)] + [0.5, 0.501, 0.8, 0.8005],
 }
 
 
 @pytest.mark.parametrize("share", list(SHARES))
 @pytest.mark.parametrize("kind", ["balls", "pairs"])
-def test_carried_tally_matches_oracle(chunk, kind, share):
-    """A node that keeps all its parent's pairs (every rotation node, and
-    here every doubling node for "all") takes its parent's tally, and
-    one that drops some, most or all of them tallies what it keeps; the
-    counts equal the oracle's in every case, with one, seven or all
-    pairs per chunk."""
+def test_nodes_keeping_any_share_of_pairs_match_oracle(walk, chunk, kind, share):
+    """Nodes that keep all their parent's pairs (every rotation node, and
+    here every doubling node for "all") and nodes that drop some, most or
+    all of them count what they keep; the counts equal the oracle's in
+    every case, with one, seven or all pairs per chunk."""
     base = SYSTEMS["circle"]
     fast, oracle = _sparse(base, []), generic_system(base)
-    pts, eps = SHARES[share], 0.4
+    pts, eps = SHARES[share], 0.125
     i, j, _ = _stage0(np.array(pts), eps)
     doubled = base.array_ops.apply(1, np.array(pts))
     kept = int(systems._circle_close(doubled[i], doubled[j], eps).sum())
@@ -462,50 +486,35 @@ def _counting_walk(monkeypatch, name="circle"):
     return replace(SYSTEMS[name].pair_ops, close=counting_close), log
 
 
-def test_tally_takes_well_under_its_nodes_survivors(monkeypatch):
-    """On the shape of the benchmark's circle corr-entropy (N = 2048,
-    ks 1..5, 4 Monte Carlo words) at eps 0.4, past the domain edge, every
-    node where cells end passes the tally no more pairs than survive
-    there, and the walk tallies well under the pairs that a tally of
-    every such node's survivors would take: 50% of them here (46% at eps
-    0.35, 56% at 0.45)."""
-    pair_ops, log = _counting_walk(monkeypatch)
-    fast = replace(SYSTEMS["circle"], pair_ops=pair_ops)
-    em = EmpiricalMeasure.draw(fast, 2048, 11)
-    corr_entropy_series(em, fast, [0.4], [1, 2, 3, 4, 5], 2.0, 4, seed=11)
-    survivors = [int(got.sum()) // 2 for _, _, got in log]  # two ball counts per pair
-    assert all(passed <= alive for (passed, _, _), alive in zip(log, survivors))
-    tallied = sum(passed for passed, _, _ in log)
-    stage0 = len(_stage0(np.array(em.points), 0.4)[0])
-    assert stage0 < tallied <= 0.6 * sum(survivors)
-
-
 def _pair_masks(sys_, arr, eps, i, j, root):
-    """Per trie node where cells end, keyed by its first cell: the first
-    cell of its nearest such ancestor (None at the top) and the mask of
+    """Per trie node where cells end, keyed by its first cell: the mask of
     the pairs (i, j) within eps at every stage along its prefix, each
     stage tested with pair_ops.close."""
-    out, todo = {}, [(root, arr, np.ones(len(i), dtype=bool), None)]
+    out, todo = {}, [(root, arr, np.ones(len(i), dtype=bool))]
     while todo:
-        (_, kids, ends), x, mask, above = todo.pop()
+        (_, kids, ends), x, mask = todo.pop()
         if ends:
-            out[ends[0]], above = (above, mask), ends[0]
+            out[ends[0]] = mask
         for sym, kid in kids.items():
             y = sys_.array_ops.apply(sym, x)
-            todo.append((kid, y, mask & sys_.pair_ops.close(y[i], y[j], eps), above))
+            todo.append((kid, y, mask & sys_.pair_ops.close(y[i], y[j], eps)))
     return out
 
 
 @pytest.mark.parametrize(
     "name, n, eps, ks, m_omega",
-    [("circle", 2048, 0.4, [1, 2, 3, 4, 5], 4), ("torus", 1024, 0.35, [1, 2, 3, 4, 5], 4)],
+    [
+        ("circle", 2048, 0.125, [1, 2, 3, 4, 5], 4),
+        ("torus", 1024, 0.0625, [1, 2, 3, 4, 5], 4),
+        ("circle", 1024, 0.4, [1, 2, 3, 4, 5], 4),
+    ],
 )
-def test_tally_is_carried_only_past_nodes_that_drop_no_pair(monkeypatch, name, n, eps, ks, m_omega):
-    """On the benchmark's circle corr-entropy shape and on a torus series
-    (no isometries), past the domain edge, every node where cells end
-    passes the tally, per chunk, either no pair or exactly its survivors
-    (counted here by testing every stage), and no pair exactly when none
-    was dropped since the last count on its path."""
+def test_nodes_tally_exactly_their_survivors(monkeypatch, name, n, eps, ks, m_omega):
+    """On the benchmark's circle corr-entropy shape and on a torus series,
+    walked, and past the domain edge, every node where cells end passes
+    the tally, per chunk, exactly its survivors, counted here by testing
+    every stage."""
+    _force_walk(monkeypatch)
     pair_ops, log = _counting_walk(monkeypatch, name)
     fast = replace(SYSTEMS[name], pair_ops=pair_ops)
     walk, seen = estimators._pair_walk, []
@@ -519,35 +528,31 @@ def test_tally_is_carried_only_past_nodes_that_drop_no_pair(monkeypatch, name, n
     em = EmpiricalMeasure.draw(fast, n, 11)
     corr_entropy_series(em, fast, [eps], ks, 2.0, m_omega, seed=11)
     arr = np.array(em.points)
-    sizes = [len(i) for i, _, _ in _stage0_chunks(arr, eps)]
+    sizes = [len(i) for i, _ in _stage0_chunks(arr, eps)]
     stop = dict(zip(np.cumsum([0] + sizes[:-1]).tolist(), np.cumsum(sizes).tolist()))
     i, j, _ = _stage0(arr, eps)
     masks = _pair_masks(SYSTEMS[name], arr, eps, i, j, seen[0][2])
     assert all(root is seen[0][2] for _, _, root in seen) and len(seen) == len(log)
-    carried = 0
     for (c, lo, _), (passed, _, got) in zip(seen, log):
-        above, mask = masks[c]
-        alive = int(np.count_nonzero(mask[lo:stop[lo]]))
+        alive = int(np.count_nonzero(masks[c][lo:stop[lo]]))
         assert alive and int(got.sum()) == 2 * alive  # two ball counts per pair
-        same = above is not None and alive == np.count_nonzero(masks[above][1][lo:stop[lo]])
-        assert passed == (0 if same else alive), (c, lo)
-        carried += same
-    assert carried < len(log) and (carried > 0 or name == "torus")  # a rotation carries
+        assert passed == alive, (c, lo)
 
 
+@pytest.mark.parametrize("eps", [0.25, 0.4])
 @pytest.mark.parametrize("k", [2, 4, 6])
-def test_single_cell_tallies_only_its_survivors(monkeypatch, k):
-    """A torus-affine correlation sum past the domain edge counts one
-    cell, which ends at the trie's one leaf: the walk tallies no node above
-    it, and the leaf no more pairs than it keeps."""
+def test_single_cell_tallies_only_its_survivors(walk, monkeypatch, k, eps):
+    """A torus-affine correlation sum counts one cell, which ends at the
+    trie's one leaf: the walk tallies no node above it, and the leaf no
+    more pairs than it keeps."""
     pair_ops, log = _counting_walk(monkeypatch, "torus")
     fast = replace(SYSTEMS["torus"], pair_ops=pair_ops)
-    correlation_sum(fast, 0.3, 0.4, word([1, 2, 2, 1, 2], 2), k, 1200, 2, seed=89)
+    correlation_sum(fast, 0.3, eps, word([1, 2, 2, 1, 2], 2), k, 1200, 2, seed=89)
     assert log
     assert all(kept is not None and passed <= kept for passed, kept, _ in log)
 
 
-def test_series_over_shared_prefixes_match_oracle(pair_systems, chunk):
+def test_series_over_shared_prefixes_match_oracle(pair_systems, chunk, path):
     """Exhaustive horizons and Monte Carlo ones whose draws share trie
     nodes and repeat, through the three word-averaged series, as arcs
     and past the domain edge."""
@@ -577,7 +582,7 @@ def test_each_trie_node_filters_once_per_chunk(monkeypatch, chunk_size):
     of its margin bands; a walk that re-filtered each cell from stage 0
     would run it sum(k - 1) times per chunk."""
     if chunk_size is not None:
-        monkeypatch.setattr(systems, "PAIR_CHUNK", chunk_size)
+        monkeypatch.setattr(estimators, "PAIR_CHUNK", chunk_size)
     base = SYSTEMS["circle"]
     count = {"apply": 0, "close": 0}
 
@@ -594,7 +599,6 @@ def test_each_trie_node_filters_once_per_chunk(monkeypatch, chunk_size):
         base,
         array_ops=ArrayOps(ops.to_array, apply, ops.within),
         pair_ops=replace(base.pair_ops, close=close),
-        isometries=frozenset(),
     )
     pts = _points(20, 9)
     cells = _cells(fast)
@@ -602,7 +606,7 @@ def test_each_trie_node_filters_once_per_chunk(monkeypatch, chunk_size):
     # at eps = 1/2 every pair is close at every stage, so no subtree is skipped
     pset = _as_point_set(fast, pts)
     chunks = _stage0_chunks(np.asarray(pts), 0.5, close)
-    assert sum(len(i) for i, _, _ in chunks) == len(pts) * (len(pts) - 1) // 2
+    assert sum(len(i) for i, _ in chunks) == len(pts) * (len(pts) - 1) // 2
     chunks, margin_tests = len(chunks), count["close"]
     _count_cells(fast, pset, 0.5, cells, "balls")
     assert count["apply"] == len(nodes) - 1
@@ -610,11 +614,10 @@ def test_each_trie_node_filters_once_per_chunk(monkeypatch, chunk_size):
     assert sum(k - 1 for k, _ in cells) > len(nodes) - 1
 
 
-def test_doubling_series_walks_once_per_radius(monkeypatch):
-    """Past the domain edge, every horizon of a radius is counted in one
-    pair walk at eps and one at 2 eps, each mapping the word's K - 1
-    stages once; per-k calls would walk twice per horizon, each from
-    stage 0."""
+def test_doubling_series_walks_once_per_radius(walk, monkeypatch):
+    """Every horizon of a radius is counted in one pair walk at eps and
+    one at 2 eps, each mapping the word's K - 1 stages once; per-k calls
+    would walk twice per horizon, each from stage 0."""
     base = SYSTEMS["circle"]
     count = {"walks": 0, "apply": 0}
 
@@ -633,7 +636,7 @@ def test_doubling_series_walks_once_per_radius(monkeypatch):
     fast = replace(base, array_ops=ArrayOps(ops.to_array, apply, ops.within))
     pts = tuple(_points(40, 10))
     omega = word((1, 2, 2, 1, 2), 2)
-    eps_list, ks = [0.45, 0.35], [1, 2, 3, 4, 5, 6]
+    eps_list, ks = [0.4, 0.125, 0.0625], [1, 2, 3, 4, 5, 6]
     got = doubling_series(EmpiricalMeasure(pts), fast, omega, eps_list, ks)
     assert count == {"walks": 2 * len(eps_list), "apply": 2 * len(eps_list) * (len(ks) - 1)}
     for eps, series in zip(eps_list, got):
@@ -645,80 +648,7 @@ def test_doubling_series_walks_once_per_radius(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# isometric trie nodes: rotation nodes keep sure pairs untested
-
-
-def test_power_systems_map_isometries():
-    """A power symbol is an isometry exactly when all its digits are: on
-    circle-double-rotate only the all-rotation symbol, on torus-affine
-    none.  A rotation by more than a turn rounds too coarsely to count."""
-    circle, torus = SYSTEMS["circle"], SYSTEMS["torus"]
-    assert circle.isometries == {2}
-    assert torus.isometries == frozenset()
-    for t in (2, 3):
-        assert build_power_system(circle, t).isometries == {2**t}
-        assert symbol_digits(2**t, 2, t) == (2,) * t
-        assert build_power_system(torus, t).isometries == frozenset()
-        three = torus_affine((0.0, 0.1, 0.2))
-        assert build_power_system(three, t).isometries == frozenset()
-        hash(build_power_system(circle, t))  # systems stay memo keys
-    assert circle_double_rotate(-1.0).isometries == {2}
-    assert circle_double_rotate(1.5).isometries == frozenset()
-
-
-def _tested_nodes(nodes, inside, stages):
-    """The nodes (symbol tuples) of a circle-double-rotate walk whose
-    pairs all stay sure that run the stage filter: every doubling node,
-    and a rotation node whose parent's pair set is not sure (the root's,
-    for a sample outside [0, 1]) or has passed `stages` rotations since
-    its last test."""
-    left, tested = {(): stages if inside else 0}, set()
-    for p in sorted(nodes - {()}, key=len):
-        if p[-1] == 2 and left[p[:-1]]:
-            left[p] = left[p[:-1]] - 1
-        else:
-            tested.add(p)
-            left[p] = stages
-    return tested
-
-
-@pytest.mark.parametrize("stages", [None, 1, 2])
-@pytest.mark.parametrize("inside", [True, False], ids=["unit", "outside-unit"])
-@pytest.mark.parametrize("chunk_size", [None, 7])
-def test_rotation_nodes_keep_sure_pairs_untested(monkeypatch, chunk_size, inside, stages):
-    """A circle-double-rotate walk at eps = 1/2 whose pairs all lie
-    within eps - margin at stage 0 and at every stage after: close runs
-    once per chunk at every doubling node and never at a rotation
-    node, unless the sample leaves [0, 1] (the root's rotation kids test)
-    or SURE_STAGES rotations in a row have passed untested.  The counts
-    equal the oracle's."""
-    if chunk_size is not None:
-        monkeypatch.setattr(systems, "PAIR_CHUNK", chunk_size)
-    if stages is not None:
-        monkeypatch.setattr(estimators, "SURE_STAGES", stages)
-    base = SYSTEMS["circle"]
-    count = {"close": 0}
-
-    def close(a, b, eps, out=None):
-        count["close"] += 1
-        return systems._circle_close(a, b, eps, out)
-
-    fast = replace(base, pair_ops=replace(base.pair_ops, close=close))
-    pts = substream(9).random(20).tolist() + ([] if inside else [1.25])
-    cells = _cells(fast) + [(6, word((2, 2, 2, 2, 1), 2)), (5, word((1, 2, 2, 2), 2))]
-    nodes = {w.symbols[:d] for k, w in cells for d in range(k)}
-    chunks = _stage0_chunks(np.asarray(pts), 0.5)
-    assert all(sure for _, _, sure in chunks)
-    assert sum(len(i) for i, _, _ in chunks) == len(pts) * (len(pts) - 1) // 2
-    chunks = len(chunks)
-    got = _count_cells(fast, _as_point_set(fast, pts), 0.5, cells, "balls")
-    tested = _tested_nodes(nodes, inside, stages or estimators.SURE_STAGES)
-    assert count["close"] == len(tested) * chunks
-    assert any(p[-1] == 2 for p in tested) == (not inside or stages is not None)
-    oracle = generic_system(base)
-    for g, cell in zip(got, cells):
-        want = _count_cells(oracle, _as_point_set(oracle, pts), 0.5, [cell], "balls")[0]
-        assert np.array_equal(g, want), cell
+# pairs on the edges of stage 0's bands
 
 
 def _boundary_points(eps, outside):
@@ -729,8 +659,8 @@ def _boundary_points(eps, outside):
     halved, so that they sit at stage 1 after a doubling, before the
     rotation chain of the word 1,2,2,2,1,2.  From the bases 0.07 and
     0.37 some pairs within eps leave it under a rotation.  outside adds
-    a point outside [0, 1], which leaves stage 0's sure pairs unused."""
-    margin = systems.PAIR_MARGIN
+    a point outside [0, 1], where no cell is counted as an arc."""
+    margin = estimators.PAIR_MARGIN
     pts = []
     for x in (0.07, 0.37, 0.97):
         pts.append(x)
@@ -753,9 +683,9 @@ def test_sure_pairs_at_the_margin_match_oracle(monkeypatch, eps, outside):
     (top-entropy) and one-centre counts (local entropy) over words with
     one rotation after stage 0 and rotation chains after a doubling
     equal the oracle's, with one, seven or all pairs per chunk, for pairs
-    on both sides of eps - margin and of eps: by the walk and its sure
-    skip at eps 0.4 (past the domain edge) and for a sample outside
-    [0, 1], as arcs otherwise."""
+    on both sides of eps - margin and of eps: as arcs where they are, and
+    by the walk (past the domain edge, for a sample outside [0, 1], and
+    on the walk path)."""
     fast, oracle = _sparse(SYSTEMS["circle"], []), generic_system(SYSTEMS["circle"])
     pts = _boundary_points(eps, outside)
     if eps > 1e-3:  # a pair within eps at the stage before a rotation leaves it there
@@ -781,15 +711,18 @@ def test_sure_pairs_at_the_margin_match_oracle(monkeypatch, eps, outside):
     }
     local = [local_entropy_series(em, oracle, omega, c, [eps], range(1, 8))[0].rows
              for c in centers]
-    for chunk_size in (None, 1, 7):
+    paths = (False, True) if eps < 1 / 3 and not outside else (False,)  # else it walks anyway
+    for chunk_size, walked in itertools.product((None, 1, 7), paths):
         with monkeypatch.context() as patch:
             if chunk_size is not None:
-                patch.setattr(systems, "PAIR_CHUNK", chunk_size)
+                patch.setattr(estimators, "PAIR_CHUNK", chunk_size)
+            if walked:
+                _force_walk(patch)
             for kind, values in want.items():
                 got = _count_cells(fast, _as_point_set(fast, pts), eps, cells, kind,
                                    **_kind_options(kind, len(pts)))
                 for g, v, cell in zip(got, values, cells):
-                    assert np.array_equal(g, v), (chunk_size, kind, cell)
+                    assert np.array_equal(g, v), (chunk_size, walked, kind, cell)
             assert local == [
                 local_entropy_series(em, fast, omega, c, [eps], range(1, 8))[0].rows
                 for c in centers
@@ -799,24 +732,23 @@ def test_sure_pairs_at_the_margin_match_oracle(monkeypatch, eps, outside):
 def _margin_pairs(eps, offsets):
     """Points of [0, 1) paired at eps + t margin for t in offsets, directly
     and (from the base 1 - eps / 4) the long way round across 0, where
-    margin = PAIR_MARGIN, stage 0's on [0, 1]: a pair with t <= -2 lies
-    in a sure band, one with -2 < t <= 1 in a margin band, whose exact
+    margin = PAIR_MARGIN, stage 0's on [0, 1]: a pair with t < -1 lies
+    in a sure band, one with -1 < t <= 1 in a margin band, whose exact
     test keeps it for t <= 0 and drops it for t > 0."""
     pts = []
     for x in (0.07, 0.37, 0.6, 1.0 - eps / 4):
         pts.append(x)
         for t in offsets:
-            d = eps + t * systems.PAIR_MARGIN
+            d = eps + t * estimators.PAIR_MARGIN
             pts += [(x + d) % 1.0, (x - d) % 1.0]
     return pts
 
 
 @pytest.mark.parametrize("kind", ["balls", "pairs", "net"])
-@pytest.mark.parametrize("eps", (0.45, 0.4, 0.36))
-def test_walk_reads_sure_and_margin_chunks_like_the_oracle(chunk, kind, eps):
-    """Past the domain edge, ball counts, pair counts and greedy nets
-    along words with rotation chains equal the oracle's, with one, seven
-    or all pairs per chunk,
+@pytest.mark.parametrize("eps", (0.25, 0.125, 2.0**-20, 0.4))
+def test_walk_reads_sure_and_margin_chunks_like_the_oracle(walk, chunk, kind, eps):
+    """Ball counts, pair counts and greedy nets along words with rotation
+    chains equal the oracle's, with one, seven or all pairs per chunk,
     when a sure chunk crosses from the near band into the wrap-around
     band and the sure chunks end part way through a chunk's worth of
     pairs (so the first margin chunk starts at no multiple of
@@ -824,8 +756,8 @@ def test_walk_reads_sure_and_margin_chunks_like_the_oracle(chunk, kind, eps):
     part, and when the exact test empties every margin slice it reads."""
     tested = []
 
-    def close(a, b, e):  # stage 0's exact test only
-        hit = systems._circle_close(a, b, e)
+    def close(a, b, e, out=None):  # stage 0's exact test only
+        hit = systems._circle_close(a, b, e, out)
         tested.append(int(np.count_nonzero(hit)))
         return hit
 
@@ -835,16 +767,17 @@ def test_walk_reads_sure_and_margin_chunks_like_the_oracle(chunk, kind, eps):
         for syms in [(1, 2, 2, 2, 1, 2), (2, 1, 2, 2), (2, 2, 1)]
         for k in range(1, len(syms) + 2)
     ]
-    for offsets in ((-3, -1, 0.5), (-3, 0.5)):
+    for offsets in ((-3, -0.5, 0.5), (-3, 0.5)):
         pts = _margin_pairs(eps, offsets)
         arr, opts = np.array(pts), _kind_options(kind, len(pts))
         tested.clear()
-        _, _, sure = _stage0(arr, eps, close)
+        i, j, sure = _stage0(arr, eps, close)
         if len(offsets) == 3:  # margin pairs kept, after a partial sure chunk
+            size, wrap = estimators.PAIR_CHUNK, abs(arr[i] - arr[j]) > 0.5
             assert 0 < sure.sum() < len(sure) and any(tested)
-            assert systems.PAIR_CHUNK == 1 or sure.sum() % systems.PAIR_CHUNK
-            wraps = [abs(arr[i] - arr[j]) > 0.5 for i, j, s in _stage0_chunks(arr, eps) if s]
-            assert systems.PAIR_CHUNK == 1 or any(w.any() and not w.all() for w in wraps)
+            assert size == 1 or sure.sum() % size
+            wraps = [wrap[lo:min(lo + size, sure.sum())] for lo in range(0, sure.sum(), size)]
+            assert size == 1 or any(w.any() and not w.all() for w in wraps)
         else:
             assert sure.all() and tested and not any(tested)
         got = _count_cells(fast, _as_point_set(fast, pts), eps, cells, kind, **opts)

@@ -197,6 +197,24 @@ def test_power_systems_count_through_windows_like_the_oracle(t, exact_calls):
     assert got == _outcome(fn, keys) == _outcome(fn, oracle) and got[1] is CarryOverflow
 
 
+@pytest.mark.parametrize("t", [2, 3])
+def test_power_system_resumes_no_walk_its_base_kept(t):
+    # base and power system share one point set (one to_windows), but a
+    # base walk's kept labels are not the power stages along the same
+    # symbols: the power walk starts from stage 0
+    base = binary_shift_odometer(depth=64)
+    power = build_power_system(base, t)
+    points = tuple(_points(60, 64, 15))
+    em = EmpiricalMeasure(points)
+    for eps in (0.25, 2.0**-3):
+        em.ball_measures(base, word((1, 2, 2), 2), 3, eps)  # keeps labels at path (1, 2)
+        omega = word((1, 2, power.m, 3), power.m)
+        got = em.ball_measures(power, omega, 4, eps).tolist()
+        assert got == EmpiricalMeasure(points).ball_measures(power, omega, 4, eps).tolist()
+        oracle = EmpiricalMeasure(points).ball_measures(generic_system(power), omega, 4, eps)
+        assert got == oracle.tolist()
+
+
 # ---------------------------------------------------------------------------
 # orbits
 
@@ -598,8 +616,8 @@ def test_exact_fallback_mid_series_keeps_only_window_labels(exact_calls, groups_
     got = [corr(sys_, k) for k in range(1, 9)]
     assert len(exact_calls) == 2  # once per group of orbits, at k = 8
     for orbit in estimators._upsilon_orbits(sys_, x, 60, 3, 9, None):
-        kept_eps, path, carried = orbit.labelled
-        assert kept_eps == 2.0**-60 and path == omega.symbols[:6] and carried[1] is None
+        (ops, kept_eps), path, carried = orbit.labelled
+        assert ops is sys_.window_ops and kept_eps == 2.0**-60 and path == omega.symbols[:6] and carried[1] is None
     assert got == [corr(exact, k) for k in range(1, 9)]
 
 
