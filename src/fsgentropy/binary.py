@@ -50,6 +50,16 @@ and the key, or a carry could reach the depth or the top of the window.
 That path raises DepthExhausted and CarryOverflow exactly as before,
 and it gives the same keys in the rare cases where a deep point only
 looked risky.
+
+cylinder_labels reads a whole prefix at once.  Let D_j sum 2**(shifts
+before it) over the odometers among its first j letters, s_j shifts:
+stage j of v is (v + D_j) >> s_j (+1 commutes with the floor), its key
+bits s_j .. s_j + L - 1 of v + D_j, and a shift's key adds bit s_j + L
+to what agrees before it; so for L >= 1 all keys agree exactly when
+v = v' mod 2**(L + s) (at L = 0 they are empty).  The exact path raises
+nowhere if every depth is >= max(L + s, s + 1) and v + D < 2**depth
+(stage j's +1 overflows exactly at v + D_(j+1) >= 2**depth): true if D
+<= 2**min(depth, 64) - 1 - win for every window (exact to depth 64).
 """
 
 from __future__ import annotations
@@ -302,8 +312,11 @@ def orbit_windows(x: BinaryPoint, words, n: int):
         at = slice(o * n, (o + 1) * n)
         np.add(w[shifts], since.astype(np.uint64), out=win[at])
         np.subtract(x.depth, shifts, out=depth[at])
-        width = np.minimum(depth[at][:-1][odometer], WINDOW_BITS)
-        if _carry_may_leave(win[at][:-1][odometer], width):
+        if x.depth - shifts[-1] >= WINDOW_BITS:  # every carry runs through 64 bits
+            if np.any((win[at][:-1] == _low_masks()[WINDOW_BITS]) & odometer):
+                return None
+        elif _carry_may_leave(win[at][:-1][odometer],
+                              np.minimum(depth[at][:-1][odometer], WINDOW_BITS)):
             return None
     return win, depth
 
@@ -355,6 +368,22 @@ def window_key(state, eps: float):
     """The uint64 ball keys of a window_stage state at eps and their bit
     width: two points are within eps at the stage exactly when keys agree."""
     return state[0] & _low_masks()[prefix_length_for(eps)], prefix_length_for(eps)
+
+
+def cylinder_labels(wins, eps: float, syms, head: dict):
+    """Every window's key of its Bowen eps-ball along syms (1 shift, 2
+    odometer), its low L + s bits (none at L = 0), and their width; None
+    unless the exact path raises nowhere.  head memoises depth and room."""
+    win, depth = wins
+    if not head:
+        head["lowest"] = lowest = int(depth.min(initial=np.iinfo(np.int64).max))
+        top = _low_masks()[np.minimum(depth, WINDOW_BITS) if lowest < WINDOW_BITS else -1]
+        head["room"] = int((top ^ win).min(initial=_WINDOW_MASK))
+    shifts, carry = syms.count(1), sum(1 << syms[:i].count(1) for i, s in enumerate(syms) if s == 2)
+    width = prefix_length_for(eps) and prefix_length_for(eps) + shifts
+    if width > WINDOW_BITS or head["lowest"] < max(width, shifts + 1) or carry > head["room"]:
+        return None
+    return win & _low_masks()[width], width
 
 
 def s_count(omega: SymbolWord, k: int) -> int:

@@ -24,9 +24,10 @@ Conventions shared by everything here:
   integer labels, equal for two points exactly when they are
   Bowen-within eps along the prefix (_label_walk): dense ranks, made
   with no sort while the key space is small, that nodes of one
-  partition share, from uint64 windows on the binary backend, kept
-  where a walk ends so that the nested horizons of a corr-sum run, one
-  call per (eps, k), label one more stage each.
+  partition share, from uint64 windows on the binary backend.  There
+  the Bowen balls of an orbit set are cylinders of its windows
+  (WindowOps.cylinder), so its pair counts are read off the windows'
+  low L + s bits, once per orbit set and width (_cylinder_counts).
 * On the circle family (pair_ops), below eps < 1/(1 + the largest
   slope), a cell's Bowen balls are arcs of radius eps / (the product of
   its word's slopes): cells are grouped by that product and counted from
@@ -56,7 +57,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from operator import is_
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -194,19 +194,18 @@ class _PointSet:
     systems with window_ops: converted once and reused for every word.
     `make` builds the points on first use, so orbits whose windows
     decide every stage never exist as points; a group of `orbits` equal
-    orbits lies one orbit after another (see _upsilon_orbits).
-    `labelled` is the end of the latest label walk that kept its labels,
-    ((window_ops, eps), path, carried), for the next walk of that
-    system's stages at eps to resume from (see _label_walk), or None.
-    `arrays` holds the points as a pair system's array, with its sort,
-    per to_array (see _sorted_array)."""
+    orbits lies one orbit after another (see _upsilon_orbits).  `head`
+    and `counts` memoise WindowOps.cylinder's reads and their pair counts
+    (see _cylinder_counts).  `arrays` holds the points as a pair system's
+    array, with its sort, per to_array (see _sorted_array)."""
 
     def __init__(self, wins, points=None, make=None, orbits=1):
         self.wins = wins
         self._points = points
         self._make = make
         self.orbits = orbits
-        self.labelled = None
+        self.head = {}
+        self.counts = None
         self.arrays = {}
 
     @property
@@ -251,12 +250,14 @@ def _sorted_array(sys: GeneratorSystem, pset: _PointSet, sort=True) -> tuple:
 
 
 @lru_cache(maxsize=1)
-def _trie(cells: tuple):
+def _trie(cells: tuple, iso=None):
     """Prefix trie of cells (k, word): a node is [symbol, children by
     symbol, indices of the cells ending there], and a cell ends at the
     node of its word's first k-1 symbols.  Also returns, per cell, the
-    first cell ending at its node, which names the node's result.  Equal
-    cells (every radius of a series) share one trie, which nothing changes."""
+    first cell ending at its node, which names the node's result, and
+    for isometries iso the label walk's _signature_uses (None without).
+    Equal cells (every radius of a series) share one trie, which nothing
+    changes."""
     root = [None, {}, []]
     first = []
     for c, (k, omega) in enumerate(cells):
@@ -265,7 +266,7 @@ def _trie(cells: tuple):
             node = node[1].setdefault(s, [s, {}, []])
         node[2].append(c)
         first.append(node[2][0])
-    return root, tuple(first)
+    return root, tuple(first), None if iso is None else _signature_uses(root, iso)
 
 
 def _bowen_keys(sys: GeneratorSystem, points, syms, eps):
@@ -315,12 +316,12 @@ def _first_indices(labels) -> np.ndarray:
     return np.flatnonzero(first[labels] == at)
 
 
-def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, read, key) -> dict:
+def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, uses, read) -> dict:
     """read(labels) at every trie node where cells end, keyed by its
     first cell; labels agree for two points exactly when their ball keys
     agree at every stage of the node's prefix and, in a group of orbits,
-    the points lie in one orbit: a walk from stage 0 folds its first keys
-    into the orbit index, so ranks keep the orbits apart and in order.
+    the points lie in one orbit: stage 0's keys fold into the orbit
+    index, so ranks keep the orbits apart and in order.
     A node moves its parent's windows one stage on and packs its keys
     into a pending uint64 row, folded into the labels only where cells
     end or the row is full; from a node whose windows cannot decide,
@@ -334,38 +335,16 @@ def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, read, key) -> 
     where it would, but takes the first one's labels and a copy of its
     read, held only while a later node of the signature, as counted
     beforehand, is still to come (none on power systems of the binary
-    backend, which have no isometries).
-
-    The walk resumes where the point set's kept walk ended
-    (pset.labelled) when that walk was at eps, with sys's window_ops (a
-    power system shares its base's point set, not its stages), and the
-    trie runs down its node's prefix from the root without branching and
-    without a cell ending above it, as the nested horizons of one word
-    do; otherwise it starts at stage 0 and drops the kept labels.  Its
-    own last node where cells end is kept, with its read and key, unless
-    that node's labels came from exact points or its stage raised; a
-    resumed walk takes the kept read for the node's signature if the
-    kept key, the objects read depends on, is key by identity.
-    Folding stage by stage makes the same partition as one wide fold,
-    and the readers see only the partition, so no result depends on
-    where a walk started or which node of a signature read first."""
-    out, last, shared, iso = {}, None, {}, sys.isometries
-    at = sys.window_ops, eps
-    resumed = _resume_node(root, at, pset.labelled)
-    if resumed is None:
-        pset.labelled = None  # its end replaces them: free them for its stages
-        start = None  # a group's ranks start from the orbit index, in int32: half the bytes
-        if pset.orbits > 1:
-            start = np.arange(pset.orbits, dtype=np.int32).repeat(len(pset) // pset.orbits)
-        node, path, carried = root, (), (None, None, start, 0, 0)
-    else:
-        node, path, carried = resumed
-        carried, (kept_key, kept) = carried[:5], carried[5]
-    top = tuple(s for s in path if s not in iso)
-    uses = _signature_uses(node, top, iso)
-    if resumed and uses[top] and all(map(is_, kept_key, key)):
-        shared[top] = carried[2], kept
-    stack = [(node, path, top, carried, None if resumed is None else False)]  # False: staged
+    backend, which have no isometries).  uses counts those nodes per
+    signature (_trie's, for sys.isometries).  Folding stage by stage
+    makes the same partition as one wide fold, and the readers see only
+    the partition, so no result depends on which node of a signature
+    read first."""
+    out, shared, iso, uses = {}, {}, sys.isometries, dict(uses)
+    start = None  # a group's ranks start from the orbit index, in int32: half the bytes
+    if pset.orbits > 1:
+        start = np.arange(pset.orbits, dtype=np.int32).repeat(len(pset) // pset.orbits)
+    stack = [(root, (), (), (None, None, start, 0, 0), None)]
     while stack:
         node, path, sig, carried, failed = stack.pop()
         if failed is None:
@@ -386,39 +365,20 @@ def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, read, key) -> 
                 if uses[sig]:
                     shared[sig] = got
             out[node[2][0]] = failed or copy.copy(got[1])
-            last = path, carried, failed, got
         stack.extend((kid, path + (kid[0],), sig if kid[0] in iso else sig + (kid[0],), carried,
                       failed or None) for kid in node[1].values())
-    if last is not None and not last[2] and last[1][1] is None:  # window labels
-        pset.labelled = at, last[0], last[1] + ((key, last[3][1]),)
     return out
 
 
-def _signature_uses(top, sig, iso):
-    """How many of top (signature sig) and the nodes below it end cells,
-    by signature."""
-    uses, todo = {}, [(top, sig)]
+def _signature_uses(root, iso):
+    """How many nodes of the trie end cells, by signature (see
+    _label_walk)."""
+    uses, todo = {}, [(root, ())]
     while todo:
         node, sig = todo.pop()
         uses[sig] = uses.get(sig, 0) + bool(node[2])
         todo.extend((kid, sig if kid[0] in iso else sig + (kid[0],)) for kid in node[1].values())
     return uses
-
-
-def _resume_node(root, at, labelled):
-    """(node, path, carried) for labelled = (at, path, carried): the
-    trie node at path, if every node above it has one child and no cell
-    ending there; else None, as for labels kept at another radius or by
-    another system's stages."""
-    if labelled is None or labelled[0] != at:
-        return None
-    _, path, carried = labelled
-    node = root
-    for s in path:
-        if node[2] or len(node[1]) != 1 or s not in node[1]:
-            return None
-        node = node[1][s]
-    return node, path, carried
 
 
 def _label_stage(sys, pset, eps, node, path, state, points, labels, row, bits, taken):
@@ -683,7 +643,7 @@ def _pair_results(sys, pset, eps, cells, kind, reduce, blocks, center) -> tuple:
     first = list(range(len(cells)))
     got = _arc_results(sys, arr, order, v, eps, cells, groups, kind, reduce, blocks, center, first)
     if walk:
-        root, sub = _trie(tuple(cells[c] for c in walk))
+        root, sub, _ = _trie(tuple(cells[c] for c in walk))
         for c, f in zip(walk, sub):
             first[c] = walk[f]
         found = _walk_results(sys, arr, order, v, eps, root, set(sub), kind, reduce, blocks, center)
@@ -773,7 +733,6 @@ def _count_cells(
     of orbits); "net": the first-come greedy net's indices.
     Where a stage raises, the first cell that needs it raises, as cell
     by cell."""
-    key = kind, blocks, reduce, center  # what a label read depends on
     reduce = reduce or (lambda v: v)
     if center is not None and (sys.ball_key is not None or not _has_pairs(sys)):
         whole, reduce = reduce, lambda counts: whole(counts[center])  # read off all balls
@@ -783,13 +742,13 @@ def _count_cells(
             for k, omega in cells
         ]
     if sys.ball_key is not None:
-        root, first = _trie(tuple(cells))
+        root, first, uses = _trie(tuple(cells), sys.isometries)
         read = {
             "balls": lambda labels: np.bincount(labels)[labels].astype(float),
             "pairs": lambda labels: _label_pair_counts(labels, blocks),
             "net": _first_indices,
         }[kind]
-        got = _label_walk(sys, pset, eps, root, lambda labels: reduce(read(labels)), key)
+        got = _label_walk(sys, pset, eps, root, uses, lambda labels: reduce(read(labels)))
     else:
         got, first = _pair_results(sys, pset, eps, cells, kind, reduce, blocks, center)
     out = [got[c] if c == at else copy.copy(got[c]) for at, c in enumerate(first)]
@@ -932,8 +891,8 @@ class CorrSumEstimate:
 def _upsilon_orbits(sys, x, n, m_upsilon, seed, weights) -> tuple[_PointSet, ...]:
     """Orbits of x along m_upsilon independently sampled driving words,
     in groups of ORBIT_GROUP consecutive orbits on systems with ball keys
-    (one walk labels a group; see _PointSet) and of one orbit otherwise,
-    as stage-0 pairs must not join two orbits.
+    (one count labels a group; see _orbit_pair_counts) and of one orbit
+    otherwise, as stage-0 pairs must not join two orbits.
 
     On systems with window_ops the orbits are windows, built for all the
     words into one pair of arrays whose slices the groups hold, and built
@@ -1011,10 +970,9 @@ def correlation_sum(
     blocks (n = 1) the standard error is 0.0.  Only the first k-1
     symbols of omega enter.  Calls with equal (sys, x, n, m_upsilon,
     seed, weights) share one orbit set, built by the first of them, and
-    with it the labels where each orbit group's latest walk ended (see
-    _orbit_pair_counts): a call at the same eps and a longer prefix of
-    the same omega labels only the stages past it (see _label_walk), so
-    a run walks one radius at a time, eps outer and k inner.
+    on the binary backend with it each orbit group's pair counts per
+    cylinder width L + s (see _cylinder_counts): calls whose radius and
+    prefix give one width, at any eps and k, count once.
     """
     _check_eps(eps)
     _check_word(sys, omega, k)
@@ -1037,20 +995,46 @@ def correlation_sum(
 def _orbit_pair_counts(sys, groups, eps, cells, blocks) -> np.ndarray:
     """Bowen-close ordered pairs of every orbit and (k, word) cell,
     tallied by blocks, as an int array [cell, orbit, block, block].  One
-    walk per group of orbits (see _upsilon_orbits), whose reads split per
-    orbit, so only one group's labels or stage-0 pairs are ever alive.
-    A group that raises is walked again one orbit at a time, so the first
-    failing orbit, in orbit order, raises as it would alone."""
+    count per group of orbits (see _upsilon_orbits), by its cylinders or
+    one walk, whose reads split per orbit, so only one group's labels or
+    stage-0 pairs are ever alive.  A group that raises is walked again
+    one orbit at a time, so the first failing orbit, in orbit order,
+    raises as it would alone.  Every cell's counts are copies."""
     out = []
     for group in groups:
-        try:
-            got = _count_cells(sys, group, eps, cells, "pairs", blocks=blocks)
-        except FsgError:  # DepthExhausted, CarryOverflow
-            if group.orbits == 1:
-                raise
-            got = _orbit_pair_counts(sys, group.split(), eps, cells, blocks)
+        got = _cylinder_counts(sys, group, eps, cells, blocks)
+        if got is None:
+            try:
+                got = _count_cells(sys, group, eps, cells, "pairs", blocks=blocks)
+            except FsgError:  # DepthExhausted, CarryOverflow
+                if group.orbits == 1:
+                    raise
+                got = _orbit_pair_counts(sys, group.split(), eps, cells, blocks)
         out.append(np.stack(got))
     return np.concatenate(out, axis=1)
+
+
+def _cylinder_counts(sys, pset: _PointSet, eps, cells, blocks):
+    """_label_pair_counts of every cell of a group of orbits, or None
+    where WindowOps.cylinder declines a cell: the cylinder keys above the
+    orbit index, ranked past the rank table's bound (_fold), and counted
+    once per key width and blocks layout (held by identity)."""
+    cylinder = pset.wins is not None and sys.window_ops.cylinder
+    keyed = cylinder and [cylinder(pset.wins, eps, omega.symbols[: k - 1], pset.head)
+                          for k, omega in cells]
+    if not keyed or any(got is None for got in keyed):
+        return None
+    memo = pset.counts[1] if pset.counts and pset.counts[0] is blocks else {}
+    pset.counts = blocks, memo
+    for keys, width in keyed:
+        if width not in memo:
+            orbit = np.arange(pset.orbits).repeat(len(keys) // pset.orbits)
+            if 1 << (int(orbit[-1]).bit_length() + width) > RANK_TABLE_RATIO * len(keys):
+                labels = _fold(orbit, keys, width)
+            else:  # few enough to histogram as they are
+                labels = keys.view(np.int64) | orbit << width
+            memo[width] = _label_pair_counts(labels, blocks)
+    return [memo[width] for _, width in keyed]
 
 
 def _without_each_block(counts: np.ndarray) -> np.ndarray:

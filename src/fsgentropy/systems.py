@@ -18,6 +18,7 @@ Systems may advertise four optional fast-path capabilities:
   at a time, keys only where the estimators pack them.  A stage returns
   None when it cannot decide every point, and the estimators then use
   ball_key from that stage on, which raises where the point maps raise.
+  Binary cylinders read whole prefixes at once (not on power systems).
 * array_ops: vectorised point array conversion, generator application
   and a center-by-sample threshold test (read only by the benchmark's
   tracer), for scalar systems (the circle family).
@@ -81,6 +82,9 @@ class WindowOps:
     # (window form, eps, previous stage's state or None, symbol) -> next state or None
     stage: Callable[[Any, float, Any, int], Any]
     key: Callable[[Any, float], tuple]  # (state, eps) -> uint64 ball keys, bit width
+    # (window form, eps, symbols, memo dict) -> every point's key and bit
+    # width of its Bowen ball along the symbols, or None: walk the stages
+    cylinder: Optional[Callable[[Any, float, Sequence[int], dict], Optional[tuple]]] = None
 
 
 @dataclass(frozen=True)
@@ -248,7 +252,8 @@ def binary_shift_odometer(depth: int = 64) -> GeneratorSystem:
         mu_sampler=lambda rng, n: binary.random_points(depth, n, rng),
         ball_key=binary.ball_key,
         window_ops=WindowOps(
-            binary.to_windows, binary.orbit_windows, binary.window_stage, binary.window_key
+            binary.to_windows, binary.orbit_windows, binary.window_stage, binary.window_key,
+            binary.cylinder_labels,
         ),
         isometries=frozenset({2}),  # the odometer: + 1 keeps every common prefix
     )

@@ -466,22 +466,29 @@ def test_orbit_pair_counts_by_halves_equal_brute_force(request, path, n):
 
 
 @pytest.mark.parametrize("sys_", [BIN, CIRCLE], ids=["binary", "circle"])
-def test_local_corr_entropy_walks_each_orbit_once_per_radius(monkeypatch, sys_):
-    """The value at n/2 comes from the walk that counts the value at n:
-    one _count_cells call per group of orbits and radius, over every
-    cell, on the whole orbits: one group of the three orbits with ball
-    keys, one group per orbit with pair lists."""
+def test_local_corr_entropy_counts_each_orbit_group_once_per_radius(monkeypatch, sys_):
+    """The value at n/2 comes from the count of the value at n: one
+    count per group of orbits and radius, over every cell, on the whole
+    orbits: one group of the three orbits with ball keys, read off their
+    cylinders, one walk (_count_cells) per orbit with pair lists."""
     x = sys_.mu_sampler(substream(63), 1)[0]
     eps_list, ks, n, m_upsilon = [0.25, 0.125], [1, 2, 3], 24, 3
     want = local_corr_entropy_series(sys_, x, eps_list, ks, n, m_upsilon, 8, seed=64)
     calls = []
-    count = estimators._count_cells
+    count, cylinders = estimators._count_cells, estimators._cylinder_counts
 
     def counting(sys, pset, eps, cells, kind, *args, **kwargs):
         calls.append((pset, eps, len(cells)))
         return count(sys, pset, eps, cells, kind, *args, **kwargs)
 
+    def counting_cylinders(sys, pset, eps, cells, blocks):
+        got = cylinders(sys, pset, eps, cells, blocks)
+        if got is not None:
+            calls.append((pset, eps, len(cells)))
+        return got
+
     monkeypatch.setattr(estimators, "_count_cells", counting)
+    monkeypatch.setattr(estimators, "_cylinder_counts", counting_cylinders)
     got = local_corr_entropy_series(sys_, x, eps_list, ks, n, m_upsilon, 8, seed=64)
     assert [(s.rows, s.stderrs, s.flags) for s in got] == [
         (s.rows, s.stderrs, s.flags) for s in want
@@ -740,6 +747,7 @@ def test_label_pair_counts_equal_brute_force(w, n_blocks, classes):
 def test_shallow_binary_runs_label_without_sorting(request):
     eps_list, ks = [0.25, 0.125], [1, 2, 3, 4, 5]
     orbit_sys = binary_shift_odometer(depth=600)
+    walk_sys = replace(orbit_sys, window_ops=replace(orbit_sys.window_ops, cylinder=None))
     x = binary.random_point(600, substream(45))
     omega = word((1, 2, 2, 1), 2)
 
@@ -747,23 +755,26 @@ def test_shallow_binary_runs_label_without_sorting(request):
         em = EmpiricalMeasure.draw(BIN, 256, 46)
         return [s.rows for s in top_entropy_series(em, BIN, eps_list, ks, 16, seed=46)]
 
-    def corr(eps, k, omega=omega):
-        return correlation_sum(orbit_sys, x, eps, omega, k, 256, 4, seed=47)
+    def corr(eps, k, omega=omega, s=orbit_sys):
+        estimators._upsilon_orbits.cache_clear()
+        return correlation_sum(s, x, eps, omega, k, 256, 4, seed=47)
 
     cells = [(eps, k) for eps in eps_list for k in ks]
     want_top, want_corr = top(), [corr(*c) for c in cells]
-    estimators._upsilon_orbits.cache_clear()
     request.getfixturevalue("no_unique")
     assert top() == want_top
-    # in k order each orbit's walk resumes where the one before ended, so
-    # every fold takes one stage key (3 bits at eps = 1/8)
+    # a group of 4 orbits of 256 points ranks through a table of up to
+    # 2**12 flags: 2 bits of orbit index, and at most 3 + 2 bits of
+    # cylinder (eps = 1/8, two shifts) or 9 bits of stage keys from stage
+    # 0 (odometers pack none)
     assert [corr(*c) for c in cells] == want_corr
-    # a lone walk from stage 0 along four shifts packs 15 bits at eps =
-    # 1/8, k = 5 into one row (odometers pack none), over the table cap of
-    # 256 points (10 bits): that fold sorts
-    estimators._upsilon_orbits.cache_clear()
-    with pytest.raises(AssertionError, match="np.unique"):
-        corr(0.125, 5, word((1, 1, 1, 1), 2))
+    assert [corr(*c, s=walk_sys) for c in cells] == want_corr
+    # along four shifts at eps = 1/8, k = 5: a walk from stage 0 packs 15
+    # bits into one row, a cylinder at eps = 2**-7 is 11 bits wide; both
+    # are past the table and sort
+    for eps, s in ((0.125, walk_sys), (2.0**-7, orbit_sys)):
+        with pytest.raises(AssertionError, match="np.unique"):
+            corr(eps, 5, word((1, 1, 1, 1), 2), s)
 
 
 def test_label_pair_counts_stay_exact_past_float32():

@@ -198,16 +198,16 @@ def test_power_systems_count_through_windows_like_the_oracle(t, exact_calls):
 
 
 @pytest.mark.parametrize("t", [2, 3])
-def test_power_system_resumes_no_walk_its_base_kept(t):
-    # base and power system share one point set (one to_windows), but a
-    # base walk's kept labels are not the power stages along the same
-    # symbols: the power walk starts from stage 0
+def test_power_system_after_a_base_walk_counts_like_the_oracle(t):
+    # base and power system share one point set (one to_windows), but not
+    # their stages: a power walk right after a base walk along the same
+    # symbols counts as a fresh one and as the oracle
     base = binary_shift_odometer(depth=64)
     power = build_power_system(base, t)
     points = tuple(_points(60, 64, 15))
     em = EmpiricalMeasure(points)
     for eps in (0.25, 2.0**-3):
-        em.ball_measures(base, word((1, 2, 2), 2), 3, eps)  # keeps labels at path (1, 2)
+        em.ball_measures(base, word((1, 2, 2), 2), 3, eps)
         omega = word((1, 2, power.m, 3), power.m)
         got = em.ball_measures(power, omega, 4, eps).tolist()
         assert got == EmpiricalMeasure(points).ball_measures(power, omega, 4, eps).tolist()
@@ -363,12 +363,11 @@ def test_trie_falls_back_below_a_deciding_parent(exact_calls):
         ]
     ]
     eps = 2.0**-60
-    root, _ = _trie(tuple(cells))
-    key = (_first_come,)
-    labels = _label_walk(fast, _as_point_set(fast, points), eps, root, _first_come, key)
+    root, _, uses = _trie(tuple(cells), sys_.isometries)
+    labels = _label_walk(fast, _as_point_set(fast, points), eps, root, uses, _first_come)
     assert decided.count(False) == 1 and len(exact_calls) == 1
     exact = replace(sys_, window_ops=None)
-    assert labels == _label_walk(exact, _as_point_set(exact, points), eps, root, _first_come, key)
+    assert labels == _label_walk(exact, _as_point_set(exact, points), eps, root, uses, _first_come)
     oracle = generic_system(sys_)
     for kind in ("balls", "pairs", "net"):
         opts = _kind_options(kind, len(points))
@@ -419,7 +418,7 @@ def test_trie_raises_at_the_first_failing_cell_like_the_oracle(kind):
 
 
 # ---------------------------------------------------------------------------
-# label walks resumed across the horizons of one word
+# the horizons of one word: cylinders for orbits, one walk for a sample
 
 
 def _counting_stages(sys_):
@@ -434,19 +433,31 @@ def _counting_stages(sys_):
     return replace(sys_, window_ops=replace(ops, stage=stage)), counts
 
 
-def test_corr_sum_horizons_take_one_stage_per_orbit_and_k(exact_calls, groups_of_two):
+def test_corr_sum_horizons_read_one_count_per_group_and_width(
+    monkeypatch, exact_calls, groups_of_two
+):
     sys_, stages = _counting_stages(binary_shift_odometer(depth=300))
     x = sys_.mu_sampler(substream(13), 1)[0]
     omega = word((1, 2, 2, 1, 2, 1, 1), 2)
     m, groups = 3, 2
-    for eps in (0.25, 3 * 2.0**-5):
-        for k in range(1, 9):
-            correlation_sum(sys_, x, eps, omega, k, 80, m, seed=9)
-    # one stage per group of orbits and k; from stage 0 every horizon k
-    # would take k stages, 36 per group, and one walk per orbit 8 per orbit
+    reads = []
+    count = estimators._label_pair_counts
+    estimators._time_blocks(80)  # made before reads are counted
+    monkeypatch.setattr(estimators, "_label_pair_counts",
+                        lambda *args: reads.append(1) or count(*args))
+    got = [correlation_sum(sys_, x, eps, omega, k, 80, m, seed=9)
+           for eps in (0.25, 3 * 2.0**-5) for k in range(1, 9)]
+    # s = 0..4 shifts over the horizons: widths L + s = 2..6 at L = 2 and
+    # 4..8 at L = 4, seven in all, each counted once per group of orbits;
+    # no window stage and no exact key
     assert len(estimators._upsilon_orbits(sys_, x, 80, m, 9, None)) == groups
-    assert stages == {0.25: 8 * groups, 3 * 2.0**-5: 8 * groups}
-    assert not exact_calls
+    assert len(reads) == 7 * groups
+    assert not stages and not exact_calls
+    monkeypatch.setattr(estimators, "_label_pair_counts", count)
+    estimators._upsilon_orbits.cache_clear()
+    exact = replace(sys_, window_ops=None)
+    assert got == [correlation_sum(exact, x, eps, omega, k, 80, m, seed=9)
+                   for eps in (0.25, 3 * 2.0**-5) for k in range(1, 9)]
 
 
 def test_doubling_series_takes_one_walk_per_radius():
@@ -484,8 +495,8 @@ def test_local_entropy_series_takes_one_walk_per_radius(monkeypatch):
     omega = word((1, 2, 1), 2)
     eps_list, ks = [0.25, 0.125], [1, 2, 3, 4]
     got = local_entropy_series(em, sys_, omega, points[7], eps_list, ks)
-    # one walk of 4 stages per radius; per-k walks from stage 0 would
-    # take 10 stages, and resumed ones 4 walks
+    # one walk of 4 stages per radius; per-k walks would take 4 walks
+    # and 10 stages
     assert walks == {0.25: 1, 0.125: 1}
     assert stages == {0.25: 4, 0.125: 4}
     for eps, series in zip(eps_list, got):
@@ -535,33 +546,25 @@ def test_doubling_series_raises_as_the_per_k_loop(points, eps, omega, ks, error)
         assert _outcome(local, s) == oracle
 
 
-def test_corr_sum_resumed_in_any_call_order_equals_fresh_walks(exact_calls, groups_of_two):
+def test_corr_sum_in_any_call_order_equals_fresh_runs(exact_calls, groups_of_two):
     base = binary_shift_odometer(depth=300)
     sys_, stages = _counting_stages(base)
     x = base.mu_sampler(substream(15), 1)[0]
     omega = word((1, 2, 2, 1, 2, 1, 1), 2)
     a, b, c = 0.25, 0.125, 0.0625
-    # (eps, k, stages per group of orbits): gapped ks, a repeated k, a decreasing k,
-    # an eps switch, eps / 2 eps alternation and a third radius; labels
-    # are kept for the latest radius only, so every switch walks from
-    # stage 0
-    calls = [
-        (a, 1, 1), (a, 3, 2), (a, 8, 5), (a, 8, 0), (a, 5, 5), (b, 5, 5),
-        (a, 6, 6), (b, 6, 6), (a, 7, 7), (b, 7, 7), (c, 7, 7), (a, 8, 8),
-    ]
-    m, groups = 3, 2
+    # gapped ks, a repeated k, a decreasing k, an eps switch, eps / 2 eps
+    # alternation and a third radius, all read off the orbits' cylinders
+    calls = [(a, 1), (a, 3), (a, 8), (a, 8), (a, 5), (b, 5), (a, 6), (b, 6), (a, 7), (b, 7),
+             (c, 7), (a, 8)]
+    m = 3
 
     def corr(s, eps, k):
         return correlation_sum(s, x, eps, omega, k, 60, m, seed=9)
 
     estimators._upsilon_orbits.cache_clear()
-    got = []
-    for eps, k, cost in calls:
-        before = stages[eps]
-        got.append(corr(sys_, eps, k))
-        assert stages[eps] - before == cost * groups, (eps, k)
-    assert not exact_calls
-    for (eps, k, _), value in zip(calls, got):
+    got = [corr(sys_, eps, k) for eps, k in calls]
+    assert not stages and not exact_calls
+    for (eps, k), value in zip(calls, got):
         estimators._upsilon_orbits.cache_clear()
         assert value == corr(base, eps, k), (eps, k)
         assert value == corr(generic_system(base), eps, k), (eps, k)
@@ -578,15 +581,13 @@ def test_corr_sum_resumed_in_any_call_order_equals_fresh_walks(exact_calls, grou
     ],
     ids=["depth", "carry"],
 )
-def test_resumed_walks_raise_exactly_where_fresh_walks_raise(
+def test_repeated_walks_raise_exactly_where_fresh_walks_raise(
     points, eps, omega, ks, raising, error
 ):
     sys_ = binary_shift_odometer(depth=points[0].depth)
     em = EmpiricalMeasure(tuple(points))
-    pset = em._point_set(sys_)
     omega = word(omega, 2)
     for k in ks:
-        kept = pset.labelled
         got = _outcome(lambda s: em.ball_measures(s, omega, k, eps).tolist(), sys_)
 
         def fresh(s):
@@ -596,14 +597,12 @@ def test_resumed_walks_raise_exactly_where_fresh_walks_raise(
         assert (got[0] == "raised") == (k in raising), k
         if k in raising:
             assert got[1] is error
-            # a failed walk keeps nothing: the next one resumes from the
-            # labels an earlier walk kept, or from stage 0
-            assert pset.labelled is kept
 
 
-def test_exact_fallback_mid_series_keeps_only_window_labels(exact_calls, groups_of_two):
-    # L = 60: the windows decide every stage up to k = 7 (four shifts),
-    # and the exact keys take over at k = 8 (the fifth shift)
+def test_exact_fallback_mid_series_equals_the_exact_path(exact_calls, groups_of_two):
+    # L = 60: the cylinders hold up to k = 7 (four shifts, 64 bits), and
+    # at k = 8 (the fifth shift) the walk runs, whose exact keys take
+    # over at that shift
     sys_ = binary_shift_odometer(depth=200)
     x = sys_.mu_sampler(substream(8), 1)[0]
     omega = word((1, 1, 2, 1, 1, 2, 1), 2)
@@ -615,17 +614,18 @@ def test_exact_fallback_mid_series_keeps_only_window_labels(exact_calls, groups_
     estimators._upsilon_orbits.cache_clear()
     got = [corr(sys_, k) for k in range(1, 9)]
     assert len(exact_calls) == 2  # once per group of orbits, at k = 8
-    for orbit in estimators._upsilon_orbits(sys_, x, 60, 3, 9, None):
-        (ops, kept_eps), path, carried = orbit.labelled
-        assert ops is sys_.window_ops and kept_eps == 2.0**-60 and path == omega.symbols[:6] and carried[1] is None
     assert got == [corr(exact, k) for k in range(1, 9)]
 
 
-def test_orbit_windows_match_the_carry_loop():
+def test_orbit_windows_match_the_carry_loop(monkeypatch):
     # random starts, words and lengths, with all-ones and nearly all-ones
-    # starts and short depths, so that about half the cases return None
+    # starts and short depths, so that about half the cases return None;
+    # orbits that keep 64 coordinates to the end check carries with one
+    # compare, the others per odometer's width, and both checks run
     rng = substream(17)
-    nones = 0
+    nones, deep, widths = 0, 0, []
+    scan = binary._carry_may_leave
+    monkeypatch.setattr(binary, "_carry_may_leave", lambda *a: widths.append(1) or scan(*a))
     for case in range(400):
         depth = int(rng.choice([3, 8, 20, 63, 64, 65, 100, 300]))
         top = (1 << depth) - 1
@@ -640,7 +640,12 @@ def test_orbit_windows_match_the_carry_loop():
             tuple(np.where(rng.random(n - 1 + int(rng.integers(0, 3))) < p, 2, 1).tolist())
             for _ in range(int(rng.integers(1, 4)))
         ]
-        want, got = orbit_windows_loop(x, words, n), orbit_windows(x, words, n)
+        want = orbit_windows_loop(x, words, n)
+        scans = len(widths)
+        got = orbit_windows(x, words, n)
+        if all(depth - w[: n - 1].count(1) >= 64 for w in words):
+            assert len(widths) == scans, case
+            deep += 1
         if want is None:
             assert got is None, case
             nones += 1
@@ -653,6 +658,7 @@ def test_orbit_windows_match_the_carry_loop():
             assert win[at].tolist() == want_win.tolist(), case
             assert d[at].tolist() == want_d.tolist(), case
     assert 100 < nones < 300
+    assert deep > 50 and len(widths) > 50
 
 
 # ---------------------------------------------------------------------------
@@ -792,6 +798,25 @@ def test_top_entropy_folds_only_where_shift_keys_are_pending(monkeypatch):
         assert counts == {"_fold": 2 * folds, "_first_indices": 2 * folds}
 
 
+def test_top_entropy_series_walks_its_trie_for_uses_once(monkeypatch):
+    # the trie and its uses per signature are made once for both radii's
+    # walks, and the rows are those of a fresh trie per walk
+    sys_ = binary_shift_odometer(depth=49)
+    em = EmpiricalMeasure.draw(sys_, 256, 19)
+
+    def top():
+        return [r.rows for r in top_entropy_series(em, sys_, [0.25, 0.125], [2, 3, 4, 5], 8, 19)]
+
+    calls, uses = [], estimators._signature_uses
+    monkeypatch.setattr(estimators, "_signature_uses", lambda *a: calls.append(1) or uses(*a))
+    estimators._trie.cache_clear()
+    got = top()
+    assert len(calls) == 1
+    trie = estimators._trie.__wrapped__
+    monkeypatch.setattr(estimators, "_trie", lambda *a: trie(*a))
+    assert top() == got and len(calls) == 3
+
+
 def test_one_measure_is_converted_once_for_corr_and_top_entropy():
     """A measure passed to both series gives both the same point set,
     windowed once, and the rows of fresh measures."""
@@ -826,12 +851,12 @@ def test_reused_reads_give_every_cell_its_own_array():
     want = got[0].copy()
     for g in got[:3]:
         g[:] = -1.0
-    # the resumed walk's node, where the latest walk ended, reads afresh
+    # a later walk reads afresh
     again = _count_cells(sys_, pset, 0.125, [(3, word((2, 2), 2))], "balls")
     assert np.array_equal(got[3], want) and np.array_equal(again[0], want)
 
 
-def test_corr_sum_reuses_reads_across_resumed_calls_in_any_order(
+def test_corr_sum_reuses_counts_across_calls_in_any_order(
     monkeypatch, exact_calls, groups_of_two
 ):
     base = binary_shift_odometer(depth=300)
@@ -859,13 +884,14 @@ def test_corr_sum_reuses_reads_across_resumed_calls_in_any_order(
         return [_count_cells(base, o, eps, [(k, omega)], "pairs", blocks=other)[0].tolist()
                 for o in orbits]
 
-    # (call, reads per group of orbits): odometers below a read node where nothing is
-    # pending take its read; a repeated k takes the kept read; a fold, a
-    # walk from stage 0 or a read with other blocks reads afresh
+    # (call, reads per group of orbits): a corr-sum reads each cylinder
+    # width L + s once (L = 2 at a, 3 at b; s = 0, 0, 0, 1, 1, 1, 2, 3 at
+    # k = 1..8), so b, 5 reads afresh and a, 5 later does not; a walk with
+    # other blocks always reads, and leaves the corr-sum's counts alone
     calls = [
         ((a, 1), 1), ((a, 2), 0), ((a, 3), 0), ((a, 4), 1), ((a, 5), 0), ((a, 8), 1),
-        ((a, 8), 0), ((a, 5), 1), ((b, 5), 1), ((a, 2), 1), (("other", 3), 1), ((a, 3), 1),
-        ((a, 3), 0), (("other", 3), 1), (("other", 4), 1), ((a, 4), 1),
+        ((a, 8), 0), ((a, 5), 0), ((b, 5), 1), ((a, 2), 0), (("other", 3), 1), ((a, 3), 0),
+        ((a, 3), 0), (("other", 3), 1), (("other", 4), 1), ((a, 4), 0), ((b, 8), 1),
     ]
     got = []
     for call, cost in calls:
@@ -920,12 +946,13 @@ def test_shared_reads_equal_the_unshared_walk_and_the_oracle(kind, system, m_ome
 
 def test_corr_sum_run_with_shared_reads_equals_the_unshared_walk_and_the_oracle():
     base = binary_shift_odometer(depth=300)
+    walk = replace(base, window_ops=replace(base.window_ops, cylinder=None))
     x = base.mu_sampler(substream(26), 1)[0]
     omega = word((2, 1, 2, 2, 1, 1, 2), 2)
 
     def run(s):
-        # each call resumes the walk the one before it kept, and an
-        # odometer's node takes the kept read of its signature
+        # the cylinders, and walks where an odometer's node takes the read
+        # of its signature or, without isometries, reads its own
         estimators._upsilon_orbits.cache_clear()
         return [
             correlation_sum(s, x, eps, omega, k, 60, 3, seed=9)
@@ -933,7 +960,7 @@ def test_corr_sum_run_with_shared_reads_equals_the_unshared_walk_and_the_oracle(
         ]
 
     got = run(base)
-    assert got == run(_unshared(base)) == run(generic_system(base))
+    assert got == run(walk) == run(_unshared(walk)) == run(generic_system(base))
 
 
 def _tracked_walk(sys_, points, eps, cells):
@@ -948,8 +975,8 @@ def _tracked_walk(sys_, points, eps, cells):
         refs.append(weakref.ref(got))
         return got
 
-    root, _ = _trie(tuple(cells))
-    out = _label_walk(sys_, _as_point_set(sys_, points), eps, root, read, (read,))
+    root, _, uses = _trie(tuple(cells), sys_.isometries)
+    out = _label_walk(sys_, _as_point_set(sys_, points), eps, root, uses, read)
     return [int(v[0]) for v in out.values()], alive, refs
 
 
@@ -964,20 +991,18 @@ def test_walk_holds_a_shared_partition_until_its_last_use(m_omega):
         last_use = {r: i for i, r in enumerate(took)}
         for r, held in enumerate(alive):
             at = took.index(r)  # the node that read r
-            # each still needed below, or the latest node's, which the
-            # walk keeps until it ends
-            assert all(last_use[h] > at or took[at - 1] == h for h in held), r
-            assert len(held) <= k_max + 1
+            assert all(last_use[h] > at for h in held), r  # each still needed below
+            assert len(held) <= k_max
 
 
 def test_power_walk_holds_no_read_past_its_node():
     # binary power signatures are whole paths, one node each: every node
-    # reads, and only the latest read, kept to the walk's end, outlives it
+    # reads, and no read outlives its node
     sys_ = build_power_system(binary_shift_odometer(depth=64), 2)
     _, cells = estimators._series_cells(4, range(1, 5), None, 4096, 1)
     took, alive, refs = _tracked_walk(sys_, _points(50, 64, 28), 0.25, cells)
     assert took == list(range(len(refs))) and len(refs) == len(cells)
-    assert all(set(held) <= {r - 1} for r, held in enumerate(alive))
+    assert not any(alive)
 
 
 def test_odometer_carry_check_matches_the_per_point_check():
