@@ -51,8 +51,9 @@ That path raises DepthExhausted and CarryOverflow exactly as before,
 and it gives the same keys in the rare cases where a deep point only
 looked risky.
 
-cylinder_labels reads a whole prefix at once.  Let D_j sum 2**(shifts
-before it) over the odometers among its first j letters, s_j shifts:
+cylinder_width vouches for a whole prefix at once: every key is the
+window's low L + s bits.  Let D_j sum 2**(shifts before it) over the
+odometers among its first j letters, s_j shifts:
 stage j of v is (v + D_j) >> s_j (+1 commutes with the floor), its key
 bits s_j .. s_j + L - 1 of v + D_j, and a shift's key adds bit s_j + L
 to what agrees before it; so for L >= 1 all keys agree exactly when
@@ -370,20 +371,26 @@ def window_key(state, eps: float):
     return state[0] & _low_masks()[prefix_length_for(eps)], prefix_length_for(eps)
 
 
-def cylinder_labels(wins, eps: float, syms, head: dict):
-    """Every window's key of its Bowen eps-ball along syms (1 shift, 2
-    odometer), its low L + s bits (none at L = 0), and their width; None
-    unless the exact path raises nowhere.  head memoises depth and room."""
+def cylinder_width(wins, eps: float, syms, head: dict):
+    """The bit width L + s of every window's key of its Bowen eps-ball
+    along syms (1 shift, 2 odometer), which is the window's low L + s
+    bits (0 at L = 0); None unless the exact path raises nowhere.  head
+    memoises depth and room."""
     win, depth = wins
     if not head:
         head["lowest"] = lowest = int(depth.min(initial=np.iinfo(np.int64).max))
         top = _low_masks()[np.minimum(depth, WINDOW_BITS) if lowest < WINDOW_BITS else -1]
         head["room"] = int((top ^ win).min(initial=_WINDOW_MASK))
-    shifts, carry = syms.count(1), sum(1 << syms[:i].count(1) for i, s in enumerate(syms) if s == 2)
+    shifts = carry = 0
+    for s in syms:
+        if s == 1:
+            shifts += 1
+        else:
+            carry += 1 << shifts
     width = prefix_length_for(eps) and prefix_length_for(eps) + shifts
     if width > WINDOW_BITS or head["lowest"] < max(width, shifts + 1) or carry > head["room"]:
         return None
-    return win & _low_masks()[width], width
+    return width
 
 
 def s_count(omega: SymbolWord, k: int) -> int:

@@ -15,19 +15,21 @@ Conventions shared by everything here:
   (seed, stream kind, task index); results are bit-reproducible and
   independent of evaluation order.
 * Bowen-ball counting takes all the (k, word) cells of a series at one
-  point set and radius and walks the prefix trie of their words' first
-  k-1 symbols, so each distinct prefix is paid for once; ball counts,
-  pair counts and greedy nets are read off where cells end.  A
-  correlation sum or a ball-measure call is the one-cell case; local
-  entropy counts the ball of its center alone.
-* With ball keys, a trie node folds its stage keys into its parent's
-  integer labels, equal for two points exactly when they are
-  Bowen-within eps along the prefix (_label_walk): dense ranks, made
-  with no sort while the key space is small, that nodes of one
-  partition share, from uint64 windows on the binary backend.  There
-  the Bowen balls of an orbit set are cylinders of its windows
-  (WindowOps.cylinder), so its pair counts are read off the windows'
-  low L + s bits, once per orbit set and width (_cylinder_counts).
+  point set and radius at once; ball counts, pair counts and greedy
+  nets are read off integer labels, equal for two points exactly when
+  they are Bowen-within eps along a cell's prefix.  A correlation sum
+  or a ball-measure call is the one-cell case; local entropy counts the
+  ball of its center alone.
+* On the binary backend a cell's Bowen balls are cylinders of the
+  point set's uint64 windows (WindowOps.cylinder): labels are the
+  windows' low L + s bits, so cells are grouped by that width and each
+  width is masked and read once (_cylinder_reads); an orbit group keeps
+  its counts per width across calls.  Wherever the cylinders cannot
+  vouch for every cell, and on other systems with ball keys, one label
+  walk over the prefix trie of the cells' first k-1 symbols pays for
+  each distinct prefix once: a trie node folds its stage keys into its
+  parent's labels (_label_walk), dense ranks made with no sort while
+  the key space is small.
 * On the circle family (pair_ops), below eps < 1/(1 + the largest
   slope), a cell's Bowen balls are arcs of radius eps / (the product of
   its word's slopes): cells are grouped by that product and counted from
@@ -183,10 +185,10 @@ def _weighted_mean(values, weights) -> float:
 # Pairwise Bowen-proximity counting
 #
 # Three paths, chosen by the system's capabilities and agreeing exactly:
-# a trie walk over integer Bowen labels (ball keys, from uint64 windows
-# where the system has window_ops), a trie walk over sparse pair lists
-# (pair_ops and array_ops), and the generic pairwise loop, one cell at a
-# time, which the tests keep as the oracle for the other two.
+# integer Bowen labels (ball keys: binary cylinders of uint64 windows,
+# or a trie walk), sparse pair lists (pair_ops and array_ops: arcs, or a
+# trie walk), and the generic pairwise loop, one cell at a time, which
+# the tests keep as the oracle for the other two.
 
 
 class _PointSet:
@@ -195,9 +197,10 @@ class _PointSet:
     `make` builds the points on first use, so orbits whose windows
     decide every stage never exist as points; a group of `orbits` equal
     orbits lies one orbit after another (see _upsilon_orbits).  `head`
-    and `counts` memoise WindowOps.cylinder's reads and their pair counts
-    (see _cylinder_counts).  `arrays` holds the points as a pair system's
-    array, with its sort, per to_array (see _sorted_array)."""
+    memoises what WindowOps.cylinder reads of the whole set, and `counts`
+    a group's pair counts per cylinder width (see _orbit_pair_counts).
+    `arrays` holds the points as a pair system's array, with its sort,
+    per to_array (see _sorted_array)."""
 
     def __init__(self, wins, points=None, make=None, orbits=1):
         self.wins = wins
@@ -250,13 +253,12 @@ def _sorted_array(sys: GeneratorSystem, pset: _PointSet, sort=True) -> tuple:
 
 
 @lru_cache(maxsize=1)
-def _trie(cells: tuple, iso=None):
+def _trie(cells: tuple):
     """Prefix trie of cells (k, word): a node is [symbol, children by
     symbol, indices of the cells ending there], and a cell ends at the
     node of its word's first k-1 symbols.  Also returns, per cell, the
-    first cell ending at its node, which names the node's result, and
-    for isometries iso the label walk's _signature_uses (None without).
-    Equal cells (every radius of a series) share one trie, which nothing
+    first cell ending at its node, which names the node's result.  Equal
+    cells (every radius of a series) share one trie, which nothing
     changes."""
     root = [None, {}, []]
     first = []
@@ -266,7 +268,7 @@ def _trie(cells: tuple, iso=None):
             node = node[1].setdefault(s, [s, {}, []])
         node[2].append(c)
         first.append(node[2][0])
-    return root, tuple(first), None if iso is None else _signature_uses(root, iso)
+    return root, tuple(first)
 
 
 def _bowen_keys(sys: GeneratorSystem, points, syms, eps):
@@ -316,7 +318,7 @@ def _first_indices(labels) -> np.ndarray:
     return np.flatnonzero(first[labels] == at)
 
 
-def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, uses, read) -> dict:
+def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, read) -> dict:
     """read(labels) at every trie node where cells end, keyed by its
     first cell; labels agree for two points exactly when their ball keys
     agree at every stage of the node's prefix and, in a group of orbits,
@@ -326,73 +328,39 @@ def _label_walk(sys: GeneratorSystem, pset: _PointSet, eps, root, uses, read) ->
     into a pending uint64 row, folded into the labels only where cells
     end or the row is full; from a node whose windows cannot decide,
     exact stage keys take over.  A stage that raises leaves its exception
-    at every cell below it.
-
-    A node's signature, its parent's plus its letter unless that is an
-    isometry (sys.isometries), fixes its partition (binary: its shift
-    count).  The first node of a signature where cells end folds and
-    reads; a later one still moves its windows or points, so it raises
-    where it would, but takes the first one's labels and a copy of its
-    read, held only while a later node of the signature, as counted
-    beforehand, is still to come (none on power systems of the binary
-    backend, which have no isometries).  uses counts those nodes per
-    signature (_trie's, for sys.isometries).  Folding stage by stage
-    makes the same partition as one wide fold, and the readers see only
-    the partition, so no result depends on which node of a signature
-    read first."""
-    out, shared, iso, uses = {}, {}, sys.isometries, dict(uses)
+    at every cell below it."""
+    out = {}
     start = None  # a group's ranks start from the orbit index, in int32: half the bytes
     if pset.orbits > 1:
         start = np.arange(pset.orbits, dtype=np.int32).repeat(len(pset) // pset.orbits)
-    stack = [(root, (), (), (None, None, start, 0, 0), None)]
+    stack = [(root, (), (None, None, start, 0, 0), None)]
     while stack:
-        node, path, sig, carried, failed = stack.pop()
+        node, path, carried, failed = stack.pop()
         if failed is None:
             try:
-                taken = shared[sig][0] if node[2] and sig in shared else None
-                carried = _label_stage(sys, pset, eps, node, path, *carried, taken)
+                carried = _label_stage(sys, pset, eps, node, path, *carried)
             except FsgError as exc:  # DepthExhausted, CarryOverflow
                 failed = exc
         if node[2]:
-            uses[sig] -= 1
-            got = shared.get(sig) if uses[sig] else shared.pop(sig, None)
-            if not failed and got is None:
+            if not failed:
                 state, points, labels, row, bits = carried
                 if bits or labels is None:  # keys pending, or no labels yet
                     labels = _fold(labels, row, bits)
                     carried = state, points, labels, 0, 0
-                got = labels, read(labels)
-                if uses[sig]:
-                    shared[sig] = got
-            out[node[2][0]] = failed or copy.copy(got[1])
-        stack.extend((kid, path + (kid[0],), sig if kid[0] in iso else sig + (kid[0],), carried,
-                      failed or None) for kid in node[1].values())
+            out[node[2][0]] = failed or read(labels)
+        stack.extend((kid, path + (kid[0],), carried, failed) for kid in node[1].values())
     return out
 
 
-def _signature_uses(root, iso):
-    """How many nodes of the trie end cells, by signature (see
-    _label_walk)."""
-    uses, todo = {}, [(root, ())]
-    while todo:
-        node, sig = todo.pop()
-        uses[sig] = uses.get(sig, 0) + bool(node[2])
-        todo.extend((kid, sig if kid[0] in iso else sig + (kid[0],)) for kid in node[1].values())
-    return uses
-
-
-def _label_stage(sys, pset, eps, node, path, state, points, labels, row, bits, taken):
+def _label_stage(sys, pset, eps, node, path, state, points, labels, row, bits):
     """One node of the label walk: its window state (or exact points),
     labels and pending row, from its parent's.  Window keys are made only
-    where packed: an isometry packs none, nor does a node that takes its
-    signature's labels (taken), which drops what is pending."""
+    where packed: an isometry packs none."""
     windows = points is None and pset.wins is not None
     state = sys.window_ops.stage(pset.wins, eps, state, node[0]) if windows else None
     if state is None:  # exact stage keys from here on
         start, syms = (pset.points, path) if points is None else (points, path[-1:])
         points, key, width = _bowen_keys(sys, start, syms, eps)
-    if taken is not None:
-        return state, points, taken, 0, 0
     if node[0] not in sys.isometries:
         if state is not None:
             key, width = sys.window_ops.key(state, eps)
@@ -400,6 +368,43 @@ def _label_stage(sys, pset, eps, node, path, state, points, labels, row, bits, t
             labels, row, bits = _fold(labels, row, bits), 0, 0
         row, bits = row | (key << np.uint64(bits)), bits + width
     return state, points, labels, row, bits
+
+
+def _cylinder_labels(pset: _PointSet, width: int) -> np.ndarray:
+    """Labels of the point set's Bowen cylinders of one width: its
+    windows' low `width` bits, above the orbit index in a group of
+    orbits, as they are while a rank table would hold them (see _fold),
+    and ranked past that."""
+    keys = pset.wins[0] & np.uint64((1 << width) - 1)
+    orbit = None
+    if pset.orbits > 1:
+        orbit = np.arange(pset.orbits).repeat(len(keys) // pset.orbits)
+    if 1 << ((pset.orbits - 1).bit_length() + width) > RANK_TABLE_RATIO * len(keys):
+        return _fold(orbit, keys, width)
+    keys = keys.view(np.int64)
+    return keys if orbit is None else keys | orbit << width
+
+
+def _cylinder_reads(sys, pset: _PointSet, eps, cells, read, memo=None):
+    """(reads, first) as the label walk gives them, from the cells'
+    Bowen cylinders (WindowOps.cylinder), or None where it declines a
+    cell: read once per distinct width, of that width's labels alone,
+    into memo {width: read} (fresh if None), which may hold widths read
+    by earlier calls."""
+    cylinder = pset.wins is not None and sys.window_ops.cylinder
+    if not cylinder:
+        return None
+    widths = []
+    for k, omega in cells:
+        widths.append(cylinder(pset.wins, eps, omega.symbols[: k - 1], pset.head))
+        if widths[-1] is None:
+            return None
+    memo = {} if memo is None else memo
+    owner = {}
+    for c, width in enumerate(widths):
+        if owner.setdefault(width, c) == c and width not in memo:
+            memo[width] = read(_cylinder_labels(pset, width))
+    return {c: memo[width] for width, c in owner.items()}, [owner[width] for width in widths]
 
 
 def _pair_walk(sys: GeneratorSystem, arr, chunks, eps, root, tally=None):
@@ -643,7 +648,7 @@ def _pair_results(sys, pset, eps, cells, kind, reduce, blocks, center) -> tuple:
     first = list(range(len(cells)))
     got = _arc_results(sys, arr, order, v, eps, cells, groups, kind, reduce, blocks, center, first)
     if walk:
-        root, sub, _ = _trie(tuple(cells[c] for c in walk))
+        root, sub = _trie(tuple(cells[c] for c in walk))
         for c, f in zip(walk, sub):
             first[c] = walk[f]
         found = _walk_results(sys, arr, order, v, eps, root, set(sub), kind, reduce, blocks, center)
@@ -722,7 +727,7 @@ def _generic_result(sys, points, eps, k, omega, kind, blocks):
 
 def _count_cells(
     sys: GeneratorSystem, pset: _PointSet, eps, cells, kind, reduce=None, blocks=None,
-    center=None,
+    center=None, memo=None,
 ) -> list:
     """One result per cell (k, word) of one point set and radius, passed
     through reduce if given.  kind "balls": per point, the points in its
@@ -731,8 +736,11 @@ def _count_cells(
     (i, j), |i - j| > w, Bowen-within eps, tallied by (block[i],
     block[j]) of blocks, [orbit, block, block] (one orbit but for a group
     of orbits); "net": the first-come greedy net's indices.
-    Where a stage raises, the first cell that needs it raises, as cell
-    by cell."""
+    With ball keys, the cells are counted from their Bowen cylinders
+    where WindowOps.cylinder vouches for every cell (memo: as for
+    _cylinder_reads), and by one label walk over their prefix trie
+    otherwise.  Where a stage raises, the first cell that needs it
+    raises, as cell by cell."""
     reduce = reduce or (lambda v: v)
     if center is not None and (sys.ball_key is not None or not _has_pairs(sys)):
         whole, reduce = reduce, lambda counts: whole(counts[center])  # read off all balls
@@ -742,13 +750,20 @@ def _count_cells(
             for k, omega in cells
         ]
     if sys.ball_key is not None:
-        root, first, uses = _trie(tuple(cells), sys.isometries)
-        read = {
+        kind_read = {
             "balls": lambda labels: np.bincount(labels)[labels].astype(float),
             "pairs": lambda labels: _label_pair_counts(labels, blocks),
             "net": _first_indices,
         }[kind]
-        got = _label_walk(sys, pset, eps, root, uses, lambda labels: reduce(read(labels)))
+
+        def read(labels):
+            return reduce(kind_read(labels))
+
+        found = _cylinder_reads(sys, pset, eps, cells, read, memo)
+        if found is None:
+            root, first = _trie(tuple(cells))
+            found = _label_walk(sys, pset, eps, root, read), first
+        got, first = found
     else:
         got, first = _pair_results(sys, pset, eps, cells, kind, reduce, blocks, center)
     out = [got[c] if c == at else copy.copy(got[c]) for at, c in enumerate(first)]
@@ -853,7 +868,7 @@ def _center_index(measure, center) -> int:
 def _cell_measures(measure, sys, eps, cells, reduce=lambda m: m, center=None) -> list:
     """reduce(the Bowen eps-ball measures at the sample points, or at the
     point of index center alone) of every (k, word) cell: an empirical
-    measure counts all the cells in one walk, and a closed form
+    measure counts all the cells at once (_count_cells), and a closed form
     measure(eps, word, k) (binary.ball_measure) answers per cell."""
     if isinstance(measure, EmpiricalMeasure):
         pset, n = measure._point_set(sys), measure.n
@@ -971,7 +986,7 @@ def correlation_sum(
     symbols of omega enter.  Calls with equal (sys, x, n, m_upsilon,
     seed, weights) share one orbit set, built by the first of them, and
     on the binary backend with it each orbit group's pair counts per
-    cylinder width L + s (see _cylinder_counts): calls whose radius and
+    cylinder width L + s (see _orbit_pair_counts): calls whose radius and
     prefix give one width, at any eps and k, count once.
     """
     _check_eps(eps)
@@ -995,46 +1010,26 @@ def correlation_sum(
 def _orbit_pair_counts(sys, groups, eps, cells, blocks) -> np.ndarray:
     """Bowen-close ordered pairs of every orbit and (k, word) cell,
     tallied by blocks, as an int array [cell, orbit, block, block].  One
-    count per group of orbits (see _upsilon_orbits), by its cylinders or
-    one walk, whose reads split per orbit, so only one group's labels or
-    stage-0 pairs are ever alive.  A group that raises is walked again
-    one orbit at a time, so the first failing orbit, in orbit order,
-    raises as it would alone.  Every cell's counts are copies."""
+    count per group of orbits (see _upsilon_orbits), whose reads split
+    per orbit, so only one group's labels or stage-0 pairs are ever
+    alive.  A group keeps its cylinders' counts per width, with the
+    blocks layout they were made for (held by identity), so calls whose
+    radius and prefix give one width read once.  A group that raises is
+    walked again one orbit at a time, so the first failing orbit, in
+    orbit order, raises as it would alone.  Every cell's counts are
+    copies."""
     out = []
     for group in groups:
-        got = _cylinder_counts(sys, group, eps, cells, blocks)
-        if got is None:
-            try:
-                got = _count_cells(sys, group, eps, cells, "pairs", blocks=blocks)
-            except FsgError:  # DepthExhausted, CarryOverflow
-                if group.orbits == 1:
-                    raise
-                got = _orbit_pair_counts(sys, group.split(), eps, cells, blocks)
+        memo = group.counts[1] if group.counts and group.counts[0] is blocks else {}
+        group.counts = blocks, memo
+        try:
+            got = _count_cells(sys, group, eps, cells, "pairs", blocks=blocks, memo=memo)
+        except FsgError:  # DepthExhausted, CarryOverflow
+            if group.orbits == 1:
+                raise
+            got = _orbit_pair_counts(sys, group.split(), eps, cells, blocks)
         out.append(np.stack(got))
     return np.concatenate(out, axis=1)
-
-
-def _cylinder_counts(sys, pset: _PointSet, eps, cells, blocks):
-    """_label_pair_counts of every cell of a group of orbits, or None
-    where WindowOps.cylinder declines a cell: the cylinder keys above the
-    orbit index, ranked past the rank table's bound (_fold), and counted
-    once per key width and blocks layout (held by identity)."""
-    cylinder = pset.wins is not None and sys.window_ops.cylinder
-    keyed = cylinder and [cylinder(pset.wins, eps, omega.symbols[: k - 1], pset.head)
-                          for k, omega in cells]
-    if not keyed or any(got is None for got in keyed):
-        return None
-    memo = pset.counts[1] if pset.counts and pset.counts[0] is blocks else {}
-    pset.counts = blocks, memo
-    for keys, width in keyed:
-        if width not in memo:
-            orbit = np.arange(pset.orbits).repeat(len(keys) // pset.orbits)
-            if 1 << (int(orbit[-1]).bit_length() + width) > RANK_TABLE_RATIO * len(keys):
-                labels = _fold(orbit, keys, width)
-            else:  # few enough to histogram as they are
-                labels = keys.view(np.int64) | orbit << width
-            memo[width] = _label_pair_counts(labels, blocks)
-    return [memo[width] for _, width in keyed]
 
 
 def _without_each_block(counts: np.ndarray) -> np.ndarray:
@@ -1193,7 +1188,7 @@ def local_corr_entropy_series(
     with a stability check: each row also evaluates the correlation sum
     at n/2 (same driving words), and the row is flagged "unstable" when
     the two word-averaged values differ by more than twice their
-    combined standard error.  The n/2 value comes from the same walk:
+    combined standard error.  The n/2 value comes from the same count:
     the close pairs among the first max(1, n // 2) orbit points.
     """
     _check_grids(eps_list, k_list)
@@ -1265,7 +1260,7 @@ def doubling_series(
     epsilon with rows (k, (1/k) * log of the worst ratio of 2eps- to
     eps-ball measures over the sample centers).  Trending to 0 in k is
     the signature of a doubling-friendly measure.  Every horizon of a
-    radius is counted in one walk at eps and one more at 2 eps."""
+    radius is counted at once at eps and once more at 2 eps."""
     _check_grids(eps_list, k_list)
     _check_word(sys, omega, k_list[-1])
     cells = [(k, omega) for k in k_list]
@@ -1282,8 +1277,8 @@ def local_entropy_series(
 ) -> list[EntropySeries]:
     """Decay rate of the ball measure at a fixed center x along a fixed
     word: rows (k, -(1/k) log measure(Bowen ball)).  Every horizon of a
-    radius is counted in one walk that reads x's ball alone (a closed
-    form, the same at every centre, ignores x)."""
+    radius is counted at once, reading x's ball alone (a closed form,
+    the same at every centre, ignores x)."""
     _check_grids(eps_list, k_list)
     _check_word(sys, omega, k_list[-1])
     cells = [(k, omega) for k in k_list]

@@ -82,9 +82,10 @@ class WindowOps:
     # (window form, eps, previous stage's state or None, symbol) -> next state or None
     stage: Callable[[Any, float, Any, int], Any]
     key: Callable[[Any, float], tuple]  # (state, eps) -> uint64 ball keys, bit width
-    # (window form, eps, symbols, memo dict) -> every point's key and bit
-    # width of its Bowen ball along the symbols, or None: walk the stages
-    cylinder: Optional[Callable[[Any, float, Sequence[int], dict], Optional[tuple]]] = None
+    # (window form, eps, symbols, memo dict) -> the bit width w of every
+    # point's key of its Bowen ball along the symbols, the low w bits of
+    # its window, or None: walk the stages
+    cylinder: Optional[Callable[[Any, float, Sequence[int], dict], Optional[int]]] = None
 
 
 @dataclass(frozen=True)
@@ -115,8 +116,8 @@ class GeneratorSystem:
     pair_ops: Optional[PairOps] = None
     # generators that keep every distance (hashable: memo keys), each
     # commuting with every generator up to an isometry on every Bowen ball
-    # (binary: shift(x + 1) = shift(x) + x_1), which the label walk's
-    # sharing needs; read only with ball_key
+    # (binary: shift(x + 1) = shift(x) + x_1); the label walk packs no
+    # key for them; read only with ball_key
     isometries: frozenset = frozenset()
 
     @property
@@ -253,7 +254,7 @@ def binary_shift_odometer(depth: int = 64) -> GeneratorSystem:
         ball_key=binary.ball_key,
         window_ops=WindowOps(
             binary.to_windows, binary.orbit_windows, binary.window_stage, binary.window_key,
-            binary.cylinder_labels,
+            binary.cylinder_width,
         ),
         isometries=frozenset({2}),  # the odometer: + 1 keeps every common prefix
     )

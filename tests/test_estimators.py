@@ -468,27 +468,20 @@ def test_orbit_pair_counts_by_halves_equal_brute_force(request, path, n):
 @pytest.mark.parametrize("sys_", [BIN, CIRCLE], ids=["binary", "circle"])
 def test_local_corr_entropy_counts_each_orbit_group_once_per_radius(monkeypatch, sys_):
     """The value at n/2 comes from the count of the value at n: one
-    count per group of orbits and radius, over every cell, on the whole
-    orbits: one group of the three orbits with ball keys, read off their
-    cylinders, one walk (_count_cells) per orbit with pair lists."""
+    count (_count_cells) per group of orbits and radius, over every
+    cell, on the whole orbits: one group of the three orbits with ball
+    keys, read off their cylinders, one walk per orbit with pair lists."""
     x = sys_.mu_sampler(substream(63), 1)[0]
     eps_list, ks, n, m_upsilon = [0.25, 0.125], [1, 2, 3], 24, 3
     want = local_corr_entropy_series(sys_, x, eps_list, ks, n, m_upsilon, 8, seed=64)
     calls = []
-    count, cylinders = estimators._count_cells, estimators._cylinder_counts
+    count = estimators._count_cells
 
     def counting(sys, pset, eps, cells, kind, *args, **kwargs):
         calls.append((pset, eps, len(cells)))
         return count(sys, pset, eps, cells, kind, *args, **kwargs)
 
-    def counting_cylinders(sys, pset, eps, cells, blocks):
-        got = cylinders(sys, pset, eps, cells, blocks)
-        if got is not None:
-            calls.append((pset, eps, len(cells)))
-        return got
-
     monkeypatch.setattr(estimators, "_count_cells", counting)
-    monkeypatch.setattr(estimators, "_cylinder_counts", counting_cylinders)
     got = local_corr_entropy_series(sys_, x, eps_list, ks, n, m_upsilon, 8, seed=64)
     assert [(s.rows, s.stderrs, s.flags) for s in got] == [
         (s.rows, s.stderrs, s.flags) for s in want

@@ -3,7 +3,6 @@ BinaryPoint path: equal results, and the same exception wherever the
 exact path raises."""
 
 import math
-import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -45,6 +44,11 @@ M64 = (1 << 64) - 1
 def _points(n, depth, seed):
     rng = substream(seed)
     return [binary.random_point(depth, rng) for _ in range(n)]
+
+
+def _walking(sys_):
+    """sys_ with no cylinders: every sample and orbit set is walked."""
+    return replace(sys_, window_ops=replace(sys_.window_ops, cylinder=None))
 
 
 def _outcome(fn, sys_):
@@ -363,11 +367,11 @@ def test_trie_falls_back_below_a_deciding_parent(exact_calls):
         ]
     ]
     eps = 2.0**-60
-    root, _, uses = _trie(tuple(cells), sys_.isometries)
-    labels = _label_walk(fast, _as_point_set(fast, points), eps, root, uses, _first_come)
+    root, _ = _trie(tuple(cells))
+    labels = _label_walk(fast, _as_point_set(fast, points), eps, root, _first_come)
     assert decided.count(False) == 1 and len(exact_calls) == 1
     exact = replace(sys_, window_ops=None)
-    assert labels == _label_walk(exact, _as_point_set(exact, points), eps, root, uses, _first_come)
+    assert labels == _label_walk(exact, _as_point_set(exact, points), eps, root, _first_come)
     oracle = generic_system(sys_)
     for kind in ("balls", "pairs", "net"):
         opts = _kind_options(kind, len(points))
@@ -461,8 +465,9 @@ def test_corr_sum_horizons_read_one_count_per_group_and_width(
 
 
 def test_doubling_series_takes_one_walk_per_radius():
+    # on the walk that the cylinders' fallback takes
     base = binary_shift_odometer(depth=64)
-    sys_, stages = _counting_stages(base)
+    sys_, stages = _counting_stages(_walking(base))
     em = EmpiricalMeasure(tuple(_points(100, 64, 14)))
     omega = word((1, 2, 1), 2)
     eps_list = [0.25, 0.125]
@@ -480,8 +485,9 @@ def test_doubling_series_takes_one_walk_per_radius():
 
 
 def test_local_entropy_series_takes_one_walk_per_radius(monkeypatch):
+    # on the walk that the cylinders' fallback takes
     base = binary_shift_odometer(depth=64)
-    sys_, stages = _counting_stages(base)
+    sys_, stages = _counting_stages(_walking(base))
     walks = Counter()
     walk = estimators._label_walk
 
@@ -662,8 +668,7 @@ def test_orbit_windows_match_the_carry_loop(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# isometric nodes: the odometer packs no key, and a node takes the read of
-# the first node of its signature
+# isometric nodes: the odometer packs no key
 
 
 def test_binary_isometries_are_the_odometer_and_no_power_symbol():
@@ -719,18 +724,18 @@ def _cells_outcome(s, points, eps, cells, kind):
          DepthExhausted),
         (LOW3, 0.5, [(3, (1, 2)), (5, (1, 2, 2, 1)), (8, (1, 1, 1, 2, 2, 2, 1))], DepthExhausted),
         (LOW3, 0.5, [(2, (2,)), (3, (2, 1)), (4, (2, 1, 2)), (5, (2, 1, 2, 1))], None),
-        # later nodes of a signature: (1, 2) would take the read of (1,),
-        # but carries 0b111 out of depth 3, and (2,) would take the root's,
+        # nodes with the partition of an earlier one: (1, 2) has that of
+        # (1,), but carries 0b111 out of depth 3, and (2,) has the root's,
         # but overflows on 0b1111
         (all_points(4), 0.5, [(2, (1,)), (3, (1, 2))], CarryOverflow),
         (all_points(4), 0.5, [(1, ()), (2, (1,)), (2, (2,)), (3, (2, 1))], CarryOverflow),
-        # no 0b1111: (2, 1) reads before (1, 2) of its signature overflows,
-        # and after it in the other order, where (2, 1) is the first to read
+        # no 0b1111: (2, 1) counts before (1, 2), of its partition,
+        # overflows, and after it in the other order
         (all_points(4)[:15], 0.5, [(3, (2, 1)), (3, (1, 2)), (4, (1, 2, 1))], CarryOverflow),
         (all_points(4)[:15], 0.5, [(3, (1, 2)), (3, (2, 1)), (4, (2, 1, 2))], CarryOverflow),
-        # (2, 1) takes the read of (1,), and its third shift below runs out
-        # of depth as that of (1,) does: a depth failure follows the shift
-        # count, which the signature fixes
+        # (2, 1) has the partition of (1,), and its third shift below runs
+        # out of depth as that of (1,) does: a depth failure follows the
+        # shift count
         (LOW3, 0.5, [(2, (1,)), (3, (2, 1)), (5, (2, 1, 1, 1)), (4, (1, 1, 1))], DepthExhausted),
     ],
 )
@@ -741,28 +746,28 @@ def test_isometric_nodes_count_and_fail_like_the_oracle(kind, points, eps, cells
     assert oracle[0] == ("ok" if error is None else "raised")
     if error is not None:
         assert oracle[1] is error
-    for s in (sys_, replace(sys_, window_ops=None)):
+    for s in (sys_, _walking(sys_), replace(sys_, window_ops=None)):
         assert _cells_outcome(s, points, eps, cells, kind) == oracle
     # and the cells that do not raise count like the oracle's
     generic = generic_system(sys_)
     fine = [c for c in cells if _cells_outcome(generic, points, eps, [c], kind)[0] == "ok"]
     oracle = _cells_outcome(generic, points, eps, fine, kind)
-    for s in (sys_, replace(sys_, window_ops=None)):
+    for s in (sys_, _walking(sys_), replace(sys_, window_ops=None)):
         assert _cells_outcome(s, points, eps, fine, kind) == oracle
 
 
 @pytest.mark.parametrize("kind", ["balls", "pairs", "net"])
 @pytest.mark.parametrize("eps", [1.0, 2.0])
 def test_radius_past_the_diameter_with_an_odometer_first_letter(kind, eps):
-    # keys have width 0, so the root leaves no labels to keep: the first
-    # odometer where cells end folds all the same
+    # keys have width 0: one cylinder, and in the walk the root leaves no
+    # labels to keep, so the first odometer where cells end folds all the same
     points = _points(40, 64, 18)
     sys_ = binary_shift_odometer(depth=64)
     cells = [(k, word(syms, 2)) for k, syms in
              [(2, (2,)), (3, (2, 2)), (3, (2, 1)), (4, (2, 1, 2)), (4, (1, 2, 2))]]
     oracle = _cells_outcome(generic_system(sys_), points, eps, cells, kind)
     assert oracle[0] == "ok"
-    for s in (sys_, replace(sys_, window_ops=None)):
+    for s in (sys_, _walking(sys_), replace(sys_, window_ops=None)):
         assert _cells_outcome(s, points, eps, cells, kind) == oracle
         rows = top_entropy_series(EmpiricalMeasure(tuple(points)), s, [eps], [2, 3], 4, 1)[0].rows
         assert rows == [(2, 0.0), (3, 0.0)]
@@ -770,10 +775,12 @@ def test_radius_past_the_diameter_with_an_odometer_first_letter(kind, eps):
 
 def test_top_entropy_folds_only_where_shift_keys_are_pending(monkeypatch):
     # exhaustive words for ks 2..6: cells end at every trie node of depth
-    # 1..5, and a node's partition is that of its shift count s; the
-    # first node of each s folds and reads (for s = 0 the odometer right
-    # below the root, whose key row is still pending), and every other
-    # node takes its labels and net
+    # 1..5 (62 per radius), and a node's partition is that of its shift
+    # count s.  The cylinders read each width L + s once per radius, from
+    # keys narrow enough to need no fold; the walk reads at every node
+    # where cells end, and folds only where keys are pending: at both
+    # nodes below the root, which packed stage 0, and at every shift node
+    # below them (30), never at an odometer, which packs none
     sys_ = binary_shift_odometer(depth=49)
     eps_list, ks = [0.25, 0.125], [2, 3, 4, 5, 6]
     plain = replace(sys_, isometries=frozenset())
@@ -791,30 +798,31 @@ def test_top_entropy_folds_only_where_shift_keys_are_pending(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(estimators, name, counting)
-    for s in (sys_, replace(sys_, window_ops=None)):
+    counts.clear()
+    assert top(sys_) == want
+    assert counts == {"_first_indices": 2 * 6}  # one per radius and s = 0..5
+    for s in (_walking(sys_), replace(sys_, window_ops=None)):
         counts.clear()
         assert top(s) == want
-        folds = 6  # one per radius and shift count 0..5
-        assert counts == {"_fold": 2 * folds, "_first_indices": 2 * folds}
+        assert counts == {"_fold": 2 * 32, "_first_indices": 2 * 62}
 
 
-def test_top_entropy_series_walks_its_trie_for_uses_once(monkeypatch):
-    # the trie and its uses per signature are made once for both radii's
-    # walks, and the rows are those of a fresh trie per walk
-    sys_ = binary_shift_odometer(depth=49)
+def test_top_entropy_series_builds_its_trie_once():
+    # on the walk: the trie is made once for both radii's walks, and the
+    # rows are those of a fresh trie per walk
+    sys_ = _walking(binary_shift_odometer(depth=49))
     em = EmpiricalMeasure.draw(sys_, 256, 19)
 
     def top():
         return [r.rows for r in top_entropy_series(em, sys_, [0.25, 0.125], [2, 3, 4, 5], 8, 19)]
 
-    calls, uses = [], estimators._signature_uses
-    monkeypatch.setattr(estimators, "_signature_uses", lambda *a: calls.append(1) or uses(*a))
     estimators._trie.cache_clear()
     got = top()
-    assert len(calls) == 1
-    trie = estimators._trie.__wrapped__
-    monkeypatch.setattr(estimators, "_trie", lambda *a: trie(*a))
-    assert top() == got and len(calls) == 3
+    assert estimators._trie.cache_info().misses == 1
+    for eps in (0.25, 0.125):
+        estimators._trie.cache_clear()
+        rows = top_entropy_series(em, sys_, [eps], [2, 3, 4, 5], 8, 19)[0].rows
+        assert rows == got[eps == 0.125]
 
 
 def test_one_measure_is_converted_once_for_corr_and_top_entropy():
@@ -912,31 +920,32 @@ def test_corr_sum_reuses_counts_across_calls_in_any_order(
 
 
 # ---------------------------------------------------------------------------
-# signatures: the nodes of one partition share one fold and one read
+# isometries: an odometer packs no key, and that changes no count
 
 
-def _unshared(sys_):
-    """sys_ with no isometries: every node where cells end folds and reads."""
+def _plain(sys_):
+    """sys_ with no isometries: every node of a walk packs its keys."""
     return replace(sys_, isometries=frozenset())
 
 
-SHARING = {
-    "windows": binary_shift_odometer(depth=64),
+SYSTEMS = {
+    "cylinders": binary_shift_odometer(depth=64),
+    "windows": _walking(binary_shift_odometer(depth=64)),
     "exact keys": replace(binary_shift_odometer(depth=64), window_ops=None),
     "power 2": build_power_system(binary_shift_odometer(depth=64), 2),
 }
 
 
 @pytest.mark.parametrize("kind", ["balls", "pairs", "net"])
-@pytest.mark.parametrize("system", list(SHARING))
+@pytest.mark.parametrize("system", list(SYSTEMS))
 @pytest.mark.parametrize("m_omega", [64, 5], ids=["exhaustive", "monte-carlo"])
-def test_shared_reads_equal_the_unshared_walk_and_the_oracle(kind, system, m_omega):
-    sys_ = SHARING[system]
+def test_counts_equal_the_plain_walk_and_the_oracle(kind, system, m_omega):
+    sys_ = SYSTEMS[system]
     points = _points(32, 64, 24)
     ks = [1, 2, 3, 4] if sys_.m == 4 else [1, 2, 3, 4, 5, 6, 7]
     _, cells = estimators._series_cells(sys_.m, ks, None, m_omega, 25)
     opts = _kind_options(kind, len(points))
-    plain, oracle = _unshared(sys_), generic_system(sys_)
+    plain, oracle = _plain(_walking(sys_) if sys_.window_ops else sys_), generic_system(sys_)
     got = _count_cells(sys_, _as_point_set(sys_, points), 0.5, cells, kind, **opts)
     want = _count_cells(plain, _as_point_set(plain, points), 0.5, cells, kind, **opts)
     for g, w, cell in zip(got, want, cells):
@@ -944,15 +953,15 @@ def test_shared_reads_equal_the_unshared_walk_and_the_oracle(kind, system, m_ome
         assert np.array_equal(g, w) and np.array_equal(g, o), cell
 
 
-def test_corr_sum_run_with_shared_reads_equals_the_unshared_walk_and_the_oracle():
+def test_corr_sum_run_equals_the_plain_walk_and_the_oracle():
     base = binary_shift_odometer(depth=300)
-    walk = replace(base, window_ops=replace(base.window_ops, cylinder=None))
+    walk = _walking(base)
     x = base.mu_sampler(substream(26), 1)[0]
     omega = word((2, 1, 2, 2, 1, 1, 2), 2)
 
     def run(s):
-        # the cylinders, and walks where an odometer's node takes the read
-        # of its signature or, without isometries, reads its own
+        # the cylinders, and walks where an odometer packs no key or,
+        # without isometries, packs its own
         estimators._upsilon_orbits.cache_clear()
         return [
             correlation_sum(s, x, eps, omega, k, 60, 3, seed=9)
@@ -960,49 +969,26 @@ def test_corr_sum_run_with_shared_reads_equals_the_unshared_walk_and_the_oracle(
         ]
 
     got = run(base)
-    assert got == run(walk) == run(_unshared(walk)) == run(generic_system(base))
+    assert got == run(walk) == run(_plain(walk)) == run(generic_system(base))
 
 
-def _tracked_walk(sys_, points, eps, cells):
-    """A label walk of cells whose read numbers its results in order:
-    the walk's results (the numbers each node took, in walk order), the
-    numbers still alive at each read, and weak references to them all."""
-    refs, alive = [], []
+@pytest.mark.parametrize("system", ["windows", "exact keys", "power 2"])
+def test_walk_reads_once_at_every_node_where_cells_end(system):
+    # exhaustive words from k = 1: every node ends one cell, and each
+    # folds and reads its own labels, once
+    sys_ = SYSTEMS[system]
+    ks = range(1, 5) if sys_.m == 4 else range(1, 9)
+    _, cells = estimators._series_cells(sys_.m, ks, None, 4096, 1)
+    reads = []
 
     def read(labels):
-        alive.append([r for r, ref in enumerate(refs) if ref() is not None])
-        got = np.array([len(refs)])
-        refs.append(weakref.ref(got))
-        return got
+        reads.append(len(reads))
+        return reads[-1]
 
-    root, _, uses = _trie(tuple(cells), sys_.isometries)
-    out = _label_walk(sys_, _as_point_set(sys_, points), eps, root, uses, read)
-    return [int(v[0]) for v in out.values()], alive, refs
-
-
-@pytest.mark.parametrize("m_omega", [4096, 24], ids=["exhaustive", "monte-carlo"])
-def test_walk_holds_a_shared_partition_until_its_last_use(m_omega):
-    sys_ = binary_shift_odometer(depth=64)
-    k_max = 8
-    _, cells = estimators._series_cells(2, range(1, k_max + 1), None, m_omega, 1)
-    for s in (sys_, replace(sys_, window_ops=None)):
-        took, alive, refs = _tracked_walk(s, _points(50, 64, 28), 0.25, cells)
-        assert len(refs) == k_max  # one read per shift count
-        last_use = {r: i for i, r in enumerate(took)}
-        for r, held in enumerate(alive):
-            at = took.index(r)  # the node that read r
-            assert all(last_use[h] > at for h in held), r  # each still needed below
-            assert len(held) <= k_max
-
-
-def test_power_walk_holds_no_read_past_its_node():
-    # binary power signatures are whole paths, one node each: every node
-    # reads, and no read outlives its node
-    sys_ = build_power_system(binary_shift_odometer(depth=64), 2)
-    _, cells = estimators._series_cells(4, range(1, 5), None, 4096, 1)
-    took, alive, refs = _tracked_walk(sys_, _points(50, 64, 28), 0.25, cells)
-    assert took == list(range(len(refs))) and len(refs) == len(cells)
-    assert not any(alive)
+    root, first = _trie(tuple(cells))
+    assert list(first) == list(range(len(cells)))
+    out = _label_walk(sys_, _as_point_set(sys_, _points(50, 64, 28)), 0.25, root, read)
+    assert sorted(out) == list(first) and sorted(out.values()) == reads == list(range(len(cells)))
 
 
 def test_odometer_carry_check_matches_the_per_point_check():
@@ -1048,7 +1034,8 @@ def test_odometer_carry_check_matches_the_per_point_check():
 
 
 def test_walk_scans_for_a_carry_at_most_once_per_shift_count(monkeypatch):
-    # the shape of the top-entropy benchmark: 4096 points of depth 49,
+    # the shape of the top-entropy benchmark, walked (the cylinders take
+    # no window stage there): 4096 points of depth 49,
     # exhaustive words for ks 2..6; the walk has 31 odometer nodes per
     # radius, and the carried bound leaves a full-array scan only to the
     # first odometer of each shift count (the points share one depth, so
@@ -1062,7 +1049,7 @@ def test_walk_scans_for_a_carry_at_most_once_per_shift_count(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(binary, name, counting)
-    sys_ = binary_shift_odometer(depth=49)
+    sys_ = _walking(binary_shift_odometer(depth=49))
     em = EmpiricalMeasure.draw(sys_, 4096, 31)
     for eps in (0.25, 0.125):
         scans.clear()
