@@ -394,11 +394,9 @@ def _cylinder_reads(sys, pset: _PointSet, eps, cells, read, memo=None):
     cylinder = pset.wins is not None and sys.window_ops.cylinder
     if not cylinder:
         return None
-    widths = []
-    for k, omega in cells:
-        widths.append(cylinder(pset.wins, eps, omega.symbols[: k - 1], pset.head))
-        if widths[-1] is None:
-            return None
+    widths = [cylinder(pset.wins, eps, omega.symbols[: k - 1], pset.head) for k, omega in cells]
+    if None in widths:
+        return None
     memo = {} if memo is None else memo
     owner = {}
     for c, width in enumerate(widths):
