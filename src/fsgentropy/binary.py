@@ -284,21 +284,23 @@ def orbit_windows(x: BinaryPoint, words, n: int):
     Both terms are the windows at a of a bit row, bit a of x + D and
     run[a], so the low 64 bits of the difference are the windows of
     their difference, which six shifted adds give for every a at once
-    (mod 2**64); the level's odometers so far add to that.  Returns None
-    when some orbit would run out of depth or some odometer step could
-    carry out of its window.
+    (mod 2**64); the level's odometers so far add to that.  A word's
+    levels end at its shifts (and its last point): level a spans run[a]
+    + 1 points, so the shifts and odometers so far of every point repeat
+    from the runs.  Returns None when some orbit would run out of depth
+    or some odometer step could carry out of its window.
     """
-    words = [np.asarray(syms[: n - 1], dtype=np.int8) for syms in words]
-    if max((np.count_nonzero(syms == 1) for syms in words), default=0) > x.depth - 1:
-        return None
     win = np.empty(len(words) * n, dtype=np.uint64)
     depth = np.empty(len(words) * n, dtype=np.int64)
     for o, syms in enumerate(words):
-        odometer = syms == 2
-        shifts = np.concatenate(([0], np.cumsum(~odometer)))
-        run = np.bincount(shifts[:-1][odometer], minlength=shifts[-1] + 1)
+        syms = np.asarray(syms[: n - 1], dtype=np.int8)
+        ends = np.concatenate((np.flatnonzero(syms == 1), [n - 1]))  # each level's last point
+        if len(ends) > x.depth:  # more shifts than coordinates but one
+            return None
+        run = np.diff(ends, prepend=-1) - 1
+        planes = run.astype(np.uint8) if run.max() < 256 else run
         d = sum(  # D from the bit planes of run
-            int.from_bytes(np.packbits(run >> p & 1, bitorder="little").tobytes(), "little") << p
+            int.from_bytes(np.packbits(planes >> p & 1, bitorder="little").tobytes(), "little") << p
             for p in range(int(run.max()).bit_length())
         )
         y = x.value + d
@@ -306,13 +308,14 @@ def orbit_windows(x: BinaryPoint, words, n: int):
         w = np.unpackbits(np.frombuffer(y.to_bytes(nbytes, "little"), np.uint8), bitorder="little")
         w = w.astype(np.uint64)
         w[: len(run)] -= run.astype(np.uint64)
-        for b in (1, 2, 4, 8, 16, 32):
-            w = w[:-b] + (w[b:] << np.uint64(b))
-        # odometers since the point's level began
-        since = np.arange(n) - shifts - (np.cumsum(run) - run)[shifts]
+        for b in (1, 2, 4, 8, 16, 32):  # in place: w[:-63] ends as the windows
+            w[:-b] += w[b:] << np.uint64(b)
+        shifts = np.repeat(np.arange(len(run)), run + 1)
+        since = np.arange(n) - np.repeat(ends - run, run + 1)  # odometers since the level began
         at = slice(o * n, (o + 1) * n)
         np.add(w[shifts], since.astype(np.uint64), out=win[at])
         np.subtract(x.depth, shifts, out=depth[at])
+        odometer = syms == 2
         if x.depth - shifts[-1] >= WINDOW_BITS:  # every carry runs through 64 bits
             if np.any((win[at][:-1] == _low_masks()[WINDOW_BITS]) & odometer):
                 return None

@@ -250,12 +250,9 @@ def _run_corr_sum(cfg, sys_):
     weights = _weights(cfg, sys_)
     out = []
     for eps in cfg.epsilons:
-        ests = [
-            estimators.correlation_sum(
-                sys_, x, eps, omega, k, cfg.n, cfg.m_upsilon, cfg.seed, weights=weights
-            )
-            for k in cfg.ks
-        ]
+        ests = estimators.correlation_sum(
+            sys_, x, eps, omega, cfg.ks, cfg.n, cfg.m_upsilon, cfg.seed, weights=weights
+        )
         rows = [(k, est.value) for k, est in zip(cfg.ks, ests)]
         out.append(EntropySeries(eps, rows, stderrs=[e.stderr for e in ests]))
     return out

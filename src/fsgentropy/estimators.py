@@ -24,12 +24,13 @@ Conventions shared by everything here:
   point set's uint64 windows (WindowOps.cylinder): labels are the
   windows' low L + s bits, so cells are grouped by that width and each
   width is masked and read once (_cylinder_reads); an orbit group keeps
-  its counts per width across calls.  Wherever the cylinders cannot
-  vouch for every cell, and on other systems with ball keys, one label
-  walk over the prefix trie of the cells' first k-1 symbols pays for
-  each distinct prefix once: a trie node folds its stage keys into its
-  parent's labels (_label_walk), dense ranks made with no sort while
-  the key space is small.
+  its counts per width across calls, and reads all the widths a call
+  lacks in one pass over its windows (_cylinder_pair_counts).
+  Wherever the cylinders cannot vouch for every cell, and on other
+  systems with ball keys, one label walk over the prefix trie of the
+  cells' first k-1 symbols pays for each distinct prefix once: a trie
+  node folds its stage keys into its parent's labels (_label_walk),
+  dense ranks made with no sort while the key space is small.
 * On the circle family (pair_ops), below eps < 1/(1 + the largest
   slope), a cell's Bowen balls are arcs of radius eps / (the product of
   its word's slopes): cells are grouped by that product and counted from
@@ -57,9 +58,10 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -198,9 +200,10 @@ class _PointSet:
     decide every stage never exist as points; a group of `orbits` equal
     orbits lies one orbit after another (see _upsilon_orbits).  `head`
     memoises what WindowOps.cylinder reads of the whole set, and `counts`
-    a group's pair counts per cylinder width (see _orbit_pair_counts).
-    `arrays` holds the points as a pair system's array, with its sort,
-    per to_array (see _sorted_array)."""
+    a group's pair counts per cylinder width (see _orbit_pair_counts),
+    which one read of all the widths a call lacks fills at once
+    (_cylinder_pair_counts).  `arrays` holds the points as a pair
+    system's array, with its sort, per to_array (see _sorted_array)."""
 
     def __init__(self, wins, points=None, make=None, orbits=1):
         self.wins = wins
@@ -388,9 +391,9 @@ def _cylinder_labels(pset: _PointSet, width: int) -> np.ndarray:
 def _cylinder_reads(sys, pset: _PointSet, eps, cells, read, memo=None):
     """(reads, first) as the label walk gives them, from the cells'
     Bowen cylinders (WindowOps.cylinder), or None where it declines a
-    cell: read once per distinct width, of that width's labels alone,
-    into memo {width: read} (fresh if None), which may hold widths read
-    by earlier calls."""
+    cell: read(widths) reads every distinct width that memo {width:
+    read} (fresh if None), which may hold widths read by earlier calls,
+    lacks, in one call, one read per width in order."""
     cylinder = pset.wins is not None and sys.window_ops.cylinder
     if not cylinder:
         return None
@@ -400,8 +403,10 @@ def _cylinder_reads(sys, pset: _PointSet, eps, cells, read, memo=None):
     memo = {} if memo is None else memo
     owner = {}
     for c, width in enumerate(widths):
-        if owner.setdefault(width, c) == c and width not in memo:
-            memo[width] = read(_cylinder_labels(pset, width))
+        owner.setdefault(width, c)
+    missing = [width for width in owner if width not in memo]
+    if missing:
+        memo.update(zip(missing, read(missing)))
     return {c: memo[width] for width, c in owner.items()}, [owner[width] for width in widths]
 
 
@@ -757,7 +762,12 @@ def _count_cells(
         def read(labels):
             return reduce(kind_read(labels))
 
-        found = _cylinder_reads(sys, pset, eps, cells, read, memo)
+        def read_widths(widths):
+            if kind == "pairs":
+                return [reduce(c) for c in _cylinder_pair_counts(pset, widths, blocks)]
+            return [read(_cylinder_labels(pset, width)) for width in widths]
+
+        found = _cylinder_reads(sys, pset, eps, cells, read_widths, memo)
         if found is None:
             root, first = _trie(tuple(cells))
             found = _label_walk(sys, pset, eps, root, read), first
@@ -771,21 +781,18 @@ def _count_cells(
     return out
 
 
-def _label_pair_counts(labels, blocks: _Blocks) -> np.ndarray:
+def _label_pair_counts(labels, blocks: _Blocks, near=None) -> np.ndarray:
     """Ordered pairs (i, j) with equal integer labels and |i - j| > w,
     tallied by (block[i], block[j]) of blocks, as [orbit, block, block]:
     labels hold one or more orbits of len(blocks.block) points, one after
     another, and no label lies in two of them.
 
     Linear in the number of points: per-block label histograms give
-    every equal-label pair, and the diagonal and the lags 1..w are
-    subtracted back out, all lags in one count over their block-pair
-    keys.  An orbit's histogram spans only its own labels, from its
-    least.  The histogram product runs in floats, through BLAS, and is
-    exact: its terms are nonnegative integers and every partial sum is
-    at most n**2 for orbits of n points, which float32 holds exactly
-    while n**2 < 2**24 and float64 while n**2 < 2**53; longer orbits
-    multiply in int64.
+    every equal-label pair (_hist_pair_counts), and the diagonal and the
+    lags 1..w are subtracted back out, all lags in one count over their
+    block-pair keys, unless near gives that count already (see
+    _lag_pair_counts).  An orbit's histogram spans only its own labels,
+    from its least.
     """
     block, n_blocks, n = blocks.block, blocks.n_blocks, len(blocks.block)
     rows = labels.reshape(-1, n)
@@ -795,18 +802,98 @@ def _label_pair_counts(labels, blocks: _Blocks) -> np.ndarray:
         ((at * n_blocks + block) * n_labels + rows).ravel(),
         minlength=at.size * n_blocks * n_labels,
     ).reshape(-1, n_blocks, n_labels)
-    if n**2 < 2**53:
-        hist = hist.astype(np.float32 if n**2 < 2**24 else float)
-    counts = (hist @ hist.transpose(0, 2, 1)).astype(np.int64)
-    counts -= np.diag(np.bincount(block, minlength=n_blocks))
-    if blocks.lags:
+    if near is None and blocks.lags:
         pos = [np.flatnonzero(labels[d:] == labels[:-d]) for d in range(1, blocks.w + 1)]
         near = np.bincount(  # no lag pair joins two orbits: their labels differ
             np.concatenate([p // n * n_blocks**2 + k[p % n] for p, k in zip(pos, blocks.lags)]),
-            minlength=counts.size,
-        ).reshape(counts.shape)
+            minlength=len(rows) * n_blocks**2,
+        ).reshape(-1, n_blocks, n_blocks)
+    return _hist_pair_counts(hist, blocks, near)
+
+
+def _hist_pair_counts(hist, blocks: _Blocks, near) -> np.ndarray:
+    """The pair counts of _label_pair_counts from per-orbit block x label
+    histograms hist [orbit, block, label] and the lag pairs near (None:
+    no lags), both tallied as [orbit, block, block].  The histogram
+    product runs in floats, through BLAS, and is exact: its terms are
+    nonnegative integers and every partial sum is at most n**2 for
+    orbits of n points, which float32 holds exactly while n**2 < 2**24
+    and float64 while n**2 < 2**53; longer orbits multiply in int64
+    (_hist_dtype)."""
+    hist = hist.astype(_hist_dtype(len(blocks.block)), copy=False)
+    counts = (hist @ hist.transpose(0, 2, 1)).astype(np.int64)
+    counts -= np.diag(np.bincount(blocks.block, minlength=blocks.n_blocks))
+    if near is not None:
         counts -= near + near.transpose(0, 2, 1)
     return counts
+
+
+def _hist_dtype(n: int):
+    """The dtype in which histograms of orbits of n points multiply
+    exactly (see _hist_pair_counts), and hold their counts."""
+    return np.float32 if n**2 < 2**24 else float if n**2 < 2**53 else np.int64
+
+
+def _lag_pair_counts(win, widths, blocks: _Blocks) -> list:
+    """Per width of widths, the lag pairs (i, i + d), d = 1..w, of the
+    windows win of one or more orbits of len(blocks.block) points whose
+    low `width` bits agree, tallied by (block[i], block[i + d]) as
+    [orbit, block, block] (None without lags).  The pairs that agree on
+    the least width are read once, from the lagged windows' xor, and
+    each width keeps those whose xor it masks to zero."""
+    if not blocks.lags:
+        return [None] * len(widths)
+    n_blocks, n = blocks.n_blocks, len(blocks.block)
+    low = _low_mask(min(widths))
+    keys, xors = [], []
+    for d, lag in enumerate(blocks.lags, 1):
+        xor = win[d:] ^ win[:-d]
+        p = np.flatnonzero(xor & low == 0)
+        p = p[p % n < n - d]  # no lag pair joins two orbits
+        keys.append(p // n * n_blocks**2 + lag[p % n])
+        xors.append(xor[p])
+    keys, xors = np.concatenate(keys), np.concatenate(xors)
+    size = len(win) // n * n_blocks**2
+    return [np.bincount(keys[xors & _low_mask(width) == 0], minlength=size)
+            .reshape(-1, n_blocks, n_blocks) for width in widths]
+
+
+def _low_mask(width: int) -> np.uint64:
+    return np.uint64((1 << width) - 1)
+
+
+def _cylinder_pair_counts(pset: _PointSet, widths, blocks: _Blocks) -> list:
+    """_label_pair_counts of the point set's cylinder labels at each of
+    widths, in order, from one read of its windows: the lag pairs of
+    every width at once (_lag_pair_counts), one folded histogram for the
+    widths whose block x label histogram holds at most RANK_TABLE_RATIO
+    columns a point (_folded_pair_counts), and ranked labels for the
+    wider ones (_cylinder_labels)."""
+    win, n = pset.wins[0], len(blocks.block)
+    near = dict(zip(widths, _lag_pair_counts(win, widths, blocks)))
+    rows = len(win) // n * blocks.n_blocks  # block rows of the histogram
+    fold = [w for w in widths if rows << w <= RANK_TABLE_RATIO * len(win)]
+    out = _folded_pair_counts(win, fold, blocks, near) if fold else {}
+    return [out[w] if w in out else _label_pair_counts(_cylinder_labels(pset, w), blocks, near[w])
+            for w in widths]
+
+
+def _folded_pair_counts(win, widths, blocks: _Blocks, near: dict) -> dict:
+    """{width: pair counts} of the windows win of one or more orbits of
+    len(blocks.block) points, labelled by their low `width` bits, from
+    one [orbit, block, label] histogram at the widest of widths, folded
+    down to each narrower one: a label's low bits are its label there.
+    The counts it folds are at most n, exact in the histogram product's
+    dtype (_hist_dtype)."""
+    n, n_blocks, top = len(blocks.block), blocks.n_blocks, max(widths)
+    orbits = len(win) // n
+    keys = (win & _low_mask(top)).astype(np.intp)
+    keys |= ((np.arange(orbits)[:, None] * n_blocks + blocks.block) << top).ravel()
+    hist = np.bincount(keys, minlength=orbits * n_blocks << top).astype(_hist_dtype(n))
+    hist = hist.reshape(orbits, n_blocks, -1)
+    return {w: _hist_pair_counts(
+        hist if w == top else hist.reshape(orbits, n_blocks, -1, 1 << w).sum(axis=2),
+        blocks, near[w]) for w in widths}
 
 
 # ---------------------------------------------------------------------------
@@ -954,17 +1041,29 @@ def _time_blocks(n: int) -> tuple[_Blocks, np.ndarray]:
     return blocks, pairs
 
 
+class CorrSumSweep(tuple):
+    """The CorrSumEstimate of every horizon of one correlation_sum call,
+    in the order given; they share the call's radius, orbits and
+    m_upsilon."""
+
+    __slots__ = ()
+
+    @property
+    def m_upsilon(self) -> int:
+        return self[0].m_upsilon
+
+
 def correlation_sum(
     sys: GeneratorSystem,
     x,
     eps: float,
     omega: SymbolWord,
-    k: int,
+    k: int | Sequence[int],
     n: int,
     m_upsilon: int,
     seed: int,
     weights: BernoulliSpec | None = None,
-) -> CorrSumEstimate:
+) -> CorrSumEstimate | CorrSumSweep:
     """Fraction of Bowen-close pairs among the first n orbit points,
     averaged over m_upsilon sampled driving words.
 
@@ -981,33 +1080,71 @@ def correlation_sum(
     words start at x, so the spread across them would not measure the
     error in the orbit limit; time blocks do.  With fewer than two
     blocks (n = 1) the standard error is 0.0.  Only the first k-1
-    symbols of omega enter.  Calls with equal (sys, x, n, m_upsilon,
+    symbols of omega enter.
+
+    k is one horizon, or a sequence of them for a CorrSumSweep equal to
+    one call per horizon, raising as the first of those calls that
+    raises would: its horizons are counted at once, one pass over each
+    orbit group's windows for all of their cylinder widths (see
+    _cylinder_pair_counts).  Calls with equal (sys, x, n, m_upsilon,
     seed, weights) share one orbit set, built by the first of them, and
     on the binary backend with it each orbit group's pair counts per
     cylinder width L + s (see _orbit_pair_counts): calls whose radius and
     prefix give one width, at any eps and k, count once.
     """
     _check_eps(eps)
-    _check_word(sys, omega, k)
+    one = isinstance(k, numbers.Integral)
+    ks = [k] if one else list(k)
+    if not ks:
+        raise ValueError("need at least one horizon")
+    checked, failed = [], None
+    for h in ks:  # a bad horizon raises after the ones before it count
+        try:
+            _check_word(sys, omega, h)
+        except FsgError as exc:
+            failed = exc
+            break
+        checked.append(h)
+    found = checked and _corr_sums(sys, x, eps, omega, checked, n, m_upsilon, seed, weights)
+    if failed is not None:
+        raise failed
+    return found[0] if one else CorrSumSweep(found)
+
+
+def _corr_sums(sys, x, eps, omega, ks, n, m_upsilon, seed, weights) -> list[CorrSumEstimate]:
+    """correlation_sum's estimate of every horizon of ks, from one count
+    of all of them; where that count raises, the first horizon whose
+    count alone raises does."""
     orbits = _upsilon_orbits(sys, x, n, m_upsilon, seed, weights)
     blocks, pairs = _time_blocks(n)
     n_blocks = blocks.n_blocks
-    close = _orbit_pair_counts(sys, orbits, eps, [(k, omega)], blocks)[0]
-    values = _floored_fraction(close.sum(axis=(1, 2)), pairs.sum(), n).tolist()
-    value = math.fsum(values) / m_upsilon
-    stderr = 0.0
-    if n_blocks > 1:
-        dropped = _floored_fraction(
-            _without_each_block(close), _without_each_block(pairs), n
-        ).mean(axis=0)
-        spread = float(((dropped - dropped.mean()) ** 2).sum())
-        stderr = math.sqrt((n_blocks - 1) / n_blocks * spread)
-    return CorrSumEstimate(value, stderr, n, k, eps, m_upsilon, tuple(values))
+    cells = [(k, omega) for k in ks]
+    try:
+        totals = _orbit_pair_counts(sys, orbits, eps, cells, blocks, _block_totals)
+    except FsgError:  # raised by the first failing orbit (see _orbit_pair_counts)
+        for cell in cells[:-1]:  # an earlier horizon that fails alone raises first
+            _orbit_pair_counts(sys, orbits, eps, [cell], blocks, _block_totals)
+        raise  # else the last one fails, first at that orbit
+    out = []
+    for k, close in zip(ks, totals):
+        values = _floored_fraction(close[:, 0], pairs.sum(), n).tolist()
+        value = math.fsum(values) / m_upsilon
+        stderr = 0.0
+        if n_blocks > 1:
+            dropped = _floored_fraction(
+                close[:, 1:], _without_each_block(pairs), n
+            ).mean(axis=0)
+            spread = float(((dropped - dropped.mean()) ** 2).sum())
+            stderr = math.sqrt((n_blocks - 1) / n_blocks * spread)
+        out.append(CorrSumEstimate(value, stderr, n, k, eps, m_upsilon, tuple(values)))
+    return out
 
 
-def _orbit_pair_counts(sys, groups, eps, cells, blocks) -> np.ndarray:
+def _orbit_pair_counts(sys, groups, eps, cells, blocks, reduce=None) -> np.ndarray:
     """Bowen-close ordered pairs of every orbit and (k, word) cell,
-    tallied by blocks, as an int array [cell, orbit, block, block].  One
+    tallied by blocks, as an int array [cell, orbit, block, block], or
+    [cell, orbit, ...] of reduce, which maps a group's counts [cell,
+    orbit, block, block] to per-orbit rows as soon as they are made.  One
     count per group of orbits (see _upsilon_orbits), whose reads split
     per orbit, so only one group's labels or stage-0 pairs are ever
     alive.  A group keeps its cylinders' counts per width, with the
@@ -1016,6 +1153,7 @@ def _orbit_pair_counts(sys, groups, eps, cells, blocks) -> np.ndarray:
     walked again one orbit at a time, so the first failing orbit, in
     orbit order, raises as it would alone.  Every cell's counts are
     copies."""
+    reduce = reduce or (lambda counts: counts)
     out = []
     for group in groups:
         memo = group.counts[1] if group.counts and group.counts[0] is blocks else {}
@@ -1026,8 +1164,16 @@ def _orbit_pair_counts(sys, groups, eps, cells, blocks) -> np.ndarray:
             if group.orbits == 1:
                 raise
             got = _orbit_pair_counts(sys, group.split(), eps, cells, blocks)
-        out.append(np.stack(got))
+        out.append(reduce(np.stack(got)))
     return np.concatenate(out, axis=1)
+
+
+def _block_totals(counts: np.ndarray) -> np.ndarray:
+    """[..., 1 + block]: the total of block-pair counts [..., block,
+    block], then their totals without each block, all that
+    correlation_sum reads of an orbit's counts."""
+    return np.concatenate((counts.sum(axis=(-2, -1))[..., None], _without_each_block(counts)),
+                          axis=-1)
 
 
 def _without_each_block(counts: np.ndarray) -> np.ndarray:

@@ -125,6 +125,37 @@ def test_corr_sum_run_builds_its_driving_orbits_once(monkeypatch):
     assert calls == {"orbit_windows": 1, "sample_symbols": 5, "sample_word": 1}
 
 
+def test_corr_sum_run_enters_correlation_sum_once_per_radius(monkeypatch, tmp_path, capsys):
+    # entcli run of a two-radius corr-sum: one correlation_sum call per
+    # radius, for all its horizons, and the orbit windows built inside
+    # the first of them (benchmarks time set-up up to that first call)
+    calls, inside = [], []
+    correlation_sum, orbit_windows = estimators.correlation_sum, binary.orbit_windows
+
+    def entry(*args, **kwargs):
+        calls.append(args[4])
+        inside.append(len(calls))
+        try:
+            return correlation_sum(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def windows(*args):
+        assert inside == [1], "orbit windows built outside the first correlation_sum call"
+        calls.append("orbit_windows")
+        return orbit_windows(*args)
+
+    monkeypatch.setattr(estimators, "correlation_sum", entry)
+    monkeypatch.setattr(binary, "orbit_windows", windows)
+    estimators._upsilon_orbits.cache_clear()
+    cfg = tmp_path / "corr.cfg"
+    cfg.write_text("estimator = corr-sum\nepsilons = 0.25,0.125\nks = 1,2,3,4\n"
+                   "n = 300\nm_upsilon = 6\n")
+    assert main(["run", str(cfg)]) == 0
+    assert calls == [[1, 2, 3, 4], "orbit_windows", [1, 2, 3, 4]]
+    assert len(capsys.readouterr().out.splitlines()) > 8
+
+
 def _counted(calls, fn):
     def wrapper(*args, **kwargs):
         calls.append(len(args[0]))

@@ -59,11 +59,13 @@ def paths(monkeypatch):
 
 @pytest.fixture
 def reads(monkeypatch):
-    """The pair counts read off labels, after the time blocks' own."""
+    """The widths of every cylinder pair read: one read per group of
+    orbits and call that lacks a width, of all the widths it lacks."""
     calls = []
-    count = estimators._label_pair_counts
-    monkeypatch.setattr(estimators, "_label_pair_counts",
-                        lambda *args: calls.append(1) or count(*args))
+    count = estimators._cylinder_pair_counts
+    monkeypatch.setattr(estimators, "_cylinder_pair_counts",
+                        lambda pset, widths, blocks: calls.append(tuple(widths))
+                        or count(pset, widths, blocks))
     return calls
 
 
@@ -320,8 +322,9 @@ def test_bench_and_acceptance_shapes_count_every_group_as_cylinders(monkeypatch,
                                m_upsilon=16, seed=seed)
     assert len(cli.run_experiment(cfg).rows) == 8
     omega = sample_word(uniform_spec(2), 7, substream(seed, OMEGA))
-    assert len(reads) == 4 * _distinct_widths(eps, omega, ks)
-    assert paths == {"cylinders": 4 * 8} and not stages
+    # one call for all eight horizons: one read per group, of every width
+    assert [len(widths) for widths in reads] == [_distinct_widths(eps, omega, ks)] * 4
+    assert paths == {"cylinders": 4} and not stages
     # the acceptance test's trial: 64 orbits of 4000 points at k = 3
     paths.clear()
     del reads[:]

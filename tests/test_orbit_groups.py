@@ -14,7 +14,14 @@ from fsgentropy import binary, estimators
 from fsgentropy.errors import CarryOverflow, DepthExhausted
 from fsgentropy.seeding import UPSILON, substream
 from fsgentropy.systems import binary_shift_odometer, circle_double_rotate
-from fsgentropy.words import BernoulliSpec, sample_symbols, sample_word, uniform_spec, word
+from fsgentropy.words import (
+    BernoulliSpec,
+    power_weights,
+    sample_symbols,
+    sample_word,
+    uniform_spec,
+    word,
+)
 from oracles import generic_system, orbit_pair_counts
 
 BIN = binary_shift_odometer(depth=60)
@@ -46,15 +53,21 @@ def _outcome(fn):
 @pytest.mark.parametrize("n", [1, 2, 4000])
 @pytest.mark.parametrize(
     "weights",
-    [(1.0,), (0.5, 0.5), (0.2, 0.8), (1 / 3, 1 / 3, 1 / 3), (0.1, 0.3, 0.6)],
-    ids=["m1", "m2-uniform", "m2-skewed", "m3-uniform", "m3-skewed"],
+    [(1.0,), (0.5, 0.5), (0.2, 0.8), (1 / 3, 1 / 3, 1 / 3), (0.1, 0.3, 0.6),
+     (0.1, 0.2, 0.3, 0.4), (0.05, 0.3, 0.01, 0.14, 0.2, 0.1, 0.15, 0.05),
+     power_weights(BernoulliSpec((0.3, 0.7)), 2).weights,
+     power_weights(BernoulliSpec((0.2, 0.5, 0.3)), 2).weights,
+     power_weights(BernoulliSpec((0.5, 0.5)), 7).weights],
+    ids=["m1", "m2-uniform", "m2-skewed", "m3-uniform", "m3-skewed", "m4", "m8",
+         "m2-power2", "m3-power2", "m2-power7"],
 )
 def test_driving_words_are_sample_word_draws(weights, n):
     spec = BernoulliSpec(weights)
     for j in range(3):
         got = sample_symbols(spec, n - 1, substream(7, UPSILON, j))
         want = sample_word(spec, n - 1, substream(7, UPSILON, j)).symbols
-        assert got.dtype == np.int8 and got.tolist() == list(want), j
+        assert got.dtype == (np.int8 if spec.m < 128 or n == 1 else np.int32), j
+        assert got.tolist() == list(want), j
         # the draw itself: one choice call of n - 1 symbols, none for one
         # symbol or an empty word
         if spec.m > 1 and n > 1:
@@ -149,8 +162,9 @@ def test_failing_group_raises_as_its_first_failing_orbit(
 def test_corr_sum_holds_one_copy_of_the_windows_and_group_temporaries(orbit_group):
     """The benchmark's corr-sum shape, 16 orbits of 4000 points: building
     the orbits peaks below 1.5 copies of their windows (16 bytes a
-    point), and a k-sweep at one radius below the windows, each group's
-    kept walk end (its window state and int32 labels, 12 bytes a point of
+    point), and a k-sweep at one radius, one call per horizon, then one
+    call of all of them at another, below the windows, each group's kept
+    walk end (its window state and int32 labels, 12 bytes a point of
     every orbit) and 64 bytes a point of one group, plus 64 KiB."""
     size = orbit_group(None)
     n, m = 4000, 16
@@ -166,6 +180,10 @@ def test_corr_sum_holds_one_copy_of_the_windows_and_group_temporaries(orbit_grou
         tracemalloc.reset_peak()
         for k in range(1, 9):
             estimators.correlation_sum(sys_, x, 3 * 2.0**-5, omega, k, n, m, 75)
+        # then one call of all the horizons at 2**-6, widths 6..10, which
+        # reads width 9 from the widest histogram that folds (20 blocks x
+        # 512 labels a group) and ranks width 10
+        estimators.correlation_sum(sys_, x, 2.0**-6, omega, range(1, 9), n, m, 75)
         swept = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

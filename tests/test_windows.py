@@ -444,24 +444,29 @@ def test_corr_sum_horizons_read_one_count_per_group_and_width(
     x = sys_.mu_sampler(substream(13), 1)[0]
     omega = word((1, 2, 2, 1, 2, 1, 1), 2)
     m, groups = 3, 2
-    reads = []
-    count = estimators._label_pair_counts
-    estimators._time_blocks(80)  # made before reads are counted
-    monkeypatch.setattr(estimators, "_label_pair_counts",
-                        lambda *args: reads.append(1) or count(*args))
-    got = [correlation_sum(sys_, x, eps, omega, k, 80, m, seed=9)
-           for eps in (0.25, 3 * 2.0**-5) for k in range(1, 9)]
+    reads, lags = [], []
+    count, lag = estimators._cylinder_pair_counts, estimators._lag_pair_counts
+    monkeypatch.setattr(estimators, "_cylinder_pair_counts",
+                        lambda pset, widths, blocks: reads.append(tuple(widths))
+                        or count(pset, widths, blocks))
+    monkeypatch.setattr(estimators, "_lag_pair_counts", lambda *args: lags.append(1) or lag(*args))
+    got = [correlation_sum(sys_, x, eps, omega, range(1, 9), 80, m, seed=9)
+           for eps in (0.25, 3 * 2.0**-5)]
     # s = 0..4 shifts over the horizons: widths L + s = 2..6 at L = 2 and
-    # 4..8 at L = 4, seven in all, each counted once per group of orbits;
-    # no window stage and no exact key
+    # 4..8 at L = 4, seven in all; a call reads, per group of orbits, the
+    # widths no earlier call read, all at once with one lag read (at n =
+    # 80 the histogram folds widths 2..4 and ranks the others); no window
+    # stage and no exact key
     assert len(estimators._upsilon_orbits(sys_, x, 80, m, 9, None)) == groups
-    assert len(reads) == 7 * groups
+    assert reads == [(2, 3, 4, 5, 6)] * groups + [(7, 8)] * groups
+    assert len(lags) == 2 * groups
     assert not stages and not exact_calls
-    monkeypatch.setattr(estimators, "_label_pair_counts", count)
+    monkeypatch.setattr(estimators, "_cylinder_pair_counts", count)
+    monkeypatch.setattr(estimators, "_lag_pair_counts", lag)
     estimators._upsilon_orbits.cache_clear()
     exact = replace(sys_, window_ops=None)
-    assert got == [correlation_sum(exact, x, eps, omega, k, 80, m, seed=9)
-                   for eps in (0.25, 3 * 2.0**-5) for k in range(1, 9)]
+    assert got == [tuple(correlation_sum(exact, x, eps, omega, k, 80, m, seed=9)
+                         for k in range(1, 9)) for eps in (0.25, 3 * 2.0**-5)]
 
 
 def test_doubling_series_takes_one_walk_per_radius():
@@ -870,18 +875,17 @@ def test_corr_sum_reuses_counts_across_calls_in_any_order(
     base = binary_shift_odometer(depth=300)
     x = base.mu_sampler(substream(21), 1)[0]
     omega = word((2, 2, 1, 2, 1, 1, 2), 2)
-    a, b = 0.25, 0.125
+    a, b, c = 0.25, 0.125, 2.0**-5
     m, n, groups = 3, 60, 2
     reads = []
-    count = estimators._label_pair_counts
+    count = estimators._cylinder_pair_counts
 
-    def counting(labels, blocks):
-        reads.append(1)
-        return count(labels, blocks)
+    def counting(pset, widths, blocks):
+        reads.append(tuple(widths))
+        return count(pset, widths, blocks)
 
     estimators._upsilon_orbits.cache_clear()
-    estimators._time_blocks(n)  # made before reads are counted
-    monkeypatch.setattr(estimators, "_label_pair_counts", counting)
+    monkeypatch.setattr(estimators, "_cylinder_pair_counts", counting)
     other = _blocks(np.arange(n) * 3 // n, 3, 2)
 
     def corr(s, eps, k):
@@ -894,12 +898,15 @@ def test_corr_sum_reuses_counts_across_calls_in_any_order(
 
     # (call, reads per group of orbits): a corr-sum reads each cylinder
     # width L + s once (L = 2 at a, 3 at b; s = 0, 0, 0, 1, 1, 1, 2, 3 at
-    # k = 1..8), so b, 5 reads afresh and a, 5 later does not; a walk with
-    # other blocks always reads, and leaves the corr-sum's counts alone
+    # k = 1..8), so b, 5 reads afresh and a, 5 later does not, and a call
+    # of many horizons reads the widths it lacks at once (c, 1..8: widths
+    # 7 and 8 at L = 5); a walk with other blocks always reads, and leaves
+    # the corr-sum's counts alone
     calls = [
         ((a, 1), 1), ((a, 2), 0), ((a, 3), 0), ((a, 4), 1), ((a, 5), 0), ((a, 8), 1),
         ((a, 8), 0), ((a, 5), 0), ((b, 5), 1), ((a, 2), 0), (("other", 3), 1), ((a, 3), 0),
         ((a, 3), 0), (("other", 3), 1), (("other", 4), 1), ((a, 4), 0), ((b, 8), 1),
+        ((a, range(1, 9)), 0), ((b, range(1, 9)), 0), ((c, range(1, 9)), 1), ((c, [8, 1]), 0),
     ]
     got = []
     for call, cost in calls:
@@ -909,8 +916,10 @@ def test_corr_sum_reuses_counts_across_calls_in_any_order(
         else:
             got.append(corr(base, *call))
         assert len(reads) == cost * groups, call
+        if call == (c, range(1, 9)):
+            assert reads == [(7, 8)] * groups
     assert not exact_calls
-    monkeypatch.setattr(estimators, "_label_pair_counts", count)
+    monkeypatch.setattr(estimators, "_cylinder_pair_counts", count)
     for (call, _), value in zip(calls, got):
         estimators._upsilon_orbits.cache_clear()
         if call[0] == "other":
